@@ -1,0 +1,299 @@
+"""Gaussian simulation input models in physical units.
+
+This is where network outputs stop being normalized numbers and become
+usable distributions: :func:`derive` turns a trained network plus one
+scenario's features into a ``(mean, variance)`` pair in m^3/hr (or
+minutes, for the hauling demo), :func:`sample` draws variates from it,
+and :func:`coverage` checks how often observed targets land inside the
+predicted intervals. :func:`pooled_fit` is the deliberately naive
+baseline that ignores conditions and fits one Gaussian to everything;
+:func:`compare_pooled_vs_conditioned` quantifies what that pooling costs
+in variance.
+
+Variates are never truncated at zero even though negative productivity
+is unphysical; consumers clamp instead, so the model's moments stay
+exactly what the network predicted.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+import random
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .adapter import Dataset, NormalizationStats
+from .errors import DataError, NumericalError
+from .network import NetworkParams, forward_batch
+from .tables import ScenarioFeatures
+
+#: Central-interval z-values. A fixed table, not a quantile routine: only
+#: these three levels are supported.
+Z_VALUES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
+
+
+@dataclass(frozen=True)
+class GaussianInputModel:
+    """A Gaussian in physical units, ready to feed a simulator."""
+
+    mean: float
+    variance: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
+            raise DataError(
+                f"model moments must be finite, got mean={self.mean!r} "
+                f"variance={self.variance!r}"
+            )
+        if self.variance < 0:
+            raise DataError(f"variance must be >= 0, got {self.variance!r}")
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self.variance)
+
+
+def derive(
+    params: NetworkParams,
+    features: ScenarioFeatures,
+    stats: NormalizationStats,
+) -> GaussianInputModel:
+    """Predict the productivity distribution for one operating condition.
+
+    Encodes the features with the training normalization, runs the
+    network, and maps the normalized heads back to physical units:
+    ``mean = mu_norm * std_y + mean_y`` and
+    ``variance = exp(s) * std_y**2``.
+    """
+    x = stats.encode_features(features.as_mapping())
+    mu_norm, s = forward_batch(params, x[None, :])
+    mu_norm, s = float(mu_norm[0]), float(s[0])
+    if not (math.isfinite(mu_norm) and math.isfinite(s)):
+        raise NumericalError(
+            f"network produced non-finite output (mu={mu_norm!r}, s={s!r})"
+        )
+    mean = mu_norm * stats.target.std + stats.target.mean
+    try:
+        variance = math.exp(s) * stats.target.std**2
+    except OverflowError:
+        raise NumericalError(f"predicted variance overflowed (s={s!r})") from None
+    if not math.isfinite(variance):
+        raise NumericalError(f"predicted variance overflowed (s={s!r})")
+    return GaussianInputModel(mean=mean, variance=variance)
+
+
+def _polar_normals(rng: random.Random, n: int) -> list[float]:
+    """n standard normals via the polar (Marsaglia) construction."""
+    out: list[float] = []
+    while len(out) < n:
+        u = 2.0 * rng.random() - 1.0
+        v = 2.0 * rng.random() - 1.0
+        w = u * u + v * v
+        if w >= 1.0 or w == 0.0:
+            continue
+        factor = math.sqrt(-2.0 * math.log(w) / w)
+        out.append(u * factor)
+        out.append(v * factor)
+    return out[:n]
+
+
+def sample(model: GaussianInputModel, seed: int, n: int) -> list[float]:
+    """Draw ``n`` i.i.d. variates; deterministic per seed, no truncation."""
+    if n < 1:
+        raise DataError(f"n must be >= 1, got {n}")
+    rng = random.Random(seed)
+    std = model.std
+    return [model.mean + std * z for z in _polar_normals(rng, n)]
+
+
+def confidence_interval(
+    model: GaussianInputModel, level: float
+) -> tuple[float, float]:
+    """Central interval ``mean -+ z*sigma`` at one of the supported levels."""
+    if level not in Z_VALUES:
+        supported = ", ".join(str(k) for k in sorted(Z_VALUES))
+        raise DataError(f"unsupported level {level!r}; pick one of {supported}")
+    half_width = Z_VALUES[level] * model.std
+    return model.mean - half_width, model.mean + half_width
+
+
+@dataclass(frozen=True)
+class CoveragePoint:
+    observed: float
+    mu: float
+    sigma: float
+    lo: float
+    hi: float
+
+    @property
+    def covered(self) -> bool:
+        return self.lo <= self.observed <= self.hi
+
+
+@dataclass(frozen=True)
+class CoverageReport:
+    """Per-point interval hits plus the aggregate coverage fraction."""
+
+    points: tuple[CoveragePoint, ...]
+    level: float
+
+    @property
+    def coverage_fraction(self) -> float:
+        return sum(p.covered for p in self.points) / len(self.points)
+
+    def to_csv(self, header_comments: Sequence[str] = ()) -> str:
+        """Plot-data CSV: one row per test point, covered flag as 0/1."""
+        buffer = io.StringIO()
+        for line in header_comments:
+            buffer.write(f"# {line}\n")
+        buffer.write("observed,mu,sigma,lo,hi,covered\n")
+        for p in self.points:
+            buffer.write(
+                f"{p.observed!r},{p.mu!r},{p.sigma!r},"
+                f"{p.lo!r},{p.hi!r},{int(p.covered)}\n"
+            )
+        return buffer.getvalue()
+
+
+def coverage(
+    params: NetworkParams,
+    stats: NormalizationStats,
+    test: Dataset,
+    level: float,
+) -> CoverageReport:
+    """Interval coverage of the observed targets on a held-out dataset.
+
+    ``test`` must be normalized under the same ``stats`` (its own stats
+    are checked against the argument); predictions and observations are
+    compared in physical units.
+    """
+    if test.n == 0:
+        raise DataError("test dataset is empty")
+    if test.norm_stats != stats:
+        raise DataError(
+            "test dataset was normalized under different statistics than "
+            "the ones supplied"
+        )
+    if level not in Z_VALUES:
+        supported = ", ".join(str(k) for k in sorted(Z_VALUES))
+        raise DataError(f"unsupported level {level!r}; pick one of {supported}")
+
+    mu_norm, s = forward_batch(params, test.X)
+    if not (np.isfinite(mu_norm).all() and np.isfinite(s).all()):
+        raise NumericalError("network produced non-finite outputs on the test set")
+
+    std_y, mean_y = stats.target.std, stats.target.mean
+    z = Z_VALUES[level]
+    points = []
+    for i in range(test.n):
+        mu = float(mu_norm[i]) * std_y + mean_y
+        try:
+            sigma = math.sqrt(math.exp(float(s[i]))) * std_y
+        except OverflowError:
+            raise NumericalError(
+                f"predicted variance overflowed on test row {i}"
+            ) from None
+        half_width = z * sigma
+        points.append(CoveragePoint(
+            observed=float(test.y[i]) * std_y + mean_y,
+            mu=mu,
+            sigma=sigma,
+            lo=mu - half_width,
+            hi=mu + half_width,
+        ))
+    return CoverageReport(points=tuple(points), level=level)
+
+
+def pooled_fit(samples: Sequence[float]) -> GaussianInputModel:
+    """One Gaussian over all samples, conditions ignored.
+
+    Population (divide-by-n) moments, matching the normalization
+    convention elsewhere so tests can be exact.
+    """
+    values = np.asarray(samples, dtype=float)
+    if values.size == 0:
+        raise DataError("cannot fit a distribution to zero samples")
+    if not np.isfinite(values).all():
+        raise DataError("samples contain non-finite values")
+    return GaussianInputModel(
+        mean=float(values.mean()), variance=float(values.var())
+    )
+
+
+@dataclass(frozen=True)
+class MixtureComponentRow:
+    label: str
+    weight: float
+    model: GaussianInputModel
+    #: pooled variance divided by this component's variance
+    variance_ratio: float
+
+
+@dataclass(frozen=True)
+class MixtureComparison:
+    """Pooled Gaussian vs the per-condition Gaussians it smears together."""
+
+    pooled: GaussianInputModel
+    components: tuple[MixtureComponentRow, ...]
+
+    def to_csv(self, header_comments: Sequence[str] = ()) -> str:
+        buffer = io.StringIO()
+        for line in header_comments:
+            buffer.write(f"# {line}\n")
+        buffer.write("label,weight,mean,variance,pooled_variance_ratio\n")
+        buffer.write(
+            f"pooled,{1.0!r},{self.pooled.mean!r},{self.pooled.variance!r},{1.0!r}\n"
+        )
+        for row in self.components:
+            buffer.write(
+                f"{row.label},{row.weight!r},{row.model.mean!r},"
+                f"{row.model.variance!r},{row.variance_ratio!r}\n"
+            )
+        return buffer.getvalue()
+
+
+def compare_pooled_vs_conditioned(
+    components: Sequence[tuple[float, GaussianInputModel]],
+    labels: Sequence[str] | None = None,
+) -> MixtureComparison:
+    """Pool weighted Gaussian components by the law of total variance.
+
+    Pooled mean is the weighted component mean; pooled variance adds the
+    weighted within-component variance and the weighted squared spread
+    of component means. The ratio pooled/component says how much wider
+    the condition-blind model is than each condition-specific one.
+    """
+    if len(components) == 0:
+        raise DataError("need at least one (weight, model) component")
+    weights = [w for w, _ in components]
+    if any(not w > 0 for w in weights):
+        raise DataError(f"weights must be positive, got {weights}")
+    total = sum(weights)
+    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
+        raise DataError(f"weights must sum to 1, got {total!r}")
+    if labels is None:
+        labels = [f"component_{i}" for i in range(len(components))]
+    if len(labels) != len(components):
+        raise DataError(
+            f"{len(labels)} labels for {len(components)} components"
+        )
+
+    pooled_mean = sum(w * m.mean for w, m in components)
+    within = sum(w * m.variance for w, m in components)
+    between = sum(w * (m.mean - pooled_mean) ** 2 for w, m in components)
+    pooled = GaussianInputModel(mean=pooled_mean, variance=within + between)
+
+    rows = tuple(
+        MixtureComponentRow(
+            label=label,
+            weight=w,
+            model=m,
+            variance_ratio=pooled.variance / m.variance if m.variance > 0
+            else math.inf,
+        )
+        for label, (w, m) in zip(labels, components)
+    )
+    return MixtureComparison(pooled=pooled, components=rows)

@@ -1,0 +1,236 @@
+"""On-disk formats for trained models and adapted datasets.
+
+Both artifacts are JSON bodies optionally preceded by ``#`` comment
+lines (the audit header written by the command-line tool); every loader
+strips those lines before parsing. Floats serialize through ``repr``
+(Python's shortest round-tripping decimal form), so save followed by
+load reproduces every parameter bit-exactly, and identical inputs
+produce byte-identical files.
+
+A model file carries the network parameters with explicit shape
+metadata, the normalization statistics needed to de-normalize outputs,
+and both configs. A dataset file carries the train and test splits plus
+their shared normalization statistics.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+
+from .adapter import ColumnStats, Dataset, NormalizationStats
+from .errors import DataError
+from .network import NetworkConfig, NetworkParams, TrainConfig
+
+MODEL_FORMAT = "pavesim-model"
+DATASET_FORMAT = "pavesim-dataset"
+FORMAT_VERSION = 1
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write via a sibling temp file and rename, so failures leave no
+    partial output."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _strip_comments(text: str) -> str:
+    return "".join(
+        line for line in text.splitlines(keepends=True)
+        if not line.startswith("#")
+    )
+
+
+def _load_commented_json(path: str | Path, expected_format: str) -> dict:
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    try:
+        raw = json.loads(_strip_comments(path.read_text()))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or raw.get("format") != expected_format:
+        raise DataError(
+            f"{path} is not a {expected_format} file "
+            f"(format tag {raw.get('format') if isinstance(raw, dict) else None!r})"
+        )
+    version = raw.get("version")
+    if version != FORMAT_VERSION:
+        raise DataError(
+            f"{path} has format version {version!r}; this tool reads "
+            f"version {FORMAT_VERSION}"
+        )
+    return raw
+
+
+def _dump(payload: dict, header_comments) -> str:
+    head = "".join(f"# {line}\n" for line in header_comments)
+    return head + json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _stats_to_obj(stats: NormalizationStats) -> dict:
+    def column(c: ColumnStats) -> dict:
+        return {"name": c.name, "kind": c.kind, "mean": c.mean, "std": c.std}
+    return {
+        "features": [column(c) for c in stats.features],
+        "target": column(stats.target),
+    }
+
+
+def _stats_from_obj(obj: dict) -> NormalizationStats:
+    def column(entry: dict) -> ColumnStats:
+        return ColumnStats(
+            name=entry["name"], kind=entry["kind"],
+            mean=float(entry["mean"]), std=float(entry["std"]),
+        )
+    try:
+        return NormalizationStats(
+            features=tuple(column(e) for e in obj["features"]),
+            target=column(obj["target"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"malformed normalization statistics: {exc}") from exc
+
+
+def model_to_text(
+    params: NetworkParams,
+    stats: NormalizationStats,
+    net_cfg: NetworkConfig,
+    train_cfg: TrainConfig,
+    header_comments=(),
+) -> str:
+    params.validate()
+    layers = [
+        {
+            "shape": list(w.shape),
+            "weights": w.tolist(),
+            "bias": b.tolist(),
+        }
+        for w, b in zip(params.weights, params.biases)
+    ]
+    payload = {
+        "format": MODEL_FORMAT,
+        "version": FORMAT_VERSION,
+        "network": {
+            "input_dim": net_cfg.input_dim,
+            "hidden_widths": list(net_cfg.hidden_widths),
+            "seed": net_cfg.seed,
+        },
+        "training": {
+            "epochs": train_cfg.epochs,
+            "batch_size": train_cfg.batch_size,
+            "learning_rate": train_cfg.learning_rate,
+            "adam_beta1": train_cfg.adam_beta1,
+            "adam_beta2": train_cfg.adam_beta2,
+            "adam_epsilon": train_cfg.adam_epsilon,
+            "shuffle_seed": train_cfg.shuffle_seed,
+        },
+        "normalization": _stats_to_obj(stats),
+        "layers": layers,
+    }
+    return _dump(payload, header_comments)
+
+
+def save_model(
+    path: str | Path,
+    params: NetworkParams,
+    stats: NormalizationStats,
+    net_cfg: NetworkConfig,
+    train_cfg: TrainConfig,
+    header_comments=(),
+) -> None:
+    write_text_atomic(
+        path, model_to_text(params, stats, net_cfg, train_cfg, header_comments)
+    )
+
+
+def load_model(
+    path: str | Path,
+) -> tuple[NetworkParams, NormalizationStats, NetworkConfig, TrainConfig]:
+    raw = _load_commented_json(path, MODEL_FORMAT)
+    try:
+        net_cfg = NetworkConfig(
+            input_dim=int(raw["network"]["input_dim"]),
+            hidden_widths=tuple(int(w) for w in raw["network"]["hidden_widths"]),
+            seed=int(raw["network"]["seed"]),
+        )
+        t = raw["training"]
+        train_cfg = TrainConfig(
+            epochs=int(t["epochs"]),
+            batch_size=int(t["batch_size"]),
+            learning_rate=float(t["learning_rate"]),
+            adam_beta1=float(t["adam_beta1"]),
+            adam_beta2=float(t["adam_beta2"]),
+            adam_epsilon=float(t["adam_epsilon"]),
+            shuffle_seed=int(t["shuffle_seed"]),
+        )
+        stats = _stats_from_obj(raw["normalization"])
+        weights, biases = [], []
+        for i, layer in enumerate(raw["layers"]):
+            w = np.array(layer["weights"], dtype=float)
+            b = np.array(layer["bias"], dtype=float)
+            if list(w.shape) != list(layer["shape"]):
+                raise DataError(
+                    f"layer {i} declares shape {layer['shape']} but holds "
+                    f"{list(w.shape)}"
+                )
+            weights.append(w)
+            biases.append(b)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model file {path}: {exc}") from exc
+    params = NetworkParams(weights, biases)
+    params.validate()
+    expected = [tuple(d) for d in net_cfg.layer_dims]
+    if params.shapes() != expected:
+        raise DataError(
+            f"model file layers {params.shapes()} do not match the declared "
+            f"architecture {expected}"
+        )
+    return params, stats, net_cfg, train_cfg
+
+
+def _split_to_obj(ds: Dataset) -> dict:
+    return {"X": ds.X.tolist(), "y": ds.y.tolist()}
+
+
+def dataset_to_text(
+    train: Dataset, test: Dataset, header_comments=()
+) -> str:
+    if train.norm_stats != test.norm_stats:
+        raise DataError("train and test splits carry different normalization "
+                        "statistics")
+    payload = {
+        "format": DATASET_FORMAT,
+        "version": FORMAT_VERSION,
+        "normalization": _stats_to_obj(train.norm_stats),
+        "train": _split_to_obj(train),
+        "test": _split_to_obj(test),
+    }
+    return _dump(payload, header_comments)
+
+
+def save_dataset(
+    path: str | Path, train: Dataset, test: Dataset, header_comments=()
+) -> None:
+    write_text_atomic(path, dataset_to_text(train, test, header_comments))
+
+
+def load_dataset(path: str | Path) -> tuple[Dataset, Dataset]:
+    raw = _load_commented_json(path, DATASET_FORMAT)
+    try:
+        stats = _stats_from_obj(raw["normalization"])
+        splits = []
+        for part in ("train", "test"):
+            X = np.array(raw[part]["X"], dtype=float)
+            y = np.array(raw[part]["y"], dtype=float)
+            if X.size == 0:
+                X = X.reshape(0, len(stats.features))
+            splits.append(Dataset(X=X, y=y, norm_stats=stats))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed dataset file {path}: {exc}") from exc
+    return splits[0], splits[1]

@@ -1,0 +1,362 @@
+"""Heteroscedastic feed-forward network, trained from scratch.
+
+The model maps a normalized feature vector through ReLU hidden layers to
+two linear output heads: a predicted mean ``mu`` and a predicted
+log-variance ``s = log(sigma^2)``, both in normalized target units. The
+log-variance parameterization keeps the variance positive without
+constraints.
+
+Per-sample loss (Gaussian negative log-likelihood up to a constant)::
+
+    L = 0.5 * exp(-s) * (y - mu)**2 + 0.5 * s
+
+Batch loss is the arithmetic mean. Gradients are exact analytic
+backpropagation (ReLU derivative at exactly 0 is defined as 0), optimized
+with Adam. Everything is a pure function of its inputs and seeds, so
+training is bit-for-bit reproducible; forward evaluation over frozen
+parameters is read-only and safe to call concurrently.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import DataError, TrainingDivergedError
+from .adapter import Dataset
+
+#: Output head layout: column 0 is the mean, column 1 the log-variance.
+MU_HEAD = 0
+S_HEAD = 1
+OUTPUT_UNITS = 2
+
+
+@dataclass(frozen=True)
+class NetworkConfig:
+    """Architecture: input width, ReLU hidden widths, init seed."""
+
+    input_dim: int
+    hidden_widths: tuple[int, ...] = (64, 64, 64)
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.input_dim < 1:
+            raise DataError(f"input_dim must be >= 1, got {self.input_dim}")
+        if any(w < 1 for w in self.hidden_widths):
+            raise DataError(f"hidden widths must be >= 1, got {self.hidden_widths}")
+
+    @property
+    def layer_dims(self) -> list[tuple[int, int]]:
+        widths = [self.input_dim, *self.hidden_widths, OUTPUT_UNITS]
+        return list(zip(widths[:-1], widths[1:]))
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 2000
+    batch_size: int = 32
+    learning_rate: float = 1e-3
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_epsilon: float = 1e-8
+    shuffle_seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise DataError(
+                f"learning_rate must be > 0, got {self.learning_rate!r}"
+            )
+
+
+@dataclass
+class NetworkParams:
+    """Per-layer weight matrices and bias vectors.
+
+    Layer ``i`` maps activations ``a`` to ``a @ weights[i] + biases[i]``;
+    the final layer has exactly two output units (mean head, then
+    log-variance head). The same container is reused for gradient tensors.
+    """
+
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.weights)
+
+    @property
+    def input_dim(self) -> int:
+        return self.weights[0].shape[0]
+
+    def shapes(self) -> list[tuple[int, int]]:
+        return [w.shape for w in self.weights]
+
+    def copy(self) -> "NetworkParams":
+        return NetworkParams(
+            [w.copy() for w in self.weights],
+            [b.copy() for b in self.biases],
+        )
+
+    def validate(self) -> None:
+        if len(self.weights) != len(self.biases):
+            raise DataError("weights and biases must pair up layer by layer")
+        previous = None
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
+                raise DataError(f"layer {i} has inconsistent shapes")
+            if previous is not None and w.shape[0] != previous:
+                raise DataError(
+                    f"layer {i} expects {w.shape[0]} inputs but layer "
+                    f"{i - 1} produces {previous}"
+                )
+            previous = w.shape[1]
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise DataError(f"layer {i} holds non-finite parameters")
+        if previous != OUTPUT_UNITS:
+            raise DataError(
+                f"final layer must have {OUTPUT_UNITS} output units, got {previous}"
+            )
+
+
+def params_allclose(a: NetworkParams, b: NetworkParams) -> bool:
+    """Bitwise equality of two parameter sets."""
+    return (
+        len(a.weights) == len(b.weights)
+        and all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
+        and all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
+    )
+
+
+@dataclass
+class AdamState:
+    """First/second-moment accumulators shaped like the parameters."""
+
+    m: NetworkParams
+    v: NetworkParams
+    t: int = 0
+
+    @classmethod
+    def zeros_like(cls, params: NetworkParams) -> "AdamState":
+        def zeros(p: NetworkParams) -> NetworkParams:
+            return NetworkParams(
+                [np.zeros_like(w) for w in p.weights],
+                [np.zeros_like(b) for b in p.biases],
+            )
+        return cls(m=zeros(params), v=zeros(params), t=0)
+
+
+@dataclass
+class TrainReport:
+    """Mean training loss per epoch."""
+
+    epoch_losses: list[float] = field(default_factory=list)
+
+    @property
+    def epochs(self) -> int:
+        return len(self.epoch_losses)
+
+    @property
+    def final_loss(self) -> float:
+        return self.epoch_losses[-1]
+
+
+def init_network(cfg: NetworkConfig) -> NetworkParams:
+    """He-style initialization: weights ~ N(0, 2/fan_in), biases zero.
+
+    The zero log-variance-head bias starts the model at unit variance in
+    normalized units. Deterministic given ``cfg.seed``.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    weights = []
+    biases = []
+    for fan_in, fan_out in cfg.layer_dims:
+        scale = np.sqrt(2.0 / fan_in)
+        weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return NetworkParams(weights, biases)
+
+
+def _forward_cached(params: NetworkParams, X: np.ndarray):
+    """Batch forward pass keeping pre-activations for backprop."""
+    pre_activations = []
+    activations = [X]
+    a = X
+    last = params.num_layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w + b
+        pre_activations.append(z)
+        a = z if i == last else np.maximum(z, 0.0)
+        activations.append(a)
+    return pre_activations, activations
+
+
+def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted (mu, s) arrays for a batch of normalized feature rows."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise DataError(
+            f"expected shape (n, {params.input_dim}), got {X.shape}"
+        )
+    _, activations = _forward_cached(params, X)
+    out = activations[-1]
+    return out[:, MU_HEAD], out[:, S_HEAD]
+
+
+def forward(params: NetworkParams, x: np.ndarray) -> tuple[float, float]:
+    """Predicted (mu, s) for one normalized feature vector."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape[0] != params.input_dim:
+        raise DataError(
+            f"expected a vector of length {params.input_dim}, got shape {x.shape}"
+        )
+    if not np.isfinite(x).all():
+        raise DataError("input vector contains non-finite values")
+    mu, s = forward_batch(params, x[None, :])
+    return float(mu[0]), float(s[0])
+
+
+def nll_loss(mu, s, y) -> float:
+    """Gaussian negative log-likelihood (mean over samples, constant dropped)."""
+    mu = np.asarray(mu, dtype=float)
+    s = np.asarray(s, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return float(np.mean(0.5 * np.exp(-s) * (y - mu) ** 2 + 0.5 * s))
+
+
+def loss_gradients(
+    params: NetworkParams, X: np.ndarray, y: np.ndarray
+) -> tuple[float, NetworkParams]:
+    """Mean batch loss and its exact gradient w.r.t. every parameter.
+
+    Head-level derivatives per sample are
+    ``dL/dmu = -exp(-s) * (y - mu)`` and
+    ``dL/ds = 0.5 * (1 - exp(-s) * (y - mu)**2)``,
+    scaled by 1/batch and backpropagated through the ReLU stack.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise DataError(
+            f"expected shape (n, {params.input_dim}), got {X.shape}"
+        )
+    n = X.shape[0]
+    if n == 0 or y.shape != (n,):
+        raise DataError(f"batch of {n} rows needs y of shape ({n},), got {y.shape}")
+
+    pre_activations, activations = _forward_cached(params, X)
+    out = activations[-1]
+    mu = out[:, MU_HEAD]
+    s = out[:, S_HEAD]
+
+    inv_var = np.exp(-s)
+    residual = y - mu
+    loss = float(np.mean(0.5 * inv_var * residual**2 + 0.5 * s))
+
+    d_out = np.empty_like(out)
+    d_out[:, MU_HEAD] = -inv_var * residual / n
+    d_out[:, S_HEAD] = 0.5 * (1.0 - inv_var * residual**2) / n
+
+    grad_w = [np.empty(0)] * params.num_layers
+    grad_b = [np.empty(0)] * params.num_layers
+    delta = d_out
+    for i in range(params.num_layers - 1, -1, -1):
+        grad_w[i] = activations[i].T @ delta
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ params.weights[i].T) * (pre_activations[i - 1] > 0)
+
+    return loss, NetworkParams(grad_w, grad_b)
+
+
+def adam_step(
+    params: NetworkParams,
+    grads: NetworkParams,
+    state: AdamState,
+    cfg: TrainConfig,
+) -> tuple[NetworkParams, AdamState]:
+    """One Adam update with bias correction; returns new params and state.
+
+    The update is ``theta -= lr * m_hat / sqrt(v_hat + eps)`` (epsilon
+    added inside the square root).
+    """
+    t = state.t + 1
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+
+    tensors = zip(
+        params.weights + params.biases,
+        grads.weights + grads.biases,
+        state.m.weights + state.m.biases,
+        state.v.weights + state.v.biases,
+    )
+    n_layers = params.num_layers
+    updated = []
+    for theta, g, m, v in tensors:
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g**2
+        m_hat = m / bias1
+        v_hat = v / bias2
+        theta = theta - cfg.learning_rate * m_hat / np.sqrt(v_hat + cfg.adam_epsilon)
+        updated.append((theta, m, v))
+
+    new_w = [u[0] for u in updated[:n_layers]]
+    new_b = [u[0] for u in updated[n_layers:]]
+    new_mw = [u[1] for u in updated[:n_layers]]
+    new_mb = [u[1] for u in updated[n_layers:]]
+    new_vw = [u[2] for u in updated[:n_layers]]
+    new_vb = [u[2] for u in updated[n_layers:]]
+
+    return (
+        NetworkParams(new_w, new_b),
+        AdamState(
+            m=NetworkParams(new_mw, new_mb),
+            v=NetworkParams(new_vw, new_vb),
+            t=t,
+        ),
+    )
+
+
+def train(
+    ds_train: Dataset,
+    net_cfg: NetworkConfig,
+    train_cfg: TrainConfig = TrainConfig(),
+) -> tuple[NetworkParams, TrainReport]:
+    """Mini-batch Adam training loop, deterministic given both seeds.
+
+    Each epoch reshuffles the sample order with a generator seeded once
+    from ``train_cfg.shuffle_seed``; batches are consumed sequentially.
+    Raises :class:`TrainingDivergedError` if any batch loss is non-finite.
+    """
+    if ds_train.n == 0:
+        raise DataError("training dataset is empty")
+    if net_cfg.input_dim != ds_train.X.shape[1]:
+        raise DataError(
+            f"network expects {net_cfg.input_dim} inputs but the dataset "
+            f"has {ds_train.X.shape[1]} features"
+        )
+
+    params = init_network(net_cfg)
+    state = AdamState.zeros_like(params)
+    rng = np.random.default_rng(train_cfg.shuffle_seed)
+    report = TrainReport()
+
+    n = ds_train.n
+    for epoch in range(train_cfg.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for batch_index, start in enumerate(range(0, n, train_cfg.batch_size)):
+            idx = order[start:start + train_cfg.batch_size]
+            loss, grads = loss_gradients(params, ds_train.X[idx], ds_train.y[idx])
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, batch_index, loss)
+            total += loss * len(idx)
+            params, state = adam_step(params, grads, state, train_cfg)
+        report.epoch_losses.append(total / n)
+
+    return params, report

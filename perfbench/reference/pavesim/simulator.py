@@ -1,0 +1,362 @@
+"""Discrete-event simulator of a truck-and-paver road paving operation.
+
+A fleet of ``K`` identical trucks shuttles concrete from a batch plant
+to a slip-form paver: load, haul, dump, return, repeat. Material lands
+in the paver's hopper when a dump finishes, and the paver consumes
+hopper inventory as a fluid at a productivity rate drawn from a
+:class:`~pavesim.inputmodel.GaussianInputModel`, idling when the hopper
+runs dry. A replication ends when the configured total quantity has been
+placed.
+
+Model choices that keep the analytic oracle exact:
+
+- load/haul/dump/return times are constants, not distributions; only
+  productivity is stochastic,
+- no contention: trucks never queue at the plant or the paver,
+- truckload amounts are committed at dispatch, so exactly
+  ``ceil(Q / C)`` loads are hauled and their amounts sum to ``Q``,
+- sampled productivities are clamped below at ``clamp_floor`` rather
+  than truncated or resampled, and every clamp is counted.
+
+With those choices the trucks move in lockstep waves and completion time
+has a closed form (see :func:`analytic_completion`), which the event
+queue must reproduce exactly for zero-variance models.
+"""
+
+from __future__ import annotations
+
+import heapq
+import io
+import json
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from .errors import DataError
+from .inputmodel import GaussianInputModel, sample
+
+PER_REPLICATION = "per_replication"
+PER_TRUCKLOAD = "per_truckload"
+RESAMPLE_MODES = (PER_REPLICATION, PER_TRUCKLOAD)
+
+# Event-queue tie order at equal times: dumps land before the paver
+# finishes a parcel, and simultaneous dumps order by truck index.
+_DUMP_RANK = 0
+_PAVER_RANK = 1
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """One paving operation: quantities, fleet, cycle times, input model."""
+
+    total_quantity: float          # Q, m^3
+    truck_count: int               # K
+    truck_capacity: float          # C, m^3 per load
+    load_time: float               # hours
+    haul_time: float               # hours
+    dump_time: float               # hours
+    return_time: float             # hours
+    productivity_source: GaussianInputModel
+    resample_mode: str = PER_REPLICATION
+    clamp_floor: float = 1.0       # m^3/hr
+
+    def __post_init__(self):
+        positives = {
+            "total_quantity": self.total_quantity,
+            "truck_capacity": self.truck_capacity,
+            "load_time": self.load_time,
+            "haul_time": self.haul_time,
+            "dump_time": self.dump_time,
+            "return_time": self.return_time,
+            "clamp_floor": self.clamp_floor,
+        }
+        for name, value in positives.items():
+            if not (isinstance(value, (int, float)) and value > 0
+                    and math.isfinite(value)):
+                raise DataError(f"{name} must be a positive finite number, "
+                                f"got {value!r}")
+        if self.truck_count < 1:
+            raise DataError(f"truck_count must be >= 1, got {self.truck_count}")
+        if self.resample_mode not in RESAMPLE_MODES:
+            raise DataError(
+                f"resample_mode must be one of {RESAMPLE_MODES}, "
+                f"got {self.resample_mode!r}"
+            )
+
+    @property
+    def truckloads(self) -> int:
+        return math.ceil(self.total_quantity / self.truck_capacity)
+
+    @property
+    def cycle_time(self) -> float:
+        return self.load_time + self.haul_time + self.dump_time + self.return_time
+
+    @property
+    def first_delivery_offset(self) -> float:
+        return self.load_time + self.haul_time + self.dump_time
+
+
+#: SimConfig fields all operation config files must provide.
+_REQUIRED_KEYS = frozenset({
+    "total_quantity", "truck_count", "truck_capacity",
+    "load_time", "haul_time", "dump_time", "return_time",
+})
+_OPTIONAL_KEYS = frozenset({"resample_mode", "clamp_floor"})
+#: Where the productivity distribution comes from: exactly one of a raw
+#: (mean, variance) pair or a scenario feature mapping to run through a
+#: trained model.
+_SOURCE_KEYS = frozenset({"productivity", "scenario"})
+
+
+def parse_sim_config(path: str | Path) -> dict:
+    """Read and validate a JSON operation config file.
+
+    Lines starting with ``#`` are ignored. The file must provide
+    total_quantity, truck_count, truck_capacity and the four cycle
+    times; it may provide resample_mode and clamp_floor; and it must
+    provide exactly one productivity source: either a
+    ``"productivity": {"mean": ..., "variance": ...}`` object or a
+    ``"scenario": {feature name: value}`` object to be evaluated by a
+    trained model. Returns the validated raw dictionary.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such config file: {path}")
+    body = "".join(
+        line for line in path.read_text().splitlines(keepends=True)
+        if not line.startswith("#")
+    )
+    try:
+        raw = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(raw) - _REQUIRED_KEYS - _OPTIONAL_KEYS - _SOURCE_KEYS)
+    if unknown:
+        raise DataError(f"unknown config keys: {', '.join(unknown)}")
+    missing = sorted(k for k in _REQUIRED_KEYS if k not in raw)
+    if missing:
+        raise DataError(f"config is missing keys: {', '.join(missing)}")
+    sources = sorted(k for k in _SOURCE_KEYS if k in raw)
+    if len(sources) != 1:
+        raise DataError(
+            "config must provide exactly one of 'productivity' or "
+            f"'scenario', got {sources or 'neither'}"
+        )
+    return raw
+
+
+def build_sim_config(raw: dict, model: GaussianInputModel) -> SimConfig:
+    """Assemble a SimConfig from a parsed config and an input model."""
+    kwargs = {k: raw[k] for k in _REQUIRED_KEYS | _OPTIONAL_KEYS if k in raw}
+    return SimConfig(productivity_source=model, **kwargs)
+
+
+@dataclass(frozen=True)
+class CompletionRecord:
+    """Outcome of one replication."""
+
+    completion_time: float         # hours
+    paver_busy_fraction: float
+    truckloads_delivered: int
+    productivities: tuple[float, ...]  # the clamped rates actually used
+    clamp_count: int               # how many draws hit the floor
+
+
+@dataclass(frozen=True)
+class SimResult:
+    """All replication records plus summary statistics of completion time.
+
+    Summaries are exactly recomputable from the records: population std,
+    percentiles by linear interpolation between order statistics.
+    """
+
+    records: tuple[CompletionRecord, ...]
+    master_seed: int
+
+    @property
+    def completion_times(self) -> np.ndarray:
+        return np.array([r.completion_time for r in self.records])
+
+    @property
+    def mean(self) -> float:
+        return float(self.completion_times.mean())
+
+    @property
+    def std(self) -> float:
+        return float(self.completion_times.std())
+
+    @property
+    def min(self) -> float:
+        return float(self.completion_times.min())
+
+    @property
+    def max(self) -> float:
+        return float(self.completion_times.max())
+
+    def percentile(self, q: float) -> float:
+        return float(np.percentile(self.completion_times, q))
+
+    def to_csv(self, header_comments: Sequence[str] = ()) -> str:
+        """Per-replication rows, then a ``#`` summary block."""
+        buffer = io.StringIO()
+        for line in header_comments:
+            buffer.write(f"# {line}\n")
+        buffer.write(
+            "replication,completion_time,paver_busy_fraction,"
+            "truckloads_delivered,clamp_count\n"
+        )
+        for i, r in enumerate(self.records):
+            buffer.write(
+                f"{i},{r.completion_time!r},{r.paver_busy_fraction!r},"
+                f"{r.truckloads_delivered},{r.clamp_count}\n"
+            )
+        buffer.write(f"# replications = {len(self.records)}\n")
+        buffer.write(f"# master_seed = {self.master_seed}\n")
+        buffer.write(f"# mean = {self.mean!r}\n")
+        buffer.write(f"# std = {self.std!r}\n")
+        buffer.write(f"# min = {self.min!r}\n")
+        buffer.write(f"# max = {self.max!r}\n")
+        buffer.write(f"# p5 = {self.percentile(5)!r}\n")
+        buffer.write(f"# p95 = {self.percentile(95)!r}\n")
+        return buffer.getvalue()
+
+
+def truckload_amounts(cfg: SimConfig) -> list[float]:
+    """Dispatch plan: full loads, then one partial closing the total."""
+    n = cfg.truckloads
+    amounts = [cfg.truck_capacity] * n
+    amounts[-1] = cfg.total_quantity - cfg.truck_capacity * (n - 1)
+    return amounts
+
+
+def _clamped_draws(cfg: SimConfig, seed: int) -> tuple[list[float], int]:
+    """Sampled productivity draws, floored at clamp_floor."""
+    n = 1 if cfg.resample_mode == PER_REPLICATION else cfg.truckloads
+    draws = sample(cfg.productivity_source, seed, n)
+    clamp_count = sum(1 for p in draws if p < cfg.clamp_floor)
+    return [max(p, cfg.clamp_floor) for p in draws], clamp_count
+
+
+def run_replication(cfg: SimConfig, seed: int) -> CompletionRecord:
+    """Simulate one replication of the paving operation.
+
+    All trucks start loading at t = 0. The event queue holds dump
+    completions and paver parcel-finish events, ordered by
+    (time, kind, truck index) with dumps ranked before paver finishes.
+    The paver consumes hopper parcels FIFO, each at the rate sampled for
+    its truckload; completion is when the last parcel is consumed.
+    """
+    draws, clamp_count = _clamped_draws(cfg, seed)
+    n_loads = cfg.truckloads
+    rates = draws * n_loads if cfg.resample_mode == PER_REPLICATION else draws
+    amounts = truckload_amounts(cfg)
+
+    # Schedule every dump completion up front: truck j hauls loads
+    # j, j + K, j + 2K, ...; its trip-i dump ends one return leg short
+    # of i full cycles after the start.
+    events: list[tuple[float, int, int, int]] = []
+    for load_index in range(n_loads):
+        truck = load_index % cfg.truck_count
+        trip = load_index // cfg.truck_count
+        dump_end = trip * cfg.cycle_time + cfg.first_delivery_offset
+        heapq.heappush(events, (dump_end, _DUMP_RANK, truck, load_index))
+
+    hopper: list[int] = []       # truckload indices, FIFO
+    active: int | None = None    # truckload being consumed, never preempted
+    busy_time = 0.0
+    placed = 0.0
+    now = 0.0
+
+    def start_next_parcel(t: float) -> None:
+        nonlocal active
+        if hopper and active is None:
+            index = hopper.pop(0)
+            active = index
+            finish = t + amounts[index] / rates[index]
+            heapq.heappush(events, (finish, _PAVER_RANK, -1, index))
+
+    while events:
+        time, rank, _truck, load_index = heapq.heappop(events)
+        now = time
+        if rank == _DUMP_RANK:
+            hopper.append(load_index)
+            start_next_parcel(now)
+        else:
+            assert load_index == active
+            busy_time += amounts[load_index] / rates[load_index]
+            placed += amounts[load_index]
+            active = None
+            start_next_parcel(now)
+
+    if not math.isclose(placed, cfg.total_quantity, rel_tol=0, abs_tol=1e-9):
+        raise AssertionError(
+            f"conservation violated: placed {placed!r} of "
+            f"{cfg.total_quantity!r}"
+        )
+    return CompletionRecord(
+        completion_time=now,
+        paver_busy_fraction=busy_time / now,
+        truckloads_delivered=n_loads,
+        productivities=tuple(draws),
+        clamp_count=clamp_count,
+    )
+
+
+def analytic_completion(cfg: SimConfig, fixed_productivity: float) -> float:
+    """Closed-form completion time for a constant productivity rate.
+
+    With ``N = ceil(Q / C)`` loads hauled by ``K`` lockstep trucks, wave
+    ``i`` (1-based, ``R = ceil(N / K)`` waves) delivers at
+    ``t1 + (i - 1) * tau`` where ``t1`` is load + haul + dump and ``tau``
+    the full cycle. A work-conserving fluid paver at rate ``P`` finishes
+    at::
+
+        t1 + max(Q / P, (R - 1) * tau + q_R / P)
+
+    where ``q_R = Q - (R - 1) * K * C`` is the final wave's quantity.
+    The first branch is the supply-unconstrained case (paver never
+    starves after the first dump); the second is the supply-constrained
+    case (paver drains each wave before the next arrives); intermediate
+    regimes cannot exceed both ends because cumulative delivery is
+    concave in wave index.
+    """
+    if not fixed_productivity > 0:
+        raise DataError(
+            f"fixed_productivity must be > 0, got {fixed_productivity!r}"
+        )
+    p = max(fixed_productivity, cfg.clamp_floor)
+    q = cfg.total_quantity
+    waves = math.ceil(cfg.truckloads / cfg.truck_count)
+    last_wave_quantity = q - (waves - 1) * cfg.truck_count * cfg.truck_capacity
+    return cfg.first_delivery_offset + max(
+        q / p,
+        (waves - 1) * cfg.cycle_time + last_wave_quantity / p,
+    )
+
+
+def run_monte_carlo(
+    cfg: SimConfig, replications: int, master_seed: int
+) -> SimResult:
+    """Independent replications with per-replication child seeds.
+
+    Replication ``i`` uses a seed derived deterministically from
+    ``(master_seed, i)``, so results do not depend on execution order
+    and any subset could run in parallel.
+    """
+    if replications < 1:
+        raise DataError(f"replications must be >= 1, got {replications}")
+    records = []
+    for i in range(replications):
+        records.append(run_replication(cfg, replication_seed(master_seed, i)))
+    return SimResult(records=tuple(records), master_seed=master_seed)
+
+
+def replication_seed(master_seed: int, index: int) -> int:
+    """Deterministic child seed for one replication."""
+    ss = np.random.SeedSequence((master_seed, index))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -1,0 +1,218 @@
+"""Synthetic road-paving data with a known noise law.
+
+Real paving productivity logs are scarce, so tests and demos run against
+generated records whose true conditional mean and standard deviation are
+closed-form functions of the features. That gives every downstream check
+an exact answer key: a model's predicted ``sigma`` can be scored against
+the ``sigma*`` that actually generated the noise.
+
+The generating law is fixed here and nowhere else:
+
+    mu*(x)    = 90 - 4.5*age - 8*congestion + 7*spreader + 2.5*(slump - 4)
+                - 0.045*(T - 20)**2 - 0.06*(humidity - 70)
+                - 1.5*|slope| - 800*|curvature|
+    sigma*(x) = max(1.0, 2.5 + 0.7*age + 2.0*congestion - 1.0*spreader)
+
+Productivity is drawn as N(mu*, sigma*^2). Over the sampled feature
+ranges mu* stays within [30, 110] m/h and sigma* within [1, 9] m/h.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DataError
+from .tables import (
+    CATEGORICAL,
+    NUMERIC,
+    PAVING_COLUMNS,
+    PAVING_KINDS,
+    RecordTable,
+    ScenarioFeatures,
+)
+
+#: Hidden answer-key columns appended when truth output is requested.
+TRUTH_COLUMNS = ("MuStar", "SigmaStar")
+
+
+def true_moments(f: ScenarioFeatures) -> tuple[float, float]:
+    """True (mean, standard deviation) of productivity for features ``f``."""
+    mu = (
+        90.0
+        - 4.5 * f.paver_age
+        - 8.0 * f.congestion
+        + 7.0 * f.spreader
+        + 2.5 * (f.slump - 4.0)
+        - 0.045 * (f.temperature - 20.0) ** 2
+        - 0.06 * (f.humidity - 70.0)
+        - 1.5 * abs(f.slope)
+        - 800.0 * abs(f.curvature)
+    )
+    sigma = max(
+        1.0,
+        2.5 + 0.7 * f.paver_age + 2.0 * f.congestion - 1.0 * f.spreader,
+    )
+    return mu, sigma
+
+
+#: Feature sampling ranges; uniform unless noted.
+_SLUMP_RANGE = (2.5, 5.0)
+_CONGESTION_P = 0.5
+_SPREADER_P = 0.3
+_AIR_RANGE = (3.8, 5.0)
+_TEMPERATURE_RANGE = (2.0, 32.0)
+_HUMIDITY_RANGE = (50.0, 95.0)
+_SLOPE_RANGE = (-4.0, 4.0)
+_CURVATURE_RANGE = (-0.002, 0.002)
+_AGE_RANGE = (0.0, 5.0)  # rounded to half-years
+
+
+def sample_features(rng: np.random.Generator) -> ScenarioFeatures:
+    """Draw one plausible paving-job feature vector."""
+    return ScenarioFeatures(
+        slump=float(rng.uniform(*_SLUMP_RANGE)),
+        congestion=float(rng.random() < _CONGESTION_P),
+        spreader=float(rng.random() < _SPREADER_P),
+        air_entrainment=float(rng.uniform(*_AIR_RANGE)),
+        temperature=float(rng.uniform(*_TEMPERATURE_RANGE)),
+        humidity=float(rng.uniform(*_HUMIDITY_RANGE)),
+        slope=float(rng.uniform(*_SLOPE_RANGE)),
+        curvature=float(rng.uniform(*_CURVATURE_RANGE)),
+        paver_age=round(rng.uniform(*_AGE_RANGE) * 2.0) / 2.0,
+    )
+
+
+def generate_paving_dataset(
+    n_rows: int, seed: int, include_truth: bool = False
+) -> RecordTable:
+    """Generate ``n_rows`` synthetic paving records, deterministically.
+
+    With ``include_truth`` the table carries two extra numeric columns,
+    ``MuStar`` and ``SigmaStar``, holding the generating moments per row.
+    They are an evaluation answer key; feature selection downstream
+    ignores them, so a model trained on a truth-bearing table never sees
+    them.
+    """
+    if n_rows < 1:
+        raise DataError(f"n_rows must be >= 1, got {n_rows}")
+    rng = np.random.default_rng(seed)
+    names = PAVING_COLUMNS + (TRUTH_COLUMNS if include_truth else ())
+    kinds = PAVING_KINDS + ((NUMERIC, NUMERIC) if include_truth else ())
+    rows = []
+    for _ in range(n_rows):
+        f = sample_features(rng)
+        mu, sigma = true_moments(f)
+        productivity = float(rng.normal(mu, sigma))
+        values = f.as_mapping()
+        row = [productivity] + [values[c] for c in PAVING_COLUMNS[1:]]
+        if include_truth:
+            row += [mu, sigma]
+        rows.append(tuple(row))
+    return RecordTable(names, kinds, tuple(rows))
+
+
+@dataclass(frozen=True)
+class WeatherComponent:
+    """One weather condition: label, mixture weight, duration law N(mu, sigma^2)."""
+
+    label: str
+    weight: float
+    mean: float
+    std: float
+
+    def __post_init__(self):
+        if not self.label:
+            raise DataError("component label must be non-empty")
+        if not self.weight > 0:
+            raise DataError(f"component weight must be > 0, got {self.weight!r}")
+        if not self.std > 0:
+            raise DataError(f"component std must be > 0, got {self.std!r}")
+
+
+@dataclass(frozen=True)
+class MixtureSpec:
+    """Finite Gaussian mixture over labelled operating conditions."""
+
+    components: tuple[WeatherComponent, ...]
+
+    def __post_init__(self):
+        if len(self.components) < 1:
+            raise DataError("mixture needs at least one component")
+        labels = [c.label for c in self.components]
+        if len(set(labels)) != len(labels):
+            raise DataError(f"duplicate component labels: {labels}")
+        total = sum(c.weight for c in self.components)
+        if not np.isclose(total, 1.0, rtol=0, atol=1e-9):
+            raise DataError(f"component weights must sum to 1, got {total!r}")
+
+    def pooled_moments(self) -> tuple[float, float]:
+        """Pooled (mean, variance) by the law of total variance.
+
+        Pooled variance is the weighted within-component variance plus the
+        weighted squared spread of component means around the pooled mean.
+        """
+        mean = sum(c.weight * c.mean for c in self.components)
+        within = sum(c.weight * c.std**2 for c in self.components)
+        between = sum(c.weight * (c.mean - mean) ** 2 for c in self.components)
+        return mean, within + between
+
+
+#: Equal-weight demo mixture: rain slows hauling, sun speeds it up.
+#: Pooled variance is 28 (4 within-condition + 24 between-condition),
+#: far above any single condition's 4.
+DEFAULT_WEATHER_MIXTURE = MixtureSpec(
+    components=(
+        WeatherComponent("rainy", 1.0 / 3.0, 30.0, 2.0),
+        WeatherComponent("windy", 1.0 / 3.0, 24.0, 2.0),
+        WeatherComponent("sunny", 1.0 / 3.0, 18.0, 2.0),
+    )
+)
+
+
+def generate_weather_mixture(
+    n_rows: int, seed: int, spec: MixtureSpec = DEFAULT_WEATHER_MIXTURE
+) -> RecordTable:
+    """Sample labelled cycle durations from a weather mixture.
+
+    Each row picks a condition by weight, then draws Duration from that
+    condition's Gaussian. Output columns: Condition (categorical),
+    Duration (numeric).
+    """
+    if n_rows < 1:
+        raise DataError(f"n_rows must be >= 1, got {n_rows}")
+    rng = np.random.default_rng(seed)
+    weights = [c.weight for c in spec.components]
+    rows = []
+    for _ in range(n_rows):
+        c = spec.components[rng.choice(len(spec.components), p=weights)]
+        rows.append((c.label, float(rng.normal(c.mean, c.std))))
+    return RecordTable(
+        ("Condition", "Duration"),
+        (CATEGORICAL, NUMERIC),
+        tuple(rows),
+    )
+
+
+#: Three reference job profiles spanning the productivity range: an old
+#: paver in congestion with no spreader ("worst"), a mid-life machine in
+#: congestion ("medium"), and a fresh machine with a spreader on a clear
+#: site ("best").
+DEMO_SCENARIOS: dict[str, ScenarioFeatures] = {
+    "worst": ScenarioFeatures(
+        slump=4.5, congestion=1.0, spreader=0.0, air_entrainment=4.5,
+        temperature=6.5, humidity=84.6, slope=0.0, curvature=0.001,
+        paver_age=5.0,
+    ),
+    "medium": ScenarioFeatures(
+        slump=4.3, congestion=1.0, spreader=0.0, air_entrainment=4.2,
+        temperature=21.8, humidity=86.0, slope=-3.4952, curvature=0.001,
+        paver_age=2.5,
+    ),
+    "best": ScenarioFeatures(
+        slump=3.0, congestion=0.0, spreader=1.0, air_entrainment=4.5,
+        temperature=7.7, humidity=60.1, slope=1.2028, curvature=-0.001,
+        paver_age=0.0,
+    ),
+}

@@ -1,0 +1,306 @@
+"""Rectangular record tables and the paving-scenario feature vector.
+
+A :class:`RecordTable` is an immutable named-column table of operation
+records. Cells are floats for numeric and boolean columns (booleans
+restricted to 0/1), strings for categorical columns, and ``None`` for
+missing values.
+
+The canonical paving CSV layout is one header row::
+
+    Productivity,Slump,Congestion,Spreader,AirEntrainment,Temperature,Humidity,Slope,Curvature,PaverAge
+
+followed by comma-separated rows; missing cells are empty fields. Lines
+starting with ``#`` are treated as comments and skipped on load, so files
+carrying an audit header round-trip cleanly.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from dataclasses import dataclass, fields
+from pathlib import Path
+from typing import Iterable, Sequence, Union
+
+from .errors import DataError
+
+Cell = Union[float, str, None]
+
+NUMERIC = "numeric"
+BOOLEAN = "boolean"
+CATEGORICAL = "categorical"
+COLUMN_KINDS = (NUMERIC, BOOLEAN, CATEGORICAL)
+
+#: Canonical paving CSV header, in file order. Column 0 is the target.
+PAVING_COLUMNS = (
+    "Productivity",
+    "Slump",
+    "Congestion",
+    "Spreader",
+    "AirEntrainment",
+    "Temperature",
+    "Humidity",
+    "Slope",
+    "Curvature",
+    "PaverAge",
+)
+
+PAVING_KINDS = (
+    NUMERIC,   # Productivity, m3/hr
+    NUMERIC,   # Slump, cm
+    BOOLEAN,   # Congestion
+    BOOLEAN,   # Spreader
+    NUMERIC,   # AirEntrainment, %
+    NUMERIC,   # Temperature, degC
+    NUMERIC,   # Humidity, %
+    NUMERIC,   # Slope, %
+    NUMERIC,   # Curvature, 1/m
+    NUMERIC,   # PaverAge, years
+)
+
+TARGET_COLUMN = PAVING_COLUMNS[0]
+
+#: The nine condition attributes, in canonical order.
+FEATURE_COLUMNS = PAVING_COLUMNS[1:]
+
+
+def _is_boolean_value(value: float) -> bool:
+    return value == 0.0 or value == 1.0
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    """Immutable rectangular table of named, kind-tagged columns."""
+
+    column_names: tuple[str, ...]
+    column_kinds: tuple[str, ...]
+    rows: tuple[tuple[Cell, ...], ...]
+
+    def __post_init__(self):
+        if len(self.column_names) != len(self.column_kinds):
+            raise DataError(
+                f"{len(self.column_names)} column names but "
+                f"{len(self.column_kinds)} kind tags"
+            )
+        if len(set(self.column_names)) != len(self.column_names):
+            raise DataError("column names must be unique")
+        for name, kind in zip(self.column_names, self.column_kinds):
+            if kind not in COLUMN_KINDS:
+                raise DataError(f"column {name!r} has unknown kind {kind!r}")
+        width = len(self.column_names)
+        for i, row in enumerate(self.rows):
+            if len(row) != width:
+                raise DataError(
+                    f"row {i} has {len(row)} cells, expected {width}"
+                )
+        for name, kind in zip(self.column_names, self.column_kinds):
+            if kind != BOOLEAN:
+                continue
+            col = self.column_names.index(name)
+            for i, row in enumerate(self.rows):
+                value = row[col]
+                if value is not None and not _is_boolean_value(value):
+                    raise DataError(
+                        f"boolean column {name!r} holds {value!r} in row {i}; "
+                        "only 0 and 1 are allowed"
+                    )
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def num_columns(self) -> int:
+        return len(self.column_names)
+
+    def column_index(self, name: str) -> int:
+        try:
+            return self.column_names.index(name)
+        except ValueError:
+            raise DataError(f"no column named {name!r}") from None
+
+    def column_kind(self, name: str) -> str:
+        return self.column_kinds[self.column_index(name)]
+
+    def column_values(self, name: str) -> list[Cell]:
+        idx = self.column_index(name)
+        return [row[idx] for row in self.rows]
+
+    def select_columns(self, names: Sequence[str]) -> "RecordTable":
+        """New table with only `names`, in the given order."""
+        indices = [self.column_index(n) for n in names]
+        return RecordTable(
+            column_names=tuple(names),
+            column_kinds=tuple(self.column_kinds[i] for i in indices),
+            rows=tuple(tuple(row[i] for i in indices) for row in self.rows),
+        )
+
+    def with_rows(self, rows: Iterable[tuple[Cell, ...]]) -> "RecordTable":
+        return RecordTable(self.column_names, self.column_kinds, tuple(rows))
+
+
+@dataclass(frozen=True)
+class ScenarioFeatures:
+    """One paving operation condition: the nine scenario attributes.
+
+    Units: slump cm, air_entrainment %, temperature degC, humidity %,
+    slope %, curvature 1/m, paver_age years; congestion and spreader are
+    0/1 indicators.
+    """
+
+    slump: float
+    congestion: float
+    spreader: float
+    air_entrainment: float
+    temperature: float
+    humidity: float
+    slope: float
+    curvature: float
+    paver_age: float
+
+    def __post_init__(self):
+        for indicator in ("congestion", "spreader"):
+            value = getattr(self, indicator)
+            if not _is_boolean_value(value):
+                raise DataError(f"{indicator} must be 0 or 1, got {value!r}")
+        if not 0.0 <= self.humidity <= 100.0:
+            raise DataError(f"humidity must be in [0, 100], got {self.humidity!r}")
+        if self.air_entrainment < 0.0:
+            raise DataError(
+                f"air_entrainment must be >= 0, got {self.air_entrainment!r}"
+            )
+        if self.paver_age < 0.0:
+            raise DataError(f"paver_age must be >= 0, got {self.paver_age!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DataError(f"{f.name} must be finite, got {value!r}")
+
+    def as_mapping(self) -> dict[str, float]:
+        """Values keyed by canonical column name."""
+        return dict(zip(FEATURE_COLUMNS, (
+            self.slump,
+            self.congestion,
+            self.spreader,
+            self.air_entrainment,
+            self.temperature,
+            self.humidity,
+            self.slope,
+            self.curvature,
+            self.paver_age,
+        )))
+
+    @classmethod
+    def from_mapping(cls, values: dict[str, float]) -> "ScenarioFeatures":
+        missing = [c for c in FEATURE_COLUMNS if c not in values]
+        if missing:
+            raise DataError(f"missing scenario attributes: {', '.join(missing)}")
+        return cls(
+            slump=float(values["Slump"]),
+            congestion=float(values["Congestion"]),
+            spreader=float(values["Spreader"]),
+            air_entrainment=float(values["AirEntrainment"]),
+            temperature=float(values["Temperature"]),
+            humidity=float(values["Humidity"]),
+            slope=float(values["Slope"]),
+            curvature=float(values["Curvature"]),
+            paver_age=float(values["PaverAge"]),
+        )
+
+
+def _infer_kinds(header: Sequence[str]) -> tuple[str, ...]:
+    # The declared paving schema fixes the indicator columns; any extra
+    # columns after the canonical ten are numeric. Unknown headers are
+    # treated as all-numeric.
+    if tuple(header[: len(PAVING_COLUMNS)]) == PAVING_COLUMNS:
+        return PAVING_KINDS + (NUMERIC,) * (len(header) - len(PAVING_COLUMNS))
+    return (NUMERIC,) * len(header)
+
+
+def _parse_cell(text: str, kind: str, row: int, column: str) -> Cell:
+    if text == "":
+        return None
+    if kind == CATEGORICAL:
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(
+            f"cell {text!r} in row {row}, column {column!r} is not numeric"
+        ) from None
+    if kind == BOOLEAN and not _is_boolean_value(value):
+        raise DataError(
+            f"boolean column {column!r} holds {text!r} in row {row}; "
+            "only 0 and 1 are allowed"
+        )
+    return value
+
+
+def read_csv(stream: io.TextIOBase, kinds: Sequence[str] | None = None) -> RecordTable:
+    """Parse an open text stream; ``#`` lines are skipped anywhere."""
+    reader = csv.reader(line for line in stream if not line.startswith("#"))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("file has no header row") from None
+    header = tuple(h.strip() for h in header)
+    if kinds is None:
+        kinds = _infer_kinds(header)
+    rows = []
+    for i, raw in enumerate(reader):
+        if len(raw) != len(header):
+            raise DataError(
+                f"row {i} has {len(raw)} cells, expected {len(header)}"
+            )
+        rows.append(tuple(
+            _parse_cell(cell.strip(), kind, i, name)
+            for cell, kind, name in zip(raw, kinds, header)
+        ))
+    return RecordTable(header, tuple(kinds), tuple(rows))
+
+
+def load_csv(path: str | Path, kinds: Sequence[str] | None = None) -> RecordTable:
+    """Load a CSV file into a :class:`RecordTable`.
+
+    Column kinds come from the declared paving schema when the header
+    starts with the canonical columns, otherwise every column is numeric.
+    An explicit `kinds` sequence overrides inference.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    with path.open(newline="") as stream:
+        return read_csv(stream, kinds=kinds)
+
+
+def format_cell(value: Cell, kind: str) -> str:
+    if value is None:
+        return ""
+    if kind == CATEGORICAL:
+        return str(value)
+    if kind == BOOLEAN:
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_csv(table: RecordTable, stream: io.TextIOBase,
+              header_comments: Sequence[str] = ()) -> None:
+    for line in header_comments:
+        stream.write(f"# {line}\n")
+    stream.write(",".join(table.column_names) + "\n")
+    for row in table.rows:
+        stream.write(",".join(
+            format_cell(v, k) for v, k in zip(row, table.column_kinds)
+        ) + "\n")
+
+
+def table_to_csv(table: RecordTable, header_comments: Sequence[str] = ()) -> str:
+    buffer = io.StringIO()
+    write_csv(table, buffer, header_comments)
+    return buffer.getvalue()
+
+
+def save_csv(table: RecordTable, path: str | Path,
+             header_comments: Sequence[str] = ()) -> None:
+    Path(path).write_text(table_to_csv(table, header_comments))
