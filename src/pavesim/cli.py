@@ -68,6 +68,7 @@ from .tables import (
     TARGET_COLUMN,
     load_csv,
     table_to_csv,
+    without_comments,
 )
 
 
@@ -95,27 +96,20 @@ def _audit_header(subcommand: str, args: argparse.Namespace) -> list[str]:
     return lines
 
 
-def _sniff_dataset_file(path: str) -> bool:
+def _first_line(path: str, none_error: str) -> str:
+    """First line that is neither a ``#`` comment nor blank."""
+    p = Path(path)
+    if not p.exists():
+        raise DataError(f"no such file: {path}")
+    for line in without_comments(p.read_text().splitlines()):
+        if line.strip():
+            return line
+    raise DataError(f"{none_error}: {path}")
+
+
+def _is_dataset_file(path: str) -> bool:
     """True when the file looks like a dataset JSON, not a CSV."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {path}")
-    for line in p.read_text().splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        return line.lstrip()[0] == "{"
-    raise DataError(f"file is empty: {path}")
-
-
-def _peek_header(path: str) -> list[str]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {path}")
-    for line in p.read_text().splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        return [c.strip() for c in line.split(",")]
-    raise DataError(f"file has no header row: {path}")
+    return _first_line(path, "file is empty").lstrip().startswith("{")
 
 
 def _cmd_synth(args) -> None:
@@ -180,7 +174,7 @@ def _cmd_adapt(args) -> None:
 
 
 def _load_train_split(args):
-    if _sniff_dataset_file(args.data):
+    if _is_dataset_file(args.data):
         train_ds, _ = load_dataset(args.data)
         return train_ds, (f"split_seed = (stored in {args.data})",)
     table = load_csv(args.data)
@@ -232,7 +226,7 @@ def _cmd_train(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     params, stats, _, _ = load_model(args.model)
-    if _sniff_dataset_file(args.data):
+    if _is_dataset_file(args.data):
         _, test_ds = load_dataset(args.data)
         if test_ds.norm_stats != stats:
             raise DataError(
@@ -254,7 +248,8 @@ def _cmd_evaluate(args) -> None:
 
 
 def _read_scenarios(path: str) -> list[tuple[str, ScenarioFeatures]]:
-    header = _peek_header(path)
+    header = [c.strip() for c in
+              _first_line(path, "file has no header row").split(",")]
     kinds = tuple(
         CATEGORICAL if name == "Scenario" else NUMERIC for name in header
     )

@@ -24,6 +24,7 @@ import numpy as np
 from .adapter import ColumnStats, Dataset, NormalizationStats
 from .errors import DataError
 from .network import NetworkConfig, NetworkParams, TrainConfig
+from .tables import without_comments
 
 MODEL_FORMAT = "pavesim-model"
 DATASET_FORMAT = "pavesim-dataset"
@@ -31,19 +32,23 @@ FORMAT_VERSION = 1
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures leave no
-    partial output."""
+    """Write via a uniquely named sibling temp file and rename, so
+    failures leave no partial output and concurrent writers of one path
+    never share a temp file.
+
+    The temp file is created like ``open(path, "w")`` creates a file,
+    with mode 0o666 less the umask; ``tempfile.mkstemp`` would force 0o600.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _strip_comments(text: str) -> str:
-    return "".join(
-        line for line in text.splitlines(keepends=True)
-        if not line.startswith("#")
-    )
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as stream:
+            stream.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_commented_json(path: str | Path, expected_format: str) -> dict:
@@ -51,7 +56,8 @@ def _load_commented_json(path: str | Path, expected_format: str) -> dict:
     if not path.exists():
         raise DataError(f"no such file: {path}")
     try:
-        raw = json.loads(_strip_comments(path.read_text()))
+        raw = json.loads("".join(
+            without_comments(path.read_text().splitlines(keepends=True))))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or raw.get("format") != expected_format:

@@ -18,14 +18,15 @@ Model choices that keep the analytic oracle exact:
 - sampled productivities are clamped below at ``clamp_floor`` rather
   than truncated or resampled, and every clamp is counted.
 
-With those choices the trucks move in lockstep waves and completion time
-has a closed form (see :func:`analytic_completion`), which the event
-queue must reproduce exactly for zero-variance models.
+With those choices the trucks move in lockstep waves and the paver is a
+single first-in, first-out server, so a replication is the Lindley
+recursion of :func:`run_replication`. For zero-variance models
+completion time also has a closed form (see :func:`analytic_completion`),
+which the recursion reproduces to floating-point accuracy.
 """
 
 from __future__ import annotations
 
-import heapq
 import io
 import json
 import math
@@ -37,15 +38,11 @@ import numpy as np
 
 from .errors import DataError
 from .inputmodel import GaussianInputModel, sample
+from .tables import without_comments
 
 PER_REPLICATION = "per_replication"
 PER_TRUCKLOAD = "per_truckload"
 RESAMPLE_MODES = (PER_REPLICATION, PER_TRUCKLOAD)
-
-# Event-queue tie order at equal times: dumps land before the paver
-# finishes a parcel, and simultaneous dumps order by truck index.
-_DUMP_RANK = 0
-_PAVER_RANK = 1
 
 
 @dataclass(frozen=True)
@@ -74,10 +71,16 @@ class SimConfig:
             "clamp_floor": self.clamp_floor,
         }
         for name, value in positives.items():
-            if not (isinstance(value, (int, float)) and value > 0
-                    and math.isfinite(value)):
+            if not (isinstance(value, (int, float))
+                    and not isinstance(value, bool)
+                    and value > 0 and math.isfinite(value)):
                 raise DataError(f"{name} must be a positive finite number, "
                                 f"got {value!r}")
+        if (not isinstance(self.truck_count, (int, np.integer))
+                or isinstance(self.truck_count, bool)):
+            raise DataError(
+                f"truck_count must be an integer, got {self.truck_count!r}"
+            )
         if self.truck_count < 1:
             raise DataError(f"truck_count must be >= 1, got {self.truck_count}")
         if self.resample_mode not in RESAMPLE_MODES:
@@ -125,10 +128,7 @@ def parse_sim_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such config file: {path}")
-    body = "".join(
-        line for line in path.read_text().splitlines(keepends=True)
-        if not line.startswith("#")
-    )
+    body = "".join(without_comments(path.read_text().splitlines(keepends=True)))
     try:
         raw = json.loads(body)
     except json.JSONDecodeError as exc:
@@ -245,53 +245,35 @@ def _clamped_draws(cfg: SimConfig, seed: int) -> tuple[list[float], int]:
 def run_replication(cfg: SimConfig, seed: int) -> CompletionRecord:
     """Simulate one replication of the paving operation.
 
-    All trucks start loading at t = 0. The event queue holds dump
-    completions and paver parcel-finish events, ordered by
-    (time, kind, truck index) with dumps ranked before paver finishes.
-    The paver consumes hopper parcels FIFO, each at the rate sampled for
-    its truckload; completion is when the last parcel is consumed.
+    All trucks start loading at t = 0 and truck ``i % K`` hauls load
+    ``i``, so load ``i`` lands in the hopper at ``a_i = (i // K) * tau +
+    t1``. The paver places loads first in, first out, each at the rate
+    sampled for it, so load ``i`` is finished at::
+
+        f_i = max(a_i, f_{i-1}) + amount_i / rate_i
+
+    (the Lindley recursion), and completion is the last finish. This is
+    the event-by-event model of dumps and parcel finishes: dumps land in
+    load-index order, simultaneous dumps order by truck index ``i % K``
+    and so also by load index, and handling a dump before or after a
+    parcel finish at the same instant changes no start time, which is
+    always ``max(arrival, previous finish)``.
     """
     draws, clamp_count = _clamped_draws(cfg, seed)
     n_loads = cfg.truckloads
     rates = draws * n_loads if cfg.resample_mode == PER_REPLICATION else draws
     amounts = truckload_amounts(cfg)
 
-    # Schedule every dump completion up front: truck j hauls loads
-    # j, j + K, j + 2K, ...; its trip-i dump ends one return leg short
-    # of i full cycles after the start.
-    events: list[tuple[float, int, int, int]] = []
-    for load_index in range(n_loads):
-        truck = load_index % cfg.truck_count
-        trip = load_index // cfg.truck_count
-        dump_end = trip * cfg.cycle_time + cfg.first_delivery_offset
-        heapq.heappush(events, (dump_end, _DUMP_RANK, truck, load_index))
-
-    hopper: list[int] = []       # truckload indices, FIFO
-    active: int | None = None    # truckload being consumed, never preempted
+    tau, t1, k = cfg.cycle_time, cfg.first_delivery_offset, cfg.truck_count
     busy_time = 0.0
     placed = 0.0
     now = 0.0
-
-    def start_next_parcel(t: float) -> None:
-        nonlocal active
-        if hopper and active is None:
-            index = hopper.pop(0)
-            active = index
-            finish = t + amounts[index] / rates[index]
-            heapq.heappush(events, (finish, _PAVER_RANK, -1, index))
-
-    while events:
-        time, rank, _truck, load_index = heapq.heappop(events)
-        now = time
-        if rank == _DUMP_RANK:
-            hopper.append(load_index)
-            start_next_parcel(now)
-        else:
-            assert load_index == active
-            busy_time += amounts[load_index] / rates[load_index]
-            placed += amounts[load_index]
-            active = None
-            start_next_parcel(now)
+    for i in range(n_loads):
+        arrival = (i // k) * tau + t1
+        duration = amounts[i] / rates[i]
+        now = max(arrival, now) + duration
+        busy_time += duration
+        placed += amounts[i]
 
     if not math.isclose(placed, cfg.total_quantity, rel_tol=0, abs_tol=1e-9):
         raise AssertionError(

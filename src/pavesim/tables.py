@@ -21,7 +21,7 @@ import io
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DataError
 
@@ -237,9 +237,14 @@ def _parse_cell(text: str, kind: str, row: int, column: str) -> Cell:
     return value
 
 
+def without_comments(lines: Iterable[str]) -> Iterator[str]:
+    """Lazily drop the lines that start with ``#``; the rest pass as is."""
+    return (line for line in lines if not line.startswith("#"))
+
+
 def read_csv(stream: io.TextIOBase, kinds: Sequence[str] | None = None) -> RecordTable:
     """Parse an open text stream; ``#`` lines are skipped anywhere."""
-    reader = csv.reader(line for line in stream if not line.startswith("#"))
+    reader = csv.reader(without_comments(stream))
     try:
         header = next(reader)
     except StopIteration:

@@ -459,6 +459,20 @@ def test_simulate_rejects_model_with_direct_productivity(tmp_path, capsys):
     assert "drop --model" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("truck_count", [2.5, True, "3"])
+def test_simulate_rejects_ill_typed_truck_count(tmp_path, capsys, truck_count):
+    cfg = write_config(tmp_path / "sim.cfg",
+                       dict(DIRECT_CONFIG, truck_count=truck_count))
+    out = tmp_path / "sim.csv"
+    rc = cli.main([
+        "simulate", "--config", str(cfg), "--reps", "10", "--seed", "1",
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert "truck_count must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
 SCENARIO_CONFIG = {
     "total_quantity": 60,
     "truck_count": 2,

@@ -1,4 +1,6 @@
 import json
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -184,6 +186,51 @@ def test_write_text_atomic_replaces_and_leaves_no_droppings(tmp_path):
     assert path.read_text() == "new"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+
+
+def test_write_text_atomic_two_writers_of_one_path(tmp_path):
+    # Each write must land whole, and neither writer may trip over the
+    # other's temp file.
+    path = tmp_path / "out.txt"
+    texts = ["a" * 200_000 + "\n", "b" * 200_000 + "\n"]
+    errors = []
+
+    def writer(text):
+        try:
+            for _ in range(20):
+                write_text_atomic(path, text)
+                assert path.read_text() in texts
+        except BaseException as exc:
+            errors.append(exc)
+
+    for _ in range(10):
+        threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    assert errors == []
+    assert path.read_text() in texts
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_text_atomic_gives_the_mode_of_a_plain_write(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    atomic = tmp_path / "atomic.txt"
+    write_text_atomic(atomic, "x")
+    assert (stat.S_IMODE(atomic.stat().st_mode)
+            == stat.S_IMODE(plain.stat().st_mode))
+
+
+def test_write_text_atomic_removes_its_temp_file_on_failure(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(path, "lone surrogate \ud800")
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 def test_fresh_nets_round_trip_without_training(tmp_path):
     # exercise a multi-hidden-layer shape straight from the initializer

@@ -89,6 +89,47 @@ def test_event_queue_reproduces_closed_form_on_random_configs():
                    - analytic_completion(cfg, p)) < 1e-9
 
 
+
+def test_random_rates_match_the_max_plus_closed_form():
+    # The last load is finished at max_j (a_j + sum_{k >= j} amount_k /
+    # rate_k): the paver starts at the latest dump after which it never
+    # idles again. Amounts and arrival times are rebuilt here from Q, C,
+    # K and the legs; only the sampled rates come from the record.
+    rng = np.random.default_rng(61)
+    idled = never_idled = clamped = 0
+    for trial in range(200):
+        capacity = int(rng.integers(1, 31))
+        quantity = int(rng.integers(1, 40 * capacity))
+        trucks = int(rng.integers(1, 9))
+        legs = [float(x) for x in rng.uniform(0.02, 1.0, size=4)]
+        mean = float(rng.uniform(10, 150))
+        std = mean * float(rng.uniform(0.05, 1.0))
+        cfg = SimConfig(
+            total_quantity=float(quantity), truck_count=trucks,
+            truck_capacity=float(capacity), load_time=legs[0],
+            haul_time=legs[1], dump_time=legs[2], return_time=legs[3],
+            productivity_source=GaussianInputModel(mean, std * std),
+            resample_mode=PER_TRUCKLOAD,
+        )
+        record = run_replication(cfg, trial)
+
+        full_loads, remainder = divmod(quantity, capacity)
+        amounts = [capacity] * full_loads + ([remainder] if remainder else [])
+        cycle, first = sum(legs), sum(legs[:3])
+        arrivals = [(j // trucks) * cycle + first for j in range(len(amounts))]
+        assert len(record.productivities) == len(amounts)
+        times = [a / r for a, r in zip(amounts, record.productivities)]
+        finishes = [arrivals[j] + math.fsum(times[j:])
+                    for j in range(len(amounts))]
+        expected = max(finishes)
+        assert record.completion_time == pytest.approx(expected, rel=1e-12)
+
+        idled += finishes.index(expected) > 0
+        never_idled += finishes.index(expected) == 0
+        clamped += record.clamp_count > 0
+    # both regimes and the clamp floor are exercised
+    assert idled > 0 and never_idled > 0 and clamped > 0
+
 def test_analytic_respects_the_clamp_floor():
     cfg = constrained_config()
     assert analytic_completion(cfg, 0.5) == analytic_completion(cfg, 1.0)
@@ -260,6 +301,23 @@ def test_sim_config_validation(field, value, message):
     with pytest.raises(DataError, match=message):
         constrained_config(**{field: value})
 
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", np.float64(2.0)])
+def test_sim_config_rejects_non_integer_truck_count(value):
+    with pytest.raises(DataError, match="truck_count must be an integer"):
+        constrained_config(truck_count=value)
+
+
+def test_sim_config_accepts_numpy_integer_truck_count():
+    cfg = constrained_config(truck_count=np.int64(2))
+    assert run_replication(cfg, 3) == run_replication(constrained_config(), 3)
+
+
+@pytest.mark.parametrize("field", ["total_quantity", "load_time", "clamp_floor"])
+def test_sim_config_rejects_bool_for_positive_fields(field):
+    with pytest.raises(DataError, match=field):
+        constrained_config(**{field: True})
 
 def test_run_monte_carlo_rejects_zero_replications():
     with pytest.raises(DataError):
