@@ -12,9 +12,10 @@ Per-sample loss (Gaussian negative log-likelihood up to a constant)::
 
 Batch loss is the arithmetic mean. Gradients are exact analytic
 backpropagation (ReLU derivative at exactly 0 is defined as 0), optimized
-with Adam. Everything is a pure function of its inputs and seeds, so
-training is bit-for-bit reproducible; forward evaluation over frozen
-parameters is read-only and safe to call concurrently.
+with Adam in place over one flat float64 parameter vector (per-layer
+arrays are views of it). Everything is a pure function of its inputs and
+seeds, so training is bit-for-bit reproducible; forward evaluation over
+frozen parameters is read-only and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -73,17 +74,36 @@ class TrainConfig:
             )
 
 
-@dataclass
 class NetworkParams:
-    """Per-layer weight matrices and bias vectors.
+    """Per-layer weight matrices and bias vectors over one flat vector.
 
     Layer ``i`` maps activations ``a`` to ``a @ weights[i] + biases[i]``;
     the final layer has exactly two output units (mean head, then
     log-variance head). The same container is reused for gradient tensors.
+    ``vector`` holds every weight matrix, then every bias, flattened in C
+    order; ``weights`` and ``biases`` are reshaped views of it, so writing
+    a view writes the vector. The constructor copies its arrays.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+        vector = np.concatenate([a.ravel() for a in arrays] or [np.empty(0)])
+        self._attach(vector, arrays, len(weights))
+
+    def _attach(self, vector: np.ndarray, layout, n_weights: int) -> None:
+        """Set ``weights``/``biases`` to views of ``vector`` shaped as ``layout``."""
+        views, offset = [], 0
+        for a in layout:
+            views.append(vector[offset:offset + a.size].reshape(a.shape))
+            offset += a.size
+        self.vector, self.weights, self.biases = (
+            vector, views[:n_weights], views[n_weights:])
+
+    def _like(self, vector: np.ndarray) -> "NetworkParams":
+        """Parameters with this layout, viewing ``vector`` (not copied)."""
+        other = object.__new__(NetworkParams)
+        other._attach(vector, (*self.weights, *self.biases), self.num_layers)
+        return other
 
     @property
     def num_layers(self) -> int:
@@ -97,10 +117,7 @@ class NetworkParams:
         return [w.shape for w in self.weights]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return self._like(self.vector.copy())
 
     def validate(self) -> None:
         if len(self.weights) != len(self.biases):
@@ -123,31 +140,18 @@ class NetworkParams:
             )
 
 
-def params_allclose(a: NetworkParams, b: NetworkParams) -> bool:
-    """Bitwise equality of two parameter sets."""
-    return (
-        len(a.weights) == len(b.weights)
-        and all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
-        and all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
-    )
-
-
 @dataclass
 class AdamState:
-    """First/second-moment accumulators shaped like the parameters."""
+    """First/second-moment accumulators, flat like ``NetworkParams.vector``."""
 
-    m: NetworkParams
-    v: NetworkParams
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros_like(cls, params: NetworkParams) -> "AdamState":
-        def zeros(p: NetworkParams) -> NetworkParams:
-            return NetworkParams(
-                [np.zeros_like(w) for w in p.weights],
-                [np.zeros_like(b) for b in p.biases],
-            )
-        return cls(m=zeros(params), v=zeros(params), t=0)
+        return cls(m=np.zeros_like(params.vector),
+                   v=np.zeros_like(params.vector), t=0)
 
 
 @dataclass
@@ -261,16 +265,15 @@ def loss_gradients(
     d_out[:, MU_HEAD] = -inv_var * residual / n
     d_out[:, S_HEAD] = 0.5 * (1.0 - inv_var * residual**2) / n
 
-    grad_w = [np.empty(0)] * params.num_layers
-    grad_b = [np.empty(0)] * params.num_layers
+    grads = params._like(np.empty_like(params.vector))
     delta = d_out
     for i in range(params.num_layers - 1, -1, -1):
-        grad_w[i] = activations[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
         if i > 0:
             delta = (delta @ params.weights[i].T) * (pre_activations[i - 1] > 0)
 
-    return loss, NetworkParams(grad_w, grad_b)
+    return loss, grads
 
 
 def adam_step(
@@ -279,47 +282,35 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> tuple[NetworkParams, AdamState]:
-    """One Adam update with bias correction; returns new params and state.
+    """One Adam update with bias correction, in place; returns its inputs.
 
-    The update is ``theta -= lr * m_hat / sqrt(v_hat + eps)`` (epsilon
-    added inside the square root).
+    Updates ``params.vector``, ``state.m``, ``state.v`` and ``state.t``
+    with whole-vector operations. Per element, with ``g`` the gradient::
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g**2
+        theta -= lr * m_hat / sqrt(v_hat + eps)
+
+    where ``m_hat = m / (1 - b1**t)`` and ``v_hat = v / (1 - b2**t)``
+    (epsilon added inside the square root). Each element sees the same
+    floating-point operations as a per-tensor loop would, so the result
+    is bit-identical to one.
     """
-    t = state.t + 1
+    state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    bias1 = 1.0 - b1**t
-    bias2 = 1.0 - b2**t
-
-    tensors = zip(
-        params.weights + params.biases,
-        grads.weights + grads.biases,
-        state.m.weights + state.m.biases,
-        state.v.weights + state.v.biases,
-    )
-    n_layers = params.num_layers
-    updated = []
-    for theta, g, m, v in tensors:
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g**2
-        m_hat = m / bias1
-        v_hat = v / bias2
-        theta = theta - cfg.learning_rate * m_hat / np.sqrt(v_hat + cfg.adam_epsilon)
-        updated.append((theta, m, v))
-
-    new_w = [u[0] for u in updated[:n_layers]]
-    new_b = [u[0] for u in updated[n_layers:]]
-    new_mw = [u[1] for u in updated[:n_layers]]
-    new_mb = [u[1] for u in updated[n_layers:]]
-    new_vw = [u[2] for u in updated[:n_layers]]
-    new_vb = [u[2] for u in updated[n_layers:]]
-
-    return (
-        NetworkParams(new_w, new_b),
-        AdamState(
-            m=NetworkParams(new_mw, new_mb),
-            v=NetworkParams(new_vw, new_vb),
-            t=t,
-        ),
-    )
+    g, m, v = grads.vector, state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g**2
+    step = m / (1.0 - b1**state.t)
+    step *= cfg.learning_rate
+    root = v / (1.0 - b2**state.t)
+    root += cfg.adam_epsilon
+    np.sqrt(root, out=root)
+    step /= root
+    params.vector -= step
+    return params, state
 
 
 def train(

@@ -14,7 +14,8 @@ Model choices that keep the analytic oracle exact:
   productivity is stochastic,
 - no contention: trucks never queue at the plant or the paver,
 - truckload amounts are committed at dispatch, so exactly
-  ``ceil(Q / C)`` loads are hauled and their amounts sum to ``Q``,
+  ``ceil(Q / C)`` loads are hauled (see :attr:`SimConfig.truckloads`)
+  and their amounts sum to ``Q``,
 - sampled productivities are clamped below at ``clamp_floor`` rather
   than truncated or resampled, and every clamp is counted.
 
@@ -91,7 +92,11 @@ class SimConfig:
 
     @property
     def truckloads(self) -> int:
-        return math.ceil(self.total_quantity / self.truck_capacity)
+        """``ceil(Q / C)``, dropping a closing load of at most ``1e-9 * C``
+        that float noise adds (2.1 / 0.3 is 7.000000000000001)."""
+        n = math.ceil(self.total_quantity / self.truck_capacity)
+        closing = self.total_quantity - self.truck_capacity * (n - 1)
+        return n - 1 if n > 1 and closing <= 1e-9 * self.truck_capacity else n
 
     @property
     def cycle_time(self) -> float:

@@ -20,10 +20,11 @@ from pavesim.network import (
     NetworkConfig,
     TrainConfig,
     init_network,
-    params_allclose,
     train,
 )
 from pavesim.synthetic import generate_paving_dataset
+
+from params_helpers import params_equal
 
 
 def trained_fixture():
@@ -41,7 +42,7 @@ def test_model_round_trip_is_bit_exact(tmp_path):
     save_model(path, params, ds.norm_stats, net_cfg, train_cfg,
                header_comments=("trained on 60 rows",))
     loaded_params, loaded_stats, loaded_net, loaded_train = load_model(path)
-    assert params_allclose(loaded_params, params)
+    assert params_equal(loaded_params, params)
     assert loaded_stats == ds.norm_stats
     assert loaded_net == net_cfg
     assert loaded_train == train_cfg
@@ -75,7 +76,7 @@ def test_comment_lines_are_ignored_on_load(tmp_path):
     bare.write_text("".join(
         l for l in text.splitlines(keepends=True) if not l.startswith("#")))
     loaded_params, _, _, _ = load_model(bare)
-    assert params_allclose(loaded_params, params)
+    assert params_equal(loaded_params, params)
 
 
 def test_load_model_missing_file(tmp_path):
@@ -240,5 +241,5 @@ def test_fresh_nets_round_trip_without_training(tmp_path):
     path = tmp_path / "fresh.model"
     save_model(path, params, ds.norm_stats, net_cfg, TrainConfig())
     loaded, _, _, _ = load_model(path)
-    assert params_allclose(loaded, params)
+    assert params_equal(loaded, params)
     assert loaded.shapes() == [(9, 5), (5, 3), (3, 2)]

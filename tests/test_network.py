@@ -16,10 +16,12 @@ from pavesim.network import (
     init_network,
     loss_gradients,
     nll_loss,
-    params_allclose,
     train,
 )
+from pavesim.synthetic import generate_paving_dataset
 from pavesim.tables import NUMERIC, RecordTable
+
+from params_helpers import params_equal
 
 
 def affine_net():
@@ -92,8 +94,33 @@ def test_params_copy_is_independent():
     clone = original.copy()
     clone.weights[0][0, 0] = 99.0
     assert original.weights[0][0, 0] == 2.0
-    assert params_allclose(original, affine_net())
-    assert not params_allclose(original, clone)
+    assert params_equal(original, affine_net())
+    assert not params_equal(original, clone)
+
+
+def test_params_are_views_over_one_vector():
+    net = init_network(NetworkConfig(input_dim=3, hidden_widths=(4,), seed=0))
+    assert net.vector.dtype == np.float64 and net.vector.flags.c_contiguous
+    assert net.vector.tolist() == [
+        x for a in (*net.weights, *net.biases) for x in a.ravel().tolist()]
+    net.weights[1][2, 1] = 5.0
+    net.biases[0][3] = -7.0
+    assert net.vector[12 + 2 * 2 + 1] == 5.0
+    assert net.vector[12 + 8 + 3] == -7.0
+    _, grads = loss_gradients(net, np.ones((2, 3)), np.zeros(2))
+    assert grads.vector.shape == net.vector.shape
+    assert grads.shapes() == net.shapes()
+
+
+def test_params_copy_their_constructor_arrays():
+    weights = [np.array([[2.0]]), np.array([[1.0, 0.0]])]
+    biases = [np.array([1.0]), np.array([0.0, 0.0])]
+    net = NetworkParams(weights, biases)
+    weights[0][0, 0] = 99.0
+    biases[1][:] = 3.0
+    weights.append(np.zeros((2, 2)))
+    assert params_equal(net, affine_net())
+    assert net.num_layers == 2
 
 
 # -------------------------------------------------------------- forward
@@ -190,7 +217,7 @@ def test_gradients_are_means_over_the_batch():
     y = np.array([5.0])
     _, single = loss_gradients(net, X, y)
     _, doubled = loss_gradients(net, np.vstack([X, X]), np.concatenate([y, y]))
-    assert params_allclose(single, doubled)
+    assert params_equal(single, doubled)
 
 
 def test_loss_gradients_validates_batch():
@@ -290,9 +317,10 @@ def test_adam_first_step_keeps_epsilon_inside_sqrt():
 def test_adam_zero_gradient_is_a_no_op_update():
     params = NetworkParams([np.full((1, 2), 7.0)], [np.full(2, -3.0)])
     zeros = NetworkParams([np.zeros((1, 2))], [np.zeros(2)])
+    before = params.copy()
     new, state = adam_step(params, zeros, AdamState.zeros_like(params),
                            TrainConfig())
-    assert params_allclose(new, params)
+    assert params_equal(new, before)
     assert state.t == 1
 
 
@@ -302,8 +330,9 @@ def test_adam_momentum_decays_once_gradient_stops():
     rest = NetworkParams([np.zeros((1, 2))], [np.zeros(2)])
     cfg = TrainConfig()
     after1, state = adam_step(params, pulse, AdamState.zeros_like(params), cfg)
+    # the second step updates after1 in place, so read d1 first
+    d1 = float(after1.weights[0][0, 0])
     after2, state = adam_step(after1, rest, state, cfg)
-    d1 = after1.weights[0][0, 0]
     d2 = after2.weights[0][0, 0] - d1
     # recurrence by hand: m2 = 0.9*0.1, v2 = 0.999*0.001, with t=2 bias
     # corrections 1-0.81 and 1-0.999^2
@@ -312,6 +341,25 @@ def test_adam_momentum_decays_once_gradient_stops():
     assert d2 == pytest.approx(expected, rel=1e-9)
     assert abs(d2) < abs(d1)
     assert d2 < 0    # still moving the same way
+
+
+def test_adam_step_updates_params_and_state_in_place():
+    params = NetworkParams([np.zeros((1, 2))], [np.zeros(2)])
+    grads = NetworkParams([np.array([[1.0, -2.0]])], [np.array([0.5, 0.0])])
+    state = AdamState.zeros_like(params)
+    vector, m, v = params.vector, state.m, state.v
+    new, new_state = adam_step(params, grads, state, TrainConfig())
+    assert new is params and new_state is state
+    assert new.vector is vector and state.m is m and state.v is v
+    assert state.t == 1
+    # from zero moments one step stores (1 - b1) * g and (1 - b2) * g**2,
+    # and each parameter moves against its gradient (a zero one stays)
+    assert np.array_equal(m, (1.0 - 0.9) * grads.vector)
+    assert np.array_equal(v, (1.0 - 0.999) * grads.vector**2)
+    assert np.array_equal(np.sign(vector), -np.sign(grads.vector))
+    assert params.weights[0][0, 0] == vector[0] < 0.0
+    adam_step(params, grads, state, TrainConfig())
+    assert state.t == 2
 
 
 # ----------------------------------------------------------------- init
@@ -323,9 +371,9 @@ def test_init_shapes_biases_and_determinism():
     assert net.shapes() == [(9, 8), (8, 8), (8, 2)]
     assert all(not b.any() for b in net.biases)
     net.validate()
-    assert params_allclose(net, init_network(cfg))
+    assert params_equal(net, init_network(cfg))
     other = init_network(NetworkConfig(input_dim=9, hidden_widths=(8, 8), seed=1))
-    assert not params_allclose(net, other)
+    assert not params_equal(net, other)
 
 
 def test_init_weight_variance_tracks_fan_in():
@@ -345,11 +393,11 @@ def test_train_is_deterministic_in_both_seeds():
     cfg = TrainConfig(epochs=5, shuffle_seed=4)
     params_a, report_a = train(ds, net_cfg, cfg)
     params_b, report_b = train(ds, net_cfg, cfg)
-    assert params_allclose(params_a, params_b)
+    assert params_equal(params_a, params_b)
     assert report_a.epoch_losses == report_b.epoch_losses
     params_c, _ = train(
         ds, NetworkConfig(input_dim=1, hidden_widths=(8,), seed=30), cfg)
-    assert not params_allclose(params_a, params_c)
+    assert not params_equal(params_a, params_c)
 
 
 def test_train_loss_decreases_on_learnable_signal():
@@ -374,8 +422,51 @@ def test_train_single_full_batch_epoch_equals_manual_step():
     order = np.random.default_rng(2).permutation(ds.n)
     loss, grads = loss_gradients(start, ds.X[order], ds.y[order])
     want, _ = adam_step(start, grads, AdamState.zeros_like(start), cfg)
-    assert params_allclose(got, want)
+    assert params_equal(got, want)
     assert report.epoch_losses == [loss]
+
+
+def test_train_matches_a_per_tensor_adam_loop():
+    # Textbook Adam over per-layer lists, sharing only the initializer,
+    # the gradients and the shuffle stream with the flat trainer. 70 rows
+    # in batches of 32 leave a last batch of 6.
+    ds = encode_and_normalize(generate_paving_dataset(70, 5), "Productivity")
+    net_cfg = NetworkConfig(input_dim=9, hidden_widths=(6, 6), seed=11)
+    cfg = TrainConfig(epochs=3, batch_size=32, shuffle_seed=12)
+    got, report = train(ds, net_cfg, cfg)
+
+    start = init_network(net_cfg)
+    n_layers = start.num_layers
+    theta = [w.copy() for w in start.weights] + [b.copy() for b in start.biases]
+    m = [np.zeros_like(x) for x in theta]
+    v = [np.zeros_like(x) for x in theta]
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    rng = np.random.default_rng(cfg.shuffle_seed)
+    t = 0
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(ds.n)
+        total = 0.0
+        for first in range(0, ds.n, cfg.batch_size):
+            idx = order[first:first + cfg.batch_size]
+            current = NetworkParams(theta[:n_layers], theta[n_layers:])
+            loss, grads = loss_gradients(current, ds.X[idx], ds.y[idx])
+            total += loss * len(idx)
+            t += 1
+            for j, g in enumerate(grads.weights + grads.biases):
+                m[j] = b1 * m[j] + (1.0 - b1) * g
+                v[j] = b2 * v[j] + (1.0 - b2) * g**2
+                m_hat = m[j] / (1.0 - b1**t)
+                v_hat = v[j] / (1.0 - b2**t)
+                theta[j] = theta[j] - cfg.learning_rate * m_hat / np.sqrt(
+                    v_hat + cfg.adam_epsilon)
+        losses.append(total / ds.n)
+
+    assert ds.n % cfg.batch_size == 6 and t == 9
+    flat = got.weights + got.biases
+    assert [a.shape for a in flat] == [a.shape for a in theta]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(flat, theta))
+    assert report.epoch_losses == losses
 
 
 def test_train_divergence_reports_position():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pavesim.errors import DataError
 from pavesim.inputmodel import GaussianInputModel
@@ -183,6 +184,35 @@ def test_truckload_amounts_close_the_total():
             cfg.total_quantity, abs=1e-9)
         assert all(a > 0 for a in amounts[:-1])
         assert 0 < amounts[-1] <= cfg.truck_capacity + 1e-12
+
+
+def test_float_noise_in_q_over_c_plans_no_phantom_load():
+    # 2.1 / 0.3 is 7.000000000000001 in floats. Seven loads of 0.3 m^3,
+    # one truck, 0.4 h cycle, first dump at 0.3 h, P = 10: the paver
+    # waits for every load, so completion is 0.3 + 6 * 0.4 + 0.3 / 10.
+    cfg = SimConfig(
+        total_quantity=2.1, truck_count=1, truck_capacity=0.3,
+        load_time=0.1, haul_time=0.1, dump_time=0.1, return_time=0.1,
+        productivity_source=GaussianInputModel(10.0, 0.0),
+    )
+    assert cfg.truckloads == 7
+    assert truckload_amounts(cfg)[-1] == pytest.approx(0.3, rel=1e-12)
+    record = run_replication(cfg, 0)
+    assert record.truckloads_delivered == 7
+    assert record.completion_time == pytest.approx(2.73, rel=1e-12)
+    assert analytic_completion(cfg, 10.0) == pytest.approx(2.73, rel=1e-12)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(q10=st.integers(1, 400), c10=st.integers(1, 59), k=st.integers(1, 8))
+def test_decimal_quantities_plan_whole_loads(q10, c10, k):
+    cfg = constrained_config(total_quantity=q10 / 10, truck_capacity=c10 / 10,
+                             truck_count=k)
+    assert cfg.truckloads == -(-q10 // c10)
+    amounts = truckload_amounts(cfg)
+    assert len(amounts) == cfg.truckloads
+    assert all(a > 0 for a in amounts)
+    assert math.fsum(amounts) == pytest.approx(q10 / 10, abs=1e-9)
 
 
 def test_paver_busy_time_accounts_for_all_material():
