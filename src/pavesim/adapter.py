@@ -16,8 +16,9 @@ Conventions, pinned so results are exactly reproducible:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -100,7 +101,8 @@ class CleanReport:
 
 @dataclass(frozen=True)
 class ColumnStats:
-    """Normalization record for one column."""
+    """Normalization record for one column, and the only place its
+    z-score rule is applied, to scalars or arrays, in either direction."""
 
     name: str
     kind: str    # NUMERIC columns are z-scored, BOOLEAN pass through
@@ -108,15 +110,21 @@ class ColumnStats:
     std: float
 
     def __post_init__(self):
+        if self.kind not in (NUMERIC, BOOLEAN):
+            raise DataError(f"column {self.name!r} has unknown kind {self.kind!r}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise DataError(f"column {self.name!r} has a non-finite mean or std")
         if self.std < 0:
             raise DataError(f"column {self.name!r} has negative std {self.std!r}")
+        if self.kind == NUMERIC and self.std == 0:
+            raise DataError(f"numeric column {self.name!r} has std 0")
 
-    def encode(self, value: float) -> float:
+    def encode(self, value: float | np.ndarray) -> float | np.ndarray:
         if self.kind == BOOLEAN:
             return value
         return (value - self.mean) / self.std
 
-    def decode(self, value: float) -> float:
+    def decode(self, value: float | np.ndarray) -> float | np.ndarray:
         if self.kind == BOOLEAN:
             return value
         return value * self.std + self.mean
@@ -129,24 +137,23 @@ class NormalizationStats:
     features: tuple[ColumnStats, ...]
     target: ColumnStats
 
+    def __post_init__(self):
+        if self.target.kind != NUMERIC:
+            raise DataError(f"target column {self.target.name!r} must be numeric")
+
     @property
     def feature_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.features)
 
-    def encode_features(self, values: dict[str, float]) -> np.ndarray:
-        """Normalize a raw feature mapping into network input order."""
-        out = np.empty(len(self.features))
-        for i, col in enumerate(self.features):
+    def encode_features(self, values: Mapping[str, object]) -> np.ndarray:
+        """Normalize scalars or 1-D columns keyed by feature name into
+        network input order: one vector, or an ``(n, features)`` matrix."""
+        encoded = []
+        for col in self.features:
             if col.name not in values:
                 raise DataError(f"feature {col.name!r} missing from input")
-            out[i] = col.encode(float(values[col.name]))
-        return out
-
-    def decode_target_mean(self, normalized_mean: float) -> float:
-        return self.target.decode(normalized_mean)
-
-    def decode_target_variance(self, log_variance: float) -> float:
-        return float(np.exp(log_variance)) * self.target.std ** 2
+            encoded.append(col.encode(np.asarray(values[col.name], dtype=float)))
+        return np.stack(encoded, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -364,7 +371,7 @@ def encode_and_normalize(
         return arr
 
     feature_stats = []
-    columns = []
+    columns = {}
     for name in feature_columns:
         kind = table.column_kind(name)
         if kind == CATEGORICAL:
@@ -372,32 +379,28 @@ def encode_and_normalize(
                 f"categorical column {name!r} is not supported as a feature"
             )
         arr = column_array(name)
-        mean = float(arr.mean())
         std = float(arr.std())
-        stats = ColumnStats(name=name, kind=kind, mean=mean, std=std)
-        if kind == NUMERIC:
-            if std == 0.0:
-                raise DataError(
-                    f"column {name!r} is constant (std 0) and cannot be z-scored"
-                )
-            columns.append((arr - mean) / std)
-        else:
-            columns.append(arr)
-        feature_stats.append(stats)
+        if kind == NUMERIC and std == 0.0:
+            raise DataError(
+                f"column {name!r} is constant (std 0) and cannot be z-scored"
+            )
+        feature_stats.append(
+            ColumnStats(name=name, kind=kind, mean=float(arr.mean()), std=std)
+        )
+        columns[name] = arr
 
     target_arr = column_array(target_column)
-    t_mean = float(target_arr.mean())
     t_std = float(target_arr.std())
     if t_std == 0.0:
         raise DataError(f"target column {target_column!r} is constant")
-    target_stats = ColumnStats(
-        name=target_column, kind=NUMERIC, mean=t_mean, std=t_std
-    )
-
+    stats = NormalizationStats(tuple(feature_stats), ColumnStats(
+        name=target_column, kind=NUMERIC, mean=float(target_arr.mean()),
+        std=t_std,
+    ))
     return Dataset(
-        X=np.column_stack(columns),
-        y=(target_arr - t_mean) / t_std,
-        norm_stats=NormalizationStats(tuple(feature_stats), target_stats),
+        X=stats.encode_features(columns),
+        y=stats.target.encode(target_arr),
+        norm_stats=stats,
     )
 
 
@@ -445,16 +448,14 @@ def dataset_with_stats(
     """
     if table.num_rows == 0:
         raise DataError("table has no rows")
-    target_idx = table.column_index(target_column)
     if table.column_kind(target_column) != NUMERIC:
         raise DataError(f"target column {target_column!r} must be numeric")
     for i, row in enumerate(table.rows):
         if any(v is None for v in row):
             raise DataError(f"row {i} has missing cells; clean the table first")
-    X = np.empty((table.num_rows, len(stats.features)))
-    y = np.empty(table.num_rows)
-    for i, row in enumerate(table.rows):
-        mapping = dict(zip(table.column_names, row))
-        X[i] = stats.encode_features(mapping)
-        y[i] = stats.target.encode(float(row[target_idx]))
-    return Dataset(X=X, y=y, norm_stats=stats)
+    columns = dict(zip(table.column_names, zip(*table.rows)))
+    return Dataset(
+        X=stats.encode_features(columns),
+        y=stats.target.encode(np.asarray(columns[target_column], dtype=float)),
+        norm_stats=stats,
+    )

@@ -294,11 +294,6 @@ def _cmd_simulate(args) -> None:
                 "drop --model or switch the config to a 'scenario' block"
             )
         entry = raw["productivity"]
-        if not isinstance(entry, dict) or set(entry) != {"mean", "variance"}:
-            raise DataError(
-                "'productivity' must be an object with exactly the keys "
-                "'mean' and 'variance'"
-            )
         input_model = GaussianInputModel(
             mean=float(entry["mean"]), variance=float(entry["variance"])
         )

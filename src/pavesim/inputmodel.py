@@ -1,12 +1,13 @@
 """Gaussian simulation input models in physical units.
 
 This is where network outputs stop being normalized numbers and become
-usable distributions: :func:`derive` turns a trained network plus one
-scenario's features into a ``(mean, variance)`` pair in m^3/hr (or
-minutes, for the hauling demo), :func:`sample` draws variates from it,
-and :func:`coverage` checks how often observed targets land inside the
-predicted intervals. :func:`pooled_fit` is the deliberately naive
-baseline that ignores conditions and fits one Gaussian to everything;
+usable distributions. One decode maps the network's normalized heads to
+a ``(mean, variance)`` pair in m^3/hr (or minutes, for the hauling
+demo): :func:`derive` applies it to one scenario, :func:`sample` draws
+variates from the result, and :func:`coverage` applies it to every
+held-out row, so its sigma and interval equal derive's bit for bit.
+:func:`pooled_fit` is the deliberately naive baseline that ignores
+conditions and fits one Gaussian to everything;
 :func:`compare_pooled_vs_conditioned` quantifies what that pooling costs
 in variance.
 
@@ -56,6 +57,24 @@ class GaussianInputModel:
         return math.sqrt(self.variance)
 
 
+def _decode(
+    stats: NormalizationStats, mu_norm: float, s: float
+) -> GaussianInputModel:
+    """Map one normalized ``(mu, s)`` head pair to physical units:
+    ``mean = mu_norm * std_y + mean_y``, ``variance = exp(s) * std_y**2``."""
+    if not (math.isfinite(mu_norm) and math.isfinite(s)):
+        raise NumericalError(
+            f"network produced non-finite output (mu={mu_norm!r}, s={s!r})"
+        )
+    try:
+        variance = math.exp(s) * stats.target.std**2
+    except OverflowError:
+        raise NumericalError(f"predicted variance overflowed (s={s!r})") from None
+    if not math.isfinite(variance):
+        raise NumericalError(f"predicted variance overflowed (s={s!r})")
+    return GaussianInputModel(mean=stats.target.decode(mu_norm), variance=variance)
+
+
 def derive(
     params: NetworkParams,
     features: ScenarioFeatures,
@@ -64,25 +83,11 @@ def derive(
     """Predict the productivity distribution for one operating condition.
 
     Encodes the features with the training normalization, runs the
-    network, and maps the normalized heads back to physical units:
-    ``mean = mu_norm * std_y + mean_y`` and
-    ``variance = exp(s) * std_y**2``.
+    network, and maps the normalized heads back to physical units.
     """
     x = stats.encode_features(features.as_mapping())
     mu_norm, s = forward_batch(params, x[None, :])
-    mu_norm, s = float(mu_norm[0]), float(s[0])
-    if not (math.isfinite(mu_norm) and math.isfinite(s)):
-        raise NumericalError(
-            f"network produced non-finite output (mu={mu_norm!r}, s={s!r})"
-        )
-    mean = mu_norm * stats.target.std + stats.target.mean
-    try:
-        variance = math.exp(s) * stats.target.std**2
-    except OverflowError:
-        raise NumericalError(f"predicted variance overflowed (s={s!r})") from None
-    if not math.isfinite(variance):
-        raise NumericalError(f"predicted variance overflowed (s={s!r})")
-    return GaussianInputModel(mean=mean, variance=variance)
+    return _decode(stats, float(mu_norm[0]), float(s[0]))
 
 
 def _polar_normals(rng: random.Random, n: int) -> list[float]:
@@ -177,32 +182,17 @@ def coverage(
             "test dataset was normalized under different statistics than "
             "the ones supplied"
         )
-    if level not in Z_VALUES:
-        supported = ", ".join(str(k) for k in sorted(Z_VALUES))
-        raise DataError(f"unsupported level {level!r}; pick one of {supported}")
-
     mu_norm, s = forward_batch(params, test.X)
-    if not (np.isfinite(mu_norm).all() and np.isfinite(s).all()):
-        raise NumericalError("network produced non-finite outputs on the test set")
-
-    std_y, mean_y = stats.target.std, stats.target.mean
-    z = Z_VALUES[level]
     points = []
     for i in range(test.n):
-        mu = float(mu_norm[i]) * std_y + mean_y
-        try:
-            sigma = math.sqrt(math.exp(float(s[i]))) * std_y
-        except OverflowError:
-            raise NumericalError(
-                f"predicted variance overflowed on test row {i}"
-            ) from None
-        half_width = z * sigma
+        model = _decode(stats, float(mu_norm[i]), float(s[i]))
+        lo, hi = confidence_interval(model, level)
         points.append(CoveragePoint(
-            observed=float(test.y[i]) * std_y + mean_y,
-            mu=mu,
-            sigma=sigma,
-            lo=mu - half_width,
-            hi=mu + half_width,
+            observed=stats.target.decode(float(test.y[i])),
+            mu=model.mean,
+            sigma=model.std,
+            lo=lo,
+            hi=hi,
         ))
     return CoverageReport(points=tuple(points), level=level)
 

@@ -99,7 +99,7 @@ def _stats_from_obj(obj: dict) -> NormalizationStats:
             features=tuple(column(e) for e in obj["features"]),
             target=column(obj["target"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, DataError) as exc:
         raise DataError(f"malformed normalization statistics: {exc}") from exc
 
 

@@ -140,9 +140,10 @@ class NetworkParams:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
-    """First/second-moment accumulators, flat like ``NetworkParams.vector``."""
+    """First/second-moment accumulators, flat like ``NetworkParams.vector``;
+    compared by identity, since ``==`` over array fields is ambiguous."""
 
     m: np.ndarray
     v: np.ndarray
@@ -209,19 +210,6 @@ def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.
     _, activations = _forward_cached(params, X)
     out = activations[-1]
     return out[:, MU_HEAD], out[:, S_HEAD]
-
-
-def forward(params: NetworkParams, x: np.ndarray) -> tuple[float, float]:
-    """Predicted (mu, s) for one normalized feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != params.input_dim:
-        raise DataError(
-            f"expected a vector of length {params.input_dim}, got shape {x.shape}"
-        )
-    if not np.isfinite(x).all():
-        raise DataError("input vector contains non-finite values")
-    mu, s = forward_batch(params, x[None, :])
-    return float(mu[0]), float(s[0])
 
 
 def nll_loss(mu, s, y) -> float:

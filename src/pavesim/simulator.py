@@ -128,7 +128,8 @@ def parse_sim_config(path: str | Path) -> dict:
     provide exactly one productivity source: either a
     ``"productivity": {"mean": ..., "variance": ...}`` object or a
     ``"scenario": {feature name: value}`` object to be evaluated by a
-    trained model. Returns the validated raw dictionary.
+    trained model, whose values are all JSON numbers. Returns the
+    validated raw dictionary.
     """
     path = Path(path)
     if not path.exists():
@@ -152,6 +153,17 @@ def parse_sim_config(path: str | Path) -> dict:
             "config must provide exactly one of 'productivity' or "
             f"'scenario', got {sources or 'neither'}"
         )
+    block = raw[sources[0]]
+    if sources[0] == "productivity" and (
+            not isinstance(block, dict) or set(block) != {"mean", "variance"}):
+        raise DataError("'productivity' must be an object with exactly the "
+                        "keys 'mean' and 'variance'")
+    if not isinstance(block, dict):
+        raise DataError("'scenario' must be an object of feature values")
+    for key, value in block.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DataError(f"{sources[0]} value {key!r} must be a number, "
+                            f"got {value!r}")
     return raw
 
 

@@ -320,12 +320,21 @@ def test_column_stats_round_trip_identity():
     assert indicator.decode(0.0) == 0.0
 
 
-def test_normalization_stats_target_decoding():
-    target = ColumnStats(name="Y", kind=NUMERIC, mean=80.0, std=10.0)
-    stats = NormalizationStats(features=(), target=target)
-    assert stats.decode_target_mean(0.5) == 85.0
-    assert stats.decode_target_variance(0.0) == 100.0
-    assert stats.decode_target_variance(math.log(4.0)) == pytest.approx(400.0)
+def test_stats_reject_malformed_columns():
+    for kind, mean, std, message in (
+        ("bogus", 0.0, 1.0, "unknown kind"),
+        (CATEGORICAL, 0.0, 1.0, "unknown kind"),
+        (NUMERIC, math.nan, 1.0, "non-finite"),
+        (NUMERIC, 0.0, math.inf, "non-finite"),
+        (BOOLEAN, 0.5, -0.5, "negative std"),
+        (NUMERIC, 3.0, 0.0, "std 0"),
+    ):
+        with pytest.raises(DataError, match=message):
+            ColumnStats("A", kind, mean, std)
+    constant = ColumnStats("B", BOOLEAN, 1.0, 0.0)  # an all-ones indicator
+    assert constant.encode(1.0) == 1.0
+    with pytest.raises(DataError, match="target column 'B' must be numeric"):
+        NormalizationStats(features=(), target=constant)
 
 
 def test_encode_features_orders_by_stats():

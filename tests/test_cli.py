@@ -414,6 +414,24 @@ def test_derive_rejects_empty_scenario_file(model_file, tmp_path, capsys):
     assert "has no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("std", 0.0), ("kind", "bogus"), ("mean", float("nan")),
+])
+def test_derive_rejects_malformed_column_stats(model_file, tmp_path, capsys,
+                                               key, value):
+    raw = json.loads("\n".join(non_comment_lines(model_file)))
+    raw["normalization"]["features"][0][key] = value  # Slump, numeric
+    bad = tmp_path / "bad.model"
+    bad.write_text(json.dumps(raw))
+    scen = tmp_path / "scen.csv"
+    scen.write_text(SCENARIO_CSV)
+    rc = cli.main(["derive", "--model", str(bad), "--scenarios", str(scen)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed normalization statistics")
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------- simulate
 
 
@@ -509,6 +527,27 @@ def test_simulate_scenario_config_with_model(model_file, tmp_path, capsys):
     assert rc == 0
     assert "input model: mean = " in capsys.readouterr().out
     assert out.exists()
+
+
+@pytest.mark.parametrize("source, block", [
+    ("productivity", {"mean": "55", "variance": 30.0}),
+    ("productivity", {"mean": 55.0, "variance": True}),
+    ("scenario", dict(SCENARIO_CONFIG["scenario"], Slump="3.0")),
+    ("scenario", dict(SCENARIO_CONFIG["scenario"], Congestion=False)),
+])
+def test_simulate_rejects_non_numeric_source_values(model_file, tmp_path,
+                                                    capsys, source, block):
+    payload = {k: v for k, v in DIRECT_CONFIG.items() if k != "productivity"}
+    cfg = write_config(tmp_path / "sim.cfg", dict(payload, **{source: block}))
+    out = tmp_path / "sim.csv"
+    model = ["--model", str(model_file)] if source == "scenario" else []
+    rc = cli.main([
+        "simulate", "--config", str(cfg), *model, "--reps", "10",
+        "--seed", "1", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "must be a number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_malformed_productivity_block(tmp_path, capsys):

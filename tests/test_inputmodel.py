@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pavesim.adapter import ColumnStats, Dataset, NormalizationStats
+from pavesim.adapter import (
+    ColumnStats,
+    Dataset,
+    NormalizationStats,
+    dataset_with_stats,
+    encode_and_normalize,
+)
 from pavesim.errors import DataError, NumericalError
 from pavesim.inputmodel import (
     CoveragePoint,
@@ -16,7 +22,8 @@ from pavesim.inputmodel import (
     pooled_fit,
     sample,
 )
-from pavesim.network import NetworkParams
+from pavesim.network import NetworkConfig, NetworkParams, init_network
+from pavesim.synthetic import generate_paving_dataset
 from pavesim.tables import BOOLEAN, FEATURE_COLUMNS, NUMERIC, ScenarioFeatures
 
 EPS = np.finfo(float).eps
@@ -212,6 +219,26 @@ class TestCoverage:
         ds, stats = unit_dataset([0.0])
         with pytest.raises(NumericalError, match="overflowed"):
             coverage(constant_head_net(1, 0.0, 800.0), stats, ds, 0.95)
+
+    def test_points_equal_derive_bit_for_bit(self):
+        # A one-row test set gives coverage and derive the same forward
+        # pass on the same encoded row, so only their decodes could
+        # differ. An untrained net spreads the log-variances enough that
+        # a second rounding of sigma (sqrt(exp(s)) * std in place of
+        # sqrt(exp(s) * std**2)) shows in the last bits of some rows.
+        table = generate_paving_dataset(200, 11)
+        stats = encode_and_normalize(table, "Productivity").norm_stats
+        net = init_network(NetworkConfig(input_dim=9, hidden_widths=(8,),
+                                         seed=4))
+        for row in table.rows:
+            mapping = dict(zip(table.column_names, row))
+            model = derive(net, ScenarioFeatures.from_mapping(mapping), stats)
+            one_row = dataset_with_stats(table.with_rows((row,)), stats,
+                                         "Productivity")
+            for level in Z_VALUES:
+                (point,) = coverage(net, stats, one_row, level).points
+                assert (point.mu, point.sigma) == (model.mean, model.std)
+                assert (point.lo, point.hi) == confidence_interval(model, level)
 
     def test_point_covered_is_inclusive(self):
         point = CoveragePoint(observed=1.0, mu=0.0, sigma=1.0, lo=-1.0, hi=1.0)

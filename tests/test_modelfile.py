@@ -151,6 +151,38 @@ def test_load_model_rejects_missing_section(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("kind", ["model", "dataset"])
+@pytest.mark.parametrize("key, value, message", [
+    ("std", 0.0, "numeric column 'Slump' has std 0"),
+    ("kind", "bogus", "unknown kind 'bogus'"),
+    ("mean", float("nan"), "non-finite mean"),
+])
+def test_load_rejects_malformed_column_stats(tmp_path, kind, key, value,
+                                             message):
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    path = tmp_path / f"f.{kind}"
+    if kind == "model":
+        save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    else:
+        save_dataset(path, *split(ds, 0.8, 5))
+    raw = json.loads(path.read_text())
+    raw["normalization"]["features"][0][key] = value  # Slump, numeric
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=message):
+        (load_model if kind == "model" else load_dataset)(path)
+
+
+def test_load_accepts_a_boolean_column_with_std_0(tmp_path):
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    path = tmp_path / "m.model"
+    save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    raw = json.loads(path.read_text())
+    assert raw["normalization"]["features"][1]["kind"] == "boolean"
+    raw["normalization"]["features"][1]["std"] = 0.0
+    path.write_text(json.dumps(raw))
+    assert load_model(path)[1].features[1].std == 0.0
+
+
 def test_model_text_validates_params_before_writing():
     params, ds, net_cfg, train_cfg = trained_fixture()
     params.weights[0][0, 0] = np.inf

@@ -11,7 +11,6 @@ from pavesim.network import (
     NetworkParams,
     TrainConfig,
     adam_step,
-    forward,
     forward_batch,
     init_network,
     loss_gradients,
@@ -128,13 +127,16 @@ def test_params_copy_their_constructor_arrays():
 
 def test_forward_affine_region():
     net = affine_net()
-    assert forward(net, np.array([3.0])) == (7.0, 0.0)
+    mu, s = forward_batch(net, np.array([[3.0]]))
+    assert (mu.tolist(), s.tolist()) == ([7.0], [0.0])
     # below the kink the hidden unit is clamped and both heads read zero
-    assert forward(net, np.array([-2.0])) == (0.0, 0.0)
+    mu, s = forward_batch(net, np.array([[-2.0]]))
+    assert (mu.tolist(), s.tolist()) == ([0.0], [0.0])
 
 
 def test_forward_zero_params_zero_output():
-    assert forward(zero_net(), np.array([123.0])) == (0.0, 0.0)
+    mu, s = forward_batch(zero_net(), np.array([[123.0]]))
+    assert (mu.tolist(), s.tolist()) == ([0.0], [0.0])
 
 
 def test_forward_dead_input_exposes_output_bias():
@@ -142,7 +144,8 @@ def test_forward_dead_input_exposes_output_bias():
         weights=[np.array([[1.0]]), np.array([[1.0, 1.0]])],
         biases=[np.array([-5.0]), np.array([3.0, -1.0])],
     )
-    assert forward(net, np.array([0.0])) == (3.0, -1.0)
+    mu, s = forward_batch(net, np.array([[0.0]]))
+    assert (mu.tolist(), s.tolist()) == ([3.0], [-1.0])
 
 
 def test_forward_batch_heads_are_columns():
@@ -153,10 +156,8 @@ def test_forward_batch_heads_are_columns():
 
 def test_forward_input_validation():
     net = affine_net()
-    with pytest.raises(DataError, match="length 1"):
-        forward(net, np.array([1.0, 2.0]))
-    with pytest.raises(DataError, match="non-finite"):
-        forward(net, np.array([np.inf]))
+    with pytest.raises(DataError, match="shape"):
+        forward_batch(net, np.array([[1.0, 2.0]]))
     with pytest.raises(DataError, match="shape"):
         forward_batch(net, np.array([1.0, 2.0]))
 
@@ -360,6 +361,14 @@ def test_adam_step_updates_params_and_state_in_place():
     assert params.weights[0][0, 0] == vector[0] < 0.0
     adam_step(params, grads, state, TrainConfig())
     assert state.t == 2
+
+
+def test_adam_states_compare_by_identity():
+    # array fields make a field-wise == ambiguous; identity never raises
+    a = AdamState.zeros_like(affine_net())
+    b = AdamState.zeros_like(affine_net())
+    assert a == a
+    assert a != b
 
 
 # ----------------------------------------------------------------- init

@@ -95,27 +95,36 @@ def test_random_rates_match_the_max_plus_closed_form():
     # The last load is finished at max_j (a_j + sum_{k >= j} amount_k /
     # rate_k): the paver starts at the latest dump after which it never
     # idles again. Amounts and arrival times are rebuilt here from Q, C,
-    # K and the legs; only the sampled rates come from the record.
+    # K and the legs; only the sampled rates come from the record. Q and
+    # C are whole tenths and the load plan is integer arithmetic on
+    # tenths, so float noise in Q / C (2.1 / 0.3 is 7.000000000000001)
+    # cannot add a phantom load unnoticed; every other trial has Q a
+    # whole number of loads, where that noise strikes.
     rng = np.random.default_rng(61)
-    idled = never_idled = clamped = 0
+    idled = never_idled = clamped = noisy = 0
     for trial in range(200):
-        capacity = int(rng.integers(1, 31))
-        quantity = int(rng.integers(1, 40 * capacity))
+        c10 = int(rng.integers(1, 301))
+        if trial % 2:
+            q10 = int(rng.integers(1, 40 * c10))
+        else:
+            q10 = c10 * int(rng.integers(1, 40))
         trucks = int(rng.integers(1, 9))
         legs = [float(x) for x in rng.uniform(0.02, 1.0, size=4)]
         mean = float(rng.uniform(10, 150))
         std = mean * float(rng.uniform(0.05, 1.0))
         cfg = SimConfig(
-            total_quantity=float(quantity), truck_count=trucks,
-            truck_capacity=float(capacity), load_time=legs[0],
+            total_quantity=q10 / 10, truck_count=trucks,
+            truck_capacity=c10 / 10, load_time=legs[0],
             haul_time=legs[1], dump_time=legs[2], return_time=legs[3],
             productivity_source=GaussianInputModel(mean, std * std),
             resample_mode=PER_TRUCKLOAD,
         )
         record = run_replication(cfg, trial)
 
-        full_loads, remainder = divmod(quantity, capacity)
-        amounts = [capacity] * full_loads + ([remainder] if remainder else [])
+        full_loads, remainder = divmod(q10, c10)
+        amounts = [c10 / 10] * full_loads + ([remainder / 10] if remainder
+                                             else [])
+        noisy += math.ceil((q10 / 10) / (c10 / 10)) > len(amounts)
         cycle, first = sum(legs), sum(legs[:3])
         arrivals = [(j // trucks) * cycle + first for j in range(len(amounts))]
         assert len(record.productivities) == len(amounts)
@@ -128,8 +137,8 @@ def test_random_rates_match_the_max_plus_closed_form():
         idled += finishes.index(expected) > 0
         never_idled += finishes.index(expected) == 0
         clamped += record.clamp_count > 0
-    # both regimes and the clamp floor are exercised
-    assert idled > 0 and never_idled > 0 and clamped > 0
+    # both regimes, the clamp floor and noisy Q / C are exercised
+    assert idled > 0 and never_idled > 0 and clamped > 0 and noisy > 0
 
 def test_analytic_respects_the_clamp_floor():
     cfg = constrained_config()
