@@ -141,10 +141,6 @@ class NormalizationStats:
         if self.target.kind != NUMERIC:
             raise DataError(f"target column {self.target.name!r} must be numeric")
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.features)
-
     def encode_features(self, values: Mapping[str, object]) -> np.ndarray:
         """Normalize scalars or 1-D columns keyed by feature name into
         network input order: one vector, or an ``(n, features)`` matrix."""

@@ -41,6 +41,7 @@ from .adapter import (
 from .errors import DataError, NumericalError, PavesimError
 from .inputmodel import (
     GaussianInputModel,
+    Z_VALUES,
     compare_pooled_vs_conditioned,
     confidence_interval,
     coverage,
@@ -66,6 +67,7 @@ from .tables import (
     NUMERIC,
     ScenarioFeatures,
     TARGET_COLUMN,
+    comment_block,
     load_csv,
     table_to_csv,
     without_comments,
@@ -121,6 +123,14 @@ def _cmd_synth(args) -> None:
     print(f"wrote {table.num_rows} rows to {args.out}")
 
 
+def _parse_seed(value: str) -> int:
+    """A seed flag: numpy's generators take only non-negative integers."""
+    if not value.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seeds must be non-negative integers, got {value!r}")
+    return int(value)
+
+
 def _parse_missing(value: str) -> str:
     if value not in (DROP_ROW, IMPUTE_MEDIAN):
         raise argparse.ArgumentTypeError(
@@ -165,8 +175,8 @@ def _cmd_adapt(args) -> None:
     save_dataset(args.out, train_ds, test_ds, _audit_header("adapt", args))
 
     if args.report is not None:
-        head = "".join(f"# {line}\n" for line in _audit_header("adapt", args))
-        write_text_atomic(args.report, head + report.to_json())
+        write_text_atomic(args.report, comment_block(
+            _audit_header("adapt", args)) + report.to_json())
 
     print(f"seed = {args.seed}")
     print(f"cleaned: {report.summary()}")
@@ -280,8 +290,8 @@ def _cmd_derive(args) -> None:
               f"{model.variance:.4f}, 95% CI = [{lo:.4f}, {hi:.4f}]")
         lines.append(f"{label},{model.mean!r},{model.variance!r},{lo!r},{hi!r}")
     if args.out is not None:
-        head = "".join(f"# {line}\n" for line in _audit_header("derive", args))
-        write_text_atomic(args.out, head + "\n".join(lines) + "\n")
+        write_text_atomic(args.out, comment_block(
+            _audit_header("derive", args)) + "\n".join(lines) + "\n")
         print(f"wrote {len(scenarios)} rows to {args.out}")
 
 
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic operation CSV")
     p.add_argument("--n", type=int, required=True, help="number of rows")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--truth", action="store_true",
                    help="append the generating MuStar/SigmaStar columns")
@@ -387,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"{FLAG_ONLY} (default) or {DROP_ROW}")
     p.add_argument("--iqr-multiplier", type=float, default=1.5)
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, required=True, help="split seed")
+    p.add_argument("--seed", type=_parse_seed, required=True,
+                   help="split seed")
     p.add_argument("--out", required=True, help="output dataset file")
     p.add_argument("--report", default=None,
                    help="optional cleaning-report JSON path")
@@ -397,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True,
                    help="dataset file from adapt, or a raw CSV")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--seed", type=int, required=True,
+    p.add_argument("--seed", type=_parse_seed, required=True,
                    help="init and shuffle seed")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
@@ -408,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target column (CSV input only)")
     p.add_argument("--train-fraction", type=float, default=0.8,
                    help="train share (CSV input only)")
-    p.add_argument("--split-seed", type=int, default=None,
+    p.add_argument("--split-seed", type=_parse_seed, default=None,
                    help="split seed (CSV input only; defaults to --seed)")
     p.set_defaults(func=_cmd_train)
 
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True,
                    help="dataset file (its test split is used) or a raw CSV")
     p.add_argument("--level", type=float, default=0.95,
-                   choices=[0.90, 0.95, 0.99])
+                   choices=tuple(Z_VALUES))
     p.add_argument("--target", default=TARGET_COLUMN,
                    help="target column (CSV input only)")
     p.add_argument("--out", default=None, help="coverage CSV path")
@@ -437,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model file (required for 'scenario' configs)")
     p.add_argument("--config", required=True, help="operation config JSON")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out", required=True, help="results CSV path")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("mixture-demo",
                        help="pooled vs per-condition hauling-duration models")
     p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out", required=True, help="comparison CSV path")
     p.add_argument("--samples-out", default=None,
                    help="optional raw sample CSV path")

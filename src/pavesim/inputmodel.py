@@ -29,7 +29,7 @@ import numpy as np
 from .adapter import Dataset, NormalizationStats
 from .errors import DataError, NumericalError
 from .network import NetworkParams, forward_batch
-from .tables import ScenarioFeatures
+from .tables import ScenarioFeatures, comment_block
 
 #: Central-interval z-values. A fixed table, not a quantile routine: only
 #: these three levels are supported.
@@ -152,8 +152,7 @@ class CoverageReport:
     def to_csv(self, header_comments: Sequence[str] = ()) -> str:
         """Plot-data CSV: one row per test point, covered flag as 0/1."""
         buffer = io.StringIO()
-        for line in header_comments:
-            buffer.write(f"# {line}\n")
+        buffer.write(comment_block(header_comments))
         buffer.write("observed,mu,sigma,lo,hi,covered\n")
         for p in self.points:
             buffer.write(
@@ -231,8 +230,7 @@ class MixtureComparison:
 
     def to_csv(self, header_comments: Sequence[str] = ()) -> str:
         buffer = io.StringIO()
-        for line in header_comments:
-            buffer.write(f"# {line}\n")
+        buffer.write(comment_block(header_comments))
         buffer.write("label,weight,mean,variance,pooled_variance_ratio\n")
         buffer.write(
             f"pooled,{1.0!r},{self.pooled.mean!r},{self.pooled.variance!r},{1.0!r}\n"

@@ -24,7 +24,7 @@ import numpy as np
 from .adapter import ColumnStats, Dataset, NormalizationStats
 from .errors import DataError
 from .network import NetworkConfig, NetworkParams, TrainConfig
-from .tables import without_comments
+from .tables import comment_block, without_comments
 
 MODEL_FORMAT = "pavesim-model"
 DATASET_FORMAT = "pavesim-dataset"
@@ -75,8 +75,8 @@ def _load_commented_json(path: str | Path, expected_format: str) -> dict:
 
 
 def _dump(payload: dict, header_comments) -> str:
-    head = "".join(f"# {line}\n" for line in header_comments)
-    return head + json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return (comment_block(header_comments)
+            + json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _stats_to_obj(stats: NormalizationStats) -> dict:

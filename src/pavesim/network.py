@@ -116,9 +116,6 @@ class NetworkParams:
     def shapes(self) -> list[tuple[int, int]]:
         return [w.shape for w in self.weights]
 
-    def copy(self) -> "NetworkParams":
-        return self._like(self.vector.copy())
-
     def validate(self) -> None:
         if len(self.weights) != len(self.biases):
             raise DataError("weights and biases must pair up layer by layer")
@@ -160,10 +157,6 @@ class TrainReport:
     """Mean training loss per epoch."""
 
     epoch_losses: list[float] = field(default_factory=list)
-
-    @property
-    def epochs(self) -> int:
-        return len(self.epoch_losses)
 
     @property
     def final_loss(self) -> float:
@@ -210,14 +203,6 @@ def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.
     _, activations = _forward_cached(params, X)
     out = activations[-1]
     return out[:, MU_HEAD], out[:, S_HEAD]
-
-
-def nll_loss(mu, s, y) -> float:
-    """Gaussian negative log-likelihood (mean over samples, constant dropped)."""
-    mu = np.asarray(mu, dtype=float)
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(np.mean(0.5 * np.exp(-s) * (y - mu) ** 2 + 0.5 * s))
 
 
 def loss_gradients(

@@ -8,7 +8,7 @@ hopper inventory as a fluid at a productivity rate drawn from a
 runs dry. A replication ends when the configured total quantity has been
 placed.
 
-Model choices that keep the analytic oracle exact:
+Model choices that keep a closed-form oracle exact:
 
 - load/haul/dump/return times are constants, not distributions; only
   productivity is stochastic,
@@ -21,9 +21,12 @@ Model choices that keep the analytic oracle exact:
 
 With those choices the trucks move in lockstep waves and the paver is a
 single first-in, first-out server, so a replication is the Lindley
-recursion of :func:`run_replication`. For zero-variance models
-completion time also has a closed form (see :func:`analytic_completion`),
-which the recursion reproduces to floating-point accuracy.
+recursion of :func:`run_replication`. At a constant rate completion time
+also has a closed form: the first time paving at that rate has placed
+all the material the waves delivered. The tests hold that oracle
+(``completion_oracle`` in ``tests/test_simulator.py``); it plans loads
+and waves by integer arithmetic on tenths of m^3 and shares no code with
+this module, and the recursion reproduces it to floating-point accuracy.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import DataError
 from .inputmodel import GaussianInputModel, sample
-from .tables import without_comments
+from .tables import comment_block, without_comments
 
 PER_REPLICATION = "per_replication"
 PER_TRUCKLOAD = "per_truckload"
@@ -221,8 +224,7 @@ class SimResult:
     def to_csv(self, header_comments: Sequence[str] = ()) -> str:
         """Per-replication rows, then a ``#`` summary block."""
         buffer = io.StringIO()
-        for line in header_comments:
-            buffer.write(f"# {line}\n")
+        buffer.write(comment_block(header_comments))
         buffer.write(
             "replication,completion_time,paver_busy_fraction,"
             "truckloads_delivered,clamp_count\n"
@@ -303,38 +305,6 @@ def run_replication(cfg: SimConfig, seed: int) -> CompletionRecord:
         truckloads_delivered=n_loads,
         productivities=tuple(draws),
         clamp_count=clamp_count,
-    )
-
-
-def analytic_completion(cfg: SimConfig, fixed_productivity: float) -> float:
-    """Closed-form completion time for a constant productivity rate.
-
-    With ``N = ceil(Q / C)`` loads hauled by ``K`` lockstep trucks, wave
-    ``i`` (1-based, ``R = ceil(N / K)`` waves) delivers at
-    ``t1 + (i - 1) * tau`` where ``t1`` is load + haul + dump and ``tau``
-    the full cycle. A work-conserving fluid paver at rate ``P`` finishes
-    at::
-
-        t1 + max(Q / P, (R - 1) * tau + q_R / P)
-
-    where ``q_R = Q - (R - 1) * K * C`` is the final wave's quantity.
-    The first branch is the supply-unconstrained case (paver never
-    starves after the first dump); the second is the supply-constrained
-    case (paver drains each wave before the next arrives); intermediate
-    regimes cannot exceed both ends because cumulative delivery is
-    concave in wave index.
-    """
-    if not fixed_productivity > 0:
-        raise DataError(
-            f"fixed_productivity must be > 0, got {fixed_productivity!r}"
-        )
-    p = max(fixed_productivity, cfg.clamp_floor)
-    q = cfg.total_quantity
-    waves = math.ceil(cfg.truckloads / cfg.truck_count)
-    last_wave_quantity = q - (waves - 1) * cfg.truck_count * cfg.truck_capacity
-    return cfg.first_delivery_offset + max(
-        q / p,
-        (waves - 1) * cfg.cycle_time + last_wave_quantity / p,
     )
 
 

@@ -147,17 +147,6 @@ class MixtureSpec:
         if not np.isclose(total, 1.0, rtol=0, atol=1e-9):
             raise DataError(f"component weights must sum to 1, got {total!r}")
 
-    def pooled_moments(self) -> tuple[float, float]:
-        """Pooled (mean, variance) by the law of total variance.
-
-        Pooled variance is the weighted within-component variance plus the
-        weighted squared spread of component means around the pooled mean.
-        """
-        mean = sum(c.weight * c.mean for c in self.components)
-        within = sum(c.weight * c.std**2 for c in self.components)
-        between = sum(c.weight * (c.mean - mean) ** 2 for c in self.components)
-        return mean, within + between
-
 
 #: Equal-weight demo mixture: rain slows hauling, sun speeds it up.
 #: Pooled variance is 28 (4 within-condition + 24 between-condition),

@@ -110,10 +110,6 @@ class RecordTable:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    @property
-    def num_columns(self) -> int:
-        return len(self.column_names)
-
     def column_index(self, name: str) -> int:
         try:
             return self.column_names.index(name)
@@ -126,15 +122,6 @@ class RecordTable:
     def column_values(self, name: str) -> list[Cell]:
         idx = self.column_index(name)
         return [row[idx] for row in self.rows]
-
-    def select_columns(self, names: Sequence[str]) -> "RecordTable":
-        """New table with only `names`, in the given order."""
-        indices = [self.column_index(n) for n in names]
-        return RecordTable(
-            column_names=tuple(names),
-            column_kinds=tuple(self.column_kinds[i] for i in indices),
-            rows=tuple(tuple(row[i] for i in indices) for row in self.rows),
-        )
 
     def with_rows(self, rows: Iterable[tuple[Cell, ...]]) -> "RecordTable":
         return RecordTable(self.column_names, self.column_kinds, tuple(rows))
@@ -237,6 +224,12 @@ def _parse_cell(text: str, kind: str, row: int, column: str) -> Cell:
     return value
 
 
+def comment_block(lines: Iterable[str]) -> str:
+    """Each line as a ``# `` comment line: how every artifact writes its
+    audit header, which :func:`without_comments` skips on reading."""
+    return "".join(f"# {line}\n" for line in lines)
+
+
 def without_comments(lines: Iterable[str]) -> Iterator[str]:
     """Lazily drop the lines that start with ``#``; the rest pass as is."""
     return (line for line in lines if not line.startswith("#"))
@@ -291,8 +284,7 @@ def format_cell(value: Cell, kind: str) -> str:
 
 def write_csv(table: RecordTable, stream: io.TextIOBase,
               header_comments: Sequence[str] = ()) -> None:
-    for line in header_comments:
-        stream.write(f"# {line}\n")
+    stream.write(comment_block(header_comments))
     stream.write(",".join(table.column_names) + "\n")
     for row in table.rows:
         stream.write(",".join(
@@ -304,8 +296,3 @@ def table_to_csv(table: RecordTable, header_comments: Sequence[str] = ()) -> str
     buffer = io.StringIO()
     write_csv(table, buffer, header_comments)
     return buffer.getvalue()
-
-
-def save_csv(table: RecordTable, path: str | Path,
-             header_comments: Sequence[str] = ()) -> None:
-    Path(path).write_text(table_to_csv(table, header_comments))

@@ -29,17 +29,13 @@ from pavesim.network import (
     loss_gradients,
     train,
 )
-from pavesim.simulator import (
-    SimConfig,
-    analytic_completion,
-    run_monte_carlo,
-    run_replication,
-)
+from pavesim.simulator import SimConfig, run_monte_carlo, run_replication
 from pavesim.synthetic import (
     DEMO_SCENARIOS,
     generate_paving_dataset,
     generate_weather_mixture,
 )
+from test_simulator import completion_oracle, tenths_config
 
 
 def check(label: str, detail: str, ok: bool) -> None:
@@ -202,23 +198,19 @@ def test_weather_mixture_variance_decomposition():
 
 
 def test_simulator_agrees_with_closed_form_and_independent_mc():
-    # Part one: zero-variance runs against the queueing closed form.
+    # Part one: zero-variance runs against the constant-rate oracle, which
+    # plans loads and waves on whole tenths of m^3.
     rng = np.random.default_rng(60)
     worst = 0.0
     for _ in range(50):
         p = float(rng.uniform(20, 120))
-        cfg = SimConfig(
-            total_quantity=float(rng.uniform(50, 500)),
-            truck_count=int(rng.integers(1, 7)),
-            truck_capacity=float(rng.uniform(5, 30)),
-            load_time=float(rng.uniform(0.05, 1.5)),
-            haul_time=float(rng.uniform(0.05, 1.5)),
-            dump_time=float(rng.uniform(0.05, 1.5)),
-            return_time=float(rng.uniform(0.05, 1.5)),
-            productivity_source=GaussianInputModel(p, 0.0),
-        )
+        q10 = int(rng.integers(500, 5001))
+        c10 = int(rng.integers(50, 301))
+        trucks = int(rng.integers(1, 7))
+        legs = tuple(float(x) for x in rng.uniform(0.05, 1.5, size=4))
+        cfg = tenths_config(q10, c10, trucks, legs, p)
         worst = max(worst, abs(run_replication(cfg, 3).completion_time
-                               - analytic_completion(cfg, p)))
+                               - completion_oracle(q10, c10, trucks, legs, p)))
 
     # Part two: an unconstrained stochastic operation against a direct
     # million-draw estimate of E[offset + Q / max(1, P)].
@@ -235,7 +227,7 @@ def test_simulator_agrees_with_closed_form_and_independent_mc():
     z = abs(result.mean - float(oracle.mean())) / se
 
     check("simulator",
-          f"max |DES - closed form| {worst:.2e} (< 1e-9), "
+          f"max |simulator - oracle| {worst:.2e} (< 1e-9), "
           f"independent MC z-score {z:.2f} (< 3)",
           worst < 1e-9 and z < 3.0)
 

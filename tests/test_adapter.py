@@ -268,14 +268,14 @@ def test_encoded_columns_are_standardized():
 def test_generated_truth_columns_are_not_features():
     table = generate_paving_dataset(50, 2, include_truth=True)
     ds = encode_and_normalize(table, "Productivity")
-    assert ds.norm_stats.feature_names == FEATURE_COLUMNS
+    assert tuple(c.name for c in ds.norm_stats.features) == FEATURE_COLUMNS
 
 
 def test_explicit_feature_columns_override():
     table = RecordTable(("Y", "A", "B"), (NUMERIC,) * 3,
                         ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)))
     ds = encode_and_normalize(table, "Y", feature_columns=("B",))
-    assert ds.norm_stats.feature_names == ("B",)
+    assert tuple(c.name for c in ds.norm_stats.features) == ("B",)
     assert ds.X.shape == (2, 1)
 
 

@@ -106,6 +106,33 @@ def test_bad_integer_flag_names_the_flag(tmp_path, capsys):
     assert "invalid int value: 'abc'" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--seed"), ("adapt", "--seed"), ("train", "--seed"),
+    ("train", "--split-seed"), ("simulate", "--seed"),
+    ("mixture-demo", "--seed"),
+])
+def test_negative_seed_is_a_usage_error(raw_csv, tmp_path, capsys,
+                                        command, flag):
+    inputs = {
+        "synth": ["--n", "5"],
+        "adapt": ["--data", str(raw_csv)],
+        "train": ["--data", str(raw_csv), "--epochs", "1", "--hidden", "4"],
+        "simulate": ["--config",
+                     str(write_config(tmp_path / "sim.cfg", DIRECT_CONFIG)),
+                     "--reps", "5"],
+        "mixture-demo": ["--n", "5"],
+    }[command]
+    seeds = {"--seed": "1", flag: "-1"}
+    out = tmp_path / "out"
+    rc = cli.main([command, *inputs, *(x for kv in seeds.items() for x in kv),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: seeds must be non-negative")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_strategy_is_validated(tmp_path, capsys):
     rc = cli.main([
         "adapt", "--data", str(tmp_path / "d.csv"), "--seed", "1",
@@ -209,7 +236,7 @@ def test_adapt_writes_loadable_dataset(dataset_file):
     train_ds, test_ds = load_dataset(str(dataset_file))
     assert train_ds.n == 160
     assert test_ds.n == 40
-    assert train_ds.norm_stats.feature_names == FEATURE_NAMES
+    assert tuple(c.name for c in train_ds.norm_stats.features) == FEATURE_NAMES
     assert train_ds.norm_stats == test_ds.norm_stats
 
 
@@ -241,7 +268,7 @@ def test_adapt_join_excludes_key_from_features(tmp_path, capsys):
     assert rc == 0
     assert "2 input rows dropped" in capsys.readouterr().out
     train_ds, test_ds = load_dataset(str(out))
-    assert train_ds.norm_stats.feature_names == (
+    assert tuple(c.name for c in train_ds.norm_stats.features) == (
         "Temperature", "Humidity", "Slump",
     )
     assert train_ds.n + test_ds.n == 2
@@ -269,7 +296,7 @@ def test_train_writes_loadable_model(model_file):
     assert net_cfg.hidden_widths == (6, 6)
     assert train_cfg.epochs == 20
     assert params.weights[0].shape == (9, 6)
-    assert stats.feature_names == FEATURE_NAMES
+    assert tuple(c.name for c in stats.features) == FEATURE_NAMES
 
 
 def test_train_accepts_raw_csv(tmp_path, raw_csv, capsys):

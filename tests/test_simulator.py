@@ -10,7 +10,6 @@ from pavesim.simulator import (
     PER_TRUCKLOAD,
     SimConfig,
     SimResult,
-    analytic_completion,
     build_sim_config,
     parse_sim_config,
     replication_seed,
@@ -20,31 +19,68 @@ from pavesim.simulator import (
 )
 
 FIXED_50 = GaussianInputModel(50.0, 0.0)
+CONSTRAINED_LEGS = (0.2, 0.5, 0.2, 0.1)    # load, haul, dump, return
 
 
 def constrained_config(**overrides):
+    load, haul, dump, ret = CONSTRAINED_LEGS
     base = dict(
         total_quantity=100.0, truck_count=2, truck_capacity=10.0,
-        load_time=0.2, haul_time=0.5, dump_time=0.2, return_time=0.1,
+        load_time=load, haul_time=haul, dump_time=dump, return_time=ret,
         productivity_source=FIXED_50,
     )
     base.update(overrides)
     return SimConfig(**base)
 
 
-# ------------------------------------------------------- analytic oracle
+# ------------------------------------------------- constant-rate oracle
+
+
+def completion_oracle(q10, c10, trucks, legs, rate):
+    """Completion time at the constant paving rate ``rate``, worked out
+    from first principles with none of the simulator's code.
+
+    ``q10`` and ``c10`` are Q and C in whole tenths of m^3, so the plan
+    is exact integer arithmetic: ``ceil(q10 / c10)`` loads, ``trucks`` to a
+    wave, and wave ``w`` (from 0) dumps at load + haul + dump + ``w``
+    cycles. Cumulative delivery before wave ``w`` is
+    ``min(w * trucks * c10, q10)`` tenths. The paver places whatever has
+    been delivered at ``rate`` and idles only when it has placed it all.
+    What wave ``w`` and the later waves deliver cannot be placed before
+    wave ``w`` dumps, so paving has placed all of Q no earlier than
+    ``dump_w + (Q - delivered before w) / rate`` for every ``w``; it
+    reaches Q at the latest of these bounds, the one for the last wave
+    at whose dump the paver had run dry (wave 0 if it never did).
+    """
+    load, haul, dump, ret = legs
+    loads = -(-q10 // c10)
+    waves = -(-loads // trucks)
+    first_dump = load + haul + dump
+    cycle = load + haul + dump + ret
+    return max(
+        first_dump + w * cycle + (q10 - min(w * trucks * c10, q10)) / 10 / rate
+        for w in range(waves)
+    )
+
+
+def tenths_config(q10, c10, trucks, legs, rate, **overrides):
+    """A SimConfig with Q = q10 / 10, C = c10 / 10 and a constant rate."""
+    load, haul, dump, ret = legs
+    return SimConfig(
+        total_quantity=q10 / 10, truck_count=trucks, truck_capacity=c10 / 10,
+        load_time=load, haul_time=haul, dump_time=dump, return_time=ret,
+        productivity_source=GaussianInputModel(rate, 0.0), **overrides,
+    )
 
 
 def test_supply_unconstrained_hand_case():
     # one giant load delivered almost instantly; the paver just works
     # 100 m^3 at 50 m^3/hr after a 0.5 hr haul
-    cfg = SimConfig(
-        total_quantity=100.0, truck_count=10, truck_capacity=100.0,
-        load_time=1e-9, haul_time=0.5, dump_time=1e-9, return_time=1e-9,
-        productivity_source=FIXED_50,
-    )
+    legs = (1e-9, 0.5, 1e-9, 1e-9)
+    cfg = tenths_config(1000, 1000, 10, legs, 50.0)
     expected = 0.5 + 2e-9 + 2.0
-    assert analytic_completion(cfg, 50.0) == pytest.approx(expected, abs=1e-12)
+    assert completion_oracle(1000, 1000, 10, legs, 50.0) == pytest.approx(
+        expected, abs=1e-12)
     assert abs(run_replication(cfg, 0).completion_time - expected) < 1e-12
 
 
@@ -52,7 +88,8 @@ def test_supply_constrained_hand_case():
     # 10 loads in 5 waves of 2; tau = 1.0, t1 = 0.9, final wave carries
     # 20 m^3: 0.9 + 4*1.0 + 20/50 = 5.3
     cfg = constrained_config()
-    assert analytic_completion(cfg, 50.0) == pytest.approx(5.3, rel=1e-12)
+    assert completion_oracle(1000, 100, 2, CONSTRAINED_LEGS, 50.0) == (
+        pytest.approx(5.3, rel=1e-12))
     record = run_replication(cfg, 3)
     assert abs(record.completion_time - 5.3) < 1e-9
     # the paver works Q/P = 2 hours of the 5.3
@@ -61,34 +98,38 @@ def test_supply_constrained_hand_case():
 
 
 def test_single_load_hand_case():
-    cfg = SimConfig(
-        total_quantity=30.0, truck_count=1, truck_capacity=30.0,
-        load_time=0.1, haul_time=0.4, dump_time=0.05, return_time=0.2,
-        productivity_source=GaussianInputModel(60.0, 0.0),
-    )
+    legs = (0.1, 0.4, 0.05, 0.2)
+    cfg = tenths_config(300, 300, 1, legs, 60.0)
     expected = 0.1 + 0.4 + 0.05 + 30.0 / 60.0
-    assert analytic_completion(cfg, 60.0) == pytest.approx(expected, rel=1e-12)
+    assert completion_oracle(300, 300, 1, legs, 60.0) == pytest.approx(
+        expected, rel=1e-12)
     assert run_replication(cfg, 1).completion_time == pytest.approx(
         expected, rel=1e-12)
 
 
-def test_event_queue_reproduces_closed_form_on_random_configs():
+def test_recursion_matches_the_oracle_on_random_configs():
+    # Every other trial has Q a whole number of loads, where float noise
+    # in Q / C (2.1 / 0.3 is 7.000000000000001) could plan a phantom
+    # load; when that load would open a wave of its own, it would delay
+    # completion by a cycle.
     rng = np.random.default_rng(60)
-    for _ in range(50):
+    noisy = 0
+    for trial in range(200):
+        c10 = int(rng.integers(1, 301))
+        if trial % 2:
+            q10 = int(rng.integers(1, 40 * c10))
+        else:
+            q10 = c10 * int(rng.integers(1, 40))
+        trucks = int(rng.integers(1, 7))
+        legs = tuple(float(x) for x in rng.uniform(0.05, 1.5, size=4))
         p = float(rng.uniform(20, 120))
-        cfg = SimConfig(
-            total_quantity=float(rng.uniform(50, 500)),
-            truck_count=int(rng.integers(1, 7)),
-            truck_capacity=float(rng.uniform(5, 30)),
-            load_time=float(rng.uniform(0.05, 1.5)),
-            haul_time=float(rng.uniform(0.05, 1.5)),
-            dump_time=float(rng.uniform(0.05, 1.5)),
-            return_time=float(rng.uniform(0.05, 1.5)),
-            productivity_source=GaussianInputModel(p, 0.0),
-        )
-        assert abs(run_replication(cfg, 3).completion_time
-                   - analytic_completion(cfg, p)) < 1e-9
-
+        cfg = tenths_config(q10, c10, trucks, legs, p)
+        assert run_replication(cfg, 3).completion_time == pytest.approx(
+            completion_oracle(q10, c10, trucks, legs, p), rel=1e-12)
+        loads = -(-q10 // c10)
+        noisy += (math.ceil((q10 / 10) / (c10 / 10)) > loads
+                  and loads % trucks == 0)
+    assert noisy > 0
 
 
 def test_random_rates_match_the_max_plus_closed_form():
@@ -140,11 +181,15 @@ def test_random_rates_match_the_max_plus_closed_form():
     # both regimes, the clamp floor and noisy Q / C are exercised
     assert idled > 0 and never_idled > 0 and clamped > 0 and noisy > 0
 
-def test_analytic_respects_the_clamp_floor():
-    cfg = constrained_config()
-    assert analytic_completion(cfg, 0.5) == analytic_completion(cfg, 1.0)
-    with pytest.raises(DataError):
-        analytic_completion(cfg, 0.0)
+def test_a_rate_below_the_floor_paves_at_the_floor():
+    for floor in (1.0, 2.0):
+        cfg = tenths_config(1000, 100, 2, CONSTRAINED_LEGS, 0.5,
+                            clamp_floor=floor)
+        record = run_replication(cfg, 0)
+        assert record.clamp_count == 1
+        assert record.completion_time == pytest.approx(
+            completion_oracle(1000, 100, 2, CONSTRAINED_LEGS, floor),
+            rel=1e-12)
 
 
 # ----------------------------------------------------------- monotonicity
@@ -209,7 +254,8 @@ def test_float_noise_in_q_over_c_plans_no_phantom_load():
     record = run_replication(cfg, 0)
     assert record.truckloads_delivered == 7
     assert record.completion_time == pytest.approx(2.73, rel=1e-12)
-    assert analytic_completion(cfg, 10.0) == pytest.approx(2.73, rel=1e-12)
+    assert completion_oracle(21, 3, 1, (0.1, 0.1, 0.1, 0.1), 10.0) == (
+        pytest.approx(record.completion_time, rel=1e-12))
 
 
 @settings(max_examples=1000, deadline=None)

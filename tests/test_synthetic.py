@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from pavesim.errors import DataError
-from pavesim.inputmodel import pooled_fit
+from pavesim.inputmodel import (
+    GaussianInputModel,
+    compare_pooled_vs_conditioned,
+    pooled_fit,
+)
 from pavesim.synthetic import (
     DEFAULT_WEATHER_MIXTURE,
     DEMO_SCENARIOS,
@@ -22,7 +26,7 @@ from pavesim.tables import (
     PAVING_COLUMNS,
     ScenarioFeatures,
     load_csv,
-    save_csv,
+    table_to_csv,
 )
 
 
@@ -130,23 +134,30 @@ def test_generated_data_needs_no_cleaning():
 def test_generated_table_round_trips_through_csv(tmp_path):
     table = generate_paving_dataset(25, 42, include_truth=True)
     path = tmp_path / "synth.csv"
-    save_csv(table, path)
+    path.write_text(table_to_csv(table))
     assert load_csv(path) == table
 
 
 # -------------------------------------------------------------- mixture
 
 
-def test_pooled_moments_by_total_variance():
-    mean, variance = DEFAULT_WEATHER_MIXTURE.pooled_moments()
+def pooled_model(spec):
+    """The pooled Gaussian of a spec's components, as mixture-demo pools."""
+    components = [(c.weight, GaussianInputModel(c.mean, c.std**2))
+                  for c in spec.components]
+    return compare_pooled_vs_conditioned(components).pooled
+
+
+def test_pooled_model_by_total_variance():
+    pooled = pooled_model(DEFAULT_WEATHER_MIXTURE)
     # within = 4, between = (6^2 + 0 + 6^2)/3 = 24
-    assert mean == pytest.approx(24.0, rel=1e-12)
-    assert variance == pytest.approx(28.0, rel=1e-12)
+    assert pooled.mean == pytest.approx(24.0, rel=1e-12)
+    assert pooled.variance == pytest.approx(28.0, rel=1e-12)
 
 
 def test_single_component_mixture_is_just_that_gaussian():
     spec = MixtureSpec((WeatherComponent("only", 1.0, 40.0, 3.0),))
-    assert spec.pooled_moments() == (40.0, 9.0)
+    assert pooled_model(spec) == GaussianInputModel(40.0, 9.0)
     table = generate_weather_mixture(100, 2, spec)
     assert set(table.column_values("Condition")) == {"only"}
 

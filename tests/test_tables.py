@@ -16,7 +16,6 @@ from pavesim.tables import (
     format_cell,
     load_csv,
     read_csv,
-    save_csv,
     table_to_csv,
 )
 
@@ -129,13 +128,6 @@ def test_column_lookup_and_missing_column():
         table.column_index("C")
 
 
-def test_select_columns_reorders():
-    table = RecordTable(("A", "B", "C"), (NUMERIC,) * 3, ((1.0, 2.0, 3.0),))
-    picked = table.select_columns(["C", "A"])
-    assert picked.column_names == ("C", "A")
-    assert picked.rows == ((3.0, 1.0),)
-
-
 def test_scenario_features_mapping_round_trip():
     f = ScenarioFeatures(
         slump=3.0, congestion=0.0, spreader=1.0, air_entrainment=4.5,
@@ -186,7 +178,7 @@ def test_csv_round_trip_is_exact(tmp_path):
         (("rainy", 0.1 + 0.2, 1.0), ("sunny", -17.25, 0.0), ("windy", None, 1.0)),
     )
     path = tmp_path / "t.csv"
-    save_csv(table, path, header_comments=("written by a test",))
+    path.write_text(table_to_csv(table, header_comments=("written by a test",)))
     back = load_csv(path, kinds=table.column_kinds)
     assert back == table
 
