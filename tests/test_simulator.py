@@ -181,7 +181,7 @@ def test_random_rates_match_the_max_plus_closed_form():
     # both regimes, the clamp floor and noisy Q / C are exercised
     assert idled > 0 and never_idled > 0 and clamped > 0 and noisy > 0
 
-def test_a_rate_below_the_floor_paves_at_the_floor():
+def test_analytic_respects_the_clamp_floor():
     for floor in (1.0, 2.0):
         cfg = tenths_config(1000, 100, 2, CONSTRAINED_LEGS, 0.5,
                             clamp_floor=floor)
