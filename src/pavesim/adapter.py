@@ -15,7 +15,6 @@ Conventions, pinned so results are exactly reproducible:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -52,10 +51,9 @@ class CleanPolicy:
             raise DataError(f"unknown missing strategy {self.missing_strategy!r}")
         if self.outlier_strategy not in OUTLIER_STRATEGIES:
             raise DataError(f"unknown outlier strategy {self.outlier_strategy!r}")
-        if not self.iqr_multiplier > 0:
-            raise DataError(
-                f"iqr_multiplier must be > 0, got {self.iqr_multiplier!r}"
-            )
+        if not 0 < self.iqr_multiplier < math.inf:
+            raise DataError(f"iqr_multiplier must be a positive finite "
+                            f"number, got {self.iqr_multiplier!r}")
 
 
 @dataclass
@@ -76,16 +74,6 @@ class CleanReport:
             and self.rows_dropped_missing == 0
             and self.rows_dropped_outliers == 0
         )
-
-    def to_json(self) -> str:
-        payload = {
-            "missing_counts": self.missing_counts,
-            "imputed_counts": self.imputed_counts,
-            "outlier_counts": self.outlier_counts,
-            "rows_dropped_missing": self.rows_dropped_missing,
-            "rows_dropped_outliers": self.rows_dropped_outliers,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def summary(self) -> str:
         if self.is_empty():

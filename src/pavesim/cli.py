@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -67,7 +68,8 @@ from .tables import (
     NUMERIC,
     ScenarioFeatures,
     TARGET_COLUMN,
-    comment_block,
+    csv_text,
+    json_text,
     load_csv,
     table_to_csv,
     without_comments,
@@ -175,8 +177,8 @@ def _cmd_adapt(args) -> None:
     save_dataset(args.out, train_ds, test_ds, _audit_header("adapt", args))
 
     if args.report is not None:
-        write_text_atomic(args.report, comment_block(
-            _audit_header("adapt", args)) + report.to_json())
+        write_text_atomic(args.report, json_text(
+            _audit_header("adapt", args), asdict(report)))
 
     print(f"seed = {args.seed}")
     print(f"cleaned: {report.summary()}")
@@ -282,16 +284,17 @@ def _cmd_derive(args) -> None:
     params, stats, _, _ = load_model(args.model)
     scenarios = _read_scenarios(args.scenarios)
     print("seeds: none (deterministic)")
-    lines = ["scenario,mean,variance,lo95,hi95"]
+    rows = []
     for label, features in scenarios:
         model = derive(params, features, stats)
         lo, hi = confidence_interval(model, 0.95)
         print(f"{label}: mean = {model.mean:.4f}, variance = "
               f"{model.variance:.4f}, 95% CI = [{lo:.4f}, {hi:.4f}]")
-        lines.append(f"{label},{model.mean!r},{model.variance!r},{lo!r},{hi!r}")
+        rows.append((label, model.mean, model.variance, lo, hi))
     if args.out is not None:
-        write_text_atomic(args.out, comment_block(
-            _audit_header("derive", args)) + "\n".join(lines) + "\n")
+        write_text_atomic(args.out, csv_text(
+            _audit_header("derive", args),
+            ("scenario", "mean", "variance", "lo95", "hi95"), rows))
         print(f"wrote {len(scenarios)} rows to {args.out}")
 
 

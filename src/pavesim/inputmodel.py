@@ -18,7 +18,6 @@ exactly what the network predicted.
 
 from __future__ import annotations
 
-import io
 import math
 import random
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 from .adapter import Dataset, NormalizationStats
 from .errors import DataError, NumericalError
 from .network import NetworkParams, forward_batch
-from .tables import ScenarioFeatures, comment_block
+from .tables import ScenarioFeatures, csv_text
 
 #: Central-interval z-values. A fixed table, not a quantile routine: only
 #: these three levels are supported.
@@ -151,15 +150,10 @@ class CoverageReport:
 
     def to_csv(self, header_comments: Sequence[str] = ()) -> str:
         """Plot-data CSV: one row per test point, covered flag as 0/1."""
-        buffer = io.StringIO()
-        buffer.write(comment_block(header_comments))
-        buffer.write("observed,mu,sigma,lo,hi,covered\n")
-        for p in self.points:
-            buffer.write(
-                f"{p.observed!r},{p.mu!r},{p.sigma!r},"
-                f"{p.lo!r},{p.hi!r},{int(p.covered)}\n"
-            )
-        return buffer.getvalue()
+        return csv_text(
+            header_comments, ("observed", "mu", "sigma", "lo", "hi", "covered"),
+            ((p.observed, p.mu, p.sigma, p.lo, p.hi, int(p.covered))
+             for p in self.points))
 
 
 def coverage(
@@ -229,18 +223,12 @@ class MixtureComparison:
     components: tuple[MixtureComponentRow, ...]
 
     def to_csv(self, header_comments: Sequence[str] = ()) -> str:
-        buffer = io.StringIO()
-        buffer.write(comment_block(header_comments))
-        buffer.write("label,weight,mean,variance,pooled_variance_ratio\n")
-        buffer.write(
-            f"pooled,{1.0!r},{self.pooled.mean!r},{self.pooled.variance!r},{1.0!r}\n"
-        )
-        for row in self.components:
-            buffer.write(
-                f"{row.label},{row.weight!r},{row.model.mean!r},"
-                f"{row.model.variance!r},{row.variance_ratio!r}\n"
-            )
-        return buffer.getvalue()
+        rows = [("pooled", 1.0, self.pooled.mean, self.pooled.variance, 1.0)]
+        rows += [(r.label, r.weight, r.model.mean, r.model.variance,
+                  r.variance_ratio) for r in self.components]
+        return csv_text(header_comments, (
+            "label", "weight", "mean", "variance", "pooled_variance_ratio"),
+            rows)
 
 
 def compare_pooled_vs_conditioned(

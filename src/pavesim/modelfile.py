@@ -1,8 +1,8 @@
 """On-disk formats for trained models and adapted datasets.
 
-Both artifacts are JSON bodies optionally preceded by ``#`` comment
-lines (the audit header written by the command-line tool); every loader
-strips those lines before parsing. Floats serialize through ``repr``
+Both artifacts are written by :func:`pavesim.tables.json_text`: ``#``
+comment lines (the audit header of the command-line tool), then a JSON
+body; every loader strips those lines. Floats serialize through ``repr``
 (Python's shortest round-tripping decimal form), so save followed by
 load reproduces every parameter bit-exactly, and identical inputs
 produce byte-identical files.
@@ -24,7 +24,7 @@ import numpy as np
 from .adapter import ColumnStats, Dataset, NormalizationStats
 from .errors import DataError
 from .network import NetworkConfig, NetworkParams, TrainConfig
-from .tables import comment_block, without_comments
+from .tables import json_text, without_comments
 
 MODEL_FORMAT = "pavesim-model"
 DATASET_FORMAT = "pavesim-dataset"
@@ -72,11 +72,6 @@ def _load_commented_json(path: str | Path, expected_format: str) -> dict:
             f"version {FORMAT_VERSION}"
         )
     return raw
-
-
-def _dump(payload: dict, header_comments) -> str:
-    return (comment_block(header_comments)
-            + json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _stats_to_obj(stats: NormalizationStats) -> dict:
@@ -139,7 +134,7 @@ def model_to_text(
         "normalization": _stats_to_obj(stats),
         "layers": layers,
     }
-    return _dump(payload, header_comments)
+    return json_text(header_comments, payload)
 
 
 def save_model(
@@ -217,7 +212,7 @@ def dataset_to_text(
         "train": _split_to_obj(train),
         "test": _split_to_obj(test),
     }
-    return _dump(payload, header_comments)
+    return json_text(header_comments, payload)
 
 
 def save_dataset(

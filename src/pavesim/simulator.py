@@ -14,24 +14,25 @@ Model choices that keep a closed-form oracle exact:
   productivity is stochastic,
 - no contention: trucks never queue at the plant or the paver,
 - truckload amounts are committed at dispatch, so exactly
-  ``ceil(Q / C)`` loads are hauled (see :attr:`SimConfig.truckloads`)
-  and their amounts sum to ``Q``,
+  ``ceil(Q / C)`` loads, at most 10^6, are hauled (see
+  :attr:`SimConfig.truckloads`) and their amounts sum to ``Q``,
 - sampled productivities are clamped below at ``clamp_floor`` rather
   than truncated or resampled, and every clamp is counted.
 
 With those choices the trucks move in lockstep waves and the paver is a
 single first-in, first-out server, so a replication is the Lindley
-recursion of :func:`run_replication`. At a constant rate completion time
-also has a closed form: the first time paving at that rate has placed
-all the material the waves delivered. The tests hold that oracle
+recursion of :func:`run_replication`. :func:`run_monte_carlo` keeps each
+replication's completion time, busy fraction and clamp count as the
+columns of a :class:`SimResult`. At a constant rate completion time also
+has a closed form: the first time paving at that rate has placed all the
+material the waves delivered. The tests hold that oracle
 (``completion_oracle`` in ``tests/test_simulator.py``); it plans loads
-and waves by integer arithmetic on tenths of m^3 and shares no code with
-this module, and the recursion reproduces it to floating-point accuracy.
+and waves on integer tenths of m^3 and shares no code with this module,
+and the recursion reproduces it to floating-point accuracy.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -42,16 +43,22 @@ import numpy as np
 
 from .errors import DataError
 from .inputmodel import GaussianInputModel, sample
-from .tables import comment_block, without_comments
+from .tables import csv_text, without_comments
 
 PER_REPLICATION = "per_replication"
 PER_TRUCKLOAD = "per_truckload"
 RESAMPLE_MODES = (PER_REPLICATION, PER_TRUCKLOAD)
 
+MAX_TRUCKLOADS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One paving operation: quantities, fleet, cycle times, input model."""
+    """One paving operation: quantities, fleet, cycle times, input model.
+
+    A plan of more than :data:`MAX_TRUCKLOADS` (10^6) loads is refused: a
+    replication holds one amount and up to one sampled rate per load.
+    """
 
     total_quantity: float          # Q, m^3
     truck_count: int               # K
@@ -92,12 +99,17 @@ class SimConfig:
                 f"resample_mode must be one of {RESAMPLE_MODES}, "
                 f"got {self.resample_mode!r}"
             )
+        # Q / C may overflow to inf, which math.ceil cannot take.
+        ratio = self.total_quantity / self.truck_capacity
+        if ratio > MAX_TRUCKLOADS + 1 or self.truckloads > MAX_TRUCKLOADS:
+            raise DataError(f"total_quantity / truck_capacity = {ratio!r} "
+                            f"plans more than {MAX_TRUCKLOADS} truckloads")
 
     @property
     def truckloads(self) -> int:
         """``ceil(Q / C)``, dropping a closing load of at most ``1e-9 * C``
         that float noise adds (2.1 / 0.3 is 7.000000000000001)."""
-        n = math.ceil(self.total_quantity / self.truck_capacity)
+        n = max(1, math.ceil(self.total_quantity / self.truck_capacity))
         closing = self.total_quantity - self.truck_capacity * (n - 1)
         return n - 1 if n > 1 and closing <= 1e-9 * self.truck_capacity else n
 
@@ -177,72 +189,54 @@ def build_sim_config(raw: dict, model: GaussianInputModel) -> SimConfig:
 
 
 @dataclass(frozen=True)
-class CompletionRecord:
-    """Outcome of one replication."""
-
-    completion_time: float         # hours
-    paver_busy_fraction: float
-    truckloads_delivered: int
-    productivities: tuple[float, ...]  # the clamped rates actually used
-    clamp_count: int               # how many draws hit the floor
-
-
-@dataclass(frozen=True)
 class SimResult:
-    """All replication records plus summary statistics of completion time.
+    """Monte-Carlo outcome as columns: entry ``i`` of each tuple is
+    replication ``i``'s completion time (hours), paver busy fraction and
+    count of productivity draws that hit the clamp floor. Every
+    replication hauls the same ``truckloads`` loads.
 
-    Summaries are exactly recomputable from the records: population std,
+    Summaries are exactly recomputable from the columns: population std,
     percentiles by linear interpolation between order statistics.
     """
 
-    records: tuple[CompletionRecord, ...]
+    completion_times: tuple[float, ...]
+    busy_fractions: tuple[float, ...]
+    clamp_counts: tuple[int, ...]
+    truckloads: int
     master_seed: int
 
     @property
-    def completion_times(self) -> np.ndarray:
-        return np.array([r.completion_time for r in self.records])
-
-    @property
     def mean(self) -> float:
-        return float(self.completion_times.mean())
+        return float(np.mean(self.completion_times))
 
     @property
     def std(self) -> float:
-        return float(self.completion_times.std())
+        return float(np.std(self.completion_times))
 
     @property
     def min(self) -> float:
-        return float(self.completion_times.min())
+        return float(np.min(self.completion_times))
 
     @property
     def max(self) -> float:
-        return float(self.completion_times.max())
+        return float(np.max(self.completion_times))
 
     def percentile(self, q: float) -> float:
         return float(np.percentile(self.completion_times, q))
 
     def to_csv(self, header_comments: Sequence[str] = ()) -> str:
         """Per-replication rows, then a ``#`` summary block."""
-        buffer = io.StringIO()
-        buffer.write(comment_block(header_comments))
-        buffer.write(
-            "replication,completion_time,paver_busy_fraction,"
-            "truckloads_delivered,clamp_count\n"
-        )
-        for i, r in enumerate(self.records):
-            buffer.write(
-                f"{i},{r.completion_time!r},{r.paver_busy_fraction!r},"
-                f"{r.truckloads_delivered},{r.clamp_count}\n"
-            )
-        buffer.write(f"# replications = {len(self.records)}\n")
-        buffer.write(f"# master_seed = {self.master_seed}\n")
-        buffer.write(f"# mean = {self.mean!r}\n")
-        buffer.write(f"# std = {self.std!r}\n")
-        buffer.write(f"# min = {self.min!r}\n")
-        buffer.write(f"# max = {self.max!r}\n")
-        buffer.write(f"# p5 = {self.percentile(5)!r}\n")
-        buffer.write(f"# p95 = {self.percentile(95)!r}\n")
-        return buffer.getvalue()
+        n = len(self.completion_times)
+        rows = zip(range(n), self.completion_times, self.busy_fractions,
+                   [self.truckloads] * n, self.clamp_counts)
+        footer = [f"replications = {n}", f"master_seed = {self.master_seed}"]
+        footer += [f"{name} = {value!r}" for name, value in (
+            ("mean", self.mean), ("std", self.std), ("min", self.min),
+            ("max", self.max), ("p5", self.percentile(5)),
+            ("p95", self.percentile(95)))]
+        return csv_text(header_comments, (
+            "replication", "completion_time", "paver_busy_fraction",
+            "truckloads_delivered", "clamp_count"), rows, footer)
 
 
 def truckload_amounts(cfg: SimConfig) -> list[float]:
@@ -261,8 +255,9 @@ def _clamped_draws(cfg: SimConfig, seed: int) -> tuple[list[float], int]:
     return [max(p, cfg.clamp_floor) for p in draws], clamp_count
 
 
-def run_replication(cfg: SimConfig, seed: int) -> CompletionRecord:
-    """Simulate one replication of the paving operation.
+def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
+    """Simulate one replication of the paving operation; returns its
+    ``(completion_time, busy_fraction, clamp_count)``.
 
     All trucks start loading at t = 0 and truck ``i % K`` hauls load
     ``i``, so load ``i`` lands in the hopper at ``a_i = (i // K) * tau +
@@ -299,13 +294,7 @@ def run_replication(cfg: SimConfig, seed: int) -> CompletionRecord:
             f"conservation violated: placed {placed!r} of "
             f"{cfg.total_quantity!r}"
         )
-    return CompletionRecord(
-        completion_time=now,
-        paver_busy_fraction=busy_time / now,
-        truckloads_delivered=n_loads,
-        productivities=tuple(draws),
-        clamp_count=clamp_count,
-    )
+    return now, busy_time / now, clamp_count
 
 
 def run_monte_carlo(
@@ -319,10 +308,10 @@ def run_monte_carlo(
     """
     if replications < 1:
         raise DataError(f"replications must be >= 1, got {replications}")
-    records = []
-    for i in range(replications):
-        records.append(run_replication(cfg, replication_seed(master_seed, i)))
-    return SimResult(records=tuple(records), master_seed=master_seed)
+    times, busy, clamps = zip(*(
+        run_replication(cfg, replication_seed(master_seed, i))
+        for i in range(replications)))
+    return SimResult(times, busy, clamps, cfg.truckloads, master_seed)
 
 
 def replication_seed(master_seed: int, index: int) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -272,27 +273,41 @@ def load_csv(path: str | Path, kinds: Sequence[str] | None = None) -> RecordTabl
         return read_csv(stream, kinds=kinds)
 
 
-def format_cell(value: Cell, kind: str) -> str:
+def _field(value) -> str:
     if value is None:
         return ""
-    if kind == CATEGORICAL:
-        return str(value)
-    if kind == BOOLEAN:
-        return str(int(value))
-    return repr(float(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
-def write_csv(table: RecordTable, stream: io.TextIOBase,
-              header_comments: Sequence[str] = ()) -> None:
-    stream.write(comment_block(header_comments))
-    stream.write(",".join(table.column_names) + "\n")
-    for row in table.rows:
-        stream.write(",".join(
-            format_cell(v, k) for v, k in zip(row, table.column_kinds)
-        ) + "\n")
+def csv_text(header_comments: Iterable[str], header: Sequence[str],
+             rows: Iterable[Sequence], footer: Iterable[str] = ()) -> str:
+    """The one CSV layout of every artifact: a ``#`` audit header, a
+    header line, one line per row and a ``#`` footer. ``None`` is an empty
+    field, a float ``repr(float(v))`` (numpy 2 reprs an ``np.float64`` as
+    ``np.float64(...)``) and anything else ``str(v)``."""
+    lines = [",".join(header)]
+    # a row of one empty cell is written as "" so that it reads back
+    lines.extend(",".join(map(_field, row)) or '""' for row in rows)
+    return (comment_block(header_comments) + "\n".join(lines) + "\n"
+            + comment_block(footer))
+
+
+def json_text(header_comments: Iterable[str], payload) -> str:
+    """The one JSON layout of every artifact: a ``#`` audit header, then
+    the payload with sorted keys and two-space indents."""
+    return (comment_block(header_comments)
+            + json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+#: How :func:`table_to_csv` writes a cell of each column kind.
+_CELL_TYPES = {NUMERIC: float, BOOLEAN: int, CATEGORICAL: str}
 
 
 def table_to_csv(table: RecordTable, header_comments: Sequence[str] = ()) -> str:
-    buffer = io.StringIO()
-    write_csv(table, buffer, header_comments)
-    return buffer.getvalue()
+    """The table as CSV; boolean cells are written as ``0`` and ``1``."""
+    types = [_CELL_TYPES[kind] for kind in table.column_kinds]
+    rows = ([None if v is None else t(v) for v, t in zip(row, types)]
+            for row in table.rows)
+    return csv_text(header_comments, table.column_names, rows)

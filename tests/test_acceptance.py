@@ -209,7 +209,7 @@ def test_simulator_agrees_with_closed_form_and_independent_mc():
         trucks = int(rng.integers(1, 7))
         legs = tuple(float(x) for x in rng.uniform(0.05, 1.5, size=4))
         cfg = tenths_config(q10, c10, trucks, legs, p)
-        worst = max(worst, abs(run_replication(cfg, 3).completion_time
+        worst = max(worst, abs(run_replication(cfg, 3)[0]
                                - completion_oracle(q10, c10, trucks, legs, p)))
 
     # Part two: an unconstrained stochastic operation against a direct
@@ -222,7 +222,7 @@ def test_simulator_agrees_with_closed_form_and_independent_mc():
     result = run_monte_carlo(cfg, 2000, 2024)
     draws = np.random.default_rng(9090).normal(50.0, 5.0, 10 ** 6)
     oracle = cfg.first_delivery_offset + 100.0 / np.maximum(1.0, draws)
-    se = float(np.sqrt(result.completion_times.var() / 2000
+    se = float(np.sqrt(np.var(result.completion_times) / 2000
                        + oracle.var() / 10 ** 6))
     z = abs(result.mean - float(oracle.mean())) / se
 

@@ -197,6 +197,10 @@ def test_clean_policy_validation():
         CleanPolicy(outlier_strategy="zap")
     with pytest.raises(DataError):
         CleanPolicy(iqr_multiplier=0.0)
+    # an infinite fence times an IQR of 0 is NaN, which flags every value
+    for value in (math.inf, math.nan):
+        with pytest.raises(DataError, match="positive finite"):
+            CleanPolicy(iqr_multiplier=value)
 
 
 def test_clean_drop_row_idempotent_on_small_fixture():

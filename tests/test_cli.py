@@ -232,6 +232,21 @@ def test_adapt_reports_split_sizes(tmp_path, capsys):
     assert "split: 40 train / 10 test rows" in out
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_adapt_rejects_a_non_finite_iqr_multiplier(tmp_path, capsys, value):
+    data = tmp_path / "x.csv"
+    data.write_text("Y,X\n1,5\n2,5\n3,5\n4,5\n5,6\n")
+    out = tmp_path / "ds.json"
+    rc = cli.main([
+        "adapt", "--data", str(data), "--target", "Y", "--seed", "1",
+        f"--iqr-multiplier={value}", "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: iqr_multiplier must be a positive finite")
+    assert not out.exists()
+
+
 def test_adapt_writes_loadable_dataset(dataset_file):
     train_ds, test_ds = load_dataset(str(dataset_file))
     assert train_ds.n == 160
@@ -517,6 +532,23 @@ def test_simulate_rejects_ill_typed_truck_count(tmp_path, capsys, truck_count):
     assert rc == 1
     assert "truck_count must be an integer" in capsys.readouterr().err
     assert not out.exists()
+
+@pytest.mark.parametrize("key, value", [
+    ("truck_capacity", 1e-300), ("total_quantity", 1e300)])
+def test_simulate_refuses_an_oversized_load_plan(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "sim.cfg", dict(DIRECT_CONFIG, **{key: value}))
+    out = tmp_path / "sim.csv"
+    rc = cli.main([
+        "simulate", "--config", str(cfg), "--reps", "10", "--seed", "1",
+        "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: total_quantity / truck_capacity = ")
+    assert "more than 1000000 truckloads" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
 
 SCENARIO_CONFIG = {
     "total_quantity": 60,

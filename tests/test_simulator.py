@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pavesim.errors import DataError
-from pavesim.inputmodel import GaussianInputModel
+from pavesim.inputmodel import GaussianInputModel, sample
 from pavesim.simulator import (
+    MAX_TRUCKLOADS,
+    PER_REPLICATION,
     PER_TRUCKLOAD,
     SimConfig,
     SimResult,
@@ -63,6 +65,13 @@ def completion_oracle(q10, c10, trucks, legs, rate):
     )
 
 
+def clamped_rates(cfg, seed, n):
+    """The first ``n`` rates a replication with this seed paves at: the
+    draws of ``sample``, floored at the clamp floor."""
+    return [max(p, cfg.clamp_floor)
+            for p in sample(cfg.productivity_source, seed, n)]
+
+
 def tenths_config(q10, c10, trucks, legs, rate, **overrides):
     """A SimConfig with Q = q10 / 10, C = c10 / 10 and a constant rate."""
     load, haul, dump, ret = legs
@@ -81,7 +90,7 @@ def test_supply_unconstrained_hand_case():
     expected = 0.5 + 2e-9 + 2.0
     assert completion_oracle(1000, 1000, 10, legs, 50.0) == pytest.approx(
         expected, abs=1e-12)
-    assert abs(run_replication(cfg, 0).completion_time - expected) < 1e-12
+    assert abs(run_replication(cfg, 0)[0] - expected) < 1e-12
 
 
 def test_supply_constrained_hand_case():
@@ -90,11 +99,11 @@ def test_supply_constrained_hand_case():
     cfg = constrained_config()
     assert completion_oracle(1000, 100, 2, CONSTRAINED_LEGS, 50.0) == (
         pytest.approx(5.3, rel=1e-12))
-    record = run_replication(cfg, 3)
-    assert abs(record.completion_time - 5.3) < 1e-9
+    completion_time, busy_fraction, _ = run_replication(cfg, 3)
+    assert abs(completion_time - 5.3) < 1e-9
     # the paver works Q/P = 2 hours of the 5.3
-    assert record.paver_busy_fraction == pytest.approx(2.0 / 5.3, rel=1e-9)
-    assert record.truckloads_delivered == 10
+    assert busy_fraction == pytest.approx(2.0 / 5.3, rel=1e-9)
+    assert run_monte_carlo(cfg, 1, 3).truckloads == 10
 
 
 def test_single_load_hand_case():
@@ -103,8 +112,7 @@ def test_single_load_hand_case():
     expected = 0.1 + 0.4 + 0.05 + 30.0 / 60.0
     assert completion_oracle(300, 300, 1, legs, 60.0) == pytest.approx(
         expected, rel=1e-12)
-    assert run_replication(cfg, 1).completion_time == pytest.approx(
-        expected, rel=1e-12)
+    assert run_replication(cfg, 1)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_recursion_matches_the_oracle_on_random_configs():
@@ -124,7 +132,7 @@ def test_recursion_matches_the_oracle_on_random_configs():
         legs = tuple(float(x) for x in rng.uniform(0.05, 1.5, size=4))
         p = float(rng.uniform(20, 120))
         cfg = tenths_config(q10, c10, trucks, legs, p)
-        assert run_replication(cfg, 3).completion_time == pytest.approx(
+        assert run_replication(cfg, 3)[0] == pytest.approx(
             completion_oracle(q10, c10, trucks, legs, p), rel=1e-12)
         loads = -(-q10 // c10)
         noisy += (math.ceil((q10 / 10) / (c10 / 10)) > loads
@@ -136,7 +144,7 @@ def test_random_rates_match_the_max_plus_closed_form():
     # The last load is finished at max_j (a_j + sum_{k >= j} amount_k /
     # rate_k): the paver starts at the latest dump after which it never
     # idles again. Amounts and arrival times are rebuilt here from Q, C,
-    # K and the legs; only the sampled rates come from the record. Q and
+    # K and the legs, and the rates from the replication's seed. Q and
     # C are whole tenths and the load plan is integer arithmetic on
     # tenths, so float noise in Q / C (2.1 / 0.3 is 7.000000000000001)
     # cannot add a phantom load unnoticed; every other trial has Q a
@@ -160,7 +168,7 @@ def test_random_rates_match_the_max_plus_closed_form():
             productivity_source=GaussianInputModel(mean, std * std),
             resample_mode=PER_TRUCKLOAD,
         )
-        record = run_replication(cfg, trial)
+        completion_time, _, clamp_count = run_replication(cfg, trial)
 
         full_loads, remainder = divmod(q10, c10)
         amounts = [c10 / 10] * full_loads + ([remainder / 10] if remainder
@@ -168,16 +176,18 @@ def test_random_rates_match_the_max_plus_closed_form():
         noisy += math.ceil((q10 / 10) / (c10 / 10)) > len(amounts)
         cycle, first = sum(legs), sum(legs[:3])
         arrivals = [(j // trucks) * cycle + first for j in range(len(amounts))]
-        assert len(record.productivities) == len(amounts)
-        times = [a / r for a, r in zip(amounts, record.productivities)]
+        draws = sample(cfg.productivity_source, trial, len(amounts))
+        assert clamp_count == sum(p < cfg.clamp_floor for p in draws)
+        rates = clamped_rates(cfg, trial, len(amounts))
+        times = [a / r for a, r in zip(amounts, rates)]
         finishes = [arrivals[j] + math.fsum(times[j:])
                     for j in range(len(amounts))]
         expected = max(finishes)
-        assert record.completion_time == pytest.approx(expected, rel=1e-12)
+        assert completion_time == pytest.approx(expected, rel=1e-12)
 
         idled += finishes.index(expected) > 0
         never_idled += finishes.index(expected) == 0
-        clamped += record.clamp_count > 0
+        clamped += clamp_count > 0
     # both regimes, the clamp floor and noisy Q / C are exercised
     assert idled > 0 and never_idled > 0 and clamped > 0 and noisy > 0
 
@@ -185,9 +195,9 @@ def test_analytic_respects_the_clamp_floor():
     for floor in (1.0, 2.0):
         cfg = tenths_config(1000, 100, 2, CONSTRAINED_LEGS, 0.5,
                             clamp_floor=floor)
-        record = run_replication(cfg, 0)
-        assert record.clamp_count == 1
-        assert record.completion_time == pytest.approx(
+        completion_time, _, clamp_count = run_replication(cfg, 0)
+        assert clamp_count == 1
+        assert completion_time == pytest.approx(
             completion_oracle(1000, 100, 2, CONSTRAINED_LEGS, floor),
             rel=1e-12)
 
@@ -197,7 +207,7 @@ def test_analytic_respects_the_clamp_floor():
 
 def test_completion_improves_with_more_trucks():
     times = [
-        run_replication(constrained_config(truck_count=k), 0).completion_time
+        run_replication(constrained_config(truck_count=k), 0)[0]
         for k in (1, 2, 3, 5, 12)
     ]
     assert all(a >= b for a, b in zip(times, times[1:]))
@@ -206,7 +216,7 @@ def test_completion_improves_with_more_trucks():
 
 def test_completion_improves_with_bigger_trucks():
     times = [
-        run_replication(constrained_config(truck_capacity=c), 0).completion_time
+        run_replication(constrained_config(truck_capacity=c), 0)[0]
         for c in (5.0, 10.0, 20.0, 50.0)
     ]
     assert all(a >= b for a, b in zip(times, times[1:]))
@@ -214,7 +224,7 @@ def test_completion_improves_with_bigger_trucks():
 
 def test_completion_grows_with_quantity():
     times = [
-        run_replication(constrained_config(total_quantity=q), 0).completion_time
+        run_replication(constrained_config(total_quantity=q), 0)[0]
         for q in (50.0, 100.0, 150.0, 250.0)
     ]
     assert all(a < b for a, b in zip(times, times[1:]))
@@ -251,11 +261,11 @@ def test_float_noise_in_q_over_c_plans_no_phantom_load():
     )
     assert cfg.truckloads == 7
     assert truckload_amounts(cfg)[-1] == pytest.approx(0.3, rel=1e-12)
-    record = run_replication(cfg, 0)
-    assert record.truckloads_delivered == 7
-    assert record.completion_time == pytest.approx(2.73, rel=1e-12)
+    completion_time = run_replication(cfg, 0)[0]
+    assert run_monte_carlo(cfg, 1, 0).truckloads == 7
+    assert completion_time == pytest.approx(2.73, rel=1e-12)
     assert completion_oracle(21, 3, 1, (0.1, 0.1, 0.1, 0.1), 10.0) == (
-        pytest.approx(record.completion_time, rel=1e-12))
+        pytest.approx(completion_time, rel=1e-12))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -271,8 +281,8 @@ def test_decimal_quantities_plan_whole_loads(q10, c10, k):
 
 
 def test_paver_busy_time_accounts_for_all_material():
-    record = run_replication(constrained_config(), 7)
-    busy_hours = record.paver_busy_fraction * record.completion_time
+    completion_time, busy_fraction, _ = run_replication(constrained_config(), 7)
+    busy_hours = busy_fraction * completion_time
     assert busy_hours * 50.0 == pytest.approx(100.0, rel=1e-9)
 
 
@@ -281,10 +291,10 @@ def test_busy_time_sums_parcel_times_under_varying_rates():
         productivity_source=GaussianInputModel(50.0, 64.0),
         resample_mode=PER_TRUCKLOAD,
     )
-    record = run_replication(cfg, 11)
-    expected = math.fsum(
-        a / r for a, r in zip(truckload_amounts(cfg), record.productivities))
-    busy_hours = record.paver_busy_fraction * record.completion_time
+    completion_time, busy_fraction, _ = run_replication(cfg, 11)
+    expected = math.fsum(a / r for a, r in zip(
+        truckload_amounts(cfg), clamped_rates(cfg, 11, cfg.truckloads)))
+    busy_hours = busy_fraction * completion_time
     assert busy_hours == pytest.approx(expected, rel=1e-12)
 
 
@@ -306,7 +316,8 @@ def test_monte_carlo_is_deterministic_and_order_independent():
         run_replication(cfg, replication_seed(99, i))
         for i in reversed(range(8))
     ]
-    assert list(result.records) == backwards[::-1]
+    assert list(zip(result.completion_times, result.busy_fractions,
+                    result.clamp_counts)) == backwards[::-1]
     assert run_monte_carlo(cfg, 8, 100) != result
 
 
@@ -318,7 +329,7 @@ def test_monte_carlo_summary_statistics():
     assert result.std > 0
     assert result.min <= result.mean <= result.max
     assert result.min <= result.percentile(5) <= result.percentile(95) <= result.max
-    assert result.mean == pytest.approx(float(times.mean()), rel=1e-15)
+    assert result.mean == pytest.approx(float(np.mean(times)), rel=1e-15)
 
 
 def test_zero_variance_monte_carlo_is_degenerate():
@@ -342,24 +353,32 @@ def test_clamping_counts_and_floors_draws():
         load_time=0.1, haul_time=0.2, dump_time=0.1, return_time=0.1,
         productivity_source=wild, resample_mode=PER_TRUCKLOAD,
     )
-    record = run_replication(cfg, 5)
-    assert len(record.productivities) == 10
-    assert record.clamp_count == 4
-    assert min(record.productivities) == 1.0
     raised = SimConfig(
         total_quantity=100.0, truck_count=3, truck_capacity=10.0,
         load_time=0.1, haul_time=0.2, dump_time=0.1, return_time=0.1,
         productivity_source=wild, resample_mode=PER_TRUCKLOAD,
         clamp_floor=5.0,
     )
-    assert min(run_replication(raised, 5).productivities) == 5.0
+    assert cfg.truckloads == 10
+    for config, floor in ((cfg, 1.0), (raised, 5.0)):
+        completion_time, busy_fraction, clamp_count = run_replication(config, 5)
+        rates = clamped_rates(config, 5, 10)
+        assert clamp_count == 4
+        assert min(rates) == floor
+        # the paver works each load at its floored rate
+        assert busy_fraction * completion_time == pytest.approx(
+            math.fsum(10.0 / r for r in rates), rel=1e-12)
 
 
 def test_per_replication_mode_reuses_one_draw():
     cfg = constrained_config(
         productivity_source=GaussianInputModel(50.0, 25.0))
-    record = run_replication(cfg, 2)
-    assert len(record.productivities) == 1
+    # one draw, so every load of a replication takes the same time
+    completion_time, busy_fraction, _ = run_replication(cfg, 2)
+    assert cfg.resample_mode == PER_REPLICATION
+    busy_hours = busy_fraction * completion_time
+    assert busy_hours == pytest.approx(
+        100.0 / clamped_rates(cfg, 2, 1)[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------- config
@@ -386,6 +405,36 @@ def test_sim_config_validation(field, value, message):
     with pytest.raises(DataError, match=message):
         constrained_config(**{field: value})
 
+
+
+def test_sim_config_bounds_the_load_plan():
+    at_limit = constrained_config(total_quantity=float(MAX_TRUCKLOADS),
+                                  truck_capacity=1.0)
+    assert at_limit.truckloads == MAX_TRUCKLOADS == 10 ** 6
+    assert len(truckload_amounts(at_limit)) == MAX_TRUCKLOADS
+    # 700000 / 0.7 is 1000000.0000000001: float noise plans no extra load
+    noisy = constrained_config(total_quantity=700000.0, truck_capacity=0.7)
+    assert math.ceil(700000.0 / 0.7) > MAX_TRUCKLOADS == noisy.truckloads
+
+
+@pytest.mark.parametrize("q, c", [
+    (MAX_TRUCKLOADS + 1.0, 1.0),
+    (1e6 * 0.3 + 0.01, 0.3),
+    (1e300, 1.0),
+    (1.0, 1e-300),
+    (1e300, 1e-300),
+])
+def test_sim_config_refuses_a_plan_above_the_limit(q, c):
+    with pytest.raises(DataError, match="more than 1000000 truckloads"):
+        constrained_config(total_quantity=q, truck_capacity=c)
+
+
+def test_a_quantity_far_below_the_capacity_is_one_load():
+    # Q / C underflows to 0.0, and the plan must still hold one load
+    cfg = constrained_config(total_quantity=1e-300, truck_capacity=1e300)
+    assert cfg.truckloads == 1
+    assert truckload_amounts(cfg) == [1e-300]
+    assert run_monte_carlo(cfg, 2, 1).truckloads == 1
 
 
 @pytest.mark.parametrize("value", [2.5, True, "3", np.float64(2.0)])
@@ -492,7 +541,31 @@ def test_result_csv_rows_and_summary_block():
         assert any(l.startswith(f"# {key} = ") for l in summary)
 
 
+@settings(max_examples=40, deadline=None)
+@given(reps=st.integers(1, 40), master=st.integers(0, 2 ** 64 - 1),
+       variance=st.sampled_from([0.0, 25.0, 900.0, 1e6]),
+       mode=st.sampled_from(["per_replication", PER_TRUCKLOAD]),
+       q10=st.integers(1, 2000), c10=st.integers(1, 300))
+def test_csv_summary_is_numpy_over_the_written_column(
+        reps, master, variance, mode, q10, c10):
+    cfg = constrained_config(
+        total_quantity=q10 / 10, truck_capacity=c10 / 10, resample_mode=mode,
+        productivity_source=GaussianInputModel(50.0, variance))
+    lines = run_monte_carlo(cfg, reps, master).to_csv().splitlines()
+    footer = dict(line[2:].split(" = ") for line in lines if line[0] == "#")
+    times = np.array([float(line.split(",")[1]) for line in lines[1:]
+                      if line[0] != "#"])
+    assert len(times) == int(footer["replications"]) == reps
+    assert int(footer["master_seed"]) == master
+    expected = {"mean": np.mean(times), "std": np.std(times),
+                "min": np.min(times), "max": np.max(times),
+                "p5": np.percentile(times, 5), "p95": np.percentile(times, 95)}
+    for key, value in expected.items():
+        assert float(footer[key]).hex() == float(value).hex(), key
+
+
 def test_result_equality_is_structural():
     a = run_monte_carlo(constrained_config(), 2, 4)
-    b = SimResult(records=a.records, master_seed=4)
+    b = SimResult(a.completion_times, a.busy_fractions, a.clamp_counts,
+                  a.truckloads, 4)
     assert a == b

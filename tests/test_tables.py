@@ -1,7 +1,9 @@
 import io
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pavesim.errors import DataError
 from pavesim.tables import (
@@ -13,7 +15,6 @@ from pavesim.tables import (
     PAVING_KINDS,
     RecordTable,
     ScenarioFeatures,
-    format_cell,
     load_csv,
     read_csv,
     table_to_csv,
@@ -164,11 +165,15 @@ def test_scenario_features_invariants(field, value, message):
 
 
 def test_format_cell_conventions():
-    assert format_cell(None, NUMERIC) == ""
-    assert format_cell(1.0, BOOLEAN) == "1"
-    assert format_cell("rainy", CATEGORICAL) == "rainy"
+    table = RecordTable(
+        ("A", "B", "C", "D"), (NUMERIC, BOOLEAN, CATEGORICAL, NUMERIC),
+        ((None, 1.0, "rainy", 0.1 + 0.2),))
+    missing, flag, label, number = table_to_csv(table).splitlines()[1].split(",")
+    assert missing == ""
+    assert flag == "1"
+    assert label == "rainy"
     # repr floats round-trip exactly
-    assert float(format_cell(0.1 + 0.2, NUMERIC)) == 0.1 + 0.2
+    assert float(number) == 0.1 + 0.2
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -187,3 +192,52 @@ def test_table_to_csv_comment_header_lines():
     table = RecordTable(("A",), (NUMERIC,), ((1.0,),))
     text = table_to_csv(table, header_comments=("one", "two"))
     assert text.startswith("# one\n# two\nA\n")
+
+
+# ---------------------------------------------------- writer properties
+
+#: Cells a numeric column may hold: anything a float can be, and missing.
+NUMERIC_CELLS = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                     -2.2250738585072014e-308, 0.1 + 0.2]),
+)
+#: Categorical text with no CSV syntax: no separator, quote, line break
+#: or leading ``#``, and no edge whitespace, which the reader strips.
+CATEGORICAL_CELLS = st.one_of(st.none(), st.text(
+    alphabet="abcXYZ019._-+:;/ ", min_size=1, max_size=8,
+).map(str.strip).filter(bool))
+CELLS = {
+    NUMERIC: NUMERIC_CELLS,
+    BOOLEAN: st.sampled_from([None, 0.0, 1.0]),
+    CATEGORICAL: CATEGORICAL_CELLS,
+}
+
+
+@st.composite
+def tables(draw):
+    kinds = tuple(draw(st.lists(st.sampled_from(list(CELLS)),
+                                min_size=1, max_size=5)))
+    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=8))
+    names = tuple(f"c{i}" for i in range(len(kinds)))
+    return RecordTable(names, kinds, tuple(rows))
+
+
+def same_cell(written, read):
+    if written is None or isinstance(written, str):
+        return read == written and type(read) is type(written)
+    if math.isnan(written):
+        return isinstance(read, float) and math.isnan(read)
+    return struct.pack("<d", written) == struct.pack("<d", read)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=tables())
+def test_written_tables_read_back_bit_for_bit(table):
+    back = read_csv(io.StringIO(table_to_csv(table, ("a comment",))),
+                    kinds=table.column_kinds)
+    assert back.column_names == table.column_names
+    assert back.num_rows == table.num_rows
+    for written, read in zip(table.rows, back.rows):
+        assert all(map(same_cell, written, read)), (written, read)
