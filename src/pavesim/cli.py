@@ -266,14 +266,10 @@ def _read_scenarios(path: str) -> list[tuple[str, ScenarioFeatures]]:
         CATEGORICAL if name == "Scenario" else NUMERIC for name in header
     )
     table = load_csv(path, kinds=kinds)
-    label_idx = (
-        table.column_index("Scenario") if "Scenario" in table.column_names
-        else None
-    )
     out = []
     for i, row in enumerate(table.rows):
         mapping = dict(zip(table.column_names, row))
-        label = str(mapping["Scenario"]) if label_idx is not None else f"row {i}"
+        label = mapping.get("Scenario") or f"row {i}"
         out.append((label, ScenarioFeatures.from_mapping(mapping)))
     if not out:
         raise DataError(f"scenario file {path} has no rows")

@@ -10,13 +10,15 @@ produce byte-identical files.
 A model file carries the network parameters with explicit shape
 metadata, the normalization statistics needed to de-normalize outputs,
 and both configs. A dataset file carries the train and test splits plus
-their shared normalization statistics.
+their shared normalization statistics. Configs and statistics are
+written field for field by ``dataclasses.asdict``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +76,6 @@ def _load_commented_json(path: str | Path, expected_format: str) -> dict:
     return raw
 
 
-def _stats_to_obj(stats: NormalizationStats) -> dict:
-    def column(c: ColumnStats) -> dict:
-        return {"name": c.name, "kind": c.kind, "mean": c.mean, "std": c.std}
-    return {
-        "features": [column(c) for c in stats.features],
-        "target": column(stats.target),
-    }
-
-
 def _stats_from_obj(obj: dict) -> NormalizationStats:
     def column(entry: dict) -> ColumnStats:
         return ColumnStats(
@@ -117,21 +110,9 @@ def model_to_text(
     payload = {
         "format": MODEL_FORMAT,
         "version": FORMAT_VERSION,
-        "network": {
-            "input_dim": net_cfg.input_dim,
-            "hidden_widths": list(net_cfg.hidden_widths),
-            "seed": net_cfg.seed,
-        },
-        "training": {
-            "epochs": train_cfg.epochs,
-            "batch_size": train_cfg.batch_size,
-            "learning_rate": train_cfg.learning_rate,
-            "adam_beta1": train_cfg.adam_beta1,
-            "adam_beta2": train_cfg.adam_beta2,
-            "adam_epsilon": train_cfg.adam_epsilon,
-            "shuffle_seed": train_cfg.shuffle_seed,
-        },
-        "normalization": _stats_to_obj(stats),
+        "network": asdict(net_cfg),
+        "training": asdict(train_cfg),
+        "normalization": asdict(stats),
         "layers": layers,
     }
     return json_text(header_comments, payload)
@@ -182,7 +163,7 @@ def load_model(
                 )
             weights.append(w)
             biases.append(b)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
     params = NetworkParams(weights, biases)
     params.validate()
@@ -208,7 +189,7 @@ def dataset_to_text(
     payload = {
         "format": DATASET_FORMAT,
         "version": FORMAT_VERSION,
-        "normalization": _stats_to_obj(train.norm_stats),
+        "normalization": asdict(train.norm_stats),
         "train": _split_to_obj(train),
         "test": _split_to_obj(test),
     }
@@ -232,6 +213,6 @@ def load_dataset(path: str | Path) -> tuple[Dataset, Dataset]:
             if X.size == 0:
                 X = X.reshape(0, len(stats.features))
             splits.append(Dataset(X=X, y=y, norm_stats=stats))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed dataset file {path}: {exc}") from exc
     return splits[0], splits[1]

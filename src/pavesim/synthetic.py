@@ -41,18 +41,18 @@ def true_moments(f: ScenarioFeatures) -> tuple[float, float]:
     """True (mean, standard deviation) of productivity for features ``f``."""
     mu = (
         90.0
-        - 4.5 * f.paver_age
-        - 8.0 * f.congestion
-        + 7.0 * f.spreader
-        + 2.5 * (f.slump - 4.0)
-        - 0.045 * (f.temperature - 20.0) ** 2
-        - 0.06 * (f.humidity - 70.0)
-        - 1.5 * abs(f.slope)
-        - 800.0 * abs(f.curvature)
+        - 4.5 * f.PaverAge
+        - 8.0 * f.Congestion
+        + 7.0 * f.Spreader
+        + 2.5 * (f.Slump - 4.0)
+        - 0.045 * (f.Temperature - 20.0) ** 2
+        - 0.06 * (f.Humidity - 70.0)
+        - 1.5 * abs(f.Slope)
+        - 800.0 * abs(f.Curvature)
     )
     sigma = max(
         1.0,
-        2.5 + 0.7 * f.paver_age + 2.0 * f.congestion - 1.0 * f.spreader,
+        2.5 + 0.7 * f.PaverAge + 2.0 * f.Congestion - 1.0 * f.Spreader,
     )
     return mu, sigma
 
@@ -72,15 +72,15 @@ _AGE_RANGE = (0.0, 5.0)  # rounded to half-years
 def sample_features(rng: np.random.Generator) -> ScenarioFeatures:
     """Draw one plausible paving-job feature vector."""
     return ScenarioFeatures(
-        slump=float(rng.uniform(*_SLUMP_RANGE)),
-        congestion=float(rng.random() < _CONGESTION_P),
-        spreader=float(rng.random() < _SPREADER_P),
-        air_entrainment=float(rng.uniform(*_AIR_RANGE)),
-        temperature=float(rng.uniform(*_TEMPERATURE_RANGE)),
-        humidity=float(rng.uniform(*_HUMIDITY_RANGE)),
-        slope=float(rng.uniform(*_SLOPE_RANGE)),
-        curvature=float(rng.uniform(*_CURVATURE_RANGE)),
-        paver_age=round(rng.uniform(*_AGE_RANGE) * 2.0) / 2.0,
+        Slump=float(rng.uniform(*_SLUMP_RANGE)),
+        Congestion=float(rng.random() < _CONGESTION_P),
+        Spreader=float(rng.random() < _SPREADER_P),
+        AirEntrainment=float(rng.uniform(*_AIR_RANGE)),
+        Temperature=float(rng.uniform(*_TEMPERATURE_RANGE)),
+        Humidity=float(rng.uniform(*_HUMIDITY_RANGE)),
+        Slope=float(rng.uniform(*_SLOPE_RANGE)),
+        Curvature=float(rng.uniform(*_CURVATURE_RANGE)),
+        PaverAge=round(rng.uniform(*_AGE_RANGE) * 2.0) / 2.0,
     )
 
 
@@ -105,8 +105,7 @@ def generate_paving_dataset(
         f = sample_features(rng)
         mu, sigma = true_moments(f)
         productivity = float(rng.normal(mu, sigma))
-        values = f.as_mapping()
-        row = [productivity] + [values[c] for c in PAVING_COLUMNS[1:]]
+        row = [productivity, *vars(f).values()]
         if include_truth:
             row += [mu, sigma]
         rows.append(tuple(row))
@@ -190,18 +189,18 @@ def generate_weather_mixture(
 #: site ("best").
 DEMO_SCENARIOS: dict[str, ScenarioFeatures] = {
     "worst": ScenarioFeatures(
-        slump=4.5, congestion=1.0, spreader=0.0, air_entrainment=4.5,
-        temperature=6.5, humidity=84.6, slope=0.0, curvature=0.001,
-        paver_age=5.0,
+        Slump=4.5, Congestion=1.0, Spreader=0.0, AirEntrainment=4.5,
+        Temperature=6.5, Humidity=84.6, Slope=0.0, Curvature=0.001,
+        PaverAge=5.0,
     ),
     "medium": ScenarioFeatures(
-        slump=4.3, congestion=1.0, spreader=0.0, air_entrainment=4.2,
-        temperature=21.8, humidity=86.0, slope=-3.4952, curvature=0.001,
-        paver_age=2.5,
+        Slump=4.3, Congestion=1.0, Spreader=0.0, AirEntrainment=4.2,
+        Temperature=21.8, Humidity=86.0, Slope=-3.4952, Curvature=0.001,
+        PaverAge=2.5,
     ),
     "best": ScenarioFeatures(
-        slump=3.0, congestion=0.0, spreader=1.0, air_entrainment=4.5,
-        temperature=7.7, humidity=60.1, slope=1.2028, curvature=-0.001,
-        paver_age=0.0,
+        Slump=3.0, Congestion=0.0, Spreader=1.0, AirEntrainment=4.5,
+        Temperature=7.7, Humidity=60.1, Slope=1.2028, Curvature=-0.001,
+        PaverAge=0.0,
     ),
 }

@@ -10,8 +10,9 @@ The canonical paving CSV layout is one header row::
     Productivity,Slump,Congestion,Spreader,AirEntrainment,Temperature,Humidity,Slope,Curvature,PaverAge
 
 followed by comma-separated rows; missing cells are empty fields. Lines
-starting with ``#`` are treated as comments and skipped on load, so files
-carrying an audit header round-trip cleanly.
+starting with ``#`` are treated as comments and blank lines are skipped
+on load, so files carrying an audit header round-trip cleanly. A
+:class:`ScenarioFeatures` names its attributes by these same columns.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DataError
 
@@ -130,71 +131,53 @@ class RecordTable:
 
 @dataclass(frozen=True)
 class ScenarioFeatures:
-    """One paving operation condition: the nine scenario attributes.
+    """One paving operation condition: the nine scenario attributes, each
+    named by its CSV column, in :data:`FEATURE_COLUMNS` order.
 
-    Units: slump cm, air_entrainment %, temperature degC, humidity %,
-    slope %, curvature 1/m, paver_age years; congestion and spreader are
+    Units: Slump cm, AirEntrainment %, Temperature degC, Humidity %,
+    Slope %, Curvature 1/m, PaverAge years; Congestion and Spreader are
     0/1 indicators.
     """
 
-    slump: float
-    congestion: float
-    spreader: float
-    air_entrainment: float
-    temperature: float
-    humidity: float
-    slope: float
-    curvature: float
-    paver_age: float
+    Slump: float
+    Congestion: float
+    Spreader: float
+    AirEntrainment: float
+    Temperature: float
+    Humidity: float
+    Slope: float
+    Curvature: float
+    PaverAge: float
 
     def __post_init__(self):
-        for indicator in ("congestion", "spreader"):
+        for indicator in ("Congestion", "Spreader"):
             value = getattr(self, indicator)
             if not _is_boolean_value(value):
                 raise DataError(f"{indicator} must be 0 or 1, got {value!r}")
-        if not 0.0 <= self.humidity <= 100.0:
-            raise DataError(f"humidity must be in [0, 100], got {self.humidity!r}")
-        if self.air_entrainment < 0.0:
+        if not 0.0 <= self.Humidity <= 100.0:
+            raise DataError(f"Humidity must be in [0, 100], got {self.Humidity!r}")
+        if self.AirEntrainment < 0.0:
             raise DataError(
-                f"air_entrainment must be >= 0, got {self.air_entrainment!r}"
+                f"AirEntrainment must be >= 0, got {self.AirEntrainment!r}"
             )
-        if self.paver_age < 0.0:
-            raise DataError(f"paver_age must be >= 0, got {self.paver_age!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
+        if self.PaverAge < 0.0:
+            raise DataError(f"PaverAge must be >= 0, got {self.PaverAge!r}")
+        for name, value in vars(self).items():
             if not math.isfinite(value):
-                raise DataError(f"{f.name} must be finite, got {value!r}")
+                raise DataError(f"{name} must be finite, got {value!r}")
 
     def as_mapping(self) -> dict[str, float]:
         """Values keyed by canonical column name."""
-        return dict(zip(FEATURE_COLUMNS, (
-            self.slump,
-            self.congestion,
-            self.spreader,
-            self.air_entrainment,
-            self.temperature,
-            self.humidity,
-            self.slope,
-            self.curvature,
-            self.paver_age,
-        )))
+        return dict(vars(self))
 
     @classmethod
-    def from_mapping(cls, values: dict[str, float]) -> "ScenarioFeatures":
-        missing = [c for c in FEATURE_COLUMNS if c not in values]
+    def from_mapping(cls, values: Mapping[str, object]) -> "ScenarioFeatures":
+        """The features of a column name -> value mapping; extra names are
+        ignored, and a ``None`` value (an empty cell) counts as missing."""
+        missing = [c for c in FEATURE_COLUMNS if values.get(c) is None]
         if missing:
             raise DataError(f"missing scenario attributes: {', '.join(missing)}")
-        return cls(
-            slump=float(values["Slump"]),
-            congestion=float(values["Congestion"]),
-            spreader=float(values["Spreader"]),
-            air_entrainment=float(values["AirEntrainment"]),
-            temperature=float(values["Temperature"]),
-            humidity=float(values["Humidity"]),
-            slope=float(values["Slope"]),
-            curvature=float(values["Curvature"]),
-            paver_age=float(values["PaverAge"]),
-        )
+        return cls(**{c: float(values[c]) for c in FEATURE_COLUMNS})
 
 
 def _infer_kinds(header: Sequence[str]) -> tuple[str, ...]:
@@ -212,17 +195,11 @@ def _parse_cell(text: str, kind: str, row: int, column: str) -> Cell:
     if kind == CATEGORICAL:
         return text
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise DataError(
             f"cell {text!r} in row {row}, column {column!r} is not numeric"
         ) from None
-    if kind == BOOLEAN and not _is_boolean_value(value):
-        raise DataError(
-            f"boolean column {column!r} holds {text!r} in row {row}; "
-            "only 0 and 1 are allowed"
-        )
-    return value
 
 
 def comment_block(lines: Iterable[str]) -> str:
@@ -247,7 +224,9 @@ def read_csv(stream: io.TextIOBase, kinds: Sequence[str] | None = None) -> Recor
     if kinds is None:
         kinds = _infer_kinds(header)
     rows = []
-    for i, raw in enumerate(reader):
+    # csv.reader yields [] for a blank line, which is never data: csv_text
+    # writes a row of one empty cell as "". Row numbers count table rows.
+    for i, raw in enumerate(filter(None, reader)):
         if len(raw) != len(header):
             raise DataError(
                 f"row {i} has {len(raw)} cells, expected {len(header)}"

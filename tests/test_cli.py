@@ -247,6 +247,19 @@ def test_adapt_rejects_a_non_finite_iqr_multiplier(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_adapt_reads_a_csv_with_a_trailing_blank_line(tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    data.write_text("Y,X\n1,5\n2,5\n3,5\n4,5\n5,6\n\n")
+    out = tmp_path / "ds.json"
+    rc = cli.main([
+        "adapt", "--data", str(data), "--target", "Y", "--seed", "1",
+        "--out", str(out),
+    ])
+    assert rc == 0, capsys.readouterr().err
+    assert "split: 4 train / 1 test rows" in capsys.readouterr().out
+    assert out.exists()
+
+
 def test_adapt_writes_loadable_dataset(dataset_file):
     train_ds, test_ds = load_dataset(str(dataset_file))
     assert train_ds.n == 160
@@ -472,6 +485,49 @@ def test_derive_rejects_malformed_column_stats(model_file, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: malformed normalization statistics")
     assert "Traceback" not in err
+
+
+def test_derive_refuses_an_empty_scenario_cell(model_file, tmp_path, capsys):
+    scen = tmp_path / "scen.csv"
+    scen.write_text(SCENARIO_CSV.replace("best,3.0,", "best,,"))
+    out = tmp_path / "der.csv"
+    rc = cli.main([
+        "derive", "--model", str(model_file), "--scenarios", str(scen),
+        "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: missing scenario attributes: Slump\n"
+    assert not out.exists()
+
+
+def test_derive_writes_a_blank_label_as_the_row_number(model_file, tmp_path,
+                                                       capsys):
+    scen = tmp_path / "scen.csv"
+    scen.write_text(SCENARIO_CSV.replace("best,", ",") + "worst,"
+                    "4.5,1,0,4.5,6.5,84.6,0.0,0.001,5.0\n")
+    out = tmp_path / "der.csv"
+    rc = cli.main([
+        "derive", "--model", str(model_file), "--scenarios", str(scen),
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert "row 0: mean = " in capsys.readouterr().out
+    body = non_comment_lines(out)
+    assert body[1].startswith("row 0,")
+    assert body[2].startswith("worst,")
+
+
+def test_derive_refuses_an_infinite_model_seed(model_file, tmp_path, capsys):
+    raw = json.loads("\n".join(non_comment_lines(model_file)))
+    raw["network"]["seed"] = "LITERAL"
+    bad = tmp_path / "bad.model"
+    bad.write_text(json.dumps(raw).replace('"LITERAL"', "1e400"))
+    scen = tmp_path / "scen.csv"
+    scen.write_text(SCENARIO_CSV)
+    rc = cli.main(["derive", "--model", str(bad), "--scenarios", str(scen)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: malformed model file")
 
 
 # --------------------------------------------------------------- simulate

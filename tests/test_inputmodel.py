@@ -53,9 +53,9 @@ def constant_head_net(input_dim, mu_bias, s_bias):
 
 def a_scenario():
     return ScenarioFeatures(
-        slump=3.5, congestion=0.0, spreader=1.0, air_entrainment=4.4,
-        temperature=18.0, humidity=65.0, slope=0.5, curvature=0.0,
-        paver_age=1.5,
+        Slump=3.5, Congestion=0.0, Spreader=1.0, AirEntrainment=4.4,
+        Temperature=18.0, Humidity=65.0, Slope=0.5, Curvature=0.0,
+        PaverAge=1.5,
     )
 
 

@@ -183,6 +183,52 @@ def test_load_accepts_a_boolean_column_with_std_0(tmp_path):
     assert load_model(path)[1].features[1].std == 0.0
 
 
+def write_with_literal(path, raw, literal):
+    """Write ``raw`` as JSON with each ``"LITERAL"`` string replaced by the
+    raw number text ``literal``, which ``json.dumps`` cannot produce."""
+    path.write_text(json.dumps(raw).replace('"LITERAL"', literal))
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-Infinity"])
+@pytest.mark.parametrize("section, key", [
+    ("network", "input_dim"), ("network", "hidden_widths"),
+    ("network", "seed"), ("training", "epochs"),
+    ("training", "batch_size"), ("training", "shuffle_seed"),
+])
+def test_load_model_refuses_an_infinite_integer_field(tmp_path, section, key,
+                                                       literal):
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    raw = json.loads(model_to_text(params, ds.norm_stats, net_cfg, train_cfg))
+    if key == "hidden_widths":
+        raw[section][key][0] = "LITERAL"
+    else:
+        raw[section][key] = "LITERAL"
+    path = tmp_path / "m.model"
+    write_with_literal(path, raw, literal)
+    with pytest.raises(DataError, match="malformed model file"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("model", "mean"), ("dataset", "mean"), ("dataset", "X"),
+])
+def test_load_refuses_an_integer_too_large_for_a_float(tmp_path, kind, field):
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    if kind == "model":
+        raw = json.loads(model_to_text(params, ds.norm_stats, net_cfg,
+                                       train_cfg))
+    else:
+        raw = json.loads(dataset_to_text(*split(ds, 0.8, 5)))
+    if field == "X":
+        raw["train"]["X"][0][0] = "LITERAL"
+    else:
+        raw["normalization"]["features"][0]["mean"] = "LITERAL"
+    path = tmp_path / f"f.{kind}"
+    write_with_literal(path, raw, "1" + "0" * 400)
+    with pytest.raises(DataError, match=f"malformed {kind} file"):
+        (load_model if kind == "model" else load_dataset)(path)
+
+
 def test_model_text_validates_params_before_writing():
     params, ds, net_cfg, train_cfg = trained_fixture()
     params.weights[0][0, 0] = np.inf

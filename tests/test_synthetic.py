@@ -84,7 +84,7 @@ def test_sampled_features_stay_in_band():
 
 def test_sampled_paver_age_lands_on_half_years():
     rng = np.random.default_rng(1)
-    ages = {sample_features(rng).paver_age for _ in range(500)}
+    ages = {sample_features(rng).PaverAge for _ in range(500)}
     assert all(a * 2 == int(a * 2) for a in ages)
     assert len(ages) > 3
 

@@ -1,6 +1,8 @@
 import io
 import math
+import re
 import struct
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,22 @@ def test_read_csv_extra_columns_after_schema_are_numeric():
     assert table.column_kinds == PAVING_KINDS + (NUMERIC, NUMERIC)
 
 
+def test_read_csv_skips_a_trailing_blank_line():
+    table = read_csv(io.StringIO("Y,X\n1,2\n3,4\n5,6\n7,8\n9,10\n\n"))
+    assert table.num_rows == 5
+    assert table.rows[-1] == (9.0, 10.0)
+
+
+def test_read_csv_skips_a_blank_line_mid_file():
+    table = read_csv(io.StringIO("Y,X\n1,2\n\n3,4\n"))
+    assert table.rows == ((1.0, 2.0), (3.0, 4.0))
+    # later errors still number the table's rows, not the file's lines
+    with pytest.raises(DataError, match="cell 'x' in row 2"):
+        read_csv(io.StringIO("Y,X\n1,2\n\n3,4\nx,5\n"))
+    with pytest.raises(DataError, match="row 1 has 1 cells"):
+        read_csv(io.StringIO("Y,X\n\n1,2\n\n3\n"))
+
+
 def test_read_csv_no_header_is_an_error():
     with pytest.raises(DataError, match="header"):
         read_csv(io.StringIO(""))
@@ -131,9 +149,9 @@ def test_column_lookup_and_missing_column():
 
 def test_scenario_features_mapping_round_trip():
     f = ScenarioFeatures(
-        slump=3.0, congestion=0.0, spreader=1.0, air_entrainment=4.5,
-        temperature=7.7, humidity=60.1, slope=1.2028, curvature=-0.001,
-        paver_age=0.0,
+        Slump=3.0, Congestion=0.0, Spreader=1.0, AirEntrainment=4.5,
+        Temperature=7.7, Humidity=60.1, Slope=1.2028, Curvature=-0.001,
+        PaverAge=0.0,
     )
     assert tuple(f.as_mapping()) == FEATURE_COLUMNS
     assert ScenarioFeatures.from_mapping(f.as_mapping()) == f
@@ -144,20 +162,38 @@ def test_scenario_features_from_mapping_reports_missing():
         ScenarioFeatures.from_mapping({"Congestion": 0.0})
 
 
+def test_scenario_features_are_named_by_their_columns():
+    assert tuple(f.name for f in fields(ScenarioFeatures)) == FEATURE_COLUMNS
+
+
+def test_scenario_features_from_mapping_treats_none_as_missing():
+    values = dict.fromkeys(FEATURE_COLUMNS, 0.0)
+    values["Slope"] = values["PaverAge"] = None
+    with pytest.raises(DataError,
+                       match="^missing scenario attributes: Slope, PaverAge$"):
+        ScenarioFeatures.from_mapping(values)
+
+
+def snake_case(name):
+    """``AirEntrainment`` -> ``air_entrainment``: the ids below keep the
+    names these cases were first reported under."""
+    return re.sub(r"(?<=[a-z])(?=[A-Z])", "_", name).lower()
+
+
 @pytest.mark.parametrize("field,value,message", [
-    ("congestion", 2.0, "congestion"),
-    ("spreader", 0.5, "spreader"),
-    ("humidity", 101.0, "humidity"),
-    ("humidity", -1.0, "humidity"),
-    ("air_entrainment", -0.1, "air_entrainment"),
-    ("paver_age", -1.0, "paver_age"),
-    ("slope", math.inf, "finite"),
-])
+    ("Congestion", 2.0, "Congestion"),
+    ("Spreader", 0.5, "Spreader"),
+    ("Humidity", 101.0, "Humidity"),
+    ("Humidity", -1.0, "Humidity"),
+    ("AirEntrainment", -0.1, "AirEntrainment"),
+    ("PaverAge", -1.0, "PaverAge"),
+    ("Slope", math.inf, "finite"),
+], ids=lambda v: snake_case(v) if isinstance(v, str) else None)
 def test_scenario_features_invariants(field, value, message):
     base = dict(
-        slump=4.0, congestion=0.0, spreader=0.0, air_entrainment=4.5,
-        temperature=20.0, humidity=70.0, slope=0.0, curvature=0.0,
-        paver_age=0.0,
+        Slump=4.0, Congestion=0.0, Spreader=0.0, AirEntrainment=4.5,
+        Temperature=20.0, Humidity=70.0, Slope=0.0, Curvature=0.0,
+        PaverAge=0.0,
     )
     base[field] = value
     with pytest.raises(DataError, match=message):
