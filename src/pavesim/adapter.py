@@ -3,6 +3,8 @@
 The pipeline is join -> clean -> encode/normalize -> split. Every step is
 a pure value-in/value-out transformation, so the whole chain is safe to
 run concurrently on distinct inputs and is deterministic given its seeds.
+Steps work a column at a time: clean counts, imputes and fences each
+column, and both encoders read their columns through one reader.
 
 Conventions, pinned so results are exactly reproducible:
 
@@ -17,18 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .tables import (
-    BOOLEAN,
-    CATEGORICAL,
-    FEATURE_COLUMNS,
-    NUMERIC,
-    RecordTable,
-)
+from .tables import BOOLEAN, CATEGORICAL, FEATURE_COLUMNS, NUMERIC, RecordTable
 
 DROP_ROW = "drop_row"
 IMPUTE_MEDIAN = "impute_median"
@@ -178,139 +175,108 @@ def join_sources(tables: Sequence[RecordTable], key_column: str) -> tuple[Record
     if not tables:
         raise DataError("join_sources needs at least one table")
 
-    key_maps = []
+    key_rows = []  # per table, key -> row number
     for t, table in enumerate(tables):
-        idx = table.column_index(key_column)
-        mapping: dict[object, tuple] = {}
-        for row in table.rows:
-            key = row[idx]
-            if key in mapping:
+        index: dict[object, int] = {}
+        for i, key in enumerate(table.column_values(key_column)):
+            if key in index:
                 raise DataError(
                     f"duplicate key {key!r} in table {t} column {key_column!r}"
                 )
-            mapping[key] = row
-        key_maps.append(mapping)
+            index[key] = i
+        key_rows.append(index)
 
     if len(tables) == 1:
         return tables[0], 0
 
-    names = [key_column]
-    kinds = [tables[0].column_kind(key_column)]
-    for table in tables:
-        for name, kind in zip(table.column_names, table.column_kinds):
-            if name == key_column:
-                continue
-            if name in names:
-                raise DataError(f"column {name!r} appears in more than one table")
-            names.append(name)
-            kinds.append(kind)
+    picks = [(0, tables[0].column_index(key_column))]  # (table, column)
+    for t, table in enumerate(tables):
+        picks += [(t, c) for c, name in enumerate(table.column_names)
+                  if name != key_column]
+    names = tuple(tables[t].column_names[c] for t, c in picks)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DataError(f"column {name!r} appears in more than one table")
 
-    shared = [k for k in key_maps[0] if all(k in m for m in key_maps[1:])]
     rows = []
-    for key in shared:  # first table's key order
-        row: list = [key]
-        for table, mapping in zip(tables, key_maps):
-            source = mapping[key]
-            for name, value in zip(table.column_names, source):
-                if name != key_column:
-                    row.append(value)
-        rows.append(tuple(row))
+    for key in key_rows[0]:  # first table's key order
+        if all(key in index for index in key_rows[1:]):
+            sources = [table.rows[index[key]]
+                       for table, index in zip(tables, key_rows)]
+            rows.append(tuple(sources[t][c] for t, c in picks))
 
-    total_rows = sum(t.num_rows for t in tables)
-    dropped = total_rows - len(tables) * len(shared)
-    return RecordTable(tuple(names), tuple(kinds), tuple(rows)), dropped
+    dropped = sum(t.num_rows for t in tables) - len(tables) * len(rows)
+    kinds = tuple(tables[t].column_kinds[c] for t, c in picks)
+    return RecordTable(names, kinds, tuple(rows)), dropped
 
 
 def iqr_fences(values: Sequence[float], multiplier: float) -> tuple[float, float]:
-    """[Q1 - k*IQR, Q3 + k*IQR] under the linear-interpolation quartile rule."""
-    arr = np.asarray(values, dtype=float)
-    q1 = float(np.quantile(arr, 0.25))
-    q3 = float(np.quantile(arr, 0.75))
+    """[Q1 - k*IQR, Q3 + k*IQR] under the linear-interpolation quartile rule.
+
+    numpy's warnings are silenced: an infinite value makes the fences NaN,
+    which flag every value, and values whose spread overflows a float have
+    a std that encoding refuses.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        q1, q3 = map(float, np.quantile(np.asarray(values, dtype=float),
+                                        (0.25, 0.75)))
     spread = q3 - q1
     return q1 - multiplier * spread, q3 + multiplier * spread
 
 
-def _impute_value(values: list[float], kind: str, name: str) -> float:
-    if not values:
-        raise DataError(
-            f"column {name!r} is entirely missing; no median to impute"
-        )
-    if kind == BOOLEAN:
-        # Majority value; ties resolve to 0 so the result stays a valid indicator.
-        return 1.0 if sum(values) * 2 > len(values) else 0.0
-    return float(np.median(values))
-
-
 def clean(table: RecordTable, policy: CleanPolicy = CleanPolicy()) -> tuple[RecordTable, CleanReport]:
-    """Handle missing cells, then outliers, per the policy.
+    """Handle missing cells, then outliers, per the policy, column by column.
 
-    Missing handling covers every column (boolean columns are imputed with
-    the majority value). Outlier fences apply to numeric columns only;
-    indicators and categoricals are never fenced. Fences are computed on
-    the post-imputation values.
+    Missing handling covers every column: drop each row with a blank, or
+    impute a numeric column's median and a boolean column's majority value
+    (ties give 0). Outlier fences apply to numeric columns only, on the
+    post-imputation values of the rows kept. When nothing is imputed, the
+    kept rows are the input's own tuples.
     """
-    report = CleanReport(
-        missing_counts={n: 0 for n in table.column_names},
-        imputed_counts={n: 0 for n in table.column_names},
-        outlier_counts={n: 0 for n in table.column_names},
-    )
+    names = table.column_names
+    columns = [list(c) for c in zip(*table.rows)] or [[] for _ in names]
+    report = CleanReport({n: c.count(None) for n, c in zip(names, columns)},
+                         dict.fromkeys(names, 0), dict.fromkeys(names, 0))
 
-    for name in table.column_names:
-        report.missing_counts[name] = sum(
-            1 for v in table.column_values(name) if v is None
-        )
-
-    rows = list(table.rows)
+    keep = np.ones(table.num_rows, dtype=bool)
     if any(report.missing_counts.values()):
         if policy.missing_strategy == DROP_ROW:
-            kept = [r for r in rows if all(v is not None for v in r)]
-            report.rows_dropped_missing = len(rows) - len(kept)
-            rows = kept
+            keep = np.array([None not in row for row in table.rows], dtype=bool)
+            report.rows_dropped_missing = int(np.count_nonzero(~keep))
         else:
-            medians = {}
-            for col, (name, kind) in enumerate(
-                zip(table.column_names, table.column_kinds)
-            ):
-                if report.missing_counts[name] == 0:
+            for name, kind, col in zip(names, table.column_kinds, columns):
+                count = report.missing_counts[name]
+                if count == 0:
                     continue
-                observed = [r[col] for r in rows if r[col] is not None]
                 if kind == CATEGORICAL:
+                    raise DataError(f"cannot impute categorical column {name!r}")
+                observed = [v for v in col if v is not None]
+                if not observed:
                     raise DataError(
-                        f"cannot impute categorical column {name!r}"
+                        f"column {name!r} is entirely missing; no median to impute"
                     )
-                medians[col] = _impute_value(observed, kind, name)
-            filled = []
-            for row in rows:
-                items = list(row)
-                for col, value in medians.items():
-                    if items[col] is None:
-                        items[col] = value
-                        name = table.column_names[col]
-                        report.imputed_counts[name] += 1
-                filled.append(tuple(items))
-            rows = filled
+                if kind == BOOLEAN:
+                    fill = 1.0 if sum(observed) * 2 > len(observed) else 0.0
+                else:
+                    fill = float(np.median(observed))
+                col[:] = [fill if v is None else v for v in col]
+                report.imputed_counts[name] = count
 
-    numeric_cols = [
-        i for i, kind in enumerate(table.column_kinds) if kind == NUMERIC
-    ]
-    outlier_rows: set[int] = set()
-    for col in numeric_cols:
-        values = [r[col] for r in rows if r[col] is not None]
-        if not values:
+    outliers = np.zeros_like(keep)
+    for name, kind, col in zip(names, table.column_kinds, columns):
+        if kind != NUMERIC or not keep.any():
             continue
-        lo, hi = iqr_fences(values, policy.iqr_multiplier)
-        name = table.column_names[col]
-        for i, row in enumerate(rows):
-            v = row[col]
-            if v is not None and not lo <= v <= hi:
-                report.outlier_counts[name] += 1
-                outlier_rows.add(i)
+        values = np.array(col, dtype=float)  # a dropped row's blank is NaN
+        lo, hi = iqr_fences(values[keep], policy.iqr_multiplier)
+        flagged = keep & ~((lo <= values) & (values <= hi))
+        report.outlier_counts[name] = int(np.count_nonzero(flagged))
+        outliers |= flagged
 
-    if policy.outlier_strategy == DROP_ROW and outlier_rows:
-        rows = [r for i, r in enumerate(rows) if i not in outlier_rows]
-        report.rows_dropped_outliers = len(outlier_rows)
-
-    return table.with_rows(rows), report
+    if policy.outlier_strategy == DROP_ROW:
+        report.rows_dropped_outliers = int(np.count_nonzero(outliers))
+        keep &= ~outliers
+    rows = zip(*columns) if any(report.imputed_counts.values()) else table.rows
+    return table.with_rows(compress(rows, keep)), report
 
 
 def _schema_features(table: RecordTable, target_column: str) -> tuple[str, ...]:
@@ -323,69 +289,68 @@ def _schema_features(table: RecordTable, target_column: str) -> tuple[str, ...]:
     return tuple(c for c in table.column_names if c != target_column)
 
 
-def encode_and_normalize(
-    table: RecordTable,
-    target_column: str,
-    feature_columns: Sequence[str] | None = None,
-) -> Dataset:
+def _read_columns(table: RecordTable, features: Sequence[str], target_column: str
+                  ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The feature columns by name, and the target, as float arrays.
+
+    Refuses an empty table, a non-numeric target, a categorical feature,
+    a missing cell and a non-finite value; only the named columns are read.
+    """
+    if table.num_rows == 0:
+        raise DataError("cannot encode an empty table: it has no rows")
+    if table.column_kind(target_column) != NUMERIC:
+        raise DataError(f"target column {target_column!r} must be numeric")
+    columns = {}
+    for name in (*features, target_column):
+        if table.column_kind(name) == CATEGORICAL:
+            raise DataError(f"categorical column {name!r} is not supported "
+                            "as a feature")
+        values = table.column_values(name)
+        if None in values:
+            raise DataError(f"column {name!r} still has missing cells; "
+                            "clean the table first")
+        columns[name] = np.asarray(values, dtype=float)
+        if not np.isfinite(columns[name]).all():
+            raise DataError(f"column {name!r} contains non-finite values")
+    return columns, columns.pop(target_column)
+
+
+def _encode(stats: NormalizationStats, columns: Mapping[str, np.ndarray],
+            target: np.ndarray) -> Dataset:
+    return Dataset(X=stats.encode_features(columns),
+                   y=stats.target.encode(target), norm_stats=stats)
+
+
+def encode_and_normalize(table: RecordTable, target_column: str,
+                         feature_columns: Sequence[str] | None = None) -> Dataset:
     """Build the normalized training matrix from a cleaned table.
 
     Numeric features and the target are z-scored with population moments;
-    boolean features pass through as 0/1. Raises on missing cells,
-    non-finite values, constant numeric columns, and categorical features.
+    boolean features pass through as 0/1. Raises on an empty table,
+    missing cells, non-finite values, constant numeric columns,
+    categorical features, and moments too large for a float.
     """
-    if table.column_kind(target_column) != NUMERIC:
-        raise DataError(f"target column {target_column!r} must be numeric")
     if feature_columns is None:
         feature_columns = _schema_features(table, target_column)
     if target_column in feature_columns:
         raise DataError(f"target {target_column!r} cannot also be a feature")
-    if table.num_rows == 0:
-        raise DataError("cannot encode an empty table")
+    columns, target = _read_columns(table, feature_columns, target_column)
 
-    def column_array(name: str) -> np.ndarray:
-        values = table.column_values(name)
-        if any(v is None for v in values):
-            raise DataError(
-                f"column {name!r} still has missing cells; clean the table first"
-            )
-        arr = np.asarray(values, dtype=float)
-        if not np.isfinite(arr).all():
-            raise DataError(f"column {name!r} contains non-finite values")
-        return arr
-
-    feature_stats = []
-    columns = {}
-    for name in feature_columns:
+    def column_stats(name: str, arr: np.ndarray) -> ColumnStats:
         kind = table.column_kind(name)
-        if kind == CATEGORICAL:
-            raise DataError(
-                f"categorical column {name!r} is not supported as a feature"
-            )
-        arr = column_array(name)
-        std = float(arr.std())
+        with np.errstate(over="ignore"):  # ColumnStats refuses an inf moment
+            mean, std = float(arr.mean()), float(arr.std())
         if kind == NUMERIC and std == 0.0:
             raise DataError(
-                f"column {name!r} is constant (std 0) and cannot be z-scored"
-            )
-        feature_stats.append(
-            ColumnStats(name=name, kind=kind, mean=float(arr.mean()), std=std)
-        )
-        columns[name] = arr
+                f"target column {name!r} is constant" if name == target_column
+                else f"column {name!r} is constant (std 0) and cannot be z-scored")
+        return ColumnStats(name=name, kind=kind, mean=mean, std=std)
 
-    target_arr = column_array(target_column)
-    t_std = float(target_arr.std())
-    if t_std == 0.0:
-        raise DataError(f"target column {target_column!r} is constant")
-    stats = NormalizationStats(tuple(feature_stats), ColumnStats(
-        name=target_column, kind=NUMERIC, mean=float(target_arr.mean()),
-        std=t_std,
-    ))
-    return Dataset(
-        X=stats.encode_features(columns),
-        y=stats.target.encode(target_arr),
-        norm_stats=stats,
+    stats = NormalizationStats(
+        tuple(column_stats(name, columns[name]) for name in feature_columns),
+        column_stats(target_column, target),
     )
+    return _encode(stats, columns, target)
 
 
 def split_indices(n: int, train_fraction: float, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -420,26 +385,16 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     return train, test
 
 
-def dataset_with_stats(
-    table: RecordTable, stats: NormalizationStats, target_column: str
-) -> Dataset:
+def dataset_with_stats(table: RecordTable, stats: NormalizationStats,
+                       target_column: str) -> Dataset:
     """Normalize a raw table under previously computed statistics.
 
     Used when fresh evaluation data must be encoded exactly as the
-    training data was, e.g. scoring a stored model on a new CSV. The
-    table must carry every feature named in the stats plus the target,
-    with no missing cells.
+    training data was, e.g. scoring a stored model on a new CSV. Only the
+    features named in the stats and the target are read, by the same
+    column reader as :func:`encode_and_normalize`: those columns must be
+    present, finite and without missing cells; other columns may hold
+    anything.
     """
-    if table.num_rows == 0:
-        raise DataError("table has no rows")
-    if table.column_kind(target_column) != NUMERIC:
-        raise DataError(f"target column {target_column!r} must be numeric")
-    for i, row in enumerate(table.rows):
-        if any(v is None for v in row):
-            raise DataError(f"row {i} has missing cells; clean the table first")
-    columns = dict(zip(table.column_names, zip(*table.rows)))
-    return Dataset(
-        X=stats.encode_features(columns),
-        y=stats.target.encode(np.asarray(columns[target_column], dtype=float)),
-        norm_stats=stats,
-    )
+    features = [col.name for col in stats.features]
+    return _encode(stats, *_read_columns(table, features, target_column))

@@ -105,9 +105,10 @@ def _first_line(path: str, none_error: str) -> str:
     p = Path(path)
     if not p.exists():
         raise DataError(f"no such file: {path}")
-    for line in without_comments(p.read_text().splitlines()):
-        if line.strip():
-            return line
+    with p.open() as stream:  # read lazily: a dataset file may be megabytes
+        for line in without_comments(stream):
+            if line.strip():
+                return line.rstrip("\n")
     raise DataError(f"{none_error}: {path}")
 
 

@@ -11,7 +11,9 @@ A model file carries the network parameters with explicit shape
 metadata, the normalization statistics needed to de-normalize outputs,
 and both configs. A dataset file carries the train and test splits plus
 their shared normalization statistics. Configs and statistics are
-written field for field by ``dataclasses.asdict``.
+written field for field by ``dataclasses.asdict`` and read back by the
+rule of operation configs: a boolean or a string is never a number, and
+an integer field takes only a JSON integer.
 """
 
 from __future__ import annotations
@@ -76,11 +78,21 @@ def _load_commented_json(path: str | Path, expected_format: str) -> dict:
     return raw
 
 
+def _number(value, kind: type = float):
+    """A JSON number as `kind`, by the rule of operation configs: a boolean
+    or a string is never a number, and an ``int`` field takes only JSON
+    integers. Raises ``TypeError`` otherwise."""
+    allowed, what = (int, "integer") if kind is int else ((int, float), "number")
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise TypeError(f"expected a JSON {what}, got {value!r}")
+    return kind(value)
+
+
 def _stats_from_obj(obj: dict) -> NormalizationStats:
     def column(entry: dict) -> ColumnStats:
         return ColumnStats(
             name=entry["name"], kind=entry["kind"],
-            mean=float(entry["mean"]), std=float(entry["std"]),
+            mean=_number(entry["mean"]), std=_number(entry["std"]),
         )
     try:
         return NormalizationStats(
@@ -136,20 +148,21 @@ def load_model(
 ) -> tuple[NetworkParams, NormalizationStats, NetworkConfig, TrainConfig]:
     raw = _load_commented_json(path, MODEL_FORMAT)
     try:
+        n = raw["network"]
         net_cfg = NetworkConfig(
-            input_dim=int(raw["network"]["input_dim"]),
-            hidden_widths=tuple(int(w) for w in raw["network"]["hidden_widths"]),
-            seed=int(raw["network"]["seed"]),
+            input_dim=_number(n["input_dim"], int),
+            hidden_widths=tuple(_number(w, int) for w in n["hidden_widths"]),
+            seed=_number(n["seed"], int),
         )
         t = raw["training"]
         train_cfg = TrainConfig(
-            epochs=int(t["epochs"]),
-            batch_size=int(t["batch_size"]),
-            learning_rate=float(t["learning_rate"]),
-            adam_beta1=float(t["adam_beta1"]),
-            adam_beta2=float(t["adam_beta2"]),
-            adam_epsilon=float(t["adam_epsilon"]),
-            shuffle_seed=int(t["shuffle_seed"]),
+            epochs=_number(t["epochs"], int),
+            batch_size=_number(t["batch_size"], int),
+            learning_rate=_number(t["learning_rate"]),
+            adam_beta1=_number(t["adam_beta1"]),
+            adam_beta2=_number(t["adam_beta2"]),
+            adam_epsilon=_number(t["adam_epsilon"]),
+            shuffle_seed=_number(t["shuffle_seed"], int),
         )
         stats = _stats_from_obj(raw["normalization"])
         weights, biases = [], []

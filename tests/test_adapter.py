@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,28 @@ def test_clean_never_fences_indicator_columns():
     assert report.outlier_counts["B"] == 0
 
 
+def test_clean_fences_only_the_rows_it_keeps():
+    # the 1000 sits in a row dropped for its blank, so it neither widens
+    # nor breaks A's fences
+    table = RecordTable(("A", "B"), (NUMERIC, NUMERIC),
+                        ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0),
+                         (1000.0, None)))
+    cleaned, report = clean(table, CleanPolicy(missing_strategy=DROP_ROW,
+                                               outlier_strategy=DROP_ROW))
+    assert cleaned.rows == table.rows[:4]
+    assert report.rows_dropped_missing == 1
+    assert report.outlier_counts == {"A": 0, "B": 0}
+
+
+def test_infinite_cell_gives_nan_fences_that_flag_every_value():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning
+        lo, hi = iqr_fences([1.0, 2.0, math.inf], 1.5)
+        _, report = clean(numeric_table("V", [1, 2, math.inf]))
+    assert math.isnan(lo) and math.isnan(hi)
+    assert report.outlier_counts["V"] == 3
+
+
 def test_clean_policy_validation():
     with pytest.raises(DataError):
         CleanPolicy(missing_strategy="zap")
@@ -312,6 +335,15 @@ def test_encode_rejects_target_as_feature_and_empty_table():
     empty = RecordTable(("Y", "X"), (NUMERIC, NUMERIC), ())
     with pytest.raises(DataError, match="empty"):
         encode_and_normalize(empty, "Y")
+
+
+def test_encode_refuses_an_overflowing_std_without_a_warning():
+    table = RecordTable(("Y", "X"), (NUMERIC, NUMERIC),
+                        ((1.0, 1e300), (2.0, -1e300)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite mean or std"):
+            encode_and_normalize(table, "Y")
 
 
 def test_column_stats_round_trip_identity():
@@ -442,3 +474,30 @@ def test_dataset_with_stats_rejects_bad_tables():
         (table.rows[0][:1] + (None,) + table.rows[0][2:],))
     with pytest.raises(DataError, match="missing"):
         dataset_with_stats(holey, ds.norm_stats, "Productivity")
+
+
+def test_dataset_with_stats_reads_only_the_columns_it_encodes():
+    table = generate_paving_dataset(20, 6, include_truth=True)
+    ds = encode_and_normalize(table, "Productivity")
+    blank = table.column_index("MuStar")
+    holey = table.with_rows(
+        row[:blank] + (None,) + row[blank + 1:] for row in table.rows)
+    again = dataset_with_stats(holey, ds.norm_stats, "Productivity")
+    assert np.array_equal(again.X, ds.X)
+    assert np.array_equal(again.y, ds.y)
+    slump = table.with_rows(
+        (table.rows[0][:1] + (None,) + table.rows[0][2:],) + table.rows[1:])
+    with pytest.raises(DataError, match="column 'Slump' still has missing"):
+        dataset_with_stats(slump, ds.norm_stats, "Productivity")
+
+
+def test_dataset_with_stats_names_an_absent_feature_column():
+    table = generate_paving_dataset(5, 6)
+    ds = encode_and_normalize(table, "Productivity")
+    keep = [i for i, name in enumerate(table.column_names) if name != "Slump"]
+    narrow = RecordTable(
+        tuple(table.column_names[i] for i in keep),
+        tuple(table.column_kinds[i] for i in keep),
+        tuple(tuple(row[i] for i in keep) for row in table.rows))
+    with pytest.raises(DataError, match="no column named 'Slump'"):
+        dataset_with_stats(narrow, ds.norm_stats, "Productivity")

@@ -397,6 +397,29 @@ def test_evaluate_accepts_raw_csv(model_file, raw_csv, capsys):
     assert "coverage fraction" in capsys.readouterr().out
 
 
+def test_evaluate_on_raw_csv_reads_only_the_model_columns(model_file, tmp_path,
+                                                         capsys):
+    # a blank in a column the model never reads does not block evaluate;
+    # a blank in one it reads is refused by name
+    raw = tmp_path / "truth.csv"
+    assert cli.main(["synth", "--n", "30", "--seed", "4", "--truth",
+                     "--out", str(raw)]) == 0
+    lines = raw.read_text().splitlines(keepends=True)
+    first = len([l for l in lines if l.startswith("#")]) + 1
+    cells = lines[first].split(",")
+    lines[first] = ",".join(cells[:-1] + ["\n"])  # SigmaStar blank
+    raw.write_text("".join(lines))
+    rc = cli.main(["evaluate", "--model", str(model_file), "--data", str(raw)])
+    assert rc == 0
+    assert "coverage fraction" in capsys.readouterr().out
+    lines[first] = ",".join(cells[:1] + [""] + cells[2:])  # Slump blank
+    raw.write_text("".join(lines))
+    rc = cli.main(["evaluate", "--model", str(model_file), "--data", str(raw)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: column 'Slump' still has missing cells; clean the table first\n")
+
+
 def test_evaluate_rejects_foreign_dataset(model_file, tmp_path, capsys):
     raw = tmp_path / "other.csv"
     assert cli.main(["synth", "--n", "60", "--seed", "99", "--out", str(raw)]) == 0

@@ -229,6 +229,40 @@ def test_load_refuses_an_integer_too_large_for_a_float(tmp_path, kind, field):
         (load_model if kind == "model" else load_dataset)(path)
 
 
+@pytest.mark.parametrize("kind, section, key, value", [
+    ("model", "network", "seed", True), ("model", "network", "seed", "2"),
+    ("model", "network", "seed", 2.7), ("model", "network", "input_dim", 9.9),
+    ("model", "network", "hidden_widths", [4.0]),
+    ("model", "training", "epochs", "1"),
+    ("model", "training", "shuffle_seed", False),
+    ("model", "training", "learning_rate", "0.001"),
+    ("model", "training", "adam_beta1", True),
+    ("model", "normalization", "mean", "1.5"),
+    ("model", "normalization", "std", True),
+    ("dataset", "normalization", "mean", "1.5"),
+    ("dataset", "normalization", "std", True),
+])
+def test_load_refuses_an_ill_typed_scalar(tmp_path, kind, section, key, value):
+    # a boolean or a string is never a number; an integer field takes only
+    # a JSON integer
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    path = tmp_path / f"f.{kind}"
+    if kind == "model":
+        save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    else:
+        save_dataset(path, *split(ds, 0.8, 5))
+    raw = json.loads(path.read_text())
+    if section == "normalization":
+        raw[section]["features"][0][key] = value
+        message = "malformed normalization statistics"
+    else:
+        raw[section][key] = value
+        message = "malformed model file"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=message):
+        (load_model if kind == "model" else load_dataset)(path)
+
+
 def test_model_text_validates_params_before_writing():
     params, ds, net_cfg, train_cfg = trained_fixture()
     params.weights[0][0, 0] = np.inf

@@ -1,8 +1,9 @@
 """Every CLI artifact matches the frozen reference build, byte for byte.
 
-One small README walkthrough runs twice: through ``perfbench/reference``
-(a copy of the first version of the package, never edited) and through
-``src``. Each build runs in its own subprocess, with its own ``PYTHONPATH``
+One small README walkthrough, plus ``adapt`` on keyed and holed CSVs
+(a join, imputation and both drop strategies), runs twice: through
+``perfbench/reference`` (a copy of the first version of the package,
+never edited) and through ``src``. Each build runs in its own subprocess, with its own ``PYTHONPATH``
 and temp directory, relative paths and BLAS pinned to one thread, and the
 two run at the same time. Comparing two builds on one machine, rather
 than pinning digests, cancels the CPU-dependent rounding of the BLAS
@@ -47,6 +48,42 @@ INPUTS = {
     }),
 }
 
+# Two keyed sources with blanks, each holding keys the other lacks, and
+# a canonical paving file with blanks in every kind of column (so
+# Congestion's majority, 1, and Spreader's, 0, are imputed) and a Slump far
+# outside the fences.
+INPUTS.update({
+    "a.csv": "JobId,Productivity,Slump,Temperature,Humidity\n"
+             "1,62.5,3.0,18.2,55.0\n2,70.1,4.5,21.0,\n3,58.3,2.5,,61.5\n"
+             "4,66.0,3.5,19.4,58.0\n5,,4.0,22.3,49.0\n6,73.2,5.0,25.1,44.5\n"
+             "7,61.8,3.0,17.5,63.0\n8,69.4,4.0,20.8,52.5\n9,90.0,3.5,19.9,57.0\n"
+             "10,64.7,2.0,16.0,66.0\n11,67.5,3.5,23.0,50.0\n"
+             "12,60.2,4.5,18.8,59.5\n",
+    "b.csv": "JobId,Slope,Curvature,PaverAge\n"
+             "14,1.0,0.002,3.0\n10,0.5,-0.001,1.0\n9,,0.0,2.0\n8,1.5,0.001,\n"
+             "7,2.0,-0.002,4.0\n6,0.0,0.003,0.5\n13,1.2,0.001,2.5\n"
+             "5,1.0,-0.003,6.0\n4,0.8,0.0,1.5\n3,1.8,0.002,3.5\n"
+             "2,0.3,-0.001,2.0\n1,9.0,0.001,1.0\n",
+    "holes.csv": ",".join(SCENARIOS).join(("Productivity,", "\n")) + """\
+57.4,3.8,0,0,4.4,23.8,88.5,2.07,0.003,0.3
+65.3,3.6,,0,5.1,8.2,87.3,0.39,0.0012,4.8
+70.2,3.3,1,0,3.1,26.8,69.3,3.42,0.0005,2.0
+,2.5,1,,4.7,28.3,53.1,2.27,-0.0012,6.9
+72.6,4.3,1,1,5.4,8.1,74.1,0.73,-0.0001,0.5
+57.7,2.4,1,1,6.0,6.3,,0.57,-0.0024,6.0
+63.8,12.0,1,1,3.3,11.0,74.1,1.41,-0.0018,6.4
+63.5,2.5,0,1,5.1,27.9,46.7,1.02,-0.0022,3.4
+70.7,4.3,,0,5.5,8.3,49.0,3.73,-0.0026,1.3
+58.7,3.8,1,1,3.8,6.2,50.1,2.76,-0.0014,2.3
+63.7,2.3,1,0,4.7,22.6,72.4,3.09,0.0026,0.5
+71.4,3.1,0,1,3.5,29.6,70.0,2.05,0.0025,
+70.7,4.1,1,1,4.0,14.8,47.4,0.76,0.0013,0.6
+63.0,2.8,1,0,5.3,8.3,70.2,2.38,-0.0009,5.0
+60.9,2.3,0,0,3.6,9.8,57.6,1.97,-0.0025,2.0
+69.4,2.4,0,0,4.1,22.3,42.9,3.65,0.0029,0.1
+""",
+})
+
 #: (log name, argv); every path is relative to the build's directory.
 STAGES = [
     ("synth", ["synth", "--n", "300", "--seed", "11", "--truth",
@@ -68,10 +105,21 @@ STAGES = [
                            "--seed", "16", "--out", "sim_scenario.csv"]),
     ("mixture_demo", ["mixture-demo", "--n", "2000", "--seed", "15",
                       "--out", "mix.csv", "--samples-out", "mixsamp.csv"]),
+    ("adapt_join", ["adapt", "--data", "a.csv", "--data", "b.csv",
+                    "--key", "JobId", "--outliers", "drop_row", "--seed", "17",
+                    "--out", "ds_join.json", "--report", "rep_join.json"]),
+    ("adapt_impute", ["adapt", "--data", "holes.csv", "--seed", "18",
+                      "--out", "ds_impute.json", "--report", "rep_impute.json"]),
+    ("adapt_drop", ["adapt", "--data", "holes.csv", "--missing", "drop_row",
+                    "--outliers", "drop_row", "--iqr-multiplier", "0.5",
+                    "--seed", "19", "--out", "ds_drop.json",
+                    "--report", "rep_drop.json"]),
 ]
 ARTIFACTS = ("d.csv", "ds.json", "rep.json", "m.model", "cov.csv",
              "cov_raw.csv", "der.csv", "sim.csv", "sim_scenario.csv",
-             "mix.csv", "mixsamp.csv")
+             "mix.csv", "mixsamp.csv", "ds_join.json", "rep_join.json",
+             "ds_impute.json", "rep_impute.json", "ds_drop.json",
+             "rep_drop.json")
 
 #: Runs every stage in one process and writes each stage's stdout to
 #: ``<name>.log``; argv: the directory pavesim must come from, the stages.
