@@ -23,9 +23,9 @@ Exit codes: 0 success, 1 validation or data error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from . import __version__
 from .adapter import (
@@ -49,13 +49,7 @@ from .inputmodel import (
     derive,
     pooled_fit,
 )
-from .modelfile import (
-    load_dataset,
-    load_model,
-    save_dataset,
-    save_model,
-    write_text_atomic,
-)
+from .modelfile import load_dataset, load_model, save_dataset, save_model
 from .network import NetworkConfig, TrainConfig, train
 from .simulator import build_sim_config, parse_sim_config, run_monte_carlo
 from .synthetic import (
@@ -71,8 +65,10 @@ from .tables import (
     csv_text,
     json_text,
     load_csv,
+    open_text,
     table_to_csv,
     without_comments,
+    write_text_atomic,
 )
 
 
@@ -101,14 +97,12 @@ def _audit_header(subcommand: str, args: argparse.Namespace) -> list[str]:
 
 
 def _first_line(path: str, none_error: str) -> str:
-    """First line that is neither a ``#`` comment nor blank."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {path}")
-    with p.open() as stream:  # read lazily: a dataset file may be megabytes
+    """First line, with its line end, that is neither a ``#`` comment nor
+    blank."""
+    with open_text(path) as stream:  # read lazily: a dataset may be megabytes
         for line in without_comments(stream):
             if line.strip():
-                return line.rstrip("\n")
+                return line
     raise DataError(f"{none_error}: {path}")
 
 
@@ -241,11 +235,6 @@ def _cmd_evaluate(args) -> None:
     params, stats, _, _ = load_model(args.model)
     if _is_dataset_file(args.data):
         _, test_ds = load_dataset(args.data)
-        if test_ds.norm_stats != stats:
-            raise DataError(
-                "dataset was normalized under different statistics than the "
-                "model; evaluate on the dataset the model was trained from"
-            )
     else:
         table = load_csv(args.data)
         test_ds = dataset_with_stats(table, stats, args.target)
@@ -262,7 +251,7 @@ def _cmd_evaluate(args) -> None:
 
 def _read_scenarios(path: str) -> list[tuple[str, ScenarioFeatures]]:
     header = [c.strip() for c in
-              _first_line(path, "file has no header row").split(",")]
+              next(csv.reader([_first_line(path, "file has no header row")]))]
     kinds = tuple(
         CATEGORICAL if name == "Scenario" else NUMERIC for name in header
     )

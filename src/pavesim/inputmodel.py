@@ -168,13 +168,13 @@ def coverage(
     are checked against the argument); predictions and observations are
     compared in physical units.
     """
-    if test.n == 0:
-        raise DataError("test dataset is empty")
     if test.norm_stats != stats:
         raise DataError(
             "test dataset was normalized under different statistics than "
-            "the ones supplied"
+            "the model; evaluate on the dataset the model was trained from"
         )
+    if test.n == 0:
+        raise DataError("test dataset is empty")
     mu_norm, s = forward_batch(params, test.X)
     points = []
     for i in range(test.n):

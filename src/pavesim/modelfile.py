@@ -1,11 +1,12 @@
 """On-disk formats for trained models and adapted datasets.
 
-Both artifacts are written by :func:`pavesim.tables.json_text`: ``#``
-comment lines (the audit header of the command-line tool), then a JSON
-body; every loader strips those lines. Floats serialize through ``repr``
-(Python's shortest round-tripping decimal form), so save followed by
-load reproduces every parameter bit-exactly, and identical inputs
-produce byte-identical files.
+Both artifacts are laid out by :func:`pavesim.tables.json_text` (``#``
+audit lines, then a JSON body), written by ``tables.write_text_atomic``
+and read by ``tables.read_json``, which drops those lines and refuses a
+missing, unreadable, non-UTF-8 or non-JSON file and a non-object. Floats
+serialize through ``repr`` (Python's shortest round-tripping decimal
+form), so save followed by load reproduces every parameter bit-exactly,
+and identical inputs produce byte-identical files.
 
 A model file carries the network parameters with explicit shape
 metadata, the normalization statistics needed to de-normalize outputs,
@@ -18,8 +19,6 @@ an integer field takes only a JSON integer.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,47 +27,18 @@ import numpy as np
 from .adapter import ColumnStats, Dataset, NormalizationStats
 from .errors import DataError
 from .network import NetworkConfig, NetworkParams, TrainConfig
-from .tables import json_text, without_comments
+from .tables import json_text, read_json, write_text_atomic
 
 MODEL_FORMAT = "pavesim-model"
 DATASET_FORMAT = "pavesim-dataset"
 FORMAT_VERSION = 1
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a uniquely named sibling temp file and rename, so
-    failures leave no partial output and concurrent writers of one path
-    never share a temp file.
-
-    The temp file is created like ``open(path, "w")`` creates a file,
-    with mode 0o666 less the umask; ``tempfile.mkstemp`` would force 0o600.
-    """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w") as stream:
-            stream.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _load_commented_json(path: str | Path, expected_format: str) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    try:
-        raw = json.loads("".join(
-            without_comments(path.read_text().splitlines(keepends=True))))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or raw.get("format") != expected_format:
-        raise DataError(
-            f"{path} is not a {expected_format} file "
-            f"(format tag {raw.get('format') if isinstance(raw, dict) else None!r})"
-        )
+    raw = read_json(path)
+    if raw.get("format") != expected_format:
+        raise DataError(f"{path} is not a {expected_format} file "
+                        f"(format tag {raw.get('format')!r})")
     version = raw.get("version")
     if version != FORMAT_VERSION:
         raise DataError(

@@ -33,7 +33,6 @@ and the recursion reproduces it to floating-point accuracy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +42,7 @@ import numpy as np
 
 from .errors import DataError
 from .inputmodel import GaussianInputModel, sample
-from .tables import csv_text, without_comments
+from .tables import csv_text, read_json
 
 PER_REPLICATION = "per_replication"
 PER_TRUCKLOAD = "per_truckload"
@@ -146,16 +145,7 @@ def parse_sim_config(path: str | Path) -> dict:
     trained model, whose values are all JSON numbers. Returns the
     validated raw dictionary.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such config file: {path}")
-    body = "".join(without_comments(path.read_text().splitlines(keepends=True)))
-    try:
-        raw = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
+    raw = read_json(path)
     unknown = sorted(set(raw) - _REQUIRED_KEYS - _OPTIONAL_KEYS - _SOURCE_KEYS)
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(unknown)}")

@@ -13,6 +13,10 @@ followed by comma-separated rows; missing cells are empty fields. Lines
 starting with ``#`` are treated as comments and blank lines are skipped
 on load, so files carrying an audit header round-trip cleanly. A
 :class:`ScenarioFeatures` names its attributes by these same columns.
+
+Every file is opened here: each input as UTF-8 by :func:`open_text`, each
+output by :func:`write_text_atomic`. A missing, unreadable or non-UTF-8
+input and an unwritable output each raise a :class:`DataError`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import csv
 import io
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -213,9 +219,62 @@ def without_comments(lines: Iterable[str]) -> Iterator[str]:
     return (line for line in lines if not line.startswith("#"))
 
 
+@contextmanager
+def open_text(path: str | Path) -> Iterator[io.TextIOBase]:
+    """An input file opened as UTF-8 text with ``newline=""`` (as
+    ``csv`` asks). Failing to open or to read it, in the ``with`` body
+    too, raises a :class:`DataError` naming the path."""
+    try:
+        with open(path, encoding="utf-8", newline="") as stream:
+            yield stream
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in a file whose ``#`` lines are dropped."""
+    with open_text(path) as stream:
+        text = "".join(without_comments(stream.read().splitlines(keepends=True)))
+    try:
+        raw = json.loads(text)
+    # bad syntax, an integer literal too long to convert, too deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path} must hold a JSON object")
+    return raw
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write UTF-8 text via a uniquely named sibling temp file and rename,
+    so failures leave no file behind and concurrent writers of one path
+    never share a temp file; an ``OSError`` becomes a :class:`DataError`.
+    Mode ``"x"`` gives ``"w"``'s 0o666 less the umask (``mkstemp``: 0o600)."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        stream = open(tmp, "x", encoding="utf-8")
+        try:
+            with stream:
+                stream.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def read_csv(stream: io.TextIOBase, kinds: Sequence[str] | None = None) -> RecordTable:
-    """Parse an open text stream; ``#`` lines are skipped anywhere."""
-    reader = csv.reader(without_comments(stream))
+    """Parse an open text stream; ``#`` lines and blank lines are skipped
+    anywhere, and row numbers count table rows."""
+    # csv.reader yields [] for a blank line, which is never data: csv_text
+    # writes a row of one empty cell as "".
+    reader = filter(None, csv.reader(without_comments(stream)))
     try:
         header = next(reader)
     except StopIteration:
@@ -224,9 +283,7 @@ def read_csv(stream: io.TextIOBase, kinds: Sequence[str] | None = None) -> Recor
     if kinds is None:
         kinds = _infer_kinds(header)
     rows = []
-    # csv.reader yields [] for a blank line, which is never data: csv_text
-    # writes a row of one empty cell as "". Row numbers count table rows.
-    for i, raw in enumerate(filter(None, reader)):
+    for i, raw in enumerate(reader):
         if len(raw) != len(header):
             raise DataError(
                 f"row {i} has {len(raw)} cells, expected {len(header)}"
@@ -245,10 +302,7 @@ def load_csv(path: str | Path, kinds: Sequence[str] | None = None) -> RecordTabl
     starts with the canonical columns, otherwise every column is numeric.
     An explicit `kinds` sequence overrides inference.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="") as stream:
+    with open_text(path) as stream:
         return read_csv(stream, kinds=kinds)
 
 

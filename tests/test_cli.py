@@ -465,6 +465,21 @@ def test_derive_labeled_scenarios(model_file, tmp_path, capsys):
     assert body[1].startswith("best,")
 
 
+@pytest.mark.parametrize("text", [
+    SCENARIO_CSV.replace("Scenario,", '"Scenario",'),
+    "\n# scenarios\n\n" + SCENARIO_CSV,
+], ids=["quoted-header", "blank-lines-first"])
+def test_derive_reads_its_header_by_csv_rules(model_file, tmp_path, capsys,
+                                              text):
+    scen = tmp_path / "scen.csv"
+    scen.write_text(text)
+    rc = cli.main([
+        "derive", "--model", str(model_file), "--scenarios", str(scen),
+    ])
+    assert rc == 0
+    assert "best: mean = " in capsys.readouterr().out
+
+
 def test_derive_labels_unlabeled_rows(model_file, tmp_path, capsys):
     scen = tmp_path / "plain.csv"
     scen.write_text(
@@ -718,3 +733,65 @@ def test_mixture_demo_writes_comparison(tmp_path, capsys):
     assert body[1].startswith("pooled,")
     sample_rows = non_comment_lines(samples)
     assert len(sample_rows) == 1 + 500
+
+
+# ------------------------------------------------------------- file errors
+
+
+#: Every flag that names an input file, in an argv whose other inputs are
+#: good; {bad} is the file under test.
+INPUT_ARGVS = {
+    "adapt --data": "adapt --data {bad} --seed 1 --out {out}",
+    "train --data": "train --data {bad} --seed 1 --epochs 1 --out {out}",
+    "evaluate --model": "evaluate --model {bad} --data {data} --out {out}",
+    "evaluate --data": "evaluate --model {model} --data {bad} --out {out}",
+    "derive --model": "derive --model {bad} --scenarios {scenarios} --out {out}",
+    "derive --scenarios": "derive --model {model} --scenarios {bad} --out {out}",
+    "simulate --config":
+        "simulate --config {bad} --model {model} --reps 2 --seed 1 --out {out}",
+    "simulate --model":
+        "simulate --config {config} --model {bad} --reps 2 --seed 1 --out {out}",
+}
+
+
+@pytest.mark.parametrize("bad_kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("flag", sorted(INPUT_ARGVS))
+def test_an_unreadable_input_is_an_error(model_file, dataset_file, raw_csv,
+                                         tmp_path, capsys, flag, bad_kind):
+    files = {
+        "model": model_file,
+        "data": dataset_file,
+        "scenarios": tmp_path / "scen.csv",
+        "config": write_config(tmp_path / "sim.cfg", SCENARIO_CONFIG),
+        "out": tmp_path / "out",
+    }
+    files["scenarios"].write_text(SCENARIO_CSV)
+    bad = tmp_path / "bad"
+    if bad_kind == "directory":
+        bad.mkdir()
+        message = f"error: cannot read {bad}: Is a directory"
+    else:
+        # the good file this flag reads, behind a comment line in Latin-1
+        source = {"adapt --data": raw_csv, "train --data": raw_csv,
+                  "evaluate --data": dataset_file,
+                  "derive --scenarios": files["scenarios"],
+                  "simulate --config": files["config"]}.get(flag, model_file)
+        bad.write_bytes(b"# d\xe9j\xe0 vu\n" + source.read_bytes())
+        message = f"error: {bad} is not UTF-8 text: "
+    argv = [word.format(bad=bad, **files) for word in INPUT_ARGVS[flag].split()]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not files["out"].exists()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_out_is_an_error(tmp_path, capsys, where):
+    out = tmp_path / "sub"
+    if where == "directory":
+        out.mkdir()
+    else:
+        out = out / "d.csv"
+    rc = cli.main(["synth", "--n", "5", "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -518,7 +518,7 @@ def test_parse_sim_config_rejects_two_sources(tmp_path):
 
 
 def test_parse_sim_config_missing_file(tmp_path):
-    with pytest.raises(DataError, match="no such config file"):
+    with pytest.raises(DataError, match="no such file"):
         parse_sim_config(tmp_path / "absent.cfg")
 
 

@@ -18,8 +18,11 @@ from pavesim.tables import (
     RecordTable,
     ScenarioFeatures,
     load_csv,
+    open_text,
     read_csv,
+    read_json,
     table_to_csv,
+    write_text_atomic,
 )
 
 HEADER = ",".join(PAVING_COLUMNS)
@@ -103,14 +106,100 @@ def test_read_csv_skips_a_blank_line_mid_file():
         read_csv(io.StringIO("Y,X\n\n1,2\n\n3\n"))
 
 
+def test_read_csv_skips_blank_lines_before_the_header():
+    table = read_csv(io.StringIO("\nY,X\n1,2\n"))
+    assert table.column_names == ("Y", "X")
+    assert table.rows == ((1.0, 2.0),)
+    table = read_csv(io.StringIO("\n# note\n\nY,X\n\n1,2\n"))
+    assert table.rows == ((1.0, 2.0),)
+
+
 def test_read_csv_no_header_is_an_error():
     with pytest.raises(DataError, match="header"):
         read_csv(io.StringIO(""))
+    with pytest.raises(DataError, match="header"):
+        read_csv(io.StringIO("\n# only a comment\n\n"))
 
 
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DataError, match="no such file"):
         load_csv(tmp_path / "nope.csv")
+
+
+# -------------------------------------------------------------- file door
+
+
+def test_open_text_reports_a_directory(tmp_path):
+    with pytest.raises(DataError, match=re.escape(
+            f"cannot read {tmp_path}: Is a directory")):
+        load_csv(tmp_path)
+
+
+@pytest.mark.parametrize("data", [
+    b"Y,X\n1,\xff2\n",        # a lone continuation byte
+    b"Y,X\n1,2\xc3\n",        # a character cut short at the end
+    b"# \xe9t\xe9\nY,X\n",    # Latin-1 in a comment line
+])
+def test_open_text_refuses_text_that_is_not_utf8(tmp_path, data):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=re.escape(f"{path} is not UTF-8 text: ")):
+        load_csv(path)
+    with pytest.raises(DataError, match="is not UTF-8 text"):
+        read_json(path)
+
+
+def test_open_text_reads_utf8_and_keeps_line_ends(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes("Scenario,Y\r\nbeté,1\r\n".encode())
+    with open_text(path) as stream:
+        assert stream.read() == "Scenario,Y\r\nbeté,1\r\n"
+    table = load_csv(path, kinds=(CATEGORICAL, NUMERIC))
+    assert table.rows == (("beté", 1.0),)
+
+
+def test_read_json_drops_comment_lines(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('# audit\n{"a":\n# inside\n 1}\n')
+    assert read_json(path) == {"a": 1}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "is not valid JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+    ("# only a comment\n", "is not valid JSON"),
+    ("[" * 100_000, "is not valid JSON"),                 # too deep to parse
+    ('{"a": ' + "1" * 5000 + "}", "is not valid JSON"),  # too long an int
+])
+def test_read_json_refuses_what_is_not_an_object(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        read_json(path)
+
+
+def test_read_json_missing_file(tmp_path):
+    with pytest.raises(DataError, match="no such file"):
+        read_json(tmp_path / "gone.json")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_write_text_atomic_reports_an_unwritable_path(tmp_path, where):
+    target = tmp_path / "out"
+    if where == "directory":
+        target.mkdir()
+    else:
+        target = target / "x.csv"
+    with pytest.raises(DataError, match=re.escape(f"cannot write {target}: ")):
+        write_text_atomic(target, "text")
+    assert [p.name for p in tmp_path.rglob("*")] == (
+        ["out"] if where == "directory" else [])
+
+
+def test_write_text_atomic_writes_utf8(tmp_path):
+    path = tmp_path / "u.csv"
+    write_text_atomic(path, "beté\n")
+    assert path.read_bytes() == "beté\n".encode()
 
 
 def test_record_table_rejects_duplicate_names():
