@@ -14,8 +14,11 @@ Every command that consumes randomness takes an explicit ``--seed``;
 there is no entropy default, and each run prints its effective seeds.
 Every output file starts with a ``#`` audit header recording the tool
 version, subcommand, and all effective parameters, with no timestamps,
-so a rerun with identical flags is byte-identical. Outputs are written
-to a temp file and renamed, so failures leave no partial artifacts.
+so a rerun with identical flags is byte-identical. A command stages its
+outputs and stdout lines in a :class:`_Run`, whose header :func:`main`
+builds once. Then main renames every output into place and prints, or,
+if anything failed (two outputs naming one file too), writes and prints
+nothing.
 
 Exit codes: 0 success, 1 validation or data error, 2 numerical failure.
 """
@@ -25,7 +28,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .adapter import (
@@ -66,9 +71,9 @@ from .tables import (
     json_text,
     load_csv,
     open_text,
+    staged_files,
     table_to_csv,
     without_comments,
-    write_text_atomic,
 )
 
 
@@ -83,9 +88,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _audit_header(subcommand: str, args: argparse.Namespace) -> list[str]:
+def _audit_header(args: argparse.Namespace) -> list[str]:
     """Deterministic provenance lines for the top of every output file."""
-    lines = [f"pavesim {__version__}", f"subcommand: {subcommand}"]
+    lines = [f"pavesim {__version__}", f"subcommand: {args.subcommand}"]
     for name in sorted(vars(args)):
         if name in ("func", "subcommand"):
             continue
@@ -94,6 +99,16 @@ def _audit_header(subcommand: str, args: argparse.Namespace) -> list[str]:
             value = ",".join(str(v) for v in value)
         lines.append(f"{name} = {value}")
     return lines
+
+
+@dataclass
+class _Run:
+    """One invocation: its audit header, the ``stage`` function of its
+    :func:`staged_files`, and the lines printed once those are committed."""
+
+    header: list[str]
+    stage: Callable[..., Path]
+    lines: list[str]
 
 
 def _first_line(path: str, none_error: str) -> str:
@@ -111,13 +126,11 @@ def _is_dataset_file(path: str) -> bool:
     return _first_line(path, "file is empty").lstrip().startswith("{")
 
 
-def _cmd_synth(args) -> None:
+def _cmd_synth(args, run: _Run) -> None:
     table = generate_paving_dataset(args.n, args.seed, include_truth=args.truth)
-    write_text_atomic(
-        args.out, table_to_csv(table, _audit_header("synth", args))
-    )
-    print(f"seed = {args.seed}")
-    print(f"wrote {table.num_rows} rows to {args.out}")
+    run.stage(args.out, table_to_csv(table, run.header))
+    run.lines += [f"seed = {args.seed}",
+                  f"wrote {table.num_rows} rows to {args.out}"]
 
 
 def _parse_seed(value: str) -> int:
@@ -128,30 +141,25 @@ def _parse_seed(value: str) -> int:
     return int(value)
 
 
-def _parse_missing(value: str) -> str:
-    if value not in (DROP_ROW, IMPUTE_MEDIAN):
-        raise argparse.ArgumentTypeError(
-            f"--missing must be {DROP_ROW} or {IMPUTE_MEDIAN}, got {value!r}"
-        )
-    return value
+def _one_of(flag: str, *values: str):
+    """The argparse type of a flag that takes one of `values`."""
+    def parse(value: str) -> str:
+        if value not in values:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be {' or '.join(values)}, got {value!r}")
+        return value
+    return parse
 
 
-def _parse_outliers(value: str) -> str:
-    if value not in (DROP_ROW, FLAG_ONLY):
-        raise argparse.ArgumentTypeError(
-            f"--outliers must be {FLAG_ONLY} or {DROP_ROW}, got {value!r}"
-        )
-    return value
-
-
-def _cmd_adapt(args) -> None:
+def _cmd_adapt(args, run: _Run) -> None:
     tables = [load_csv(p) for p in args.data]
     if len(tables) > 1:
         if args.key is None:
             raise DataError("joining multiple files requires --key")
         table, dropped = join_sources(tables, args.key)
-        print(f"joined {len(tables)} files on {args.key!r}: "
-              f"{table.num_rows} rows, {dropped} input rows dropped")
+        run.lines.append(f"joined {len(tables)} files on {args.key!r}: "
+                         f"{table.num_rows} rows, {dropped} input rows "
+                         "dropped")
     else:
         table = tables[0]
 
@@ -169,15 +177,12 @@ def _cmd_adapt(args) -> None:
         )
     ds = encode_and_normalize(cleaned, args.target, feature_columns)
     train_ds, test_ds = split(ds, args.train_fraction, args.seed)
-    save_dataset(args.out, train_ds, test_ds, _audit_header("adapt", args))
-
+    save_dataset(run.stage(args.out), train_ds, test_ds, run.header)
     if args.report is not None:
-        write_text_atomic(args.report, json_text(
-            _audit_header("adapt", args), asdict(report)))
-
-    print(f"seed = {args.seed}")
-    print(f"cleaned: {report.summary()}")
-    print(f"split: {train_ds.n} train / {test_ds.n} test rows -> {args.out}")
+        run.stage(args.report, json_text(run.header, asdict(report)))
+    run.lines += [f"seed = {args.seed}", f"cleaned: {report.summary()}",
+                  f"split: {train_ds.n} train / {test_ds.n} test rows "
+                  f"-> {args.out}"]
 
 
 def _load_train_split(args):
@@ -204,7 +209,7 @@ def _parse_hidden(value: str) -> tuple[int, ...]:
     return widths
 
 
-def _cmd_train(args) -> None:
+def _cmd_train(args, run: _Run) -> None:
     train_ds, seed_notes = _load_train_split(args)
     net_cfg = NetworkConfig(
         input_dim=train_ds.X.shape[1],
@@ -217,21 +222,18 @@ def _cmd_train(args) -> None:
         learning_rate=args.lr,
         shuffle_seed=args.seed,
     )
-    print(f"seed = {args.seed} (init and shuffle)")
-    for note in seed_notes:
-        print(note)
-    print(f"training on {train_ds.n} rows, {train_ds.X.shape[1]} features, "
-          f"hidden {list(args.hidden)}, {args.epochs} epochs")
     params, report = train(train_ds, net_cfg, train_cfg)
-    save_model(
-        args.out, params, train_ds.norm_stats, net_cfg, train_cfg,
-        _audit_header("train", args),
-    )
-    print(f"final epoch mean loss = {report.final_loss:.6f}")
-    print(f"wrote model to {args.out}")
+    save_model(run.stage(args.out), params, train_ds.norm_stats,
+               net_cfg, train_cfg, run.header)
+    run.lines += [f"seed = {args.seed} (init and shuffle)", *seed_notes,
+                  f"training on {train_ds.n} rows, {train_ds.X.shape[1]} "
+                  f"features, hidden {list(args.hidden)}, "
+                  f"{args.epochs} epochs",
+                  f"final epoch mean loss = {report.final_loss:.6f}",
+                  f"wrote model to {args.out}"]
 
 
-def _cmd_evaluate(args) -> None:
+def _cmd_evaluate(args, run: _Run) -> None:
     params, stats, _, _ = load_model(args.model)
     if _is_dataset_file(args.data):
         _, test_ds = load_dataset(args.data)
@@ -240,13 +242,11 @@ def _cmd_evaluate(args) -> None:
         test_ds = dataset_with_stats(table, stats, args.target)
     report = coverage(params, stats, test_ds, args.level)
     if args.out is not None:
-        write_text_atomic(
-            args.out, report.to_csv(_audit_header("evaluate", args))
-        )
-        print(f"wrote {len(report.points)} rows to {args.out}")
-    print("seeds: none (deterministic)")
-    print(f"coverage fraction = {report.coverage_fraction:.4f} "
-          f"at level {args.level}")
+        run.stage(args.out, report.to_csv(run.header))
+        run.lines.append(f"wrote {len(report.points)} rows to {args.out}")
+    run.lines += ["seeds: none (deterministic)",
+                  f"coverage fraction = {report.coverage_fraction:.4f} "
+                  f"at level {args.level}"]
 
 
 def _read_scenarios(path: str) -> list[tuple[str, ScenarioFeatures]]:
@@ -266,25 +266,25 @@ def _read_scenarios(path: str) -> list[tuple[str, ScenarioFeatures]]:
     return out
 
 
-def _cmd_derive(args) -> None:
+def _cmd_derive(args, run: _Run) -> None:
     params, stats, _, _ = load_model(args.model)
     scenarios = _read_scenarios(args.scenarios)
-    print("seeds: none (deterministic)")
+    run.lines.append("seeds: none (deterministic)")
     rows = []
     for label, features in scenarios:
         model = derive(params, features, stats)
         lo, hi = confidence_interval(model, 0.95)
-        print(f"{label}: mean = {model.mean:.4f}, variance = "
-              f"{model.variance:.4f}, 95% CI = [{lo:.4f}, {hi:.4f}]")
+        run.lines.append(f"{label}: mean = {model.mean:.4f}, variance = "
+                         f"{model.variance:.4f}, 95% CI = "
+                         f"[{lo:.4f}, {hi:.4f}]")
         rows.append((label, model.mean, model.variance, lo, hi))
     if args.out is not None:
-        write_text_atomic(args.out, csv_text(
-            _audit_header("derive", args),
-            ("scenario", "mean", "variance", "lo95", "hi95"), rows))
-        print(f"wrote {len(scenarios)} rows to {args.out}")
+        run.stage(args.out, csv_text(run.header, (
+            "scenario", "mean", "variance", "lo95", "hi95"), rows))
+        run.lines.append(f"wrote {len(scenarios)} rows to {args.out}")
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args, run: _Run) -> None:
     raw = parse_sim_config(args.config)
     if "productivity" in raw:
         if args.model is not None:
@@ -307,50 +307,37 @@ def _cmd_simulate(args) -> None:
 
     cfg = build_sim_config(raw, input_model)
     result = run_monte_carlo(cfg, args.reps, args.seed)
-    write_text_atomic(args.out, result.to_csv(_audit_header("simulate", args)))
-    print(f"seed = {args.seed}")
-    print(f"input model: mean = {input_model.mean:.4f}, "
-          f"std = {input_model.std:.4f}")
-    print(f"{args.reps} replications: mean completion = {result.mean:.4f} h, "
-          f"std = {result.std:.4f} h, p5 = {result.percentile(5):.4f} h, "
-          f"p95 = {result.percentile(95):.4f} h")
-    print(f"wrote {args.out}")
+    run.stage(args.out, result.to_csv(run.header))
+    run.lines += [f"seed = {args.seed}", f"input model: mean = "
+                  f"{input_model.mean:.4f}, std = {input_model.std:.4f}",
+                  f"{args.reps} replications: mean completion = "
+                  f"{result.mean:.4f} h, std = {result.std:.4f} h, "
+                  f"p5 = {result.percentile(5):.4f} h, "
+                  f"p95 = {result.percentile(95):.4f} h", f"wrote {args.out}"]
 
 
-def _cmd_mixture_demo(args) -> None:
+def _cmd_mixture_demo(args, run: _Run) -> None:
     table = generate_weather_mixture(args.n, args.seed)
     durations = {c.label: [] for c in DEFAULT_WEATHER_MIXTURE.components}
-    duration_idx = table.column_index("Duration")
-    condition_idx = table.column_index("Condition")
-    for row in table.rows:
-        durations[str(row[condition_idx])].append(float(row[duration_idx]))
-
-    labels = [
-        c.label for c in DEFAULT_WEATHER_MIXTURE.components
-        if durations[c.label]
-    ]
-    components = [
-        (len(durations[label]) / args.n, pooled_fit(durations[label]))
-        for label in labels
-    ]
-    comparison = compare_pooled_vs_conditioned(components, labels)
-    write_text_atomic(
-        args.out, comparison.to_csv(_audit_header("mixture-demo", args))
-    )
+    for condition, duration in zip(table.column_values("Condition"),
+                                   table.column_values("Duration")):
+        durations[str(condition)].append(float(duration))
+    labels = [label for label, values in durations.items() if values]
+    comparison = compare_pooled_vs_conditioned(
+        [(len(durations[label]) / args.n, pooled_fit(durations[label]))
+         for label in labels], labels)
+    run.stage(args.out, comparison.to_csv(run.header))
     if args.samples_out is not None:
-        write_text_atomic(
-            args.samples_out,
-            table_to_csv(table, _audit_header("mixture-demo", args)),
-        )
-    print(f"seed = {args.seed}")
-    print(f"pooled: mean = {comparison.pooled.mean:.4f}, "
-          f"variance = {comparison.pooled.variance:.4f}")
-    for row in comparison.components:
-        print(f"{row.label}: weight = {row.weight:.4f}, "
-              f"mean = {row.model.mean:.4f}, "
-              f"variance = {row.model.variance:.4f}, "
-              f"pooled/component = {row.variance_ratio:.2f}")
-    print(f"wrote {args.out}")
+        run.stage(args.samples_out, table_to_csv(table, run.header))
+    run.lines += [f"seed = {args.seed}",
+                  f"pooled: mean = {comparison.pooled.mean:.4f}, "
+                  f"variance = {comparison.pooled.variance:.4f}"]
+    run.lines += (f"{row.label}: weight = {row.weight:.4f}, "
+                  f"mean = {row.model.mean:.4f}, "
+                  f"variance = {row.model.variance:.4f}, "
+                  f"pooled/component = {row.variance_ratio:.2f}"
+                  for row in comparison.components)
+    run.lines.append(f"wrote {args.out}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,9 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", default=None,
                    help="join key column (required for multiple --data)")
     p.add_argument("--target", default=TARGET_COLUMN)
-    p.add_argument("--missing", type=_parse_missing, default=IMPUTE_MEDIAN,
+    p.add_argument("--missing", default=IMPUTE_MEDIAN,
+                   type=_one_of("--missing", DROP_ROW, IMPUTE_MEDIAN),
                    help=f"{IMPUTE_MEDIAN} (default) or {DROP_ROW}")
-    p.add_argument("--outliers", type=_parse_outliers, default=FLAG_ONLY,
+    p.add_argument("--outliers", default=FLAG_ONLY,
+                   type=_one_of("--outliers", FLAG_ONLY, DROP_ROW),
                    help=f"{FLAG_ONLY} (default) or {DROP_ROW}")
     p.add_argument("--iqr-multiplier", type=float, default=1.5)
     p.add_argument("--train-fraction", type=float, default=0.8)
@@ -457,16 +446,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with staged_files() as stage:
+            run = _Run(_audit_header(args), stage, [])
+            args.func(args, run)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except PavesimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in run.lines:
+        print(line)
     return 0
 
 

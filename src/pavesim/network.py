@@ -68,10 +68,9 @@ class TrainConfig:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise DataError(
-                f"learning_rate must be > 0, got {self.learning_rate!r}"
-            )
+        if not 0 < self.learning_rate < np.inf:
+            raise DataError(f"learning_rate must be finite and > 0, "
+                            f"got {self.learning_rate!r}")
 
 
 class NetworkParams:
@@ -286,6 +285,9 @@ def adam_step(
     return params, state
 
 
+# A diverging run overflows before its loss turns non-finite, which raises
+# TrainingDivergedError; numpy need not warn first. One errstate per call.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     ds_train: Dataset,
     net_cfg: NetworkConfig,

@@ -15,13 +15,18 @@ on load, so files carrying an audit header round-trip cleanly. A
 :class:`ScenarioFeatures` names its attributes by these same columns.
 
 Every file is opened here: each input as UTF-8 by :func:`open_text`, each
-output by :func:`write_text_atomic`. A missing, unreadable or non-UTF-8
-input and an unwritable output each raise a :class:`DataError`.
+output by :func:`staged_files` (:func:`write_text_atomic` is its one-file
+case), which renames a run's outputs into place only once all are
+written. A missing, unreadable or non-UTF-8 input and an unwritable output
+each raise a :class:`DataError`. One window remains: two renames cannot
+be one atomic step, so a failed second ``os.replace`` can leave the first
+file committed.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
@@ -29,7 +34,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DataError
 
@@ -249,24 +254,52 @@ def read_json(path: str | Path) -> dict:
     return raw
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write UTF-8 text via a uniquely named sibling temp file and rename,
-    so failures leave no file behind and concurrent writers of one path
-    never share a temp file; an ``OSError`` becomes a :class:`DataError`.
-    Mode ``"x"`` gives ``"w"``'s 0o666 less the umask (``mkstemp``: 0o600)."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
     try:
-        stream = open(tmp, "x", encoding="utf-8")
-        try:
-            with stream:
-                stream.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        yield
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
+
+
+@contextmanager
+def staged_files() -> Iterator[Callable[..., Path]]:
+    """A ``stage(path, text="")`` function for the ``with`` body: it writes
+    UTF-8 `text` to a new, uniquely named temp sibling of `path` (mode
+    ``"x"``: ``"w"``'s 0o666 less the umask) and returns it, for the caller
+    to write in place of `path` if it likes. A directory, or a path that
+    resolves to one already staged, is refused. When the body returns, each
+    sibling is renamed over its path; either way no temp file is left."""
+    staged: list[tuple[Path, Path]] = []   # (path, temp sibling)
+
+    def stage(path: str | Path, text: str = "") -> Path:
+        path = Path(path)
+        if any(path.resolve() == p.resolve() for p, _ in staged):
+            raise DataError(f"two outputs name one file: {path}")
+        with _writing(path):
+            if path.is_dir():  # "" and "/" too, which have no sibling
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            with open(tmp, "x", encoding="utf-8") as stream:
+                staged.append((path, tmp))
+                stream.write(text)
+        return tmp
+
+    try:
+        yield stage
+        for path, tmp in staged:
+            with _writing(path):
+                os.replace(tmp, path)
+    finally:
+        for _, tmp in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write UTF-8 text to `path` as the one file of :func:`staged_files`;
+    concurrent writers of one path never share a temp file."""
+    with staged_files() as stage:
+        stage(path, text)
 
 
 def read_csv(stream: io.TextIOBase, kinds: Sequence[str] | None = None) -> RecordTable:

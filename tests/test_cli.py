@@ -347,6 +347,28 @@ def test_train_split_seed_override(tmp_path, raw_csv, capsys):
     assert "split_seed = 99" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lr, code, message", [
+    ("inf", 1, "error: learning_rate must be finite and > 0, got inf"),
+    ("nan", 1, "error: learning_rate must be finite and > 0, got nan"),
+    # overflows in the first batch: numpy must not warn before the message
+    ("1e300", 2, "numerical failure: non-finite training loss"),
+    ("1e12", 2, "numerical failure: non-finite training loss"),
+], ids=["inf", "nan", "1e300", "1e12"])
+def test_a_failing_train_prints_one_message_and_no_stdout(
+        tmp_path, dataset_file, capsys, lr, code, message):
+    out = tmp_path / "m.model"
+    rc = cli.main(["train", "--data", str(dataset_file), "--seed", "1",
+                   "--epochs", "5", "--lr", lr, "--hidden", "3",
+                   "--out", str(out)])
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_divergence_exits_2_without_artifact(tmp_path, raw_csv, capsys):
     out = tmp_path / "bad.model"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -784,14 +806,97 @@ def test_an_unreadable_input_is_an_error(model_file, dataset_file, raw_csv,
     assert not files["out"].exists()
 
 
+#: Every flag that names an output, in an argv that writes every output its
+#: command can; {bad} is the output under test, the others are in {run}.
+OUTPUT_ARGVS = {
+    "synth --out": "synth --n 5 --seed 1 --out {bad}",
+    "adapt --out":
+        "adapt --data {raw} --seed 1 --out {bad} --report {run}/rep.json",
+    "adapt --report":
+        "adapt --data {raw} --seed 1 --out {run}/ds.json --report {bad}",
+    "train --out":
+        "train --data {data} --seed 1 --epochs 1 --hidden 3 --out {bad}",
+    "evaluate --out": "evaluate --model {model} --data {data} --out {bad}",
+    "derive --out": "derive --model {model} --scenarios {scenarios} --out {bad}",
+    "simulate --out":
+        "simulate --config {config} --model {model} --reps 2 --seed 1 "
+        "--out {bad}",
+    "mixture-demo --out":
+        "mixture-demo --n 50 --seed 1 --out {bad} --samples-out {run}/s.csv",
+    "mixture-demo --samples-out":
+        "mixture-demo --n 50 --seed 1 --out {run}/mix.csv --samples-out {bad}",
+}
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_an_unwritable_out_is_an_error(tmp_path, capsys, where):
-    out = tmp_path / "sub"
+@pytest.mark.parametrize("flag", sorted(OUTPUT_ARGVS))
+def test_an_unwritable_out_is_an_error(model_file, dataset_file, raw_csv,
+                                       tmp_path, capsys, flag, where):
+    scenarios = tmp_path / "scen.csv"
+    scenarios.write_text(SCENARIO_CSV)
+    config = write_config(tmp_path / "sim.cfg", SCENARIO_CONFIG)
+    run = tmp_path / "run"
+    run.mkdir()
+    bad = run / "sub"
     if where == "directory":
-        out.mkdir()
+        bad.mkdir()
     else:
-        out = out / "d.csv"
-    rc = cli.main(["synth", "--n", "5", "--seed", "1", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        bad = bad / "d.csv"
+    argv = [word.format(bad=bad, run=run, raw=raw_csv, data=dataset_file,
+                        model=model_file, scenarios=scenarios, config=config)
+            for word in OUTPUT_ARGVS[flag].split()]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {bad}: ")
+    assert captured.out == ""
+    # no other output of the run, and no temp file
+    assert [p.name for p in run.rglob("*")] == (
+        ["sub"] if where == "directory" else [])
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_failed_run_keeps_the_outputs_it_would_replace(raw_csv, tmp_path,
+                                                         capsys):
+    out = tmp_path / "ds.json"
+    out.write_text("old")
+    rc = cli.main(["adapt", "--data", str(raw_csv), "--seed", "2",
+                   "--out", str(out), "--report", str(tmp_path / "no/r.json")])
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["ds.json"]
+
+
+def test_an_interrupted_run_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # --out is staged when the samples are being laid out
+    def interrupt(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "table_to_csv", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["mixture-demo", "--n", "50", "--seed", "1",
+                  "--out", str(tmp_path / "mix.csv"),
+                  "--samples-out", str(tmp_path / "s.csv")])
+    assert capsys.readouterr().out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("existed", [False, True])
+@pytest.mark.parametrize("argv, name", [
+    ("adapt --data {raw} --seed 2 --out same.json --report same.json",
+     "same.json"),
+    ("mixture-demo --n 100 --seed 3 --out m.csv --samples-out ./m.csv",
+     "m.csv"),
+], ids=["adapt", "mixture-demo"])
+def test_two_outputs_naming_one_file_are_refused(raw_csv, tmp_path, capsys,
+                                                 monkeypatch, argv, name,
+                                                 existed):
+    monkeypatch.chdir(tmp_path)
+    if existed:
+        (tmp_path / name).write_text("old")
+    assert cli.main(argv.format(raw=raw_csv).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: two outputs name one file: ")
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ([name] if existed else [])
+    if existed:
+        assert (tmp_path / name).read_text() == "old"

@@ -7,9 +7,10 @@ each command expects, then 0-6 rows of ragged width whose cells are
 empty, ``nan``, ``inf``, overflowing, text, a byte that is not UTF-8, or
 numbers in and out of the attributes' ranges, and maybe a trailing blank
 line. Whatever the file, the command returns 0, 1 or 2; on a non-zero
-code its stderr starts with ``error:`` or ``numerical failure:`` and no
-``--out`` file is written. A numpy ``RuntimeWarning`` fails the test,
-since the command line would print it to stderr ahead of that line.
+code its stderr starts with ``error:`` or ``numerical failure:``, its
+stdout is empty and no ``--out`` file is written. A numpy
+``RuntimeWarning`` fails the test, since the command line would print it
+to stderr ahead of that line.
 
 Blank and ``#`` lines before the header, and quotes around header cells,
 change nothing: the same file without them gives the same exit code,
@@ -130,10 +131,11 @@ def paving_csv(*slumps):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_csv_inputs_exit_cleanly(model_file, case):
     with tempfile.TemporaryDirectory() as workdir:
-        rc, _, err, out = run(model_file, *case, workdir)
+        rc, stdout, err, out = run(model_file, *case, workdir)
     assert rc in (0, 1, 2)
     if rc != 0:
         assert err.startswith(("error:", "numerical failure:"))
+        assert stdout == ""
         assert out is None
 
 

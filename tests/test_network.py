@@ -64,8 +64,9 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(DataError):
         TrainConfig(batch_size=0)
-    with pytest.raises(DataError):
-        TrainConfig(learning_rate=0.0)
+    for lr in (0.0, float("inf"), float("nan")):
+        with pytest.raises(DataError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=lr)
 
 
 def test_params_validate_catches_inconsistencies():

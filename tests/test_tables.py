@@ -3,6 +3,7 @@ import math
 import re
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,11 +184,16 @@ def test_read_json_missing_file(tmp_path):
         read_json(tmp_path / "gone.json")
 
 
-@pytest.mark.parametrize("where", ["missing directory", "directory"])
-def test_write_text_atomic_reports_an_unwritable_path(tmp_path, where):
+@pytest.mark.parametrize("where",
+                         ["missing directory", "directory", "empty path"])
+def test_write_text_atomic_reports_an_unwritable_path(tmp_path, monkeypatch,
+                                                      where):
     target = tmp_path / "out"
     if where == "directory":
         target.mkdir()
+    elif where == "empty path":  # ".", which has no name to put a temp beside
+        monkeypatch.chdir(tmp_path)
+        target = Path("")
     else:
         target = target / "x.csv"
     with pytest.raises(DataError, match=re.escape(f"cannot write {target}: ")):
