@@ -185,18 +185,6 @@ def _cmd_adapt(args, run: _Run) -> None:
                   f"-> {args.out}"]
 
 
-def _load_train_split(args):
-    if _is_dataset_file(args.data):
-        train_ds, _ = load_dataset(args.data)
-        return train_ds, (f"split_seed = (stored in {args.data})",)
-    table = load_csv(args.data)
-    cleaned, _ = clean(table)
-    ds = encode_and_normalize(cleaned, args.target)
-    split_seed = args.seed if args.split_seed is None else args.split_seed
-    train_ds, _ = split(ds, args.train_fraction, split_seed)
-    return train_ds, (f"split_seed = {split_seed}",)
-
-
 def _parse_hidden(value: str) -> tuple[int, ...]:
     try:
         widths = tuple(int(w) for w in value.split(",") if w.strip())
@@ -210,7 +198,11 @@ def _parse_hidden(value: str) -> tuple[int, ...]:
 
 
 def _cmd_train(args, run: _Run) -> None:
-    train_ds, seed_notes = _load_train_split(args)
+    if not _is_dataset_file(args.data):
+        raise DataError(f"{args.data} is not a dataset file: run 'pavesim "
+                        f"adapt --data {args.data} --seed K --out ds.json' "
+                        "first, then train --data ds.json")
+    train_ds, _ = load_dataset(args.data)
     net_cfg = NetworkConfig(
         input_dim=train_ds.X.shape[1],
         hidden_widths=args.hidden,
@@ -225,7 +217,8 @@ def _cmd_train(args, run: _Run) -> None:
     params, report = train(train_ds, net_cfg, train_cfg)
     save_model(run.stage(args.out), params, train_ds.norm_stats,
                net_cfg, train_cfg, run.header)
-    run.lines += [f"seed = {args.seed} (init and shuffle)", *seed_notes,
+    run.lines += [f"seed = {args.seed} (init and shuffle)",
+                  f"split_seed = (stored in {args.data})",
                   f"training on {train_ds.n} rows, {train_ds.X.shape[1]} "
                   f"features, hidden {list(args.hidden)}, "
                   f"{args.epochs} epochs",
@@ -384,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the heteroscedastic network")
     p.add_argument("--data", required=True,
-                   help="dataset file from adapt, or a raw CSV")
+                   help="dataset file from adapt (its train split is used)")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--seed", type=_parse_seed, required=True,
                    help="init and shuffle seed")
@@ -393,12 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--hidden", type=_parse_hidden, default=(64, 64, 64),
                    help="comma-separated hidden widths (default 64,64,64)")
-    p.add_argument("--target", default=TARGET_COLUMN,
-                   help="target column (CSV input only)")
-    p.add_argument("--train-fraction", type=float, default=0.8,
-                   help="train share (CSV input only)")
-    p.add_argument("--split-seed", type=_parse_seed, default=None,
-                   help="split seed (CSV input only; defaults to --seed)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate",

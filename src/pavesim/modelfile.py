@@ -1,7 +1,7 @@
 """On-disk formats for trained models and adapted datasets.
 
 Both artifacts are laid out by :func:`pavesim.tables.json_text` (``#``
-audit lines, then a JSON body), written by ``tables.write_text_atomic``
+audit lines, then a JSON body), written in place by ``tables.write_text``
 and read by ``tables.read_json``, which drops those lines and refuses a
 missing, unreadable, non-UTF-8 or non-JSON file and a non-object. Floats
 serialize through ``repr`` (Python's shortest round-tripping decimal
@@ -27,7 +27,7 @@ import numpy as np
 from .adapter import ColumnStats, Dataset, NormalizationStats
 from .errors import DataError
 from .network import NetworkConfig, NetworkParams, TrainConfig
-from .tables import json_text, read_json, write_text_atomic
+from .tables import json_text, read_json, write_text
 
 MODEL_FORMAT = "pavesim-model"
 DATASET_FORMAT = "pavesim-dataset"
@@ -108,7 +108,7 @@ def save_model(
     train_cfg: TrainConfig,
     header_comments=(),
 ) -> None:
-    write_text_atomic(
+    write_text(
         path, model_to_text(params, stats, net_cfg, train_cfg, header_comments)
     )
 
@@ -182,7 +182,7 @@ def dataset_to_text(
 def save_dataset(
     path: str | Path, train: Dataset, test: Dataset, header_comments=()
 ) -> None:
-    write_text_atomic(path, dataset_to_text(train, test, header_comments))
+    write_text(path, dataset_to_text(train, test, header_comments))
 
 
 def load_dataset(path: str | Path) -> tuple[Dataset, Dataset]:

@@ -15,12 +15,12 @@ on load, so files carrying an audit header round-trip cleanly. A
 :class:`ScenarioFeatures` names its attributes by these same columns.
 
 Every file is opened here: each input as UTF-8 by :func:`open_text`, each
-output by :func:`staged_files` (:func:`write_text_atomic` is its one-file
-case), which renames a run's outputs into place only once all are
-written. A missing, unreadable or non-UTF-8 input and an unwritable output
-each raise a :class:`DataError`. One window remains: two renames cannot
-be one atomic step, so a failed second ``os.replace`` can leave the first
-file committed.
+output by :func:`staged_files`, which renames a run's outputs into place
+only once all are written (:func:`write_text` fills a staged file in
+place). A missing, unreadable or non-UTF-8 input and an unwritable output
+each raise a :class:`DataError` naming the path the user gave. One window
+remains: two renames cannot be one atomic step, so a failed second
+``os.replace`` can leave the first file committed.
 """
 
 from __future__ import annotations
@@ -267,39 +267,49 @@ def staged_files() -> Iterator[Callable[..., Path]]:
     """A ``stage(path, text="")`` function for the ``with`` body: it writes
     UTF-8 `text` to a new, uniquely named temp sibling of `path` (mode
     ``"x"``: ``"w"``'s 0o666 less the umask) and returns it, for the caller
-    to write in place of `path` if it likes. A directory, or a path that
-    resolves to one already staged, is refused. When the body returns, each
-    sibling is renamed over its path; either way no temp file is left."""
-    staged: list[tuple[Path, Path]] = []   # (path, temp sibling)
+    to fill by :func:`write_text` in place of `path` if it likes. A
+    directory, or a path that resolves to one already staged, is refused.
+    When the body returns, each sibling is renamed over its path; either
+    way no temp file is left. An ``OSError`` that names a temp file, raised
+    in the body too, is reported as one writing its path."""
+    staged: dict[str, Path] = {}   # temp sibling -> its path
 
     def stage(path: str | Path, text: str = "") -> Path:
         path = Path(path)
-        if any(path.resolve() == p.resolve() for p, _ in staged):
+        if any(path.resolve() == p.resolve() for p in staged.values()):
             raise DataError(f"two outputs name one file: {path}")
         with _writing(path):
             if path.is_dir():  # "" and "/" too, which have no sibling
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
             with open(tmp, "x", encoding="utf-8") as stream:
-                staged.append((path, tmp))
+                staged[str(tmp)] = path
                 stream.write(text)
         return tmp
 
     try:
         yield stage
-        for path, tmp in staged:
-            with _writing(path):
-                os.replace(tmp, path)
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename not in staged:
+            raise
+        with _writing(staged[exc.filename]):
+            raise
     finally:
-        for _, tmp in staged:
-            tmp.unlink(missing_ok=True)
+        for tmp in staged:
+            Path(tmp).unlink(missing_ok=True)
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write UTF-8 text to `path` as the one file of :func:`staged_files`;
-    concurrent writers of one path never share a temp file."""
-    with staged_files() as stage:
-        stage(path, text)
+def write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 `text` over `path` in place; any ``OSError``, a failed
+    write too, names `path`, for :func:`staged_files` to report."""
+    try:
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.write(text)
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
 
 
 def read_csv(stream: io.TextIOBase, kinds: Sequence[str] | None = None) -> RecordTable:

@@ -6,6 +6,12 @@ real tmp directory.
 """
 
 import json
+import os
+import resource
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,15 +114,15 @@ def test_bad_integer_flag_names_the_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag", [
     ("synth", "--seed"), ("adapt", "--seed"), ("train", "--seed"),
-    ("train", "--split-seed"), ("simulate", "--seed"),
-    ("mixture-demo", "--seed"),
+    ("simulate", "--seed"), ("mixture-demo", "--seed"),
 ])
-def test_negative_seed_is_a_usage_error(raw_csv, tmp_path, capsys,
-                                        command, flag):
+def test_negative_seed_is_a_usage_error(raw_csv, dataset_file, tmp_path,
+                                        capsys, command, flag):
     inputs = {
         "synth": ["--n", "5"],
         "adapt": ["--data", str(raw_csv)],
-        "train": ["--data", str(raw_csv), "--epochs", "1", "--hidden", "4"],
+        "train": ["--data", str(dataset_file), "--epochs", "1",
+                  "--hidden", "4"],
         "simulate": ["--config",
                      str(write_config(tmp_path / "sim.cfg", DIRECT_CONFIG)),
                      "--reps", "5"],
@@ -327,24 +333,19 @@ def test_train_writes_loadable_model(model_file):
     assert tuple(c.name for c in stats.features) == FEATURE_NAMES
 
 
-def test_train_accepts_raw_csv(tmp_path, raw_csv, capsys):
+def test_train_refuses_a_raw_csv(tmp_path, raw_csv, capsys):
     out = tmp_path / "raw.model"
     rc = cli.main([
         "train", "--data", str(raw_csv), "--seed", "3",
         "--epochs", "2", "--hidden", "4", "--out", str(out),
     ])
-    assert rc == 0
-    assert "split_seed = 3" in capsys.readouterr().out
-    assert out.exists()
-
-
-def test_train_split_seed_override(tmp_path, raw_csv, capsys):
-    rc = cli.main([
-        "train", "--data", str(raw_csv), "--seed", "3", "--split-seed", "99",
-        "--epochs", "1", "--hidden", "4", "--out", str(tmp_path / "m.model"),
-    ])
-    assert rc == 0
-    assert "split_seed = 99" in capsys.readouterr().out
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {raw_csv} is not a dataset file: "
+                                   f"run 'pavesim adapt --data {raw_csv} ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -369,11 +370,12 @@ def test_a_failing_train_prints_one_message_and_no_stdout(
     assert not list(tmp_path.iterdir())
 
 
-def test_train_divergence_exits_2_without_artifact(tmp_path, raw_csv, capsys):
+def test_train_divergence_exits_2_without_artifact(tmp_path, dataset_file,
+                                                   capsys):
     out = tmp_path / "bad.model"
     with np.errstate(over="ignore", invalid="ignore"):
         rc = cli.main([
-            "train", "--data", str(raw_csv), "--seed", "3",
+            "train", "--data", str(dataset_file), "--seed", "3",
             "--epochs", "5", "--lr", "1e12", "--hidden", "8",
             "--out", str(out),
         ])
@@ -794,7 +796,7 @@ def test_an_unreadable_input_is_an_error(model_file, dataset_file, raw_csv,
         message = f"error: cannot read {bad}: Is a directory"
     else:
         # the good file this flag reads, behind a comment line in Latin-1
-        source = {"adapt --data": raw_csv, "train --data": raw_csv,
+        source = {"adapt --data": raw_csv, "train --data": dataset_file,
                   "evaluate --data": dataset_file,
                   "derive --scenarios": files["scenarios"],
                   "simulate --config": files["config"]}.get(flag, model_file)
@@ -853,6 +855,34 @@ def test_an_unwritable_out_is_an_error(model_file, dataset_file, raw_csv,
     assert [p.name for p in run.rglob("*")] == (
         ["sub"] if where == "directory" else [])
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _limit_file_size():
+    # In the child only, since the limit holds for every file a process
+    # writes: a write past it then fails part way with EFBIG, as one on a
+    # full disk fails with ENOSPC, instead of raising SIGXFSZ.
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+
+@pytest.mark.parametrize("argv, out", [
+    ("adapt --data {raw} --seed 12 --out ds.json", "ds.json"),
+    ("train --data {data} --seed 13 --epochs 1 --out m.model", "m.model"),
+], ids=["adapt", "train"])
+def test_a_failed_write_names_the_out_path(raw_csv, dataset_file, tmp_path,
+                                           argv, out):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pavesim",
+         *argv.format(raw=raw_csv, data=dataset_file).split()],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src),
+                               PYTHONDONTWRITEBYTECODE="1"),
+        preexec_fn=_limit_file_size, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert proc.stdout == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_failed_run_keeps_the_outputs_it_would_replace(raw_csv, tmp_path,

@@ -88,10 +88,13 @@ def cases(draw):
 def model_file(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("fuzz")
     data, model = workdir / "d.csv", workdir / "m.model"
+    dataset = workdir / "ds.json"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["synth", "--n", "40", "--seed", "1",
                          "--out", str(data)]) == 0
-        assert cli.main(["train", "--data", str(data), "--seed", "2",
+        assert cli.main(["adapt", "--data", str(data), "--seed", "2",
+                         "--out", str(dataset)]) == 0
+        assert cli.main(["train", "--data", str(dataset), "--seed", "2",
                          "--epochs", "1", "--hidden", "3",
                          "--out", str(model)]) == 0
     return str(model)

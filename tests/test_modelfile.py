@@ -14,7 +14,6 @@ from pavesim.modelfile import (
     model_to_text,
     save_dataset,
     save_model,
-    write_text_atomic,
 )
 from pavesim.network import (
     NetworkConfig,
@@ -25,6 +24,7 @@ from pavesim.network import (
 from pavesim.synthetic import generate_paving_dataset
 
 from params_helpers import params_equal
+from test_tables import write_text_atomic
 
 
 def trained_fixture():

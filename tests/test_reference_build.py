@@ -10,7 +10,9 @@ than pinning digests, cancels the CPU-dependent rounding of the BLAS
 kernels that ``train``, ``evaluate`` and ``derive`` go through.
 
 Every artifact and every stdout log must be identical, except the entries
-of :data:`DECLARED`: changes made on purpose, each checked exactly.
+of :data:`DECLARED`: changes made on purpose, each checked exactly. The
+reference build also trains on the raw CSV (:data:`REFERENCE_STAGES`), a
+path ``src`` no longer has; that model's body must equal ``src``'s.
 """
 
 import csv
@@ -115,6 +117,14 @@ STAGES = [
                     "--seed", "19", "--out", "ds_drop.json",
                     "--report", "rep_drop.json"]),
 ]
+#: Stages only the reference build can run: ``train`` on a raw CSV, split
+#: by ``--split-seed``, which the ``adapt`` then ``train`` of :data:`STAGES`
+#: replace.
+REFERENCE_STAGES = [
+    ("train_raw", ["train", "--data", "d.csv", "--seed", "13",
+                   "--split-seed", "12", "--epochs", "4", "--hidden", "6,6",
+                   "--out", "m_raw.model"]),
+]
 ARTIFACTS = ("d.csv", "ds.json", "rep.json", "m.model", "cov.csv",
              "cov_raw.csv", "der.csv", "sim.csv", "sim_scenario.csv",
              "mix.csv", "mixsamp.csv", "ds_join.json", "rep_join.json",
@@ -171,6 +181,18 @@ def plans_loads(ref_loads, new_loads):
     return check
 
 
+def body(text):
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def only_comments_removed(removed):
+    def check(ref, new):
+        assert body(ref) == body(new)
+        assert set(removed) <= set(comments(ref))
+        assert [c for c in comments(ref) if c not in removed] == comments(new)
+    return check
+
+
 def only_line_differs(prefix):
     def check(ref, new):
         ref_lines, new_lines = ref.splitlines(), new.splitlines()
@@ -194,6 +216,11 @@ DECLARED.update({
                          plans_loads("8", "7")),
     "simulate_scenario.log": ("the same phantom load moves the summary "
                               "line", only_line_differs("20 replications: ")),
+    "m.model": ("train reads only adapt's dataset file, so its audit header "
+                "loses the three flags of the raw-CSV path",
+                only_comments_removed({"# split_seed = None",
+                                       "# target = Productivity",
+                                       "# train_fraction = 0.8"})),
 })
 
 
@@ -203,12 +230,13 @@ def run_builds(tmp_path):
                MKL_NUM_THREADS="1")
     procs = {}
     for build, path in BUILDS.items():
+        stages = STAGES + (REFERENCE_STAGES if build == "reference" else [])
         workdir = tmp_path / build
         workdir.mkdir()
         for name, text in INPUTS.items():
             (workdir / name).write_text(text)
         procs[build] = (workdir, subprocess.Popen(
-            [sys.executable, "-c", DRIVER, str(path), json.dumps(STAGES)],
+            [sys.executable, "-c", DRIVER, str(path), json.dumps(stages)],
             cwd=workdir, env=dict(env, PYTHONPATH=str(path)),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
     for build, (_, proc) in procs.items():
@@ -230,3 +258,6 @@ def test_artifacts_match_the_reference_build(tmp_path):
             differ.append(name)
     assert not differ, f"undeclared changes against the reference: {differ}"
     assert set(DECLARED) <= set(outputs)
+    # training on adapt's split is training on the CSV with that split seed
+    assert (body((dirs["reference"] / "m_raw.model").read_text())
+            == body((dirs["src"] / "m.model").read_text()))

@@ -22,11 +22,18 @@ from pavesim.tables import (
     open_text,
     read_csv,
     read_json,
+    staged_files,
     table_to_csv,
-    write_text_atomic,
+    write_text,
 )
 
 HEADER = ",".join(PAVING_COLUMNS)
+
+
+def write_text_atomic(path, text):
+    """Write `text` to `path` as the one file of ``staged_files``."""
+    with staged_files() as stage:
+        stage(path, text)
 
 
 def test_read_csv_parses_schema_row():
@@ -206,6 +213,18 @@ def test_write_text_atomic_writes_utf8(tmp_path):
     path = tmp_path / "u.csv"
     write_text_atomic(path, "beté\n")
     assert path.read_bytes() == "beté\n".encode()
+
+
+def test_a_failed_write_to_a_staged_file_names_its_path(tmp_path):
+    target = tmp_path / "sub" / "x.csv"
+    target.parent.mkdir()
+    with pytest.raises(DataError, match=re.escape(f"cannot write {target}: ")):
+        with staged_files() as stage:
+            tmp = stage(target)
+            tmp.unlink()
+            target.parent.rmdir()
+            write_text(tmp, "text")
+    assert not list(tmp_path.iterdir())
 
 
 def test_record_table_rejects_duplicate_names():
