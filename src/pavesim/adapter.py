@@ -17,14 +17,13 @@ Conventions, pinned so results are exactly reproducible:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_number
 from .tables import BOOLEAN, CATEGORICAL, FEATURE_COLUMNS, NUMERIC, RecordTable
 
 DROP_ROW = "drop_row"
@@ -48,9 +47,7 @@ class CleanPolicy:
             raise DataError(f"unknown missing strategy {self.missing_strategy!r}")
         if self.outlier_strategy not in OUTLIER_STRATEGIES:
             raise DataError(f"unknown outlier strategy {self.outlier_strategy!r}")
-        if not 0 < self.iqr_multiplier < math.inf:
-            raise DataError(f"iqr_multiplier must be a positive finite "
-                            f"number, got {self.iqr_multiplier!r}")
+        check_number("iqr_multiplier", self.iqr_multiplier, above=0)
 
 
 @dataclass
@@ -97,10 +94,8 @@ class ColumnStats:
     def __post_init__(self):
         if self.kind not in (NUMERIC, BOOLEAN):
             raise DataError(f"column {self.name!r} has unknown kind {self.kind!r}")
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise DataError(f"column {self.name!r} has a non-finite mean or std")
-        if self.std < 0:
-            raise DataError(f"column {self.name!r} has negative std {self.std!r}")
+        check_number(f"mean of column {self.name!r}", self.mean)
+        check_number(f"std of column {self.name!r}", self.std, low=0)
         if self.kind == NUMERIC and self.std == 0:
             raise DataError(f"numeric column {self.name!r} has std 0")
 
@@ -125,15 +120,21 @@ class NormalizationStats:
     def __post_init__(self):
         if self.target.kind != NUMERIC:
             raise DataError(f"target column {self.target.name!r} must be numeric")
+        if not self.features:
+            raise DataError("there is no feature column besides the target "
+                            f"{self.target.name!r}")
 
     def encode_features(self, values: Mapping[str, object]) -> np.ndarray:
         """Normalize scalars or 1-D columns keyed by feature name into
-        network input order: one vector, or an ``(n, features)`` matrix."""
+        network input order: one vector, or an ``(n, features)`` matrix;
+        an overflow is silent, for the caller to refuse."""
         encoded = []
-        for col in self.features:
-            if col.name not in values:
-                raise DataError(f"feature {col.name!r} missing from input")
-            encoded.append(col.encode(np.asarray(values[col.name], dtype=float)))
+        with np.errstate(over="ignore"):
+            for col in self.features:
+                if col.name not in values:
+                    raise DataError(f"feature {col.name!r} missing from input")
+                encoded.append(col.encode(np.asarray(values[col.name],
+                                                     dtype=float)))
         return np.stack(encoded, axis=-1)
 
 
@@ -360,10 +361,7 @@ def split_indices(n: int, train_fraction: float, seed: int) -> tuple[tuple[int, 
     ``floor(n * train_fraction)`` indices to the train side; each side is
     then sorted ascending so row order is stable.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(
-            f"train_fraction must be in (0, 1), got {train_fraction!r}"
-        )
+    check_number("train_fraction", train_fraction, above=0, below=1)
     if n < 2:
         raise DataError(f"need at least 2 rows to split, got {n}")
     train_size = int(np.floor(n * train_fraction))

@@ -285,10 +285,7 @@ def _cmd_simulate(args, run: _Run) -> None:
                 "config provides the productivity distribution directly; "
                 "drop --model or switch the config to a 'scenario' block"
             )
-        entry = raw["productivity"]
-        input_model = GaussianInputModel(
-            mean=float(entry["mean"]), variance=float(entry["variance"])
-        )
+        input_model = GaussianInputModel(**raw["productivity"])
     else:
         if args.model is None:
             raise DataError(

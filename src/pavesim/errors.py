@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for a number."""
+
+import math
+import numbers
 
 
 class PavesimError(Exception):
@@ -23,3 +26,32 @@ class TrainingDivergedError(NumericalError):
         super().__init__(
             f"non-finite training loss ({loss!r}) at epoch {epoch}, batch {batch}"
         )
+
+
+def check_number(name: str, value, *, integer: bool = False, low=None,
+                 above=None, high=None, below=None):
+    """`value` if it is a finite int or float (numpy's too; only an int if
+    `integer`) within the bounds given, ``low <= value``, ``above < value``,
+    ``value <= high`` and ``value < below``. Otherwise a :class:`DataError`
+    states the whole rule: ``adam_beta1 must be a finite number >= 0 and
+    < 1, got -3``. A bool, and an int too large for a float, never pass."""
+    try:
+        # int and float first: an isinstance check against an ABC is slow
+        ok = ((type(value) is int or (type(value) is float and not integer)
+               or (isinstance(value, numbers.Integral if integer else numbers.Real)
+                   and not isinstance(value, bool)))
+              and math.isfinite(value)
+              and (low is None or value >= low)
+              and (above is None or value > above)
+              and (high is None or value <= high)
+              and (below is None or value < below))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        bounds = " and ".join(f"{op} {bound}" for op, bound in (
+            (">=", low), (">", above), ("<=", high), ("<", below))
+            if bound is not None)
+        rule = f"{kind} {bounds}".rstrip()
+        raise DataError(f"{name} must be {rule}, got {value!r}")
+    return value

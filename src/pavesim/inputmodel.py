@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .adapter import Dataset, NormalizationStats
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_number
 from .network import NetworkParams, forward_batch
 from .tables import ScenarioFeatures, csv_text
 
@@ -43,13 +43,8 @@ class GaussianInputModel:
     variance: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise DataError(
-                f"model moments must be finite, got mean={self.mean!r} "
-                f"variance={self.variance!r}"
-            )
-        if self.variance < 0:
-            raise DataError(f"variance must be >= 0, got {self.variance!r}")
+        check_number("mean", self.mean)
+        check_number("variance", self.variance, low=0)
 
     @property
     def std(self) -> float:
@@ -106,8 +101,7 @@ def _polar_normals(rng: random.Random, n: int) -> list[float]:
 
 def sample(model: GaussianInputModel, seed: int, n: int) -> list[float]:
     """Draw ``n`` i.i.d. variates; deterministic per seed, no truncation."""
-    if n < 1:
-        raise DataError(f"n must be >= 1, got {n}")
+    check_number("n", n, integer=True, low=1)
     rng = random.Random(seed)
     std = model.std
     return [model.mean + std * z for z in _polar_normals(rng, n)]

@@ -12,14 +12,14 @@ A model file carries the network parameters with explicit shape
 metadata, the normalization statistics needed to de-normalize outputs,
 and both configs. A dataset file carries the train and test splits plus
 their shared normalization statistics. Configs and statistics are
-written field for field by ``dataclasses.asdict`` and read back by the
-rule of operation configs: a boolean or a string is never a number, and
-an integer field takes only a JSON integer.
+written field for field by ``dataclasses.asdict`` and read back raw: the
+dataclasses check each number by :func:`pavesim.errors.check_number`. A
+missing key, a wrong shape or a refused value is a malformed file.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,21 +48,11 @@ def _load_commented_json(path: str | Path, expected_format: str) -> dict:
     return raw
 
 
-def _number(value, kind: type = float):
-    """A JSON number as `kind`, by the rule of operation configs: a boolean
-    or a string is never a number, and an ``int`` field takes only JSON
-    integers. Raises ``TypeError`` otherwise."""
-    allowed, what = (int, "integer") if kind is int else ((int, float), "number")
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise TypeError(f"expected a JSON {what}, got {value!r}")
-    return kind(value)
-
-
 def _stats_from_obj(obj: dict) -> NormalizationStats:
     def column(entry: dict) -> ColumnStats:
         return ColumnStats(
             name=entry["name"], kind=entry["kind"],
-            mean=_number(entry["mean"]), std=_number(entry["std"]),
+            mean=entry["mean"], std=entry["std"],
         )
     try:
         return NormalizationStats(
@@ -118,22 +108,11 @@ def load_model(
 ) -> tuple[NetworkParams, NormalizationStats, NetworkConfig, TrainConfig]:
     raw = _load_commented_json(path, MODEL_FORMAT)
     try:
-        n = raw["network"]
-        net_cfg = NetworkConfig(
-            input_dim=_number(n["input_dim"], int),
-            hidden_widths=tuple(_number(w, int) for w in n["hidden_widths"]),
-            seed=_number(n["seed"], int),
-        )
-        t = raw["training"]
-        train_cfg = TrainConfig(
-            epochs=_number(t["epochs"], int),
-            batch_size=_number(t["batch_size"], int),
-            learning_rate=_number(t["learning_rate"]),
-            adam_beta1=_number(t["adam_beta1"]),
-            adam_beta2=_number(t["adam_beta2"]),
-            adam_epsilon=_number(t["adam_epsilon"]),
-            shuffle_seed=_number(t["shuffle_seed"], int),
-        )
+        n, t = raw["network"], raw["training"]
+        net_cfg = NetworkConfig(input_dim=n["input_dim"],
+                                hidden_widths=tuple(n["hidden_widths"]),
+                                seed=n["seed"])
+        train_cfg = TrainConfig(**{f.name: t[f.name] for f in fields(TrainConfig)})
         stats = _stats_from_obj(raw["normalization"])
         weights, biases = [], []
         for i, layer in enumerate(raw["layers"]):
@@ -146,7 +125,7 @@ def load_model(
                 )
             weights.append(w)
             biases.append(b)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
     params = NetworkParams(weights, biases)
     params.validate()
@@ -196,6 +175,6 @@ def load_dataset(path: str | Path) -> tuple[Dataset, Dataset]:
             if X.size == 0:
                 X = X.reshape(0, len(stats.features))
             splits.append(Dataset(X=X, y=y, norm_stats=stats))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed dataset file {path}: {exc}") from exc
     return splits[0], splits[1]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, TrainingDivergedError
+from .errors import DataError, TrainingDivergedError, check_number
 from .adapter import Dataset
 
 #: Output head layout: column 0 is the mean, column 1 the log-variance.
@@ -42,10 +42,10 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise DataError(f"input_dim must be >= 1, got {self.input_dim}")
-        if any(w < 1 for w in self.hidden_widths):
-            raise DataError(f"hidden widths must be >= 1, got {self.hidden_widths}")
+        check_number("input_dim", self.input_dim, integer=True, low=1)
+        for width in self.hidden_widths:
+            check_number("hidden width", width, integer=True, low=1)
+        check_number("seed", self.seed, integer=True, low=0)
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -64,13 +64,13 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise DataError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.learning_rate < np.inf:
-            raise DataError(f"learning_rate must be finite and > 0, "
-                            f"got {self.learning_rate!r}")
+        check_number("epochs", self.epochs, integer=True, low=1)
+        check_number("batch_size", self.batch_size, integer=True, low=1)
+        check_number("learning_rate", self.learning_rate, above=0)
+        check_number("adam_beta1", self.adam_beta1, low=0, below=1)
+        check_number("adam_beta2", self.adam_beta2, low=0, below=1)
+        check_number("adam_epsilon", self.adam_epsilon, above=0)
+        check_number("shuffle_seed", self.shuffle_seed, integer=True, low=0)
 
 
 class NetworkParams:
@@ -193,13 +193,15 @@ def _forward_cached(params: NetworkParams, X: np.ndarray):
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted (mu, s) arrays for a batch of normalized feature rows."""
+    """Predicted (mu, s) arrays for a batch of normalized feature rows; an
+    overflow is silent, for the caller to refuse."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DataError(
             f"expected shape (n, {params.input_dim}), got {X.shape}"
         )
-    _, activations = _forward_cached(params, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, activations = _forward_cached(params, X)
     out = activations[-1]
     return out[:, MU_HEAD], out[:, S_HEAD]
 

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError, check_number
 from .inputmodel import GaussianInputModel, sample
 from .tables import csv_text, read_json
 
@@ -55,6 +55,8 @@ MAX_TRUCKLOADS = 10 ** 6
 class SimConfig:
     """One paving operation: quantities, fleet, cycle times, input model.
 
+    Quantities, times and the clamp floor are finite numbers > 0 and
+    ``truck_count`` an integer >= 1, by :func:`~pavesim.errors.check_number`.
     A plan of more than :data:`MAX_TRUCKLOADS` (10^6) loads is refused: a
     replication holds one amount and up to one sampled rate per load.
     """
@@ -71,28 +73,10 @@ class SimConfig:
     clamp_floor: float = 1.0       # m^3/hr
 
     def __post_init__(self):
-        positives = {
-            "total_quantity": self.total_quantity,
-            "truck_capacity": self.truck_capacity,
-            "load_time": self.load_time,
-            "haul_time": self.haul_time,
-            "dump_time": self.dump_time,
-            "return_time": self.return_time,
-            "clamp_floor": self.clamp_floor,
-        }
-        for name, value in positives.items():
-            if not (isinstance(value, (int, float))
-                    and not isinstance(value, bool)
-                    and value > 0 and math.isfinite(value)):
-                raise DataError(f"{name} must be a positive finite number, "
-                                f"got {value!r}")
-        if (not isinstance(self.truck_count, (int, np.integer))
-                or isinstance(self.truck_count, bool)):
-            raise DataError(
-                f"truck_count must be an integer, got {self.truck_count!r}"
-            )
-        if self.truck_count < 1:
-            raise DataError(f"truck_count must be >= 1, got {self.truck_count}")
+        for name in ("total_quantity", "truck_capacity", "load_time",
+                     "haul_time", "dump_time", "return_time", "clamp_floor"):
+            check_number(name, getattr(self, name), above=0)
+        check_number("truck_count", self.truck_count, integer=True, low=1)
         if self.resample_mode not in RESAMPLE_MODES:
             raise DataError(
                 f"resample_mode must be one of {RESAMPLE_MODES}, "
@@ -142,8 +126,8 @@ def parse_sim_config(path: str | Path) -> dict:
     provide exactly one productivity source: either a
     ``"productivity": {"mean": ..., "variance": ...}`` object or a
     ``"scenario": {feature name: value}`` object to be evaluated by a
-    trained model, whose values are all JSON numbers. Returns the
-    validated raw dictionary.
+    trained model. Returns the raw dictionary: its shape is checked here,
+    its numbers by the classes that take them.
     """
     raw = read_json(path)
     unknown = sorted(set(raw) - _REQUIRED_KEYS - _OPTIONAL_KEYS - _SOURCE_KEYS)
@@ -165,10 +149,6 @@ def parse_sim_config(path: str | Path) -> dict:
                         "keys 'mean' and 'variance'")
     if not isinstance(block, dict):
         raise DataError("'scenario' must be an object of feature values")
-    for key, value in block.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DataError(f"{sources[0]} value {key!r} must be a number, "
-                            f"got {value!r}")
     return raw
 
 
@@ -279,7 +259,9 @@ def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
         busy_time += duration
         placed += amounts[i]
 
-    if not math.isclose(placed, cfg.total_quantity, rel_tol=0, abs_tol=1e-9):
+    # Summing n <= 10^6 amounts in turn errs by less than n * 2^-53 ~ 1e-10
+    # of the total; losing or doubling a full load, by at least 1e-6 of it.
+    if not math.isclose(placed, cfg.total_quantity, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError(
             f"conservation violated: placed {placed!r} of "
             f"{cfg.total_quantity!r}"
@@ -294,14 +276,19 @@ def run_monte_carlo(
 
     Replication ``i`` uses a seed derived deterministically from
     ``(master_seed, i)``, so results do not depend on execution order
-    and any subset could run in parallel.
+    and any subset could run in parallel. Completion times too large for
+    their mean and std to be finite raise a :class:`NumericalError`.
     """
-    if replications < 1:
-        raise DataError(f"replications must be >= 1, got {replications}")
+    check_number("replications", replications, integer=True, low=1)
     times, busy, clamps = zip(*(
         run_replication(cfg, replication_seed(master_seed, i))
         for i in range(replications)))
-    return SimResult(times, busy, clamps, cfg.truckloads, master_seed)
+    result = SimResult(times, busy, clamps, cfg.truckloads, master_seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite([result.mean, result.std]).all():
+            raise NumericalError(f"completion times overflow: mean "
+                                 f"{result.mean!r}, std {result.std!r}")
+    return result
 
 
 def replication_seed(master_seed: int, index: int) -> int:

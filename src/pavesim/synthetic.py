@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_number
 from .tables import (
     CATEGORICAL,
     NUMERIC,
@@ -95,8 +95,7 @@ def generate_paving_dataset(
     ignores them, so a model trained on a truth-bearing table never sees
     them.
     """
-    if n_rows < 1:
-        raise DataError(f"n_rows must be >= 1, got {n_rows}")
+    check_number("n_rows", n_rows, integer=True, low=1)
     rng = np.random.default_rng(seed)
     names = PAVING_COLUMNS + (TRUTH_COLUMNS if include_truth else ())
     kinds = PAVING_KINDS + ((NUMERIC, NUMERIC) if include_truth else ())
@@ -124,10 +123,8 @@ class WeatherComponent:
     def __post_init__(self):
         if not self.label:
             raise DataError("component label must be non-empty")
-        if not self.weight > 0:
-            raise DataError(f"component weight must be > 0, got {self.weight!r}")
-        if not self.std > 0:
-            raise DataError(f"component std must be > 0, got {self.std!r}")
+        check_number("component weight", self.weight, above=0)
+        check_number("component std", self.std, above=0)
 
 
 @dataclass(frozen=True)
@@ -168,8 +165,7 @@ def generate_weather_mixture(
     condition's Gaussian. Output columns: Condition (categorical),
     Duration (numeric).
     """
-    if n_rows < 1:
-        raise DataError(f"n_rows must be >= 1, got {n_rows}")
+    check_number("n_rows", n_rows, integer=True, low=1)
     rng = np.random.default_rng(seed)
     weights = [c.weight for c in spec.components]
     rows = []

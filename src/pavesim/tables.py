@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DataError
+from .errors import DataError, check_number
 
 Cell = Union[float, str, None]
 
@@ -183,12 +183,14 @@ class ScenarioFeatures:
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, object]) -> "ScenarioFeatures":
-        """The features of a column name -> value mapping; extra names are
-        ignored, and a ``None`` value (an empty cell) counts as missing."""
+        """The features of a column name -> value mapping, and the one door
+        for outside values: extra names are ignored, a ``None`` value (an
+        empty cell) counts as missing, and the rest must be numbers."""
         missing = [c for c in FEATURE_COLUMNS if values.get(c) is None]
         if missing:
             raise DataError(f"missing scenario attributes: {', '.join(missing)}")
-        return cls(**{c: float(values[c]) for c in FEATURE_COLUMNS})
+        return cls(**{c: float(check_number(c, values[c]))
+                      for c in FEATURE_COLUMNS})
 
 
 def _infer_kinds(header: Sequence[str]) -> tuple[str, ...]:

@@ -222,7 +222,8 @@ def test_clean_policy_validation():
         CleanPolicy(iqr_multiplier=0.0)
     # an infinite fence times an IQR of 0 is NaN, which flags every value
     for value in (math.inf, math.nan):
-        with pytest.raises(DataError, match="positive finite"):
+        with pytest.raises(DataError, match="iqr_multiplier must be a finite "
+                                             "number > 0, got"):
             CleanPolicy(iqr_multiplier=value)
 
 
@@ -342,7 +343,8 @@ def test_encode_refuses_an_overflowing_std_without_a_warning():
                         ((1.0, 1e300), (2.0, -1e300)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match="non-finite mean or std"):
+        with pytest.raises(DataError, match="std of column 'X' must be a "
+                                            "finite number >= 0, got inf"):
             encode_and_normalize(table, "Y")
 
 
@@ -360,9 +362,12 @@ def test_stats_reject_malformed_columns():
     for kind, mean, std, message in (
         ("bogus", 0.0, 1.0, "unknown kind"),
         (CATEGORICAL, 0.0, 1.0, "unknown kind"),
-        (NUMERIC, math.nan, 1.0, "non-finite"),
-        (NUMERIC, 0.0, math.inf, "non-finite"),
-        (BOOLEAN, 0.5, -0.5, "negative std"),
+        (NUMERIC, math.nan, 1.0,
+         "mean of column 'A' must be a finite number, got nan"),
+        (NUMERIC, 0.0, math.inf,
+         "std of column 'A' must be a finite number >= 0, got inf"),
+        (BOOLEAN, 0.5, -0.5,
+         "std of column 'A' must be a finite number >= 0, got -0.5"),
         (NUMERIC, 3.0, 0.0, "std 0"),
     ):
         with pytest.raises(DataError, match=message):

@@ -249,7 +249,23 @@ def test_adapt_rejects_a_non_finite_iqr_multiplier(tmp_path, capsys, value):
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: iqr_multiplier must be a positive finite")
+    assert err.startswith("error: iqr_multiplier must be a finite number > 0, "
+                          f"got {float(value)!r}")
+    assert not out.exists()
+
+
+def test_adapt_refuses_a_csv_of_the_target_alone(tmp_path, capsys):
+    # numpy's "need at least one array to stack" was a traceback
+    data = tmp_path / "y.csv"
+    data.write_text("Y\n1\n2\n3\n4\n5\n")
+    out = tmp_path / "ds.json"
+    rc = cli.main(["adapt", "--data", str(data), "--target", "Y", "--seed",
+                   "1", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: there is no feature column besides the "
+                            "target 'Y'\n")
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -350,8 +366,8 @@ def test_train_refuses_a_raw_csv(tmp_path, raw_csv, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lr, code, message", [
-    ("inf", 1, "error: learning_rate must be finite and > 0, got inf"),
-    ("nan", 1, "error: learning_rate must be finite and > 0, got nan"),
+    ("inf", 1, "error: learning_rate must be a finite number > 0, got inf"),
+    ("nan", 1, "error: learning_rate must be a finite number > 0, got nan"),
     # overflows in the first batch: numpy must not warn before the message
     ("1e300", 2, "numerical failure: non-finite training loss"),
     ("1e12", 2, "numerical failure: non-finite training loss"),
@@ -545,7 +561,8 @@ def test_derive_rejects_malformed_column_stats(model_file, tmp_path, capsys,
     rc = cli.main(["derive", "--model", str(bad), "--scenarios", str(scen)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed normalization statistics")
+    assert err.startswith(f"error: malformed model file {bad}: malformed "
+                          "normalization statistics: ")
     assert "Traceback" not in err
 
 
@@ -706,14 +723,20 @@ def test_simulate_scenario_config_with_model(model_file, tmp_path, capsys):
     assert out.exists()
 
 
-@pytest.mark.parametrize("source, block", [
-    ("productivity", {"mean": "55", "variance": 30.0}),
-    ("productivity", {"mean": 55.0, "variance": True}),
-    ("scenario", dict(SCENARIO_CONFIG["scenario"], Slump="3.0")),
-    ("scenario", dict(SCENARIO_CONFIG["scenario"], Congestion=False)),
-])
+@pytest.mark.parametrize("source, block, message", [
+    ("productivity", {"mean": "55", "variance": 30.0},
+     "mean must be a finite number, got '55'"),
+    ("productivity", {"mean": 55.0, "variance": True},
+     "variance must be a finite number >= 0, got True"),
+    ("scenario", dict(SCENARIO_CONFIG["scenario"], Slump="3.0"),
+     "Slump must be a finite number, got '3.0'"),
+    ("scenario", dict(SCENARIO_CONFIG["scenario"], Congestion=False),
+     "Congestion must be a finite number, got False"),
+], ids=["productivity-block0", "productivity-block1", "scenario-block2",
+        "scenario-block3"])
 def test_simulate_rejects_non_numeric_source_values(model_file, tmp_path,
-                                                    capsys, source, block):
+                                                    capsys, source, block,
+                                                    message):
     payload = {k: v for k, v in DIRECT_CONFIG.items() if k != "productivity"}
     cfg = write_config(tmp_path / "sim.cfg", dict(payload, **{source: block}))
     out = tmp_path / "sim.csv"
@@ -723,7 +746,7 @@ def test_simulate_rejects_non_numeric_source_values(model_file, tmp_path,
         "--seed", "1", "--out", str(out),
     ])
     assert rc == 1
-    assert "must be a number" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

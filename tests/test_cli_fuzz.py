@@ -1,4 +1,4 @@
-"""Malformed CSV inputs end in an exit code and a message, never in a
+"""Malformed inputs end in an exit code and a message, never in a
 traceback.
 
 ``derive --scenarios``, ``adapt --data`` and ``evaluate --data`` (a raw
@@ -15,10 +15,18 @@ to stderr ahead of that line.
 Blank and ``#`` lines before the header, and quotes around header cells,
 change nothing: the same file without them gives the same exit code,
 stdout, stderr and ``--out`` bytes.
+
+The same property holds for JSON inputs: a ``simulate`` operation config
+with one field replaced by a value of any JSON type, and a model or
+dataset file with a key dropped or a value replaced (wrong type, wrong
+shape, not finite, a 400-digit integer), run through ``derive`` and
+``evaluate``.
 """
 
 import contextlib
 import io
+import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -26,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pavesim import cli
-from pavesim.tables import FEATURE_COLUMNS, PAVING_COLUMNS
+from pavesim.tables import FEATURE_COLUMNS, PAVING_COLUMNS, read_json
 
 #: A cell holding the lone byte 0xff: files are written with
 #: ``surrogateescape``, which turns this code point into that byte.
@@ -107,11 +115,30 @@ def run(model_file, command, text, workdir):
     data, out = Path(workdir, "data.csv"), Path(workdir, "out")
     data.write_bytes(text.encode("utf-8", "surrogateescape"))
     out.unlink(missing_ok=True)
+    return main_result(COMMANDS[command][1](model_file, str(data), str(out)),
+                       out)
+
+
+def main_result(argv, out):
+    """Exit code, stdout, stderr and the `out` file's bytes (``None`` when
+    it was not written) of ``cli.main(argv)``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        rc = cli.main(COMMANDS[command][1](model_file, str(data), str(out)))
+        rc = cli.main(argv)
     return (rc, stdout.getvalue(), stderr.getvalue(),
             out.read_bytes() if out.exists() else None)
+
+
+def assert_clean_exit(rc, stdout, err, out):
+    """The property of every test here: exit 0, 1 or 2, and a failure
+    prints one line, ``error:`` for 1 and ``numerical failure:`` for 2,
+    to stderr, nothing to stdout, and leaves no ``--out`` file."""
+    assert rc in (0, 1, 2)
+    if rc != 0:
+        assert err.startswith("error: " if rc == 1 else "numerical failure: ")
+        assert err.count("\n") == 1
+        assert stdout == ""
+        assert out is None
 
 
 def paving_csv(*slumps):
@@ -131,15 +158,12 @@ def paving_csv(*slumps):
 @example(case=("adapt", paving_csv("1e300", "-1e300")))
 # a byte that is not UTF-8 was a UnicodeDecodeError traceback
 @example(case=("adapt", paving_csv("3.0", "4" + NOT_UTF8, "5.0")))
+# a Curvature whose z-score overflows warned before the error line
+@example(case=("evaluate", paving_csv("3.0").replace("-0.001", "1e308")))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_csv_inputs_exit_cleanly(model_file, case):
     with tempfile.TemporaryDirectory() as workdir:
-        rc, stdout, err, out = run(model_file, *case, workdir)
-    assert rc in (0, 1, 2)
-    if rc != 0:
-        assert err.startswith(("error:", "numerical failure:"))
-        assert stdout == ""
-        assert out is None
+        assert_clean_exit(*run(model_file, *case, workdir))
 
 
 def dressed(text, preamble, quoted):
@@ -172,3 +196,146 @@ def test_lines_before_the_header_and_header_quotes_change_nothing(
     with tempfile.TemporaryDirectory() as workdir:
         assert (run(model_file, command, dressed(text, preamble, quoted), workdir)
                 == run(model_file, command, text, workdir))
+
+
+# ------------------------------------------------------------ JSON inputs
+
+#: An integer literal too long for a float: ``float()`` of it overflows.
+HUGE = 10 ** 400
+
+#: Values of every JSON type to put in place of a config or file field.
+JSON_VALUES = st.one_of(
+    st.sampled_from([True, False, None, "3", "abc", [], [2.0], [[1.0], []],
+                     {}, {"mean": 1.0}, 0, -1, -2.5, 2.5, 1e-320, 1e308,
+                     -1e308, math.nan, math.inf, -math.inf, HUGE, -HUGE]),
+    st.floats(-1e3, 1e3),
+    st.integers(-10, 10 ** 4),
+)
+
+
+SIM_CONFIG = {
+    "total_quantity": 60, "truck_count": 2, "truck_capacity": 10,
+    "load_time": 0.15, "haul_time": 0.4, "dump_time": 0.1,
+    "return_time": 0.25, "clamp_floor": 1.0,
+    "resample_mode": "per_truckload",
+}
+SOURCES = {
+    "productivity": {"mean": 55.0, "variance": 30.0},
+    "scenario": {"Slump": 3.0, "Congestion": 0, "Spreader": 1,
+                 "AirEntrainment": 4.5, "Temperature": 20.0,
+                 "Humidity": 60.0, "Slope": 0.0, "Curvature": 0.0,
+                 "PaverAge": 2.0},
+}
+
+
+def sim_config(source, path, value):
+    """The config with `source`'s block, and the field at `path` (one key,
+    or a block and one of its keys) set to `value`."""
+    config = dict(SIM_CONFIG, **{source: dict(SOURCES[source])})
+    *block, key = path
+    (config[block[0]] if block else config)[key] = value
+    return config
+
+
+@st.composite
+def sim_configs(draw):
+    source = draw(st.sampled_from(sorted(SOURCES)))
+    paths = [(k,) for k in (*SIM_CONFIG, source)]
+    paths += [(source, k) for k in SOURCES[source]]
+    return source, draw(st.sampled_from(paths)), draw(JSON_VALUES)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sim_configs())
+# each ended in "OverflowError: int too large to convert to float"
+@example(case=("productivity", ("total_quantity",), HUGE))
+@example(case=("productivity", ("clamp_floor",), HUGE))
+@example(case=("productivity", ("productivity", "mean"), HUGE))
+@example(case=("scenario", ("scenario", "Slump"), HUGE))
+# completion times near the largest float: their mean overflowed, and
+# numpy warned before a summary of inf and nan
+@example(case=("productivity", ("load_time",), 1e308))
+# a feature whose z-score overflows warned before the numerical failure
+@example(case=("scenario", ("scenario", "Curvature"), 1e308))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sim_configs_exit_cleanly(model_file, case):
+    source, path, value = case
+    with tempfile.TemporaryDirectory() as workdir:
+        config, out = Path(workdir, "sim.json"), Path(workdir, "out.csv")
+        config.write_text(json.dumps(sim_config(source, path, value)))
+        model = ["--model", model_file] if source == "scenario" else []
+        assert_clean_exit(*main_result(
+            ["simulate", "--config", str(config), *model, "--reps", "2",
+             "--seed", "1", "--out", str(out)], out))
+
+
+@st.composite
+def corruptions(draw, raw):
+    """A copy of the JSON object `raw` with one key or list item dropped,
+    or one value replaced by a :data:`JSON_VALUES` value. The value is
+    picked by descending from the root, stopping at each level with
+    probability 1/2, so every depth is tried."""
+    raw = json.loads(json.dumps(raw))
+    parent, key = None, None
+    node = raw
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or draw(st.booleans())):
+        parent = node
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        node = parent[key]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return raw
+
+
+@pytest.fixture(scope="module")
+def json_files(model_file):
+    """The model and dataset file that `model_file` was trained from."""
+    return {"model": model_file,
+            "dataset": str(Path(model_file).with_name("ds.json"))}
+
+
+def run_on_files(json_files, command, target, raw):
+    """`command` (derive or evaluate) with the model or dataset file
+    (`target`) replaced by the JSON object `raw`."""
+    files = dict(json_files)
+    with tempfile.TemporaryDirectory() as workdir:
+        bad, out = Path(workdir, f"bad.{target}"), Path(workdir, "out.csv")
+        bad.write_text(json.dumps(raw))
+        files[target] = str(bad)
+        scenarios = Path(workdir, "scen.csv")
+        scenarios.write_text(SCENARIO_TEXT)
+        argv = (["derive", "--model", files["model"], "--scenarios",
+                 str(scenarios)] if command == "derive" else
+                ["evaluate", "--model", files["model"], "--data",
+                 files["dataset"]])
+        return main_result([*argv, "--out", str(out)], out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), case=st.sampled_from([
+    ("derive", "model"), ("evaluate", "model"), ("evaluate", "dataset")]))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_corrupted_model_and_dataset_files_exit_cleanly(json_files, data,
+                                                        case):
+    command, target = case
+    raw = data.draw(corruptions(read_json(json_files[target])))
+    assert_clean_exit(*run_on_files(json_files, command, target, raw))
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("adam_beta1", -3, "a finite number >= 0 and < 1"),
+    ("adam_beta2", 1.5, "a finite number >= 0 and < 1"),
+    ("adam_epsilon", 0, "a finite number > 0"),
+])
+def test_a_model_file_with_adam_fields_out_of_range_exits_1(json_files, key,
+                                                            value, rule):
+    raw = read_json(json_files["model"])
+    raw["training"][key] = value
+    rc, stdout, err, out = run_on_files(json_files, "evaluate", "model", raw)
+    assert (rc, stdout, out) == (1, "", None)
+    assert err.startswith("error: malformed model file ")
+    assert err.endswith(f": {key} must be {rule}, got {value!r}\n")

@@ -155,7 +155,9 @@ def test_load_model_rejects_missing_section(tmp_path):
 @pytest.mark.parametrize("key, value, message", [
     ("std", 0.0, "numeric column 'Slump' has std 0"),
     ("kind", "bogus", "unknown kind 'bogus'"),
-    ("mean", float("nan"), "non-finite mean"),
+    pytest.param("mean", float("nan"),
+                 "mean of column 'Slump' must be a finite number, got nan",
+                 id="mean-nan-non-finite mean"),
 ])
 def test_load_rejects_malformed_column_stats(tmp_path, kind, key, value,
                                              message):
@@ -261,6 +263,37 @@ def test_load_refuses_an_ill_typed_scalar(tmp_path, kind, section, key, value):
     path.write_text(json.dumps(raw))
     with pytest.raises(DataError, match=message):
         (load_model if kind == "model" else load_dataset)(path)
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("adam_beta1", -3, "a finite number >= 0 and < 1"),
+    ("adam_beta2", 1.5, "a finite number >= 0 and < 1"),
+    ("adam_beta2", 1, "a finite number >= 0 and < 1"),
+    ("adam_epsilon", 0, "a finite number > 0"),
+])
+def test_load_model_refuses_adam_fields_out_of_range(tmp_path, key, value,
+                                                      rule):
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    raw = json.loads(model_to_text(params, ds.norm_stats, net_cfg, train_cfg))
+    raw["training"][key] = value
+    path = tmp_path / "m.model"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    assert str(info.value) == (f"malformed model file {path}: {key} must be "
+                               f"{rule}, got {value!r}")
+
+
+def test_load_refuses_statistics_without_features(tmp_path):
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    raw = json.loads(model_to_text(params, ds.norm_stats, net_cfg, train_cfg))
+    raw["normalization"]["features"] = []
+    path = tmp_path / "m.model"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match="malformed normalization statistics: "
+                       "there is no feature column besides the target "
+                       "'Productivity'"):
+        load_model(path)
 
 
 def test_model_text_validates_params_before_writing():

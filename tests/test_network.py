@@ -65,7 +65,8 @@ def test_config_validation():
     with pytest.raises(DataError):
         TrainConfig(batch_size=0)
     for lr in (0.0, float("inf"), float("nan")):
-        with pytest.raises(DataError, match="learning_rate must be finite"):
+        with pytest.raises(DataError,
+                           match="learning_rate must be a finite number > 0"):
             TrainConfig(learning_rate=lr)
 
 

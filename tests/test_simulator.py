@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pavesim.errors import DataError
+from pavesim.errors import DataError, NumericalError
 from pavesim.inputmodel import GaussianInputModel, sample
 from pavesim.simulator import (
     MAX_TRUCKLOADS,
@@ -456,6 +456,23 @@ def test_sim_config_rejects_bool_for_positive_fields(field):
 def test_run_monte_carlo_rejects_zero_replications():
     with pytest.raises(DataError):
         run_monte_carlo(constrained_config(), 0, 1)
+
+
+@pytest.mark.parametrize("q10, c10", [(100000, 1), (300000, 3)])
+def test_many_inexact_loads_conserve_the_total(q10, c10):
+    # 10^5 loads of 0.1 sum to 10000.000000018847, which an absolute
+    # tolerance of 1e-9 took for a conservation fault
+    cfg = tenths_config(q10, c10, 2, CONSTRAINED_LEGS, 50.0)
+    assert run_replication(cfg, 1)[0] == pytest.approx(
+        completion_oracle(q10, c10, 2, CONSTRAINED_LEGS, 50.0), rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_completion_times_whose_mean_overflows_are_a_numerical_error():
+    cfg = constrained_config(load_time=1e308)
+    with pytest.raises(NumericalError,
+                       match="completion times overflow: mean inf, std nan"):
+        run_monte_carlo(cfg, 2, 1)
 
 
 # ------------------------------------------------------------ config file
