@@ -29,12 +29,12 @@ class TrainingDivergedError(NumericalError):
 
 
 def check_number(name: str, value, *, integer: bool = False, low=None,
-                 above=None, high=None, below=None):
+                 above=None, below=None):
     """`value` if it is a finite int or float (numpy's too; only an int if
-    `integer`) within the bounds given, ``low <= value``, ``above < value``,
-    ``value <= high`` and ``value < below``. Otherwise a :class:`DataError`
-    states the whole rule: ``adam_beta1 must be a finite number >= 0 and
-    < 1, got -3``. A bool, and an int too large for a float, never pass."""
+    `integer`) within the bounds given, ``low <= value``, ``above < value``
+    and ``value < below``. Otherwise a :class:`DataError` states the whole
+    rule: ``adam_beta1 must be a finite number >= 0 and < 1, got -3``. A
+    bool, and an int too large for a float, never pass."""
     try:
         # int and float first: an isinstance check against an ABC is slow
         ok = ((type(value) is int or (type(value) is float and not integer)
@@ -43,14 +43,13 @@ def check_number(name: str, value, *, integer: bool = False, low=None,
               and math.isfinite(value)
               and (low is None or value >= low)
               and (above is None or value > above)
-              and (high is None or value <= high)
               and (below is None or value < below))
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
         kind = "an integer" if integer else "a finite number"
         bounds = " and ".join(f"{op} {bound}" for op, bound in (
-            (">=", low), (">", above), ("<=", high), ("<", below))
+            (">=", low), (">", above), ("<", below))
             if bound is not None)
         rule = f"{kind} {bounds}".rstrip()
         raise DataError(f"{name} must be {rule}, got {value!r}")

@@ -13,8 +13,9 @@ metadata, the normalization statistics needed to de-normalize outputs,
 and both configs. A dataset file carries the train and test splits plus
 their shared normalization statistics. Configs and statistics are
 written field for field by ``dataclasses.asdict`` and read back raw: the
-dataclasses check each number by :func:`pavesim.errors.check_number`. A
-missing key, a wrong shape or a refused value is a malformed file.
+dataclasses check each number by :func:`pavesim.errors.check_number`,
+and weights, biases, ``X`` and ``y`` hold JSON numbers only. A missing
+key, a wrong shape or a refused value is a malformed file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapter import ColumnStats, Dataset, NormalizationStats
-from .errors import DataError
+from .errors import DataError, check_number
 from .network import NetworkConfig, NetworkParams, TrainConfig
 from .tables import json_text, read_json, write_text
 
@@ -46,6 +47,16 @@ def _load_commented_json(path: str | Path, expected_format: str) -> dict:
             f"version {FORMAT_VERSION}"
         )
     return raw
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    """`value`, nested lists of JSON numbers, as a float array; np.array
+    alone also reads ``"0.5"``, ``true`` and ``null``."""
+    array = np.array(value, dtype=float)
+    items = np.array(value, dtype=object).ravel()
+    if not set(map(type, items)) <= {int, float}:
+        check_number(name, next(v for v in items if type(v) not in (int, float)))
+    return array
 
 
 def _stats_from_obj(obj: dict) -> NormalizationStats:
@@ -116,8 +127,8 @@ def load_model(
         stats = _stats_from_obj(raw["normalization"])
         weights, biases = [], []
         for i, layer in enumerate(raw["layers"]):
-            w = np.array(layer["weights"], dtype=float)
-            b = np.array(layer["bias"], dtype=float)
+            w = _float_array(f"layer {i} weights", layer["weights"])
+            b = _float_array(f"layer {i} bias", layer["bias"])
             if list(w.shape) != list(layer["shape"]):
                 raise DataError(
                     f"layer {i} declares shape {layer['shape']} but holds "
@@ -170,8 +181,8 @@ def load_dataset(path: str | Path) -> tuple[Dataset, Dataset]:
         stats = _stats_from_obj(raw["normalization"])
         splits = []
         for part in ("train", "test"):
-            X = np.array(raw[part]["X"], dtype=float)
-            y = np.array(raw[part]["y"], dtype=float)
+            X = _float_array(f"{part} X", raw[part]["X"])
+            y = _float_array(f"{part} y", raw[part]["y"])
             if X.size == 0:
                 X = X.reshape(0, len(stats.features))
             splits.append(Dataset(X=X, y=y, norm_stats=stats))

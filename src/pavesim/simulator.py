@@ -259,9 +259,10 @@ def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
         busy_time += duration
         placed += amounts[i]
 
-    # Summing n <= 10^6 amounts in turn errs by less than n * 2^-53 ~ 1e-10
-    # of the total; losing or doubling a full load, by at least 1e-6 of it.
-    if not math.isclose(placed, cfg.total_quantity, rel_tol=1e-9, abs_tol=1e-9):
+    # the n additions and the partial load's subtraction each err by about
+    # an ulp of the total at most: a lost load above 2n ulps shows
+    slack = 2 * n_loads * math.ulp(cfg.total_quantity)
+    if not math.isclose(placed, cfg.total_quantity, rel_tol=0, abs_tol=slack):
         raise AssertionError(
             f"conservation violated: placed {placed!r} of "
             f"{cfg.total_quantity!r}"

@@ -265,6 +265,37 @@ def test_load_refuses_an_ill_typed_scalar(tmp_path, kind, section, key, value):
         (load_model if kind == "model" else load_dataset)(path)
 
 
+@pytest.mark.parametrize("kind, where, value, message", [
+    ("model", ("layers", 0, "weights", 0, 0), "0.5",
+     "layer 0 weights must be a finite number, got '0.5'"),
+    ("model", ("layers", 1, "bias", 0), True,
+     "layer 1 bias must be a finite number, got True"),
+    ("dataset", ("train", "X", 0, 1), True,
+     "train X must be a finite number, got True"),
+    ("dataset", ("test", "y", 0), None,
+     "test y must be a finite number, got None"),
+], ids=["string-weight", "bool-bias", "bool-X-cell", "null-y"])
+def test_load_refuses_a_non_number_in_an_array(tmp_path, kind, where, value,
+                                               message):
+    # np.array(..., dtype=float) alone reads "0.5" as 0.5, true as 1.0
+    # and null as nan
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    path = tmp_path / f"f.{kind}"
+    if kind == "model":
+        save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    else:
+        save_dataset(path, *split(ds, 0.8, 5))
+    raw = json.loads(path.read_text())
+    node = raw
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError) as info:
+        (load_model if kind == "model" else load_dataset)(path)
+    assert str(info.value) == f"malformed {kind} file {path}: {message}"
+
+
 @pytest.mark.parametrize("key, value, rule", [
     ("adam_beta1", -3, "a finite number >= 0 and < 1"),
     ("adam_beta2", 1.5, "a finite number >= 0 and < 1"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pavesim import simulator
 from pavesim.errors import DataError, NumericalError
 from pavesim.inputmodel import GaussianInputModel, sample
 from pavesim.simulator import (
@@ -465,6 +466,18 @@ def test_many_inexact_loads_conserve_the_total(q10, c10):
     cfg = tenths_config(q10, c10, 2, CONSTRAINED_LEGS, 50.0)
     assert run_replication(cfg, 1)[0] == pytest.approx(
         completion_oracle(q10, c10, 2, CONSTRAINED_LEGS, 50.0), rel=1e-9)
+
+
+def test_losing_a_tiny_partial_load_breaks_conservation(monkeypatch):
+    # the last of 1001 loads is 1e-7 m^3, which a relative tolerance of
+    # 1e-9 (1e-6 m^3 of this total) let go missing
+    cfg = constrained_config(total_quantity=1000.0000001, truck_capacity=1.0)
+    plan = truckload_amounts(cfg)
+    assert len(plan) == 1001 and plan[-1] == pytest.approx(1e-7)
+    monkeypatch.setattr(simulator, "truckload_amounts",
+                        lambda cfg: plan[:-1] + [0.0])
+    with pytest.raises(AssertionError, match="conservation violated"):
+        run_replication(cfg, 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
