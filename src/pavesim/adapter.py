@@ -6,6 +6,12 @@ run concurrently on distinct inputs and is deterministic given its seeds.
 Steps work a column at a time: clean counts, imputes and fences each
 column, and both encoders read their columns through one reader.
 
+A column's kind comes from its name (:func:`pavesim.tables.kind_of`);
+its role is decided here, once. The join key names rows, so the join
+drops it. The features are the nine condition attributes when all are
+present, so other columns (the generator's answer key) ride along
+unread; otherwise they are every column but the target.
+
 Conventions, pinned so results are exactly reproducible:
 
 * Quartiles and medians use linear interpolation between sorted order
@@ -167,11 +173,12 @@ class Dataset:
 
 
 def join_sources(tables: Sequence[RecordTable], key_column: str) -> tuple[RecordTable, int]:
-    """Inner-join tables on `key_column`.
+    """Inner-join tables, one or more, on `key_column`.
 
-    Returns the joined table (key plus the union of non-key columns, in
-    source order) and the count of input rows dropped for lacking a match
-    in every table. Key values must be unique within each table.
+    Returns the joined table (the union of non-key columns, in source
+    order: the key names rows and is not data, so it is dropped) and the
+    count of input rows dropped for lacking a match in every table. Key
+    values must be present and unique within each table.
     """
     if not tables:
         raise DataError("join_sources needs at least one table")
@@ -180,6 +187,9 @@ def join_sources(tables: Sequence[RecordTable], key_column: str) -> tuple[Record
     for t, table in enumerate(tables):
         index: dict[object, int] = {}
         for i, key in enumerate(table.column_values(key_column)):
+            if key is None:
+                raise DataError(f"blank key in row {i} of table {t} "
+                                f"column {key_column!r}")
             if key in index:
                 raise DataError(
                     f"duplicate key {key!r} in table {t} column {key_column!r}"
@@ -187,13 +197,8 @@ def join_sources(tables: Sequence[RecordTable], key_column: str) -> tuple[Record
             index[key] = i
         key_rows.append(index)
 
-    if len(tables) == 1:
-        return tables[0], 0
-
-    picks = [(0, tables[0].column_index(key_column))]  # (table, column)
-    for t, table in enumerate(tables):
-        picks += [(t, c) for c, name in enumerate(table.column_names)
-                  if name != key_column]
+    picks = [(t, c) for t, table in enumerate(tables)  # (table, column)
+             for c, name in enumerate(table.column_names) if name != key_column]
     names = tuple(tables[t].column_names[c] for t, c in picks)
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -322,8 +327,7 @@ def _encode(stats: NormalizationStats, columns: Mapping[str, np.ndarray],
                    y=stats.target.encode(target), norm_stats=stats)
 
 
-def encode_and_normalize(table: RecordTable, target_column: str,
-                         feature_columns: Sequence[str] | None = None) -> Dataset:
+def encode_and_normalize(table: RecordTable, target_column: str) -> Dataset:
     """Build the normalized training matrix from a cleaned table.
 
     Numeric features and the target are z-scored with population moments;
@@ -331,8 +335,7 @@ def encode_and_normalize(table: RecordTable, target_column: str,
     missing cells, non-finite values, constant numeric columns,
     categorical features, and moments too large for a float.
     """
-    if feature_columns is None:
-        feature_columns = _schema_features(table, target_column)
+    feature_columns = _schema_features(table, target_column)
     if target_column in feature_columns:
         raise DataError(f"target {target_column!r} cannot also be a feature")
     columns, target = _read_columns(table, feature_columns, target_column)

@@ -26,7 +26,6 @@ Exit codes: 0 success, 1 validation or data error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -63,8 +62,6 @@ from .synthetic import (
     generate_weather_mixture,
 )
 from .tables import (
-    CATEGORICAL,
-    NUMERIC,
     ScenarioFeatures,
     TARGET_COLUMN,
     csv_text,
@@ -111,19 +108,14 @@ class _Run:
     lines: list[str]
 
 
-def _first_line(path: str, none_error: str) -> str:
-    """First line, with its line end, that is neither a ``#`` comment nor
-    blank."""
+def _is_dataset_file(path: str) -> bool:
+    """True when the file looks like a dataset JSON, not a CSV: its first
+    line that is neither a ``#`` comment nor blank opens an object."""
     with open_text(path) as stream:  # read lazily: a dataset may be megabytes
         for line in without_comments(stream):
             if line.strip():
-                return line
-    raise DataError(f"{none_error}: {path}")
-
-
-def _is_dataset_file(path: str) -> bool:
-    """True when the file looks like a dataset JSON, not a CSV."""
-    return _first_line(path, "file is empty").lstrip().startswith("{")
+                return line.lstrip().startswith("{")
+    raise DataError(f"file is empty: {path}")
 
 
 def _cmd_synth(args, run: _Run) -> None:
@@ -153,13 +145,14 @@ def _one_of(flag: str, *values: str):
 
 def _cmd_adapt(args, run: _Run) -> None:
     tables = [load_csv(p) for p in args.data]
-    if len(tables) > 1:
-        if args.key is None:
-            raise DataError("joining multiple files requires --key")
+    if args.key is not None:
         table, dropped = join_sources(tables, args.key)
-        run.lines.append(f"joined {len(tables)} files on {args.key!r}: "
-                         f"{table.num_rows} rows, {dropped} input rows "
-                         "dropped")
+        if len(tables) > 1:
+            run.lines.append(f"joined {len(tables)} files on {args.key!r}: "
+                             f"{table.num_rows} rows, {dropped} input rows "
+                             "dropped")
+    elif len(tables) > 1:
+        raise DataError("joining multiple files requires --key")
     else:
         table = tables[0]
 
@@ -169,13 +162,7 @@ def _cmd_adapt(args, run: _Run) -> None:
         iqr_multiplier=args.iqr_multiplier,
     )
     cleaned, report = clean(table, policy)
-
-    feature_columns = None
-    if args.key is not None and args.key in cleaned.column_names:
-        feature_columns = tuple(
-            c for c in cleaned.column_names if c not in (args.target, args.key)
-        )
-    ds = encode_and_normalize(cleaned, args.target, feature_columns)
+    ds = encode_and_normalize(cleaned, args.target)
     train_ds, test_ds = split(ds, args.train_fraction, args.seed)
     save_dataset(run.stage(args.out), train_ds, test_ds, run.header)
     if args.report is not None:
@@ -243,12 +230,7 @@ def _cmd_evaluate(args, run: _Run) -> None:
 
 
 def _read_scenarios(path: str) -> list[tuple[str, ScenarioFeatures]]:
-    header = [c.strip() for c in
-              next(csv.reader([_first_line(path, "file has no header row")]))]
-    kinds = tuple(
-        CATEGORICAL if name == "Scenario" else NUMERIC for name in header
-    )
-    table = load_csv(path, kinds=kinds)
+    table = load_csv(path)
     out = []
     for i, row in enumerate(table.rows):
         mapping = dict(zip(table.column_names, row))
@@ -355,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", action="append", required=True,
                    help="input CSV; repeat to join multiple sources")
     p.add_argument("--key", default=None,
-                   help="join key column (required for multiple --data)")
+                   help="join key column, dropped after the join "
+                        "(required for multiple --data)")
     p.add_argument("--target", default=TARGET_COLUMN)
     p.add_argument("--missing", default=IMPUTE_MEDIAN,
                    type=_one_of("--missing", DROP_ROW, IMPUTE_MEDIAN),

@@ -28,9 +28,9 @@ from .tables import (
     CATEGORICAL,
     NUMERIC,
     PAVING_COLUMNS,
-    PAVING_KINDS,
     RecordTable,
     ScenarioFeatures,
+    kind_of,
 )
 
 #: Hidden answer-key columns appended when truth output is requested.
@@ -98,7 +98,6 @@ def generate_paving_dataset(
     check_number("n_rows", n_rows, integer=True, low=1)
     rng = np.random.default_rng(seed)
     names = PAVING_COLUMNS + (TRUTH_COLUMNS if include_truth else ())
-    kinds = PAVING_KINDS + ((NUMERIC, NUMERIC) if include_truth else ())
     rows = []
     for _ in range(n_rows):
         f = sample_features(rng)
@@ -108,7 +107,7 @@ def generate_paving_dataset(
         if include_truth:
             row += [mu, sigma]
         rows.append(tuple(row))
-    return RecordTable(names, kinds, tuple(rows))
+    return RecordTable(names, tuple(map(kind_of, names)), tuple(rows))
 
 
 @dataclass(frozen=True)

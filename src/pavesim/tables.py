@@ -14,6 +14,10 @@ starting with ``#`` are treated as comments and blank lines are skipped
 on load, so files carrying an audit header round-trip cleanly. A
 :class:`ScenarioFeatures` names its attributes by these same columns.
 
+A loaded column's kind comes from its name alone (:func:`kind_of`), in
+any header order: ``Congestion`` and ``Spreader`` are boolean, a
+``Scenario`` label is categorical, and every other column is numeric.
+
 Every file is opened here: each input as UTF-8 by :func:`open_text`, each
 output by :func:`staged_files`, which renames a run's outputs into place
 only once all are written (:func:`write_text` fills a staged file in
@@ -47,30 +51,23 @@ COLUMN_KINDS = (NUMERIC, BOOLEAN, CATEGORICAL)
 
 #: Canonical paving CSV header, in file order. Column 0 is the target.
 PAVING_COLUMNS = (
-    "Productivity",
-    "Slump",
-    "Congestion",
-    "Spreader",
-    "AirEntrainment",
-    "Temperature",
-    "Humidity",
-    "Slope",
-    "Curvature",
-    "PaverAge",
+    "Productivity",     # m3/hr
+    "Slump",            # cm
+    "Congestion",       # 0/1
+    "Spreader",         # 0/1
+    "AirEntrainment",   # %
+    "Temperature",      # degC
+    "Humidity",         # %
+    "Slope",            # %
+    "Curvature",        # 1/m
+    "PaverAge",         # years
 )
 
-PAVING_KINDS = (
-    NUMERIC,   # Productivity, m3/hr
-    NUMERIC,   # Slump, cm
-    BOOLEAN,   # Congestion
-    BOOLEAN,   # Spreader
-    NUMERIC,   # AirEntrainment, %
-    NUMERIC,   # Temperature, degC
-    NUMERIC,   # Humidity, %
-    NUMERIC,   # Slope, %
-    NUMERIC,   # Curvature, 1/m
-    NUMERIC,   # PaverAge, years
-)
+#: The kind of each named column: the paving columns, and the label
+#: column of a scenario file. :func:`kind_of` reads any other as numeric.
+KIND_BY_NAME = {**dict.fromkeys(PAVING_COLUMNS, NUMERIC),
+               "Congestion": BOOLEAN, "Spreader": BOOLEAN,
+               "Scenario": CATEGORICAL}
 
 TARGET_COLUMN = PAVING_COLUMNS[0]
 
@@ -193,13 +190,10 @@ class ScenarioFeatures:
                       for c in FEATURE_COLUMNS})
 
 
-def _infer_kinds(header: Sequence[str]) -> tuple[str, ...]:
-    # The declared paving schema fixes the indicator columns; any extra
-    # columns after the canonical ten are numeric. Unknown headers are
-    # treated as all-numeric.
-    if tuple(header[: len(PAVING_COLUMNS)]) == PAVING_COLUMNS:
-        return PAVING_KINDS + (NUMERIC,) * (len(header) - len(PAVING_COLUMNS))
-    return (NUMERIC,) * len(header)
+def kind_of(name: str) -> str:
+    """The kind of a column named `name`: :data:`KIND_BY_NAME`'s entry, or
+    numeric."""
+    return KIND_BY_NAME.get(name, NUMERIC)
 
 
 def _parse_cell(text: str, kind: str, row: int, column: str) -> Cell:
@@ -314,19 +308,21 @@ def write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def read_csv(stream: io.TextIOBase, kinds: Sequence[str] | None = None) -> RecordTable:
+def read_csv(stream: io.TextIOBase) -> RecordTable:
     """Parse an open text stream; ``#`` lines and blank lines are skipped
-    anywhere, and row numbers count table rows."""
+    anywhere, row numbers count table rows, and each column's kind is
+    :func:`kind_of` its name. A stream with no header row is refused by
+    the name of its file, if it has one."""
     # csv.reader yields [] for a blank line, which is never data: csv_text
     # writes a row of one empty cell as "".
     reader = filter(None, csv.reader(without_comments(stream)))
     try:
         header = next(reader)
     except StopIteration:
-        raise DataError("file has no header row") from None
+        source = getattr(stream, "name", "stream")
+        raise DataError(f"file has no header row: {source}") from None
     header = tuple(h.strip() for h in header)
-    if kinds is None:
-        kinds = _infer_kinds(header)
+    kinds = tuple(map(kind_of, header))
     rows = []
     for i, raw in enumerate(reader):
         if len(raw) != len(header):
@@ -337,18 +333,13 @@ def read_csv(stream: io.TextIOBase, kinds: Sequence[str] | None = None) -> Recor
             _parse_cell(cell.strip(), kind, i, name)
             for cell, kind, name in zip(raw, kinds, header)
         ))
-    return RecordTable(header, tuple(kinds), tuple(rows))
+    return RecordTable(header, kinds, tuple(rows))
 
 
-def load_csv(path: str | Path, kinds: Sequence[str] | None = None) -> RecordTable:
-    """Load a CSV file into a :class:`RecordTable`.
-
-    Column kinds come from the declared paving schema when the header
-    starts with the canonical columns, otherwise every column is numeric.
-    An explicit `kinds` sequence overrides inference.
-    """
+def load_csv(path: str | Path) -> RecordTable:
+    """Load a CSV file into a :class:`RecordTable` by :func:`read_csv`."""
     with open_text(path) as stream:
-        return read_csv(stream, kinds=kinds)
+        return read_csv(stream)
 
 
 def _field(value) -> str:

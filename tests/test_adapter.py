@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -52,18 +53,33 @@ def make_weather_and_site():
 def test_join_union_of_columns_on_shared_keys():
     weather, site = make_weather_and_site()
     joined, dropped = join_sources([weather, site], "JobId")
+    # the key names rows; it is not data, so the join drops it
     assert joined.column_names == (
-        "JobId", "Temperature", "Humidity", "Congestion", "Spreader")
+        "Temperature", "Humidity", "Congestion", "Spreader")
+    assert joined.column_kinds == (NUMERIC, NUMERIC, BOOLEAN, BOOLEAN)
     assert joined.num_rows == 3
     assert dropped == 0
-    assert joined.rows[1] == (2.0, 25.0, 60.0, 0.0, 1.0)
+    assert joined.rows[1] == (25.0, 60.0, 0.0, 1.0)
 
 
-def test_join_single_table_is_identity():
+def test_join_single_table_drops_only_the_key():
     weather, _ = make_weather_and_site()
     joined, dropped = join_sources([weather], "JobId")
-    assert joined is weather
+    assert joined == RecordTable(("Temperature", "Humidity"), (NUMERIC,) * 2,
+                                 tuple(row[1:] for row in weather.rows))
     assert dropped == 0
+
+
+@pytest.mark.parametrize("tables", [1, 2])
+def test_join_refuses_a_blank_key(tables):
+    # blank keys in two sources matched each other, and a lone blank key
+    # reached clean as data
+    weather, site = make_weather_and_site()
+    holed = [weather.with_rows(((1.0, 20.0, 70.0), (None, 25.0, 60.0))),
+             site.with_rows(((None, 1.0, 0.0), (1.0, 0.0, 1.0)))]
+    with pytest.raises(DataError, match=re.escape(
+            "blank key in row 1 of table 0 column 'JobId'")):
+        join_sources(holed[:tables], "JobId")
 
 
 def test_join_disjoint_keys_drops_everything():
@@ -299,14 +315,6 @@ def test_generated_truth_columns_are_not_features():
     assert tuple(c.name for c in ds.norm_stats.features) == FEATURE_COLUMNS
 
 
-def test_explicit_feature_columns_override():
-    table = RecordTable(("Y", "A", "B"), (NUMERIC,) * 3,
-                        ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)))
-    ds = encode_and_normalize(table, "Y", feature_columns=("B",))
-    assert tuple(c.name for c in ds.norm_stats.features) == ("B",)
-    assert ds.X.shape == (2, 1)
-
-
 @pytest.mark.parametrize("rows,message", [
     (((1.0, 2.0), (2.0, 2.0)), "constant"),
     (((1.0, None), (2.0, 3.0)), "missing"),
@@ -330,9 +338,11 @@ def test_encode_rejects_categorical_feature_and_constant_target():
 
 
 def test_encode_rejects_target_as_feature_and_empty_table():
-    table = RecordTable(("Y", "X"), (NUMERIC, NUMERIC), ((1.0, 2.0),))
-    with pytest.raises(DataError, match="cannot also be a feature"):
-        encode_and_normalize(table, "Y", feature_columns=("Y", "X"))
+    # a canonical table's features are the nine condition attributes
+    table = generate_paving_dataset(20, 3)
+    with pytest.raises(DataError, match="target 'Slump' cannot also be a "
+                                        "feature"):
+        encode_and_normalize(table, "Slump")
     empty = RecordTable(("Y", "X"), (NUMERIC, NUMERIC), ())
     with pytest.raises(DataError, match="empty"):
         encode_and_normalize(empty, "Y")

@@ -18,7 +18,8 @@ import pytest
 
 from pavesim import cli
 from pavesim.modelfile import load_dataset, load_model
-from pavesim.tables import PAVING_COLUMNS, TARGET_COLUMN
+from pavesim.synthetic import generate_paving_dataset
+from pavesim.tables import PAVING_COLUMNS, TARGET_COLUMN, csv_text
 
 FEATURE_NAMES = PAVING_COLUMNS[1:]
 
@@ -335,6 +336,62 @@ def test_adapt_join_requires_key(tmp_path, capsys):
     ])
     assert rc == 1
     assert "requires --key" in capsys.readouterr().err
+
+
+def keyed_csv(path, congestion, truth=False):
+    """A synth table with a ``JobId`` column first and the given
+    Congestion cells (None for a blank)."""
+    table = generate_paving_dataset(len(congestion), 21, include_truth=truth)
+    at = table.column_index("Congestion")
+    rows = [(i + 1, *row[:at], flag, *row[at + 1:])
+            for i, (row, flag) in enumerate(zip(table.rows, congestion))]
+    path.write_text(csv_text((), ("JobId",) + table.column_names, rows))
+    return path
+
+
+def test_adapt_keyed_file_with_the_answer_key_trains_on_the_nine_features(
+        tmp_path, capsys):
+    # --key made cli build the features itself, so MuStar and SigmaStar
+    # were features and derive failed with "feature 'MuStar' missing"
+    data = keyed_csv(tmp_path / "k.csv", [0, 1] * 20, truth=True)
+    ds, model = tmp_path / "ds.json", tmp_path / "m.model"
+    assert cli.main(["adapt", "--data", str(data), "--key", "JobId",
+                     "--seed", "1", "--out", str(ds)]) == 0
+    train_ds, _ = load_dataset(str(ds))
+    assert tuple(c.name for c in train_ds.norm_stats.features) == FEATURE_NAMES
+    assert cli.main(["train", "--data", str(ds), "--seed", "2", "--epochs",
+                     "1", "--hidden", "3", "--out", str(model)]) == 0
+    scen = tmp_path / "scen.csv"
+    scen.write_text(SCENARIO_CSV)
+    capsys.readouterr()
+    assert cli.main(["derive", "--model", str(model), "--scenarios",
+                     str(scen)]) == 0
+    assert "best: mean = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ones, fill", [(10, 1.0), (9, 0.0)],
+                         ids=["majority", "tie"])
+def test_adapt_keyed_file_imputes_congestion_as_boolean(tmp_path, ones, fill):
+    # a keyed header did not start with Productivity, so Congestion was
+    # numeric: z-scored, and a blank filled with the median (0.5 on a tie)
+    data = keyed_csv(tmp_path / "k.csv", [1] * ones + [0] * (18 - ones) + [None])
+    out = tmp_path / "ds.json"
+    assert cli.main(["adapt", "--data", str(data), "--key", "JobId",
+                     "--seed", "1", "--out", str(out)]) == 0
+    train_ds, test_ds = load_dataset(str(out))
+    at = FEATURE_NAMES.index("Congestion")
+    assert train_ds.norm_stats.features[at].kind == "boolean"
+    flags = np.concatenate([train_ds.X[:, at], test_ds.X[:, at]])
+    assert sorted(flags) == sorted([1.0] * ones + [0.0] * (18 - ones) + [fill])
+
+
+def test_adapt_refuses_an_unknown_key_on_one_file(tmp_path, raw_csv, capsys):
+    out = tmp_path / "ds.json"
+    rc = cli.main(["adapt", "--data", str(raw_csv), "--key", "Nope",
+                   "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no column named 'Nope'\n"
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ train

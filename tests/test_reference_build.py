@@ -202,6 +202,19 @@ def only_line_differs(prefix):
     return check
 
 
+def only_counts_lose(column):
+    """A cleaning report whose three count maps lose `column`, and that
+    is otherwise unchanged."""
+    def check(ref, new):
+        assert comments(ref) == comments(new)
+        ref_report, new_report = (json.loads("\n".join(body(text)))
+                                  for text in (ref, new))
+        for counts in ("missing_counts", "imputed_counts", "outlier_counts"):
+            del ref_report[counts][column]
+        assert ref_report == new_report
+    return check
+
+
 #: file -> (the change that made it differ, and why; its exact check)
 DECLARED = {
     name: ("one decode for evaluate and derive: sigma is "
@@ -221,6 +234,9 @@ DECLARED.update({
                 only_comments_removed({"# split_seed = None",
                                        "# target = Productivity",
                                        "# train_fraction = 0.8"})),
+    "rep_join.json": ("the join drops its key, which names rows and is not "
+                      "data, so clean no longer counts, imputes or fences "
+                      "JobId", only_counts_lose("JobId")),
 })
 
 

@@ -15,9 +15,9 @@ from pavesim.tables import (
     FEATURE_COLUMNS,
     NUMERIC,
     PAVING_COLUMNS,
-    PAVING_KINDS,
     RecordTable,
     ScenarioFeatures,
+    kind_of,
     load_csv,
     open_text,
     read_csv,
@@ -28,6 +28,7 @@ from pavesim.tables import (
 )
 
 HEADER = ",".join(PAVING_COLUMNS)
+PAVING_KINDS = (NUMERIC, NUMERIC, BOOLEAN, BOOLEAN) + (NUMERIC,) * 6
 
 
 def write_text_atomic(path, text):
@@ -98,6 +99,25 @@ def test_read_csv_extra_columns_after_schema_are_numeric():
     assert table.column_kinds == PAVING_KINDS + (NUMERIC, NUMERIC)
 
 
+def test_read_csv_kinds_come_from_names_in_any_order():
+    # kinds were read from a header prefix: a reordered or keyed canonical
+    # header was all numeric, and a Scenario label could not load
+    names = ("JobId", "Scenario") + PAVING_COLUMNS[::-1]
+    table = read_csv(io.StringIO(",".join(names) + "\n"
+                                 "7,best,4.0,0.001,-0.7,59.6,5.3,4.6,0,1,3.0,66.0\n"))
+    assert table.column_kinds == (NUMERIC, CATEGORICAL) + PAVING_KINDS[::-1]
+    assert table.rows[0][:2] == (7.0, "best")
+    with pytest.raises(DataError, match="boolean column 'Spreader' holds 2.0"):
+        read_csv(io.StringIO(",".join(names) + "\n"
+                             "7,best,4.0,0.001,-0.7,59.6,5.3,4.6,2,1,3.0,66.0\n"))
+
+
+def test_kind_of_reads_the_name_alone():
+    assert [kind_of(c) for c in PAVING_COLUMNS] == list(PAVING_KINDS)
+    assert kind_of("Scenario") == CATEGORICAL
+    assert kind_of("MuStar") == kind_of("congestion") == NUMERIC
+
+
 def test_read_csv_skips_a_trailing_blank_line():
     table = read_csv(io.StringIO("Y,X\n1,2\n3,4\n5,6\n7,8\n9,10\n\n"))
     assert table.num_rows == 5
@@ -127,6 +147,14 @@ def test_read_csv_no_header_is_an_error():
         read_csv(io.StringIO(""))
     with pytest.raises(DataError, match="header"):
         read_csv(io.StringIO("\n# only a comment\n\n"))
+
+
+def test_load_csv_names_a_file_with_no_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# only a comment\n\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"file has no header row: {path}")):
+        load_csv(path)
 
 
 def test_load_csv_missing_file(tmp_path):
@@ -162,7 +190,7 @@ def test_open_text_reads_utf8_and_keeps_line_ends(tmp_path):
     path.write_bytes("Scenario,Y\r\nbeté,1\r\n".encode())
     with open_text(path) as stream:
         assert stream.read() == "Scenario,Y\r\nbeté,1\r\n"
-    table = load_csv(path, kinds=(CATEGORICAL, NUMERIC))
+    table = load_csv(path)
     assert table.rows == (("beté", 1.0),)
 
 
@@ -328,13 +356,13 @@ def test_format_cell_conventions():
 
 def test_csv_round_trip_is_exact(tmp_path):
     table = RecordTable(
-        ("Condition", "Duration", "Flag"),
+        ("Scenario", "Slump", "Spreader"),
         (CATEGORICAL, NUMERIC, BOOLEAN),
         (("rainy", 0.1 + 0.2, 1.0), ("sunny", -17.25, 0.0), ("windy", None, 1.0)),
     )
     path = tmp_path / "t.csv"
     path.write_text(table_to_csv(table, header_comments=("written by a test",)))
-    back = load_csv(path, kinds=table.column_kinds)
+    back = load_csv(path)
     assert back == table
 
 
@@ -365,12 +393,16 @@ CELLS = {
 }
 
 
+#: Column names of each kind; a read takes a column's kind from its name.
+NAMES = ("c0", "c1", "c2", "Congestion", "Spreader", "Scenario")
+
+
 @st.composite
 def tables(draw):
-    kinds = tuple(draw(st.lists(st.sampled_from(list(CELLS)),
-                                min_size=1, max_size=5)))
+    names = tuple(draw(st.lists(st.sampled_from(NAMES), min_size=1,
+                                max_size=5, unique=True)))
+    kinds = tuple(map(kind_of, names))
     rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=8))
-    names = tuple(f"c{i}" for i in range(len(kinds)))
     return RecordTable(names, kinds, tuple(rows))
 
 
@@ -385,8 +417,7 @@ def same_cell(written, read):
 @settings(max_examples=150, deadline=None)
 @given(table=tables())
 def test_written_tables_read_back_bit_for_bit(table):
-    back = read_csv(io.StringIO(table_to_csv(table, ("a comment",))),
-                    kinds=table.column_kinds)
+    back = read_csv(io.StringIO(table_to_csv(table, ("a comment",))))
     assert back.column_names == table.column_names
     assert back.num_rows == table.num_rows
     for written, read in zip(table.rows, back.rows):
