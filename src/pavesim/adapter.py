@@ -98,6 +98,8 @@ class ColumnStats:
     std: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"column name must be a string, got {self.name!r}")
         if self.kind not in (NUMERIC, BOOLEAN):
             raise DataError(f"column {self.name!r} has unknown kind {self.kind!r}")
         check_number(f"mean of column {self.name!r}", self.mean)

@@ -62,7 +62,6 @@ from .synthetic import (
     generate_weather_mixture,
 )
 from .tables import (
-    ScenarioFeatures,
     TARGET_COLUMN,
     csv_text,
     json_text,
@@ -229,16 +228,15 @@ def _cmd_evaluate(args, run: _Run) -> None:
                   f"at level {args.level}"]
 
 
-def _read_scenarios(path: str) -> list[tuple[str, ScenarioFeatures]]:
+def _read_scenarios(path: str) -> list[tuple[str, dict]]:
+    """Each row of a scenario file as its label and its column name ->
+    cell mapping."""
     table = load_csv(path)
-    out = []
-    for i, row in enumerate(table.rows):
-        mapping = dict(zip(table.column_names, row))
-        label = mapping.get("Scenario") or f"row {i}"
-        out.append((label, ScenarioFeatures.from_mapping(mapping)))
-    if not out:
+    if not table.rows:
         raise DataError(f"scenario file {path} has no rows")
-    return out
+    rows = [dict(zip(table.column_names, row)) for row in table.rows]
+    return [(row.get("Scenario") or f"row {i}", row)
+            for i, row in enumerate(rows)]
 
 
 def _cmd_derive(args, run: _Run) -> None:
@@ -246,8 +244,8 @@ def _cmd_derive(args, run: _Run) -> None:
     scenarios = _read_scenarios(args.scenarios)
     run.lines.append("seeds: none (deterministic)")
     rows = []
-    for label, features in scenarios:
-        model = derive(params, features, stats)
+    for label, values in scenarios:
+        model = derive(params, values, stats)
         lo, hi = confidence_interval(model, 0.95)
         run.lines.append(f"{label}: mean = {model.mean:.4f}, variance = "
                          f"{model.variance:.4f}, 95% CI = "
@@ -274,8 +272,7 @@ def _cmd_simulate(args, run: _Run) -> None:
                 "config has a 'scenario' block, so --model is required"
             )
         params, stats, _, _ = load_model(args.model)
-        features = ScenarioFeatures.from_mapping(raw["scenario"])
-        input_model = derive(params, features, stats)
+        input_model = derive(params, raw["scenario"], stats)
 
     cfg = build_sim_config(raw, input_model)
     result = run_monte_carlo(cfg, args.reps, args.seed)

@@ -29,12 +29,12 @@ class TrainingDivergedError(NumericalError):
 
 
 def check_number(name: str, value, *, integer: bool = False, low=None,
-                 above=None, below=None):
+                 high=None, above=None, below=None):
     """`value` if it is a finite int or float (numpy's too; only an int if
-    `integer`) within the bounds given, ``low <= value``, ``above < value``
-    and ``value < below``. Otherwise a :class:`DataError` states the whole
-    rule: ``adam_beta1 must be a finite number >= 0 and < 1, got -3``. A
-    bool, and an int too large for a float, never pass."""
+    `integer`) within the bounds given, ``low <= value <= high``,
+    ``above < value`` and ``value < below``. Otherwise a :class:`DataError`
+    states the whole rule: ``adam_beta1 must be a finite number >= 0 and
+    < 1, got -3``. A bool, and an int too large for a float, never pass."""
     try:
         # int and float first: an isinstance check against an ABC is slow
         ok = ((type(value) is int or (type(value) is float and not integer)
@@ -42,6 +42,7 @@ def check_number(name: str, value, *, integer: bool = False, low=None,
                    and not isinstance(value, bool)))
               and math.isfinite(value)
               and (low is None or value >= low)
+              and (high is None or value <= high)
               and (above is None or value > above)
               and (below is None or value < below))
     except OverflowError:  # an int too large for a float
@@ -49,7 +50,7 @@ def check_number(name: str, value, *, integer: bool = False, low=None,
     if not ok:
         kind = "an integer" if integer else "a finite number"
         bounds = " and ".join(f"{op} {bound}" for op, bound in (
-            (">=", low), (">", above), ("<", below))
+            (">=", low), ("<=", high), (">", above), ("<", below))
             if bound is not None)
         rule = f"{kind} {bounds}".rstrip()
         raise DataError(f"{name} must be {rule}, got {value!r}")

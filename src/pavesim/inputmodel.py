@@ -3,9 +3,10 @@
 This is where network outputs stop being normalized numbers and become
 usable distributions. One decode maps the network's normalized heads to
 a ``(mean, variance)`` pair in m^3/hr (or minutes, for the hauling
-demo): :func:`derive` applies it to one scenario, :func:`sample` draws
-variates from the result, and :func:`coverage` applies it to every
-held-out row, so its sigma and interval equal derive's bit for bit.
+demo): :func:`derive` applies it to one scenario, read by the model's
+own feature names, :func:`sample` draws variates from the result, and
+:func:`coverage` applies it to every held-out row, so its sigma and
+interval equal derive's bit for bit.
 :func:`pooled_fit` is the deliberately naive baseline that ignores
 conditions and fits one Gaussian to everything;
 :func:`compare_pooled_vs_conditioned` quantifies what that pooling costs
@@ -21,14 +22,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .adapter import Dataset, NormalizationStats
 from .errors import DataError, NumericalError, check_number
 from .network import NetworkParams, forward_batch
-from .tables import ScenarioFeatures, csv_text
+from .tables import check_value, csv_text
 
 #: Central-interval z-values. A fixed table, not a quantile routine: only
 #: these three levels are supported.
@@ -71,15 +72,23 @@ def _decode(
 
 def derive(
     params: NetworkParams,
-    features: ScenarioFeatures,
+    values: Mapping[str, object],
     stats: NormalizationStats,
 ) -> GaussianInputModel:
     """Predict the productivity distribution for one operating condition.
 
-    Encodes the features with the training normalization, runs the
-    network, and maps the normalized heads back to physical units.
+    Reads the model's own features from `values`, a name -> value
+    mapping (other names are ignored): a missing or ``None`` value is
+    refused, and each one is checked by :func:`check_value`. Encodes
+    them with the training normalization, runs the network, and maps the
+    normalized heads back to physical units.
     """
-    x = stats.encode_features(features.as_mapping())
+    missing = [c.name for c in stats.features if values.get(c.name) is None]
+    if missing:
+        raise DataError(f"missing scenario attributes: {', '.join(missing)}")
+    x = stats.encode_features(
+        {c.name: check_value(c.name, c.kind, values[c.name])
+         for c in stats.features})
     mu_norm, s = forward_batch(params, x[None, :])
     return _decode(stats, float(mu_norm[0]), float(s[0]))
 

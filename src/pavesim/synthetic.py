@@ -15,44 +15,44 @@ The generating law is fixed here and nowhere else:
 
 Productivity is drawn as N(mu*, sigma*^2). Over the sampled feature
 ranges mu* stays within [30, 110] m/h and sigma* within [1, 9] m/h.
+
+A feature vector is a plain dict keyed by column name, the form
+:func:`pavesim.inputmodel.derive` reads: :func:`sample_features` draws
+one, :func:`true_moments` takes one, and :data:`DEMO_SCENARIOS` holds
+three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DataError, check_number
-from .tables import (
-    CATEGORICAL,
-    NUMERIC,
-    PAVING_COLUMNS,
-    RecordTable,
-    ScenarioFeatures,
-    kind_of,
-)
+from .tables import PAVING_COLUMNS, RecordTable, kind_of
 
 #: Hidden answer-key columns appended when truth output is requested.
 TRUTH_COLUMNS = ("MuStar", "SigmaStar")
 
 
-def true_moments(f: ScenarioFeatures) -> tuple[float, float]:
-    """True (mean, standard deviation) of productivity for features ``f``."""
+def true_moments(f: Mapping[str, float]) -> tuple[float, float]:
+    """True (mean, standard deviation) of productivity for the features
+    ``f``, keyed by column name."""
     mu = (
         90.0
-        - 4.5 * f.PaverAge
-        - 8.0 * f.Congestion
-        + 7.0 * f.Spreader
-        + 2.5 * (f.Slump - 4.0)
-        - 0.045 * (f.Temperature - 20.0) ** 2
-        - 0.06 * (f.Humidity - 70.0)
-        - 1.5 * abs(f.Slope)
-        - 800.0 * abs(f.Curvature)
+        - 4.5 * f["PaverAge"]
+        - 8.0 * f["Congestion"]
+        + 7.0 * f["Spreader"]
+        + 2.5 * (f["Slump"] - 4.0)
+        - 0.045 * (f["Temperature"] - 20.0) ** 2
+        - 0.06 * (f["Humidity"] - 70.0)
+        - 1.5 * abs(f["Slope"])
+        - 800.0 * abs(f["Curvature"])
     )
     sigma = max(
         1.0,
-        2.5 + 0.7 * f.PaverAge + 2.0 * f.Congestion - 1.0 * f.Spreader,
+        2.5 + 0.7 * f["PaverAge"] + 2.0 * f["Congestion"] - 1.0 * f["Spreader"],
     )
     return mu, sigma
 
@@ -69,19 +69,20 @@ _CURVATURE_RANGE = (-0.002, 0.002)
 _AGE_RANGE = (0.0, 5.0)  # rounded to half-years
 
 
-def sample_features(rng: np.random.Generator) -> ScenarioFeatures:
-    """Draw one plausible paving-job feature vector."""
-    return ScenarioFeatures(
-        Slump=float(rng.uniform(*_SLUMP_RANGE)),
-        Congestion=float(rng.random() < _CONGESTION_P),
-        Spreader=float(rng.random() < _SPREADER_P),
-        AirEntrainment=float(rng.uniform(*_AIR_RANGE)),
-        Temperature=float(rng.uniform(*_TEMPERATURE_RANGE)),
-        Humidity=float(rng.uniform(*_HUMIDITY_RANGE)),
-        Slope=float(rng.uniform(*_SLOPE_RANGE)),
-        Curvature=float(rng.uniform(*_CURVATURE_RANGE)),
-        PaverAge=round(rng.uniform(*_AGE_RANGE) * 2.0) / 2.0,
-    )
+def sample_features(rng: np.random.Generator) -> dict[str, float]:
+    """Draw one plausible paving-job feature vector, keyed by column name
+    in :data:`~pavesim.tables.FEATURE_COLUMNS` order (the draw order)."""
+    return {
+        "Slump": float(rng.uniform(*_SLUMP_RANGE)),
+        "Congestion": float(rng.random() < _CONGESTION_P),
+        "Spreader": float(rng.random() < _SPREADER_P),
+        "AirEntrainment": float(rng.uniform(*_AIR_RANGE)),
+        "Temperature": float(rng.uniform(*_TEMPERATURE_RANGE)),
+        "Humidity": float(rng.uniform(*_HUMIDITY_RANGE)),
+        "Slope": float(rng.uniform(*_SLOPE_RANGE)),
+        "Curvature": float(rng.uniform(*_CURVATURE_RANGE)),
+        "PaverAge": round(rng.uniform(*_AGE_RANGE) * 2.0) / 2.0,
+    }
 
 
 def generate_paving_dataset(
@@ -103,7 +104,7 @@ def generate_paving_dataset(
         f = sample_features(rng)
         mu, sigma = true_moments(f)
         productivity = float(rng.normal(mu, sigma))
-        row = [productivity, *vars(f).values()]
+        row = [productivity, *f.values()]
         if include_truth:
             row += [mu, sigma]
         rows.append(tuple(row))
@@ -171,29 +172,26 @@ def generate_weather_mixture(
     for _ in range(n_rows):
         c = spec.components[rng.choice(len(spec.components), p=weights)]
         rows.append((c.label, float(rng.normal(c.mean, c.std))))
-    return RecordTable(
-        ("Condition", "Duration"),
-        (CATEGORICAL, NUMERIC),
-        tuple(rows),
-    )
+    names = ("Condition", "Duration")
+    return RecordTable(names, tuple(map(kind_of, names)), tuple(rows))
 
 
 #: Three reference job profiles spanning the productivity range: an old
 #: paver in congestion with no spreader ("worst"), a mid-life machine in
 #: congestion ("medium"), and a fresh machine with a spreader on a clear
 #: site ("best").
-DEMO_SCENARIOS: dict[str, ScenarioFeatures] = {
-    "worst": ScenarioFeatures(
+DEMO_SCENARIOS: dict[str, dict[str, float]] = {
+    "worst": dict(
         Slump=4.5, Congestion=1.0, Spreader=0.0, AirEntrainment=4.5,
         Temperature=6.5, Humidity=84.6, Slope=0.0, Curvature=0.001,
         PaverAge=5.0,
     ),
-    "medium": ScenarioFeatures(
+    "medium": dict(
         Slump=4.3, Congestion=1.0, Spreader=0.0, AirEntrainment=4.2,
         Temperature=21.8, Humidity=86.0, Slope=-3.4952, Curvature=0.001,
         PaverAge=2.5,
     ),
-    "best": ScenarioFeatures(
+    "best": dict(
         Slump=3.0, Congestion=0.0, Spreader=1.0, AirEntrainment=4.5,
         Temperature=7.7, Humidity=60.1, Slope=1.2028, Curvature=-0.001,
         PaverAge=0.0,

@@ -1,4 +1,4 @@
-"""Rectangular record tables and the paving-scenario feature vector.
+"""Rectangular record tables, and the kind and range of a column by name.
 
 A :class:`RecordTable` is an immutable named-column table of operation
 records. Cells are floats for numeric and boolean columns (booleans
@@ -11,12 +11,16 @@ The canonical paving CSV layout is one header row::
 
 followed by comma-separated rows; missing cells are empty fields. Lines
 starting with ``#`` are treated as comments and blank lines are skipped
-on load, so files carrying an audit header round-trip cleanly. A
-:class:`ScenarioFeatures` names its attributes by these same columns.
+on load, so files carrying an audit header round-trip cleanly.
 
 A loaded column's kind comes from its name alone (:func:`kind_of`), in
 any header order: ``Congestion`` and ``Spreader`` are boolean, a
-``Scenario`` label is categorical, and every other column is numeric.
+``Scenario`` label and the text columns the CLI writes (``scenario``,
+``label``, ``Condition``) are categorical, and every other column is
+numeric. A scenario value is checked by its name too
+(:func:`check_value`): ``Humidity`` lies in [0, 100], ``AirEntrainment``
+and ``PaverAge`` are at least 0, and any value of a boolean feature is 0
+or 1.
 
 Every file is opened here: each input as UTF-8 by :func:`open_text`, each
 output by :func:`staged_files`, which renames a run's outputs into place
@@ -33,12 +37,11 @@ import csv
 import errno
 import io
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DataError, check_number
 
@@ -63,11 +66,21 @@ PAVING_COLUMNS = (
     "PaverAge",         # years
 )
 
-#: The kind of each named column: the paving columns, and the label
-#: column of a scenario file. :func:`kind_of` reads any other as numeric.
+#: The kind of each named column: the paving columns, the label column of
+#: a scenario file, and the text columns of the files the CLI writes
+#: (``derive``'s ``scenario``, ``mixture-demo``'s ``label`` and
+#: ``Condition``). :func:`kind_of` reads any other as numeric.
 KIND_BY_NAME = {**dict.fromkeys(PAVING_COLUMNS, NUMERIC),
                "Congestion": BOOLEAN, "Spreader": BOOLEAN,
-               "Scenario": CATEGORICAL}
+               **dict.fromkeys(("Scenario", "scenario", "label", "Condition"),
+                               CATEGORICAL)}
+
+#: The physical range of each named column, as :func:`check_number`'s
+#: bounds (Humidity in %, AirEntrainment in %, PaverAge in years);
+#: :func:`check_value` holds every scenario value to it.
+BOUNDS_BY_NAME = {"AirEntrainment": {"low": 0},
+                  "Humidity": {"low": 0, "high": 100},
+                  "PaverAge": {"low": 0}}
 
 TARGET_COLUMN = PAVING_COLUMNS[0]
 
@@ -137,63 +150,20 @@ class RecordTable:
         return RecordTable(self.column_names, self.column_kinds, tuple(rows))
 
 
-@dataclass(frozen=True)
-class ScenarioFeatures:
-    """One paving operation condition: the nine scenario attributes, each
-    named by its CSV column, in :data:`FEATURE_COLUMNS` order.
-
-    Units: Slump cm, AirEntrainment %, Temperature degC, Humidity %,
-    Slope %, Curvature 1/m, PaverAge years; Congestion and Spreader are
-    0/1 indicators.
-    """
-
-    Slump: float
-    Congestion: float
-    Spreader: float
-    AirEntrainment: float
-    Temperature: float
-    Humidity: float
-    Slope: float
-    Curvature: float
-    PaverAge: float
-
-    def __post_init__(self):
-        for indicator in ("Congestion", "Spreader"):
-            value = getattr(self, indicator)
-            if not _is_boolean_value(value):
-                raise DataError(f"{indicator} must be 0 or 1, got {value!r}")
-        if not 0.0 <= self.Humidity <= 100.0:
-            raise DataError(f"Humidity must be in [0, 100], got {self.Humidity!r}")
-        if self.AirEntrainment < 0.0:
-            raise DataError(
-                f"AirEntrainment must be >= 0, got {self.AirEntrainment!r}"
-            )
-        if self.PaverAge < 0.0:
-            raise DataError(f"PaverAge must be >= 0, got {self.PaverAge!r}")
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise DataError(f"{name} must be finite, got {value!r}")
-
-    def as_mapping(self) -> dict[str, float]:
-        """Values keyed by canonical column name."""
-        return dict(vars(self))
-
-    @classmethod
-    def from_mapping(cls, values: Mapping[str, object]) -> "ScenarioFeatures":
-        """The features of a column name -> value mapping, and the one door
-        for outside values: extra names are ignored, a ``None`` value (an
-        empty cell) counts as missing, and the rest must be numbers."""
-        missing = [c for c in FEATURE_COLUMNS if values.get(c) is None]
-        if missing:
-            raise DataError(f"missing scenario attributes: {', '.join(missing)}")
-        return cls(**{c: float(check_number(c, values[c]))
-                      for c in FEATURE_COLUMNS})
-
-
 def kind_of(name: str) -> str:
     """The kind of a column named `name`: :data:`KIND_BY_NAME`'s entry, or
     numeric."""
     return KIND_BY_NAME.get(name, NUMERIC)
+
+
+def check_value(name: str, kind: str, value) -> float:
+    """`value` as a float, if it is a number within :data:`BOUNDS_BY_NAME`'s
+    bounds for `name` and, for a boolean `kind`, 0 or 1; otherwise a
+    :class:`DataError` names `name` and its rule."""
+    value = float(check_number(name, value, **BOUNDS_BY_NAME.get(name, {})))
+    if kind == BOOLEAN and not _is_boolean_value(value):
+        raise DataError(f"{name} must be 0 or 1, got {value!r}")
+    return value
 
 
 def _parse_cell(text: str, kind: str, row: int, column: str) -> Cell:

@@ -5,6 +5,7 @@ coverage and debugging stay simple; every file artifact goes through a
 real tmp directory.
 """
 
+import csv
 import json
 import os
 import resource
@@ -19,7 +20,7 @@ import pytest
 from pavesim import cli
 from pavesim.modelfile import load_dataset, load_model
 from pavesim.synthetic import generate_paving_dataset
-from pavesim.tables import PAVING_COLUMNS, TARGET_COLUMN, csv_text
+from pavesim.tables import PAVING_COLUMNS, TARGET_COLUMN, csv_text, load_csv
 
 FEATURE_NAMES = PAVING_COLUMNS[1:]
 
@@ -606,6 +607,8 @@ def test_derive_rejects_empty_scenario_file(model_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("std", 0.0), ("kind", "bogus"), ("mean", float("nan")),
+    # a list was a TypeError traceback in derive
+    ("name", True), ("name", ["Slump"]),
 ])
 def test_derive_rejects_malformed_column_stats(model_file, tmp_path, capsys,
                                                key, value):
@@ -818,6 +821,109 @@ def test_simulate_malformed_productivity_block(tmp_path, capsys):
     assert "'productivity' must be an object" in capsys.readouterr().err
 
 
+# -------------------------------------------------------- scenario values
+
+
+#: Scenario values refused by their column: (column, value in a config's
+#: scenario block, cell in a scenario CSV).
+REFUSED_SCENARIO_VALUES = [
+    ("Congestion", 2, "2"),
+    ("Spreader", 0.5, "0.5"),
+    ("Humidity", 100.1, "100.1"),
+    ("Humidity", -1, "-1"),
+    ("AirEntrainment", -0.1, "-0.1"),
+    ("PaverAge", -1, "-1"),
+    ("Slope", float("inf"), "inf"),  # json.dumps writes Infinity
+    ("Slope", "steep", "steep"),
+    ("Slope", None, ""),
+]
+
+
+def scenario_file(path, **cells):
+    """A one-row scenario CSV, labelled ``best``, of SCENARIO_CONFIG's
+    values with `cells` in place of some."""
+    row = {k: str(v) for k, v in SCENARIO_CONFIG["scenario"].items()}
+    row.update(cells)
+    path.write_text(f"Scenario,{','.join(row)}\nbest,{','.join(row.values())}\n")
+    return path
+
+
+@pytest.mark.parametrize("column, value, cell", REFUSED_SCENARIO_VALUES)
+def test_derive_refuses_a_scenario_value_by_its_column(
+        model_file, tmp_path, capsys, column, value, cell):
+    scen = scenario_file(tmp_path / "scen.csv", **{column: cell})
+    out = tmp_path / "der.csv"
+    rc = cli.main(["derive", "--model", str(model_file), "--scenarios",
+                   str(scen), "--out", str(out)])
+    assert rc == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and column in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, value, cell", REFUSED_SCENARIO_VALUES)
+def test_simulate_refuses_a_scenario_value_by_its_column(
+        model_file, tmp_path, capsys, column, value, cell):
+    scenario = dict(SCENARIO_CONFIG["scenario"], **{column: value})
+    cfg = write_config(tmp_path / "sim.cfg",
+                       dict(SCENARIO_CONFIG, scenario=scenario))
+    out = tmp_path / "sim.csv"
+    rc = cli.main(["simulate", "--config", str(cfg), "--model",
+                   str(model_file), "--reps", "10", "--seed", "1",
+                   "--out", str(out)])
+    assert rc == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and column in err
+    assert not out.exists()
+
+
+def test_a_scenario_breaking_several_rules_is_refused_by_its_first_feature(
+        model_file, tmp_path, capsys):
+    scen = scenario_file(tmp_path / "scen.csv", Humidity="160.1",
+                         AirEntrainment="-4.5", PaverAge="-1")
+    rc = cli.main(["derive", "--model", str(model_file), "--scenarios",
+                   str(scen)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: AirEntrainment must be a finite number >= 0, got -4.5\n")
+    scenario = dict(SCENARIO_CONFIG["scenario"], Congestion=2, Humidity=160.1)
+    cfg = write_config(tmp_path / "sim.cfg",
+                       dict(SCENARIO_CONFIG, scenario=scenario))
+    rc = cli.main(["simulate", "--config", str(cfg), "--model",
+                   str(model_file), "--reps", "10", "--seed", "1",
+                   "--out", str(tmp_path / "sim.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: Congestion must be 0 or 1, got 2.0\n"
+
+
+def test_a_model_of_any_schema_runs_every_stage(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    load, distance = rng.uniform(5, 15, 300), rng.uniform(1, 20, 300)
+    duration = 30 + 2 * load + distance + rng.normal(0, 1 + 0.1 * distance)
+    data = tmp_path / "trips.csv"
+    data.write_text(csv_text((), ("Load", "Distance", "Duration"), zip(
+        load.tolist(), distance.tolist(), duration.tolist())))
+    scen = tmp_path / "scen.csv"
+    scen.write_text("Scenario,Distance,Load\nnear,5,10\n")
+    cfg = write_config(tmp_path / "sim.cfg", dict(
+        SCENARIO_CONFIG, scenario={"Load": 10, "Distance": 5}))
+    ds, model = tmp_path / "ds.json", tmp_path / "m.model"
+    for argv in (
+        ["adapt", "--data", str(data), "--target", "Duration", "--seed", "1",
+         "--out", str(ds)],
+        ["train", "--data", str(ds), "--seed", "2", "--epochs", "2",
+         "--hidden", "4", "--out", str(model)],
+        ["derive", "--model", str(model), "--scenarios", str(scen),
+         "--out", str(tmp_path / "der.csv")],
+        ["simulate", "--config", str(cfg), "--model", str(model),
+         "--reps", "5", "--seed", "3", "--out", str(tmp_path / "sim.csv")],
+    ):
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    assert "near: mean = " in capsys.readouterr().out
+
+
 # ----------------------------------------------------------- mixture-demo
 
 
@@ -837,6 +943,60 @@ def test_mixture_demo_writes_comparison(tmp_path, capsys):
     assert body[1].startswith("pooled,")
     sample_rows = non_comment_lines(samples)
     assert len(sample_rows) == 1 + 500
+
+
+def test_adapt_names_the_text_column_of_a_mixture_sample(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    assert cli.main(["mixture-demo", "--n", "50", "--seed", "1", "--out",
+                     str(tmp_path / "mix.csv"), "--samples-out",
+                     str(samples)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["adapt", "--data", str(samples), "--target", "Duration",
+                   "--seed", "1", "--out", str(tmp_path / "ds.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: categorical column 'Condition' "
+                                       "is not supported as a feature\n")
+
+
+# -------------------------------------------------------------- read back
+
+
+#: The text columns of the CSVs the walkthrough writes.
+TEXT_COLUMNS = {"der.csv": {"scenario"}, "mix.csv": {"label"},
+                "samples.csv": {"Condition"}}
+
+
+def written_rows(path, text_columns):
+    """The rows of a written CSV as the values written: a cell of a text
+    column as is, an empty one as None and any other as a float."""
+    header, *rows = csv.reader(non_comment_lines(path))
+    return tuple(
+        tuple(None if cell == "" else cell if name in text_columns
+              else float(cell) for name, cell in zip(header, row))
+        for row in rows)
+
+
+def test_every_csv_the_walkthrough_writes_reads_back(
+        raw_csv, dataset_file, model_file, tmp_path, capsys):
+    paths = {name: tmp_path / name for name in (
+        "cov.csv", "der.csv", "sim.csv", "mix.csv", "samples.csv")}
+    cfg = write_config(tmp_path / "sim.cfg", DIRECT_CONFIG)
+    scen = scenario_file(tmp_path / "scen.csv")
+    for argv in (
+        ["evaluate", "--model", model_file, "--data", dataset_file,
+         "--out", paths["cov.csv"]],
+        ["derive", "--model", model_file, "--scenarios", scen,
+         "--out", paths["der.csv"]],
+        ["simulate", "--config", cfg, "--reps", "20", "--seed", "14",
+         "--out", paths["sim.csv"]],
+        ["mixture-demo", "--n", "200", "--seed", "15", "--out",
+         paths["mix.csv"], "--samples-out", paths["samples.csv"]],
+    ):
+        assert cli.main(list(map(str, argv))) == 0, capsys.readouterr().err
+    paths["d.csv"] = raw_csv
+    for name, path in paths.items():
+        table = load_csv(path)
+        assert table.rows == written_rows(path, TEXT_COLUMNS.get(name, ())), name
 
 
 # ------------------------------------------------------------- file errors

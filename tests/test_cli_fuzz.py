@@ -20,7 +20,11 @@ The same property holds for JSON inputs: a ``simulate`` operation config
 with one field replaced by a value of any JSON type, and a model or
 dataset file with a key dropped or a value replaced (wrong type, wrong
 shape, not finite, a 400-digit integer), run through ``derive`` and
-``evaluate``.
+``evaluate``; and for every numeric flag at 0, -1, ``nan``, ``inf``,
+``1e-320`` and ``1e308``, which all exit 0 or 1. An integer flag reads
+``1e308`` as no integer, so no huge size (``--n``, ``--reps``,
+``--epochs``, ``--hidden``) is run: those have no upper cap and would run
+until time or memory runs out.
 """
 
 import contextlib
@@ -339,3 +343,45 @@ def test_a_model_file_with_adam_fields_out_of_range_exits_1(json_files, key,
     assert (rc, stdout, out) == (1, "", None)
     assert err.startswith("error: malformed model file ")
     assert err.endswith(f": {key} must be {rule}, got {value!r}\n")
+
+
+# ------------------------------------------------------ flags at their edges
+
+#: Each numeric flag, in an argv whose other inputs are good; {value} is
+#: the value under test. Training runs one epoch of a width-4 network.
+FLAG_ARGVS = {
+    "synth --n": "synth --n {value} --seed 1",
+    "mixture-demo --n": "mixture-demo --n {value} --seed 1",
+    "adapt --iqr-multiplier":
+        "adapt --data {data} --iqr-multiplier {value} --seed 1",
+    "adapt --train-fraction":
+        "adapt --data {data} --train-fraction {value} --seed 1",
+    "train --epochs": "train --data {dataset} --epochs {value} --hidden 4 "
+                      "--seed 1",
+    "train --batch-size": "train --data {dataset} --batch-size {value} "
+                          "--epochs 1 --hidden 4 --seed 1",
+    "train --lr": "train --data {dataset} --lr {value} --epochs 1 "
+                  "--hidden 4 --seed 1",
+    "train --hidden": "train --data {dataset} --hidden {value} --epochs 1 "
+                      "--seed 1",
+    "evaluate --level": "evaluate --model {model} --data {dataset} "
+                        "--level {value}",
+    "simulate --reps": "simulate --config {config} --reps {value} --seed 1",
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-320", "1e308"])
+@pytest.mark.parametrize("flag", sorted(FLAG_ARGVS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_numeric_flags_at_their_edges_exit_cleanly(json_files, flag, value):
+    with tempfile.TemporaryDirectory() as workdir:
+        config, out = Path(workdir, "sim.json"), Path(workdir, "out")
+        config.write_text(json.dumps(
+            dict(SIM_CONFIG, productivity=SOURCES["productivity"])))
+        argv = FLAG_ARGVS[flag].format(
+            value=value, config=config, model=json_files["model"],
+            dataset=json_files["dataset"],
+            data=Path(json_files["model"]).with_name("d.csv")).split()
+        rc, stdout, err, written = main_result([*argv, "--out", str(out)], out)
+    assert_clean_exit(rc, stdout, err, written)
+    assert rc in (0, 1)

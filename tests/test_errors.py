@@ -16,7 +16,7 @@ from pavesim.errors import DataError, check_number
     (0.5, {}), (-3, {}), (np.float64(2.5), {}), (np.float32(2.5), {}),
     (7, {"integer": True}), (np.int64(7), {"integer": True, "low": 1}),
     (0, {"low": 0, "below": 1}), (1e-320, {"above": 0}),
-    (1.7e308, {}),
+    (1.7e308, {}), (100.0, {"low": 0, "high": 100}),
 ])
 def test_a_number_within_its_bounds_is_returned_as_is(value, kw):
     assert check_number("x", value, **kw) is value
@@ -39,6 +39,8 @@ def test_a_number_within_its_bounds_is_returned_as_is(value, kw):
     (0, {"integer": True, "low": 1}, "x must be an integer >= 1, got 0"),
     (0.0, {"above": 0}, "x must be a finite number > 0, got 0.0"),
     (1, {"low": 0, "below": 1}, "x must be a finite number >= 0 and < 1, got 1"),
+    (math.nextafter(100.0, math.inf), {"low": 0, "high": 100},
+     "x must be a finite number >= 0 and <= 100, got 100.00000000000001"),
 ])
 def test_anything_else_is_refused_with_the_whole_rule(value, kw, message):
     with pytest.raises(DataError) as info:

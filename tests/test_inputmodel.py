@@ -24,7 +24,7 @@ from pavesim.inputmodel import (
 )
 from pavesim.network import NetworkConfig, NetworkParams, init_network
 from pavesim.synthetic import generate_paving_dataset
-from pavesim.tables import BOOLEAN, FEATURE_COLUMNS, NUMERIC, ScenarioFeatures
+from pavesim.tables import BOOLEAN, FEATURE_COLUMNS, NUMERIC
 
 EPS = np.finfo(float).eps
 
@@ -52,7 +52,7 @@ def constant_head_net(input_dim, mu_bias, s_bias):
 
 
 def a_scenario():
-    return ScenarioFeatures(
+    return dict(
         Slump=3.5, Congestion=0.0, Spreader=1.0, AirEntrainment=4.4,
         Temperature=18.0, Humidity=65.0, Slope=0.5, Curvature=0.0,
         PaverAge=1.5,
@@ -91,6 +91,26 @@ class TestDerive:
         stats = scenario_stats()
         with pytest.raises(NumericalError, match="overflowed"):
             derive(constant_head_net(9, 0.0, 800.0), a_scenario(), stats)
+
+    def test_reports_missing_features(self):
+        with pytest.raises(DataError, match="Slump"):
+            derive(constant_head_net(9, 0.0, 0.0), {"Congestion": 0.0},
+                   scenario_stats())
+
+    def test_treats_none_as_missing(self):
+        values = dict.fromkeys(FEATURE_COLUMNS, 0.0)
+        values["Slope"] = values["PaverAge"] = None
+        with pytest.raises(DataError,
+                           match="^missing scenario attributes: Slope, PaverAge$"):
+            derive(constant_head_net(9, 0.0, 0.0), values, scenario_stats())
+
+    def test_reads_only_the_model_features(self):
+        stats = NormalizationStats(
+            features=(ColumnStats("Load", NUMERIC, 10.0, 2.0),),
+            target=ColumnStats("Duration", NUMERIC, 50.0, 5.0))
+        model = derive(constant_head_net(1, 0.5, 0.0),
+                       {"Load": 12.0, "Humidity": 160.1, "Label": "x"}, stats)
+        assert (model.mean, model.variance) == (52.5, 25.0)
 
 
 class TestSample:
@@ -232,7 +252,7 @@ class TestCoverage:
                                          seed=4))
         for row in table.rows:
             mapping = dict(zip(table.column_names, row))
-            model = derive(net, ScenarioFeatures.from_mapping(mapping), stats)
+            model = derive(net, mapping, stats)
             one_row = dataset_with_stats(table.with_rows((row,)), stats,
                                          "Productivity")
             for level in Z_VALUES:

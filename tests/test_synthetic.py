@@ -22,9 +22,11 @@ from pavesim.synthetic import (
 )
 from pavesim.tables import (
     CATEGORICAL,
+    FEATURE_COLUMNS,
     NUMERIC,
     PAVING_COLUMNS,
-    ScenarioFeatures,
+    check_value,
+    kind_of,
     load_csv,
     table_to_csv,
 )
@@ -68,8 +70,7 @@ def test_true_moments_stay_in_band_on_feature_grid():
         (0.0, 5.0),            # paver age
     )
     for combo in grid:
-        f = ScenarioFeatures(*combo)
-        mu, sigma = true_moments(f)
+        mu, sigma = true_moments(dict(zip(FEATURE_COLUMNS, combo)))
         assert 30.0 <= mu <= 110.0
         assert 1.0 <= sigma <= 9.0
 
@@ -82,9 +83,22 @@ def test_sampled_features_stay_in_band():
         assert 1.0 <= sigma <= 9.0
 
 
+def test_sample_features_are_named_by_their_columns():
+    features = sample_features(np.random.default_rng(0))
+    assert tuple(features) == FEATURE_COLUMNS
+    assert all(tuple(f) == FEATURE_COLUMNS for f in DEMO_SCENARIOS.values())
+
+
+def test_every_sampled_value_passes_check_value():
+    rng = np.random.default_rng(2)
+    for _ in range(2000):
+        for name, value in sample_features(rng).items():
+            assert check_value(name, kind_of(name), value) == value
+
+
 def test_sampled_paver_age_lands_on_half_years():
     rng = np.random.default_rng(1)
-    ages = {sample_features(rng).PaverAge for _ in range(500)}
+    ages = {sample_features(rng)["PaverAge"] for _ in range(500)}
     assert all(a * 2 == int(a * 2) for a in ages)
     assert len(ages) > 3
 

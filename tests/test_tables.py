@@ -2,7 +2,6 @@ import io
 import math
 import re
 import struct
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,11 +11,10 @@ from pavesim.errors import DataError
 from pavesim.tables import (
     BOOLEAN,
     CATEGORICAL,
-    FEATURE_COLUMNS,
     NUMERIC,
     PAVING_COLUMNS,
     RecordTable,
-    ScenarioFeatures,
+    check_value,
     kind_of,
     load_csv,
     open_text,
@@ -289,33 +287,6 @@ def test_column_lookup_and_missing_column():
         table.column_index("C")
 
 
-def test_scenario_features_mapping_round_trip():
-    f = ScenarioFeatures(
-        Slump=3.0, Congestion=0.0, Spreader=1.0, AirEntrainment=4.5,
-        Temperature=7.7, Humidity=60.1, Slope=1.2028, Curvature=-0.001,
-        PaverAge=0.0,
-    )
-    assert tuple(f.as_mapping()) == FEATURE_COLUMNS
-    assert ScenarioFeatures.from_mapping(f.as_mapping()) == f
-
-
-def test_scenario_features_from_mapping_reports_missing():
-    with pytest.raises(DataError, match="Slump"):
-        ScenarioFeatures.from_mapping({"Congestion": 0.0})
-
-
-def test_scenario_features_are_named_by_their_columns():
-    assert tuple(f.name for f in fields(ScenarioFeatures)) == FEATURE_COLUMNS
-
-
-def test_scenario_features_from_mapping_treats_none_as_missing():
-    values = dict.fromkeys(FEATURE_COLUMNS, 0.0)
-    values["Slope"] = values["PaverAge"] = None
-    with pytest.raises(DataError,
-                       match="^missing scenario attributes: Slope, PaverAge$"):
-        ScenarioFeatures.from_mapping(values)
-
-
 def snake_case(name):
     """``AirEntrainment`` -> ``air_entrainment``: the ids below keep the
     names these cases were first reported under."""
@@ -332,14 +303,34 @@ def snake_case(name):
     ("Slope", math.inf, "finite"),
 ], ids=lambda v: snake_case(v) if isinstance(v, str) else None)
 def test_scenario_features_invariants(field, value, message):
-    base = dict(
-        Slump=4.0, Congestion=0.0, Spreader=0.0, AirEntrainment=4.5,
-        Temperature=20.0, Humidity=70.0, Slope=0.0, Curvature=0.0,
-        PaverAge=0.0,
-    )
-    base[field] = value
     with pytest.raises(DataError, match=message):
-        ScenarioFeatures(**base)
+        check_value(field, kind_of(field), value)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("Humidity", 0), ("Humidity", 100), ("AirEntrainment", 0.0),
+    ("PaverAge", 0), ("Congestion", 1), ("Spreader", 0.0),
+    ("Load", -1e300), ("Slope", -4.0),
+])
+def test_check_value_accepts_a_value_at_its_bounds_as_a_float(name, value):
+    checked = check_value(name, kind_of(name), value)
+    assert checked == value and type(checked) is float
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("Humidity", 160.1, "Humidity must be a finite number >= 0 and <= 100, "
+                        "got 160.1"),
+    ("AirEntrainment", -4.5, "AirEntrainment must be a finite number >= 0, "
+                             "got -4.5"),
+    ("PaverAge", -1, "PaverAge must be a finite number >= 0, got -1"),
+    ("Congestion", 2, "Congestion must be 0 or 1, got 2.0"),
+    ("Spreader", True, "Spreader must be a finite number, got True"),
+    ("Load", "3", "Load must be a finite number, got '3'"),
+])
+def test_check_value_states_the_rule_of_the_column(name, value, message):
+    with pytest.raises(DataError) as info:
+        check_value(name, kind_of(name), value)
+    assert str(info.value) == message
 
 
 def test_format_cell_conventions():
