@@ -43,7 +43,7 @@ from .adapter import (
     join_sources,
     split,
 )
-from .errors import DataError, NumericalError, PavesimError
+from .errors import DataError, NumericalError, PavesimError, check_record
 from .inputmodel import (
     GaussianInputModel,
     Z_VALUES,
@@ -55,7 +55,7 @@ from .inputmodel import (
 )
 from .modelfile import load_dataset, load_model, save_dataset, save_model
 from .network import NetworkConfig, TrainConfig, train
-from .simulator import build_sim_config, parse_sim_config, run_monte_carlo
+from .simulator import SimConfig, parse_sim_config, run_monte_carlo
 from .synthetic import (
     DEFAULT_WEATHER_MIXTURE,
     generate_paving_dataset,
@@ -265,16 +265,18 @@ def _cmd_simulate(args, run: _Run) -> None:
                 "config provides the productivity distribution directly; "
                 "drop --model or switch the config to a 'scenario' block"
             )
-        input_model = GaussianInputModel(**raw["productivity"])
+        input_model = check_record(GaussianInputModel, "productivity",
+                                   raw.pop("productivity"))
     else:
         if args.model is None:
             raise DataError(
                 "config has a 'scenario' block, so --model is required"
             )
         params, stats, _, _ = load_model(args.model)
-        input_model = derive(params, raw["scenario"], stats)
+        input_model = derive(params, raw.pop("scenario"), stats)
 
-    cfg = build_sim_config(raw, input_model)
+    cfg = check_record(SimConfig, "config", raw, complete=False,
+                       productivity_source=input_model)
     result = run_monte_carlo(cfg, args.reps, args.seed)
     run.stage(args.out, result.to_csv(run.header))
     run.lines += [f"seed = {args.seed}", f"input model: mean = "

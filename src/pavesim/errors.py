@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the one rule for a number."""
+"""Exception types shared across the package, the one rule for a number
+and the one rule for a record's keys."""
 
 import math
 import numbers
+from dataclasses import MISSING, fields
 
 
 class PavesimError(Exception):
@@ -55,3 +57,21 @@ def check_number(name: str, value, *, integer: bool = False, low=None,
         rule = f"{kind} {bounds}".rstrip()
         raise DataError(f"{name} must be {rule}, got {value!r}")
     return value
+
+
+def check_record(cls, what: str, obj, *, complete: bool = True, **given):
+    """The dataclass `cls` built from the fields `given` and the JSON object
+    `obj`, which must hold every other field (if not `complete`, a field
+    with a default may be left out) and no other key; `cls` checks the
+    values. A refusal names `what`: ``unknown config keys: a, b``."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} must be a JSON object, got {obj!r}")
+    allowed = [f for f in fields(cls) if f.name not in given]
+    unknown = sorted(set(obj) - {f.name for f in allowed})
+    if unknown:
+        raise DataError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = sorted(f.name for f in allowed if f.name not in obj and (
+        complete or f.default is MISSING and f.default_factory is MISSING))
+    if missing:
+        raise DataError(f"{what} is missing keys: {', '.join(missing)}")
+    return cls(**obj, **given)

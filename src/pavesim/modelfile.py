@@ -12,21 +12,23 @@ A model file carries the network parameters with explicit shape
 metadata, the normalization statistics needed to de-normalize outputs,
 and both configs. A dataset file carries the train and test splits plus
 their shared normalization statistics. Configs and statistics are
-written field for field by ``dataclasses.asdict`` and read back raw: the
-dataclasses check each number by :func:`pavesim.errors.check_number`,
-and weights, biases, ``X`` and ``y`` hold JSON numbers only. A missing
-key, a wrong shape or a refused value is a malformed file.
+written field for field by ``dataclasses.asdict`` and read back by
+:func:`pavesim.errors.check_record`, each with exactly its dataclass's
+fields (no default is filled in), whose numbers the dataclass checks.
+Weights, biases, ``X`` and ``y`` hold JSON numbers only. A missing or
+unknown field, a wrong shape or a refused value is a malformed file; a
+key that the top-level and layer objects do not use is ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .adapter import ColumnStats, Dataset, NormalizationStats
-from .errors import DataError, check_number
+from .errors import DataError, check_number, check_record
 from .network import NetworkConfig, NetworkParams, TrainConfig
 from .tables import json_text, read_json, write_text
 
@@ -60,15 +62,11 @@ def _float_array(name: str, value) -> np.ndarray:
 
 
 def _stats_from_obj(obj: dict) -> NormalizationStats:
-    def column(entry: dict) -> ColumnStats:
-        return ColumnStats(
-            name=entry["name"], kind=entry["kind"],
-            mean=entry["mean"], std=entry["std"],
-        )
     try:
         return NormalizationStats(
-            features=tuple(column(e) for e in obj["features"]),
-            target=column(obj["target"]),
+            features=tuple(check_record(ColumnStats, "column", e)
+                           for e in obj["features"]),
+            target=check_record(ColumnStats, "column", obj["target"]),
         )
     except (KeyError, TypeError, DataError) as exc:
         raise DataError(f"malformed normalization statistics: {exc}") from exc
@@ -119,11 +117,8 @@ def load_model(
 ) -> tuple[NetworkParams, NormalizationStats, NetworkConfig, TrainConfig]:
     raw = _load_commented_json(path, MODEL_FORMAT)
     try:
-        n, t = raw["network"], raw["training"]
-        net_cfg = NetworkConfig(input_dim=n["input_dim"],
-                                hidden_widths=tuple(n["hidden_widths"]),
-                                seed=n["seed"])
-        train_cfg = TrainConfig(**{f.name: t[f.name] for f in fields(TrainConfig)})
+        net_cfg = check_record(NetworkConfig, "network", raw["network"])
+        train_cfg = check_record(TrainConfig, "training", raw["training"])
         stats = _stats_from_obj(raw["normalization"])
         weights, biases = [], []
         for i, layer in enumerate(raw["layers"]):

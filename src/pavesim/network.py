@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, TrainingDivergedError, check_number
+from .errors import (DataError, NumericalError, TrainingDivergedError,
+                     check_number)
 from .adapter import Dataset
 
 #: Output head layout: column 0 is the mean, column 1 the log-variance.
@@ -42,6 +43,8 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a model file holds the widths as a list; a tuple keeps == working
+        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
         check_number("input_dim", self.input_dim, integer=True, low=1)
         for width in self.hidden_widths:
             check_number("hidden width", width, integer=True, low=1)
@@ -326,5 +329,7 @@ def train(
             total += loss * len(idx)
             params, state = adam_step(params, grads, state, train_cfg)
         report.epoch_losses.append(total / n)
-
+    # the last step may overflow after the last loss was found finite
+    if not np.isfinite(params.vector).all():
+        raise NumericalError("training left non-finite parameters")
     return params, report

@@ -105,57 +105,25 @@ class SimConfig:
         return self.load_time + self.haul_time + self.dump_time
 
 
-#: SimConfig fields all operation config files must provide.
-_REQUIRED_KEYS = frozenset({
-    "total_quantity", "truck_count", "truck_capacity",
-    "load_time", "haul_time", "dump_time", "return_time",
-})
-_OPTIONAL_KEYS = frozenset({"resample_mode", "clamp_floor"})
-#: Where the productivity distribution comes from: exactly one of a raw
-#: (mean, variance) pair or a scenario feature mapping to run through a
-#: trained model.
-_SOURCE_KEYS = frozenset({"productivity", "scenario"})
-
-
 def parse_sim_config(path: str | Path) -> dict:
-    """Read and validate a JSON operation config file.
-
-    Lines starting with ``#`` are ignored. The file must provide
-    total_quantity, truck_count, truck_capacity and the four cycle
-    times; it may provide resample_mode and clamp_floor; and it must
-    provide exactly one productivity source: either a
-    ``"productivity": {"mean": ..., "variance": ...}`` object or a
-    ``"scenario": {feature name: value}`` object to be evaluated by a
-    trained model. Returns the raw dictionary: its shape is checked here,
-    its numbers by the classes that take them.
+    """The JSON object of an operation config file (``#`` lines ignored),
+    if it holds exactly one productivity source as an object: a
+    ``"productivity": {"mean": ..., "variance": ...}`` pair, or a
+    ``"scenario"`` row of feature values for a trained model. Its other
+    keys are :class:`SimConfig`'s fields, which ``simulate`` checks with
+    the model by ``check_record(SimConfig, "config", ..., complete=False)``.
     """
     raw = read_json(path)
-    unknown = sorted(set(raw) - _REQUIRED_KEYS - _OPTIONAL_KEYS - _SOURCE_KEYS)
-    if unknown:
-        raise DataError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(k for k in _REQUIRED_KEYS if k not in raw)
-    if missing:
-        raise DataError(f"config is missing keys: {', '.join(missing)}")
-    sources = sorted(k for k in _SOURCE_KEYS if k in raw)
+    sources = [k for k in ("productivity", "scenario") if k in raw]
     if len(sources) != 1:
         raise DataError(
             "config must provide exactly one of 'productivity' or "
             f"'scenario', got {sources or 'neither'}"
         )
     block = raw[sources[0]]
-    if sources[0] == "productivity" and (
-            not isinstance(block, dict) or set(block) != {"mean", "variance"}):
-        raise DataError("'productivity' must be an object with exactly the "
-                        "keys 'mean' and 'variance'")
     if not isinstance(block, dict):
-        raise DataError("'scenario' must be an object of feature values")
+        raise DataError(f"{sources[0]} must be a JSON object, got {block!r}")
     return raw
-
-
-def build_sim_config(raw: dict, model: GaussianInputModel) -> SimConfig:
-    """Assemble a SimConfig from a parsed config and an input model."""
-    kwargs = {k: raw[k] for k in _REQUIRED_KEYS | _OPTIONAL_KEYS if k in raw}
-    return SimConfig(productivity_source=model, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -325,11 +326,17 @@ def csv_text(header_comments: Iterable[str], header: Sequence[str],
     """The one CSV layout of every artifact: a ``#`` audit header, a
     header line, one line per row and a ``#`` footer. ``None`` is an empty
     field, a float ``repr(float(v))`` (numpy 2 reprs an ``np.float64`` as
-    ``np.float64(...)``) and anything else ``str(v)``."""
-    lines = [",".join(header)]
-    # a row of one empty cell is written as "" so that it reads back
-    lines.extend(",".join(map(_field, row)) or '""' for row in rows)
-    return (comment_block(header_comments) + "\n".join(lines) + "\n"
+    ``np.float64(...)``) and anything else ``str(v)``, quoted by CSV rules;
+    a line whose first cell starts with ``#`` is quoted whole, so that it
+    does not read as a comment."""
+    body = io.StringIO()
+    minimal = csv.writer(body, lineterminator="\n")
+    quote_all = csv.writer(body, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in itertools.chain([header], rows):
+        cells = list(map(_field, row))
+        writer = quote_all if cells and cells[0].startswith("#") else minimal
+        writer.writerow(cells)
+    return (comment_block(header_comments) + body.getvalue()
             + comment_block(footer))
 
 

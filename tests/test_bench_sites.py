@@ -9,9 +9,13 @@ test installs the tracer, runs a small walkthrough through ``cli.main``
 ``scenario`` ``simulate`` with ``--model`` and ``mixture-demo``) and
 requires a span for every wrapped name and a working counter for each.
 It runs in a subprocess, so the wrappers do not leak into other tests.
+A second test runs the benchmark's own traced ``pipeline`` workload at
+smoke size and requires a strict JSON result with every per-layer
+metric of ``BENCHMARK.json``.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +69,28 @@ def test_every_wrapped_function_is_called_and_counted(tmp_path):
     assert sorted(set(report["wraps"]) - set(report["names"])) == []
     # save_dataset's counter reads the size of the file it was given
     assert report["counts"]["modelfile.save_dataset.bytes"] > 0
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_a_traced_smoke_pipeline_ends_in_a_strict_json_result(tmp_path):
+    # run.py writes .perfbench/ next to src/ and perfbench/: run a copy
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "pipeline",
+         "--size", "smoke", "--trace", "1", "--seconds", "1", "--seed", "3"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_refuse)
+    assert (result["correct"], result["failed"]) == (True, 0)
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [m["name"] for m in per_layer if m["name"] not in result["metrics"]]
+    assert missing == []
+    # smoke size times too few calls for percentiles, which read null
+    values = [result["metrics"][m["name"]]["value"] for m in per_layer]
+    assert all(v is None or type(v) in (int, float) for v in values)

@@ -592,6 +592,20 @@ def test_derive_labels_unlabeled_rows(model_file, tmp_path, capsys):
     assert "row 0: mean = " in capsys.readouterr().out
 
 
+def test_derive_labels_with_csv_syntax_read_back(model_file, tmp_path):
+    # the label is the first cell of derive's rows: a "#" there must not
+    # read as a comment line
+    values = "3.0,0,1,4.5,7.7,60.1,1.2028,-0.001,0.0"
+    scen = tmp_path / "scen.csv"
+    scen.write_text(SCENARIO_CSV.splitlines()[0] + "\n" + "".join(
+        f"{label},{values}\n" for label in ('"a,b"', '"say ""hi"""', '"#1"')))
+    out = tmp_path / "der.csv"
+    rc = cli.main(["derive", "--model", str(model_file), "--scenarios",
+                   str(scen), "--out", str(out)])
+    assert rc == 0
+    assert load_csv(out).column_values("scenario") == ["a,b", 'say "hi"', "#1"]
+
+
 def test_derive_rejects_empty_scenario_file(model_file, tmp_path, capsys):
     scen = tmp_path / "empty.csv"
     scen.write_text(
@@ -714,6 +728,25 @@ def test_simulate_rejects_model_with_direct_productivity(tmp_path, capsys):
     assert "drop --model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.pop("truck_count"), "config is missing keys: truck_count"),
+    (lambda c: c.update(total_amount=c.pop("total_quantity")),
+     "unknown config keys: total_amount"),
+    (lambda c: c["productivity"].update(sd=5.5),
+     "unknown productivity keys: sd"),
+    # a config's own keys are checked once the input model is built
+    (lambda c: (c.pop("return_time"), c["productivity"].update(variance=-1)),
+     "variance must be a finite number >= 0, got -1"),
+], ids=["missing", "unknown", "unknown-productivity", "model-first"])
+def test_simulate_checks_the_config_keys(tmp_path, capsys, edit, message):
+    payload = json.loads(json.dumps(DIRECT_CONFIG))
+    edit(payload)
+    cfg = write_config(tmp_path / "sim.cfg", payload)
+    rc = cli.main(["simulate", "--config", str(cfg), "--reps", "10",
+                   "--seed", "1", "--out", str(tmp_path / "sim.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
 
 @pytest.mark.parametrize("truck_count", [2.5, True, "3"])
 def test_simulate_rejects_ill_typed_truck_count(tmp_path, capsys, truck_count):
@@ -818,7 +851,8 @@ def test_simulate_malformed_productivity_block(tmp_path, capsys):
         "--out", str(tmp_path / "sim.csv"),
     ])
     assert rc == 1
-    assert "'productivity' must be an object" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: productivity is missing keys: variance\n")
 
 
 # -------------------------------------------------------- scenario values

@@ -384,4 +384,5 @@ def test_numeric_flags_at_their_edges_exit_cleanly(json_files, flag, value):
             data=Path(json_files["model"]).with_name("d.csv")).split()
         rc, stdout, err, written = main_result([*argv, "--out", str(out)], out)
     assert_clean_exit(rc, stdout, err, written)
-    assert rc in (0, 1)
+    # a first step of 1e308 leaves non-finite weights: a numerical failure
+    assert rc in ((2,) if (flag, value) == ("train --lr", "1e308") else (0, 1))

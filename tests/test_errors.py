@@ -1,15 +1,17 @@
-"""``check_number``, the one rule for a number from any source, and a
-guard that keeps the rule in one place."""
+"""``check_number``, the one rule for a number from any source, a guard
+that keeps the rule in one place, and ``check_record``, the one rule for
+a record's keys."""
 
 import ast
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pavesim
-from pavesim.errors import DataError, check_number
+from pavesim.errors import DataError, check_number, check_record
 
 
 @pytest.mark.parametrize("value, kw", [
@@ -81,3 +83,57 @@ def test_the_guard_sees_a_bool_check():
     tree = ast.parse("def f(v):\n    return isinstance(v, (int, bool))\n"
                      "def check_number(v):\n    return isinstance(v, bool)\n")
     assert _bool_checks(tree) == [2]
+
+
+@dataclass(frozen=True)
+class Record:
+    size: int
+    label: str
+    parent: object
+    scale: float = 1.0
+
+    def __post_init__(self):
+        check_number("size", self.size, integer=True, low=1)
+
+
+def test_a_complete_record_is_built_from_its_object():
+    obj = {"size": 2, "label": "a", "parent": None, "scale": 0.5}
+    assert check_record(Record, "record", obj) == Record(2, "a", None, 0.5)
+
+
+def test_a_given_field_is_not_read_from_the_object():
+    parent = object()
+    built = check_record(Record, "record", {"size": 2, "label": "a",
+                                            "scale": 1.0}, parent=parent)
+    assert built.parent is parent
+    with pytest.raises(DataError) as info:
+        check_record(Record, "record", {"size": 2, "label": "a", "scale": 1.0,
+                                        "parent": None}, parent=parent)
+    assert str(info.value) == "unknown record keys: parent"
+
+
+def test_an_incomplete_record_may_leave_out_a_field_with_a_default():
+    obj = {"size": 2, "label": "a"}
+    built = check_record(Record, "record", obj, complete=False, parent=None)
+    assert built == Record(2, "a", None)
+    with pytest.raises(DataError) as info:
+        check_record(Record, "record", obj, parent=None)
+    assert str(info.value) == "record is missing keys: scale"
+
+
+@pytest.mark.parametrize("obj, complete, message", [
+    ([1], True, "record must be a JSON object, got [1]"),
+    (None, False, "record must be a JSON object, got None"),
+    ({"size": 2, "label": "a", "scale": 1.0, "zeta": 0, "alpha": 0}, True,
+     "unknown record keys: alpha, zeta"),
+    ({"size": 2}, True, "record is missing keys: label, scale"),
+    ({"scale": 2.0}, False, "record is missing keys: label, size"),
+    # an unknown key is reported before a missing one
+    ({"sise": 2, "label": "a"}, False, "unknown record keys: sise"),
+    # each value is checked by the class itself
+    ({"size": 0, "label": "a"}, False, "size must be an integer >= 1, got 0"),
+])
+def test_anything_else_is_refused_naming_the_record(obj, complete, message):
+    with pytest.raises(DataError) as info:
+        check_record(Record, "record", obj, complete=complete, parent=None)
+    assert str(info.value) == message

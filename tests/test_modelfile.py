@@ -265,6 +265,30 @@ def test_load_refuses_an_ill_typed_scalar(tmp_path, kind, section, key, value):
         (load_model if kind == "model" else load_dataset)(path)
 
 
+def edited_file(tmp_path, kind, where, edit):
+    """A saved model or dataset file whose JSON node at the key path
+    `where` is replaced by `edit` of it."""
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    path = tmp_path / f"f.{kind}"
+    if kind == "model":
+        save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    else:
+        save_dataset(path, *split(ds, 0.8, 5))
+    raw = json.loads(path.read_text())
+    parent = raw
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = edit(parent[where[-1]])
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def refusal(kind, path):
+    with pytest.raises(DataError) as info:
+        (load_model if kind == "model" else load_dataset)(path)
+    return str(info.value)
+
+
 @pytest.mark.parametrize("kind, where, value, message", [
     ("model", ("layers", 0, "weights", 0, 0), "0.5",
      "layer 0 weights must be a finite number, got '0.5'"),
@@ -279,21 +303,46 @@ def test_load_refuses_a_non_number_in_an_array(tmp_path, kind, where, value,
                                                message):
     # np.array(..., dtype=float) alone reads "0.5" as 0.5, true as 1.0
     # and null as nan
-    params, ds, net_cfg, train_cfg = trained_fixture()
-    path = tmp_path / f"f.{kind}"
-    if kind == "model":
-        save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
-    else:
-        save_dataset(path, *split(ds, 0.8, 5))
-    raw = json.loads(path.read_text())
-    node = raw
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = value
-    path.write_text(json.dumps(raw))
-    with pytest.raises(DataError) as info:
-        (load_model if kind == "model" else load_dataset)(path)
-    assert str(info.value) == f"malformed {kind} file {path}: {message}"
+    path = edited_file(tmp_path, kind, where, lambda _: value)
+    assert refusal(kind, path) == f"malformed {kind} file {path}: {message}"
+
+
+STATS = "malformed normalization statistics: "
+
+
+def without(*keys):
+    return lambda node: {k: v for k, v in node.items() if k not in keys}
+
+
+def extra(node):
+    return dict(node, extra=1)
+
+
+@pytest.mark.parametrize("kind, where, edit, message", [
+    ("model", ("network",), extra, "unknown network keys: extra"),
+    ("model", ("training",), extra, "unknown training keys: extra"),
+    ("model", ("normalization", "features", 0), extra,
+     STATS + "unknown column keys: extra"),
+    ("dataset", ("normalization", "target"), extra,
+     STATS + "unknown column keys: extra"),
+    ("model", ("network",), without("seed"), "network is missing keys: seed"),
+    # a model file holds every field: a default is never filled in
+    ("model", ("training",), without("epochs", "adam_beta1"),
+     "training is missing keys: adam_beta1, epochs"),
+    ("dataset", ("normalization", "target"), without("std"),
+     STATS + "column is missing keys: std"),
+    ("model", ("network",), lambda _: [1],
+     "network must be a JSON object, got [1]"),
+    ("dataset", ("normalization", "features", 0), lambda _: "Slump",
+     STATS + "column must be a JSON object, got 'Slump'"),
+], ids=["unknown-network", "unknown-training", "unknown-model-feature",
+        "unknown-dataset-target", "missing-network-seed",
+        "missing-training-two", "missing-dataset-target-std", "network-list",
+        "feature-string"])
+def test_load_reads_network_training_and_columns_by_their_fields(
+        tmp_path, kind, where, edit, message):
+    path = edited_file(tmp_path, kind, where, edit)
+    assert refusal(kind, path) == f"malformed {kind} file {path}: {message}"
 
 
 @pytest.mark.parametrize("key, value, rule", [

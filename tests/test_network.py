@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pavesim.adapter import encode_and_normalize, split
-from pavesim.errors import DataError, TrainingDivergedError
+from pavesim.errors import DataError, NumericalError, TrainingDivergedError
 from pavesim.network import (
     AdamState,
     NetworkConfig,
@@ -504,6 +504,17 @@ def test_train_divergence_reports_position():
     assert err.batch == 1
     assert not math.isfinite(err.loss)
     assert "epoch 0" in str(err)
+
+
+def test_train_refuses_weights_that_its_last_step_left_non_finite():
+    # one batch: its loss is finite, then a step of 1e308 times a gradient
+    # entry above 1.8 overflows
+    ds = encode_and_normalize(generate_paving_dataset(40, 1), "Productivity")
+    with pytest.raises(NumericalError) as info:
+        train(ds, NetworkConfig(input_dim=9, hidden_widths=(4,), seed=1),
+              TrainConfig(epochs=1, batch_size=40, learning_rate=1e308))
+    assert type(info.value) is NumericalError
+    assert str(info.value) == "training left non-finite parameters"
 
 
 def test_train_rejects_mismatched_dataset():

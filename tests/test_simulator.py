@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pavesim import simulator
-from pavesim.errors import DataError, NumericalError
+from pavesim.errors import DataError, NumericalError, check_record
 from pavesim.inputmodel import GaussianInputModel, sample
 from pavesim.simulator import (
     MAX_TRUCKLOADS,
@@ -13,7 +13,6 @@ from pavesim.simulator import (
     PER_TRUCKLOAD,
     SimConfig,
     SimResult,
-    build_sim_config,
     parse_sim_config,
     replication_seed,
     run_monte_carlo,
@@ -505,14 +504,21 @@ GOOD_CONFIG = (
 )
 
 
+def config_from(raw):
+    """The SimConfig of a parsed direct-pair config, as ``simulate`` builds it."""
+    model = check_record(GaussianInputModel, "productivity",
+                         raw.pop("productivity"))
+    return check_record(SimConfig, "config", raw, complete=False,
+                        productivity_source=model)
+
+
 def test_parse_sim_config_accepts_commented_json(tmp_path):
     raw = parse_sim_config(write_config(tmp_path / "op.cfg", GOOD_CONFIG))
     assert raw["total_quantity"] == 120
     assert raw["productivity"] == {"mean": 55.0, "variance": 30.0}
-    model = GaussianInputModel(**raw["productivity"])
-    cfg = build_sim_config(raw, model)
+    cfg = config_from(raw)
     assert cfg.truck_count == 3
-    assert cfg.productivity_source is model
+    assert cfg.productivity_source == GaussianInputModel(55.0, 30.0)
     assert cfg.resample_mode == "per_replication"
 
 
@@ -520,15 +526,12 @@ def test_parse_sim_config_forwards_optional_keys(tmp_path):
     text = GOOD_CONFIG.replace(
         ' "productivity"',
         ' "resample_mode": "per_truckload", "clamp_floor": 2.0, "productivity"')
-    raw = parse_sim_config(write_config(tmp_path / "op.cfg", text))
-    cfg = build_sim_config(raw, GaussianInputModel(55.0, 30.0))
+    cfg = config_from(parse_sim_config(write_config(tmp_path / "op.cfg", text)))
     assert cfg.resample_mode == "per_truckload"
     assert cfg.clamp_floor == 2.0
 
 
 @pytest.mark.parametrize("mangle,message", [
-    (lambda t: t.replace('"truck_count": 3, ', ""), "missing keys: truck_count"),
-    (lambda t: t.replace('"total_quantity"', '"total_amount"'), "unknown config keys"),
     (lambda t: t.replace('{"total', '"total'), "not valid JSON"),
     (lambda t: "[1, 2]\n", "JSON object"),
     (lambda t: t.replace(' "productivity": {"mean": 55.0, "variance": 30.0}}', ' "load_time": 0.15}'), "exactly one of"),
@@ -537,6 +540,16 @@ def test_parse_sim_config_rejects_malformed_files(tmp_path, mangle, message):
     path = write_config(tmp_path / "op.cfg", mangle(GOOD_CONFIG))
     with pytest.raises(DataError, match=message):
         parse_sim_config(path)
+
+
+@pytest.mark.parametrize("source", ["productivity", "scenario"])
+def test_parse_sim_config_refuses_a_source_that_is_not_an_object(tmp_path,
+                                                                 source):
+    text = GOOD_CONFIG.replace('"productivity": {"mean": 55.0, "variance": 30.0}',
+                               f'"{source}": [55.0, 30.0]')
+    with pytest.raises(DataError) as info:
+        parse_sim_config(write_config(tmp_path / "op.cfg", text))
+    assert str(info.value) == f"{source} must be a JSON object, got [55.0, 30.0]"
 
 
 def test_parse_sim_config_rejects_two_sources(tmp_path):

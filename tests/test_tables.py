@@ -372,10 +372,11 @@ NUMERIC_CELLS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
                      -2.2250738585072014e-308, 0.1 + 0.2]),
 )
-#: Categorical text with no CSV syntax: no separator, quote, line break
-#: or leading ``#``, and no edge whitespace, which the reader strips.
+#: Categorical text, CSV syntax included (separator, quote, leading
+#: ``#``), but no line break and no edge whitespace, which the reader
+#: strips.
 CATEGORICAL_CELLS = st.one_of(st.none(), st.text(
-    alphabet="abcXYZ019._-+:;/ ", min_size=1, max_size=8,
+    alphabet='abcXYZ019._-+:;/ ,"#', min_size=1, max_size=8,
 ).map(str.strip).filter(bool))
 CELLS = {
     NUMERIC: NUMERIC_CELLS,
