@@ -135,14 +135,11 @@ class NormalizationStats:
     def encode_features(self, values: Mapping[str, object]) -> np.ndarray:
         """Normalize scalars or 1-D columns keyed by feature name into
         network input order: one vector, or an ``(n, features)`` matrix;
-        an overflow is silent, for the caller to refuse."""
-        encoded = []
+        an overflow is silent, for the caller to refuse. ``derive`` and
+        :func:`_read_columns` refuse an absent feature first."""
         with np.errstate(over="ignore"):
-            for col in self.features:
-                if col.name not in values:
-                    raise DataError(f"feature {col.name!r} missing from input")
-                encoded.append(col.encode(np.asarray(values[col.name],
-                                                     dtype=float)))
+            encoded = [col.encode(np.asarray(values[col.name], dtype=float))
+                       for col in self.features]
         return np.stack(encoded, axis=-1)
 
 
@@ -214,8 +211,7 @@ def join_sources(tables: Sequence[RecordTable], key_column: str) -> tuple[Record
             rows.append(tuple(sources[t][c] for t, c in picks))
 
     dropped = sum(t.num_rows for t in tables) - len(tables) * len(rows)
-    kinds = tuple(tables[t].column_kinds[c] for t, c in picks)
-    return RecordTable(names, kinds, tuple(rows)), dropped
+    return RecordTable(names, tuple(rows)), dropped
 
 
 def iqr_fences(values: Sequence[float], multiplier: float) -> tuple[float, float]:
@@ -301,9 +297,12 @@ def _read_columns(table: RecordTable, features: Sequence[str], target_column: st
                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """The feature columns by name, and the target, as float arrays.
 
-    Refuses an empty table, a non-numeric target, a categorical feature,
-    a missing cell and a non-finite value; only the named columns are read.
+    Refuses a target among the features, an empty table, a non-numeric
+    target, a categorical feature, a missing cell and a non-finite value;
+    only the named columns are read.
     """
+    if target_column in features:
+        raise DataError(f"target {target_column!r} cannot also be a feature")
     if table.num_rows == 0:
         raise DataError("cannot encode an empty table: it has no rows")
     if table.column_kind(target_column) != NUMERIC:
@@ -338,8 +337,6 @@ def encode_and_normalize(table: RecordTable, target_column: str) -> Dataset:
     categorical features, and moments too large for a float.
     """
     feature_columns = _schema_features(table, target_column)
-    if target_column in feature_columns:
-        raise DataError(f"target {target_column!r} cannot also be a feature")
     columns, target = _read_columns(table, feature_columns, target_column)
 
     def column_stats(name: str, arr: np.ndarray) -> ColumnStats:
@@ -396,8 +393,8 @@ def dataset_with_stats(table: RecordTable, stats: NormalizationStats,
     training data was, e.g. scoring a stored model on a new CSV. Only the
     features named in the stats and the target are read, by the same
     column reader as :func:`encode_and_normalize`: those columns must be
-    present, finite and without missing cells; other columns may hold
-    anything.
+    present, finite and without missing cells, and the target must not
+    be a feature; other columns may hold anything.
     """
     features = [col.name for col in stats.features]
     return _encode(stats, *_read_columns(table, features, target_column))

@@ -43,7 +43,8 @@ from .adapter import (
     join_sources,
     split,
 )
-from .errors import DataError, NumericalError, PavesimError, check_record
+from .errors import (DataError, NumericalError, PavesimError, check_object,
+                     check_record)
 from .inputmodel import (
     GaussianInputModel,
     Z_VALUES,
@@ -55,7 +56,7 @@ from .inputmodel import (
 )
 from .modelfile import load_dataset, load_model, save_dataset, save_model
 from .network import NetworkConfig, TrainConfig, train
-from .simulator import SimConfig, parse_sim_config, run_monte_carlo
+from .simulator import SimConfig, run_monte_carlo
 from .synthetic import (
     DEFAULT_WEATHER_MIXTURE,
     generate_paving_dataset,
@@ -67,6 +68,7 @@ from .tables import (
     json_text,
     load_csv,
     open_text,
+    read_json,
     staged_files,
     table_to_csv,
     without_comments,
@@ -228,23 +230,16 @@ def _cmd_evaluate(args, run: _Run) -> None:
                   f"at level {args.level}"]
 
 
-def _read_scenarios(path: str) -> list[tuple[str, dict]]:
-    """Each row of a scenario file as its label and its column name ->
-    cell mapping."""
-    table = load_csv(path)
-    if not table.rows:
-        raise DataError(f"scenario file {path} has no rows")
-    rows = [dict(zip(table.column_names, row)) for row in table.rows]
-    return [(row.get("Scenario") or f"row {i}", row)
-            for i, row in enumerate(rows)]
-
-
 def _cmd_derive(args, run: _Run) -> None:
     params, stats, _, _ = load_model(args.model)
-    scenarios = _read_scenarios(args.scenarios)
+    table = load_csv(args.scenarios)
+    if not table.rows:
+        raise DataError(f"scenario file {args.scenarios} has no rows")
     run.lines.append("seeds: none (deterministic)")
     rows = []
-    for label, values in scenarios:
+    for i, cells in enumerate(table.rows):
+        values = dict(zip(table.column_names, cells))
+        label = values.get("Scenario") or f"row {i}"
         model = derive(params, values, stats)
         lo, hi = confidence_interval(model, 0.95)
         run.lines.append(f"{label}: mean = {model.mean:.4f}, variance = "
@@ -254,26 +249,33 @@ def _cmd_derive(args, run: _Run) -> None:
     if args.out is not None:
         run.stage(args.out, csv_text(run.header, (
             "scenario", "mean", "variance", "lo95", "hi95"), rows))
-        run.lines.append(f"wrote {len(scenarios)} rows to {args.out}")
+        run.lines.append(f"wrote {len(rows)} rows to {args.out}")
 
 
 def _cmd_simulate(args, run: _Run) -> None:
-    raw = parse_sim_config(args.config)
-    if "productivity" in raw:
+    """A config: one productivity source, an object, and SimConfig's fields."""
+    raw = read_json(args.config)
+    sources = [k for k in ("productivity", "scenario") if k in raw]
+    if len(sources) != 1:
+        raise DataError(
+            "config must provide exactly one of 'productivity' or "
+            f"'scenario', got {sources or 'neither'}"
+        )
+    source = check_object(sources[0], raw.pop(sources[0]))
+    if sources == ["productivity"]:
         if args.model is not None:
             raise DataError(
                 "config provides the productivity distribution directly; "
                 "drop --model or switch the config to a 'scenario' block"
             )
-        input_model = check_record(GaussianInputModel, "productivity",
-                                   raw.pop("productivity"))
+        input_model = check_record(GaussianInputModel, "productivity", source)
     else:
         if args.model is None:
             raise DataError(
                 "config has a 'scenario' block, so --model is required"
             )
         params, stats, _, _ = load_model(args.model)
-        input_model = derive(params, raw.pop("scenario"), stats)
+        input_model = derive(params, source, stats)
 
     cfg = check_record(SimConfig, "config", raw, complete=False,
                        productivity_source=input_model)

@@ -1,8 +1,9 @@
 """Exception types shared across the package, the one rule for a number
-and the one rule for a record's keys."""
+and the one rule for a JSON object and its keys, a record's too."""
 
 import math
 import numbers
+import reprlib
 from dataclasses import MISSING, fields
 
 
@@ -59,19 +60,36 @@ def check_number(name: str, value, *, integer: bool = False, low=None,
     return value
 
 
-def check_record(cls, what: str, obj, *, complete: bool = True, **given):
-    """The dataclass `cls` built from the fields `given` and the JSON object
-    `obj`, which must hold every other field (if not `complete`, a field
-    with a default may be left out) and no other key; `cls` checks the
-    values. A refusal names `what`: ``unknown config keys: a, b``."""
+def check_object(what: str, obj) -> dict:
+    """`obj` if it is a JSON object; else a :class:`DataError` names `what`
+    and shows `obj` abbreviated: ``got [0, 1, 2, 3, 4, 5, ...]``."""
     if not isinstance(obj, dict):
-        raise DataError(f"{what} must be a JSON object, got {obj!r}")
-    allowed = [f for f in fields(cls) if f.name not in given]
-    unknown = sorted(set(obj) - {f.name for f in allowed})
+        raise DataError(f"{what} must be a JSON object, "
+                        f"got {reprlib.repr(obj)}")
+    return obj
+
+
+def check_keys(what: str, obj, keys, optional=()) -> dict:
+    """`obj` if it is a JSON object (:func:`check_object`) whose keys are
+    among `keys` and hold every one of them but those `optional`; else a
+    :class:`DataError` names `what`: ``unknown config keys: a, b`` or
+    ``layer 0 is missing keys: bias``, each list sorted."""
+    check_object(what, obj)
+    unknown = sorted(set(obj) - set(keys))
     if unknown:
         raise DataError(f"unknown {what} keys: {', '.join(unknown)}")
-    missing = sorted(f.name for f in allowed if f.name not in obj and (
-        complete or f.default is MISSING and f.default_factory is MISSING))
+    missing = sorted(set(keys) - set(optional) - set(obj))
     if missing:
         raise DataError(f"{what} is missing keys: {', '.join(missing)}")
+    return obj
+
+
+def check_record(cls, what: str, obj, *, complete: bool = True, **given):
+    """The dataclass `cls` built from the fields `given` and the JSON object
+    `obj`, whose keys :func:`check_keys` holds to the other fields (if not
+    `complete`, one with a default may be left out); `cls` checks values."""
+    allowed = [f for f in fields(cls) if f.name not in given]
+    defaulted = [f.name for f in allowed if not complete and (
+        f.default is not MISSING or f.default_factory is not MISSING)]
+    check_keys(what, obj, [f.name for f in allowed], defaulted)
     return cls(**obj, **given)

@@ -15,9 +15,11 @@ their shared normalization statistics. Configs and statistics are
 written field for field by ``dataclasses.asdict`` and read back by
 :func:`pavesim.errors.check_record`, each with exactly its dataclass's
 fields (no default is filled in), whose numbers the dataclass checks.
-Weights, biases, ``X`` and ``y`` hold JSON numbers only. A missing or
-unknown field, a wrong shape or a refused value is a malformed file; a
-key that the top-level and layer objects do not use is ignored.
+Every other object (the top level, each layer, the normalization object
+and each split) holds exactly the keys written, by the same key rule,
+:func:`pavesim.errors.check_keys`. Weights, biases, ``X`` and ``y`` hold
+JSON numbers only. A missing or unknown key, a wrong shape or a refused
+value is a malformed file.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapter import ColumnStats, Dataset, NormalizationStats
-from .errors import DataError, check_number, check_record
+from .errors import DataError, check_keys, check_number, check_record
 from .network import NetworkConfig, NetworkParams, TrainConfig
 from .tables import json_text, read_json, write_text
 
@@ -63,12 +65,13 @@ def _float_array(name: str, value) -> np.ndarray:
 
 def _stats_from_obj(obj: dict) -> NormalizationStats:
     try:
+        check_keys("normalization", obj, ("features", "target"))
         return NormalizationStats(
             features=tuple(check_record(ColumnStats, "column", e)
                            for e in obj["features"]),
             target=check_record(ColumnStats, "column", obj["target"]),
         )
-    except (KeyError, TypeError, DataError) as exc:
+    except (TypeError, DataError) as exc:
         raise DataError(f"malformed normalization statistics: {exc}") from exc
 
 
@@ -117,11 +120,14 @@ def load_model(
 ) -> tuple[NetworkParams, NormalizationStats, NetworkConfig, TrainConfig]:
     raw = _load_commented_json(path, MODEL_FORMAT)
     try:
+        check_keys("model", raw, ("format", "version", "network", "training",
+                                  "normalization", "layers"))
         net_cfg = check_record(NetworkConfig, "network", raw["network"])
         train_cfg = check_record(TrainConfig, "training", raw["training"])
         stats = _stats_from_obj(raw["normalization"])
         weights, biases = [], []
         for i, layer in enumerate(raw["layers"]):
+            check_keys(f"layer {i}", layer, ("shape", "weights", "bias"))
             w = _float_array(f"layer {i} weights", layer["weights"])
             b = _float_array(f"layer {i} bias", layer["bias"])
             if list(w.shape) != list(layer["shape"]):
@@ -131,7 +137,7 @@ def load_model(
                 )
             weights.append(w)
             biases.append(b)
-    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
+    except (TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
     params = NetworkParams(weights, biases)
     params.validate()
@@ -173,14 +179,17 @@ def save_dataset(
 def load_dataset(path: str | Path) -> tuple[Dataset, Dataset]:
     raw = _load_commented_json(path, DATASET_FORMAT)
     try:
+        check_keys("dataset", raw, ("format", "version", "normalization",
+                                    "train", "test"))
         stats = _stats_from_obj(raw["normalization"])
         splits = []
         for part in ("train", "test"):
-            X = _float_array(f"{part} X", raw[part]["X"])
-            y = _float_array(f"{part} y", raw[part]["y"])
+            arrays = check_keys(part, raw[part], ("X", "y"))
+            X = _float_array(f"{part} X", arrays["X"])
+            y = _float_array(f"{part} y", arrays["y"])
             if X.size == 0:
                 X = X.reshape(0, len(stats.features))
             splits.append(Dataset(X=X, y=y, norm_stats=stats))
-    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
+    except (TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed dataset file {path}: {exc}") from exc
     return splits[0], splits[1]

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericalError, check_number
 from .inputmodel import GaussianInputModel, sample
-from .tables import csv_text, read_json
+from .tables import csv_text
 
 PER_REPLICATION = "per_replication"
 PER_TRUCKLOAD = "per_truckload"
@@ -59,6 +58,7 @@ class SimConfig:
     ``truck_count`` an integer >= 1, by :func:`~pavesim.errors.check_number`.
     A plan of more than :data:`MAX_TRUCKLOADS` (10^6) loads is refused: a
     replication holds one amount and up to one sampled rate per load.
+    ``pavesim simulate`` builds one from a config file; this module reads none.
     """
 
     total_quantity: float          # Q, m^3
@@ -103,27 +103,6 @@ class SimConfig:
     @property
     def first_delivery_offset(self) -> float:
         return self.load_time + self.haul_time + self.dump_time
-
-
-def parse_sim_config(path: str | Path) -> dict:
-    """The JSON object of an operation config file (``#`` lines ignored),
-    if it holds exactly one productivity source as an object: a
-    ``"productivity": {"mean": ..., "variance": ...}`` pair, or a
-    ``"scenario"`` row of feature values for a trained model. Its other
-    keys are :class:`SimConfig`'s fields, which ``simulate`` checks with
-    the model by ``check_record(SimConfig, "config", ..., complete=False)``.
-    """
-    raw = read_json(path)
-    sources = [k for k in ("productivity", "scenario") if k in raw]
-    if len(sources) != 1:
-        raise DataError(
-            "config must provide exactly one of 'productivity' or "
-            f"'scenario', got {sources or 'neither'}"
-        )
-    block = raw[sources[0]]
-    if not isinstance(block, dict):
-        raise DataError(f"{sources[0]} must be a JSON object, got {block!r}")
-    return raw
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError, check_number
-from .tables import PAVING_COLUMNS, RecordTable, kind_of
+from .tables import PAVING_COLUMNS, RecordTable
 
 #: Hidden answer-key columns appended when truth output is requested.
 TRUTH_COLUMNS = ("MuStar", "SigmaStar")
@@ -108,7 +108,7 @@ def generate_paving_dataset(
         if include_truth:
             row += [mu, sigma]
         rows.append(tuple(row))
-    return RecordTable(names, tuple(map(kind_of, names)), tuple(rows))
+    return RecordTable(names, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,7 @@ def generate_weather_mixture(
     for _ in range(n_rows):
         c = spec.components[rng.choice(len(spec.components), p=weights)]
         rows.append((c.label, float(rng.normal(c.mean, c.std))))
-    names = ("Condition", "Duration")
-    return RecordTable(names, tuple(map(kind_of, names)), tuple(rows))
+    return RecordTable(("Condition", "Duration"), tuple(rows))
 
 
 #: Three reference job profiles spanning the productivity range: an old

@@ -13,11 +13,11 @@ followed by comma-separated rows; missing cells are empty fields. Lines
 starting with ``#`` are treated as comments and blank lines are skipped
 on load, so files carrying an audit header round-trip cleanly.
 
-A loaded column's kind comes from its name alone (:func:`kind_of`), in
-any header order: ``Congestion`` and ``Spreader`` are boolean, a
-``Scenario`` label and the text columns the CLI writes (``scenario``,
-``label``, ``Condition``) are categorical, and every other column is
-numeric. A scenario value is checked by its name too
+A column's kind comes from its name alone (:func:`kind_of`), in any
+header order; a table stores no kinds of its own. ``Congestion`` and
+``Spreader`` are boolean, a ``Scenario`` label and the text columns the
+CLI writes (``scenario``, ``label``, ``Condition``) are categorical, and
+every other column is numeric. A scenario value is checked by its name too
 (:func:`check_value`): ``Humidity`` lies in [0, 100], ``AirEntrainment``
 and ``PaverAge`` are at least 0, and any value of a boolean feature is 0
 or 1.
@@ -51,7 +51,6 @@ Cell = Union[float, str, None]
 NUMERIC = "numeric"
 BOOLEAN = "boolean"
 CATEGORICAL = "categorical"
-COLUMN_KINDS = (NUMERIC, BOOLEAN, CATEGORICAL)
 
 #: Canonical paving CSV header, in file order. Column 0 is the target.
 PAVING_COLUMNS = (
@@ -95,33 +94,24 @@ def _is_boolean_value(value: float) -> bool:
 
 @dataclass(frozen=True)
 class RecordTable:
-    """Immutable rectangular table of named, kind-tagged columns."""
+    """Immutable rectangular table of named columns, each of the kind its
+    name gives."""
 
     column_names: tuple[str, ...]
-    column_kinds: tuple[str, ...]
     rows: tuple[tuple[Cell, ...], ...]
 
     def __post_init__(self):
-        if len(self.column_names) != len(self.column_kinds):
-            raise DataError(
-                f"{len(self.column_names)} column names but "
-                f"{len(self.column_kinds)} kind tags"
-            )
         if len(set(self.column_names)) != len(self.column_names):
             raise DataError("column names must be unique")
-        for name, kind in zip(self.column_names, self.column_kinds):
-            if kind not in COLUMN_KINDS:
-                raise DataError(f"column {name!r} has unknown kind {kind!r}")
         width = len(self.column_names)
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise DataError(
                     f"row {i} has {len(row)} cells, expected {width}"
                 )
-        for name, kind in zip(self.column_names, self.column_kinds):
-            if kind != BOOLEAN:
+        for col, name in enumerate(self.column_names):
+            if kind_of(name) != BOOLEAN:
                 continue
-            col = self.column_names.index(name)
             for i, row in enumerate(self.rows):
                 value = row[col]
                 if value is not None and not _is_boolean_value(value):
@@ -129,6 +119,10 @@ class RecordTable:
                         f"boolean column {name!r} holds {value!r} in row {i}; "
                         "only 0 and 1 are allowed"
                     )
+
+    @property
+    def column_kinds(self) -> tuple[str, ...]:
+        return tuple(map(kind_of, self.column_names))
 
     @property
     def num_rows(self) -> int:
@@ -148,7 +142,7 @@ class RecordTable:
         return [row[idx] for row in self.rows]
 
     def with_rows(self, rows: Iterable[tuple[Cell, ...]]) -> "RecordTable":
-        return RecordTable(self.column_names, self.column_kinds, tuple(rows))
+        return RecordTable(self.column_names, tuple(rows))
 
 
 def kind_of(name: str) -> str:
@@ -304,7 +298,7 @@ def read_csv(stream: io.TextIOBase) -> RecordTable:
             _parse_cell(cell.strip(), kind, i, name)
             for cell, kind, name in zip(raw, kinds, header)
         ))
-    return RecordTable(header, kinds, tuple(rows))
+    return RecordTable(header, tuple(rows))
 
 
 def load_csv(path: str | Path) -> RecordTable:

@@ -518,6 +518,17 @@ def test_evaluate_on_raw_csv_reads_only_the_model_columns(model_file, tmp_path,
         "error: column 'Slump' still has missing cells; clean the table first\n")
 
 
+def test_evaluate_refuses_a_target_that_is_a_model_feature(model_file, raw_csv,
+                                                          tmp_path, capsys):
+    out = tmp_path / "cov.csv"
+    rc = cli.main(["evaluate", "--model", str(model_file), "--data",
+                   str(raw_csv), "--target", "Temperature", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: target 'Temperature' cannot also be a feature\n")
+    assert not out.exists()
+
+
 def test_evaluate_rejects_foreign_dataset(model_file, tmp_path, capsys):
     raw = tmp_path / "other.csv"
     assert cli.main(["synth", "--n", "60", "--seed", "99", "--out", str(raw)]) == 0
@@ -853,6 +864,43 @@ def test_simulate_malformed_productivity_block(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: productivity is missing keys: variance\n")
+
+
+PAIR = '"productivity": {"mean": 55.0, "variance": 30.0}'
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda t: t.replace('{"total', '"total'),
+     "{path} is not valid JSON: Extra data: line 1 column 17 (char 16)"),
+    (lambda t: "[1, 2]\n", "{path} must hold a JSON object"),
+    (lambda t: t.replace(PAIR, '"load_time": 0.15'),
+     "config must provide exactly one of 'productivity' or 'scenario', "
+     "got neither"),
+    (lambda t: t.replace(PAIR, PAIR + ', "scenario": {"Slump": 3.0}'),
+     "config must provide exactly one of 'productivity' or 'scenario', "
+     "got ['productivity', 'scenario']"),
+    # a source that is not an object is refused before --model is looked at
+    (lambda t: t.replace(PAIR, '"productivity": [55.0, 30.0]'),
+     "productivity must be a JSON object, got [55.0, 30.0]"),
+    (lambda t: t.replace(PAIR, '"scenario": [55.0, 30.0]'),
+     "scenario must be a JSON object, got [55.0, 30.0]"),
+    # a long one is shown abbreviated
+    (lambda t: t.replace(PAIR, f'"scenario": {list(range(10_000))}'),
+     "scenario must be a JSON object, got [0, 1, 2, 3, 4, 5, ...]"),
+    (None, "no such file: {path}"),
+], ids=["not-json", "not-object", "no-source", "two-sources",
+        "productivity-list", "scenario-list", "long-scenario-list",
+        "missing-file"])
+def test_simulate_refuses_a_malformed_config_file(tmp_path, capsys, mangle,
+                                                  message):
+    path, out = tmp_path / "sim.cfg", tmp_path / "sim.csv"
+    if mangle is not None:
+        path.write_text("# an operation\n" + mangle(json.dumps(DIRECT_CONFIG)))
+    rc = cli.main(["simulate", "--config", str(path), "--reps", "10",
+                   "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+    assert not out.exists()
 
 
 # -------------------------------------------------------- scenario values

@@ -1,6 +1,6 @@
 """``check_number``, the one rule for a number from any source, a guard
-that keeps the rule in one place, and ``check_record``, the one rule for
-a record's keys."""
+that keeps the rule in one place, ``check_record``, the one rule for a
+record's keys, and a guard that keeps model files to ``check_keys``."""
 
 import ast
 import math
@@ -83,6 +83,33 @@ def test_the_guard_sees_a_bool_check():
     tree = ast.parse("def f(v):\n    return isinstance(v, (int, bool))\n"
                      "def check_number(v):\n    return isinstance(v, bool)\n")
     assert _bool_checks(tree) == [2]
+
+
+def _key_error_handlers(tree):
+    """Line numbers of the ``except`` clauses in `tree` that name
+    ``KeyError``, alone or in a tuple of types."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            kinds = node.type
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(n, ast.Name) and n.id == "KeyError"
+                   for n in names):
+                found.append(node.lineno)
+    return found
+
+
+def test_modelfile_reads_keys_only_through_check_keys():
+    # a missing key is named by check_keys, never caught as a bare KeyError
+    path = Path(pavesim.__file__).parent / "modelfile.py"
+    assert _key_error_handlers(ast.parse(path.read_text())) == []
+
+
+def test_the_guard_sees_a_key_error_handler():
+    tree = ast.parse("try:\n    f()\nexcept (KeyError, TypeError):\n    g()\n"
+                     "try:\n    f()\nexcept KeyError:\n    g()\n"
+                     "try:\n    f()\nexcept ValueError:\n    g()\n")
+    assert _key_error_handlers(tree) == [3, 7]
 
 
 @dataclass(frozen=True)

@@ -267,19 +267,19 @@ def test_load_refuses_an_ill_typed_scalar(tmp_path, kind, section, key, value):
 
 def edited_file(tmp_path, kind, where, edit):
     """A saved model or dataset file whose JSON node at the key path
-    `where` is replaced by `edit` of it."""
+    `where` (the top-level object if empty) is replaced by `edit` of it."""
     params, ds, net_cfg, train_cfg = trained_fixture()
     path = tmp_path / f"f.{kind}"
     if kind == "model":
         save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
     else:
         save_dataset(path, *split(ds, 0.8, 5))
-    raw = json.loads(path.read_text())
-    parent = raw
+    root = {"file": json.loads(path.read_text())}
+    parent, where = root, ("file", *where)
     for key in where[:-1]:
         parent = parent[key]
     parent[where[-1]] = edit(parent[where[-1]])
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(root["file"]))
     return path
 
 
@@ -335,10 +335,33 @@ def extra(node):
      "network must be a JSON object, got [1]"),
     ("dataset", ("normalization", "features", 0), lambda _: "Slump",
      STATS + "column must be a JSON object, got 'Slump'"),
+    # the objects that are not records hold exactly the keys written too
+    ("model", (), extra, "unknown model keys: extra"),
+    ("model", (), without("layers"), "model is missing keys: layers"),
+    ("model", ("layers", 0), extra, "unknown layer 0 keys: extra"),
+    ("model", ("layers", 1), without("shape"),
+     "layer 1 is missing keys: shape"),
+    ("model", ("layers",), lambda _: [1],
+     "layer 0 must be a JSON object, got 1"),
+    ("model", ("normalization",), extra,
+     STATS + "unknown normalization keys: extra"),
+    ("dataset", (), extra, "unknown dataset keys: extra"),
+    ("dataset", (), without("test"), "dataset is missing keys: test"),
+    ("dataset", ("normalization",), without("target"),
+     STATS + "normalization is missing keys: target"),
+    ("dataset", ("train",), extra, "unknown train keys: extra"),
+    # a long non-object is not written out whole
+    ("dataset", ("train",), lambda _: list(range(10 ** 4)),
+     "train must be a JSON object, got [0, 1, 2, 3, 4, 5, ...]"),
+    ("dataset", ("test",), without("y"), "test is missing keys: y"),
 ], ids=["unknown-network", "unknown-training", "unknown-model-feature",
         "unknown-dataset-target", "missing-network-seed",
         "missing-training-two", "missing-dataset-target-std", "network-list",
-        "feature-string"])
+        "feature-string", "unknown-model-top", "missing-model-layers",
+        "unknown-layer-key", "missing-layer-shape", "layer-number",
+        "unknown-normalization-key", "unknown-dataset-top",
+        "missing-dataset-test", "missing-normalization-target",
+        "unknown-train-key", "train-list", "missing-test-y"])
 def test_load_reads_network_training_and_columns_by_their_fields(
         tmp_path, kind, where, edit, message):
     path = edited_file(tmp_path, kind, where, edit)

@@ -17,7 +17,7 @@ from pavesim.network import (
     train,
 )
 from pavesim.synthetic import generate_paving_dataset
-from pavesim.tables import NUMERIC, RecordTable
+from pavesim.tables import RecordTable
 
 from params_helpers import params_equal
 
@@ -42,7 +42,7 @@ def line_table(n=500, seed=8, noise=0.1):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1, 1, n)
     ys = 2.0 * xs + rng.normal(0, noise, n)
-    return RecordTable(("Y", "X"), (NUMERIC, NUMERIC),
+    return RecordTable(("Y", "X"),
                        tuple((float(a), float(b)) for a, b in zip(ys, xs)))
 
 
@@ -531,7 +531,7 @@ def test_predicted_sigma_recovers_constant_noise():
     a = rng.uniform(-1, 1, n)
     b = rng.uniform(-1, 1, n)
     y = 3.0 * a - 2.0 * b + 5.0 + rng.normal(0, 2.0, n)
-    table = RecordTable(("Y", "A", "B"), (NUMERIC,) * 3,
+    table = RecordTable(("Y", "A", "B"),
                         tuple((float(p), float(q), float(r))
                               for p, q, r in zip(y, a, b)))
     ds = encode_and_normalize(table, "Y")

@@ -13,12 +13,12 @@ from pavesim.simulator import (
     PER_TRUCKLOAD,
     SimConfig,
     SimResult,
-    parse_sim_config,
     replication_seed,
     run_monte_carlo,
     run_replication,
     truckload_amounts,
 )
+from pavesim.tables import read_json
 
 FIXED_50 = GaussianInputModel(50.0, 0.0)
 CONSTRAINED_LEGS = (0.2, 0.5, 0.2, 0.1)    # load, haul, dump, return
@@ -505,7 +505,8 @@ GOOD_CONFIG = (
 
 
 def config_from(raw):
-    """The SimConfig of a parsed direct-pair config, as ``simulate`` builds it."""
+    """The SimConfig of a direct-pair config's object, as ``simulate``
+    builds it."""
     model = check_record(GaussianInputModel, "productivity",
                          raw.pop("productivity"))
     return check_record(SimConfig, "config", raw, complete=False,
@@ -513,7 +514,7 @@ def config_from(raw):
 
 
 def test_parse_sim_config_accepts_commented_json(tmp_path):
-    raw = parse_sim_config(write_config(tmp_path / "op.cfg", GOOD_CONFIG))
+    raw = read_json(write_config(tmp_path / "op.cfg", GOOD_CONFIG))
     assert raw["total_quantity"] == 120
     assert raw["productivity"] == {"mean": 55.0, "variance": 30.0}
     cfg = config_from(raw)
@@ -526,43 +527,9 @@ def test_parse_sim_config_forwards_optional_keys(tmp_path):
     text = GOOD_CONFIG.replace(
         ' "productivity"',
         ' "resample_mode": "per_truckload", "clamp_floor": 2.0, "productivity"')
-    cfg = config_from(parse_sim_config(write_config(tmp_path / "op.cfg", text)))
+    cfg = config_from(read_json(write_config(tmp_path / "op.cfg", text)))
     assert cfg.resample_mode == "per_truckload"
     assert cfg.clamp_floor == 2.0
-
-
-@pytest.mark.parametrize("mangle,message", [
-    (lambda t: t.replace('{"total', '"total'), "not valid JSON"),
-    (lambda t: "[1, 2]\n", "JSON object"),
-    (lambda t: t.replace(' "productivity": {"mean": 55.0, "variance": 30.0}}', ' "load_time": 0.15}'), "exactly one of"),
-])
-def test_parse_sim_config_rejects_malformed_files(tmp_path, mangle, message):
-    path = write_config(tmp_path / "op.cfg", mangle(GOOD_CONFIG))
-    with pytest.raises(DataError, match=message):
-        parse_sim_config(path)
-
-
-@pytest.mark.parametrize("source", ["productivity", "scenario"])
-def test_parse_sim_config_refuses_a_source_that_is_not_an_object(tmp_path,
-                                                                 source):
-    text = GOOD_CONFIG.replace('"productivity": {"mean": 55.0, "variance": 30.0}',
-                               f'"{source}": [55.0, 30.0]')
-    with pytest.raises(DataError) as info:
-        parse_sim_config(write_config(tmp_path / "op.cfg", text))
-    assert str(info.value) == f"{source} must be a JSON object, got [55.0, 30.0]"
-
-
-def test_parse_sim_config_rejects_two_sources(tmp_path):
-    text = GOOD_CONFIG.replace(
-        ' "productivity"',
-        ' "scenario": {"Slump": 3.0}, "productivity"')
-    with pytest.raises(DataError, match="exactly one of"):
-        parse_sim_config(write_config(tmp_path / "op.cfg", text))
-
-
-def test_parse_sim_config_missing_file(tmp_path):
-    with pytest.raises(DataError, match="no such file"):
-        parse_sim_config(tmp_path / "absent.cfg")
 
 
 # ------------------------------------------------------------------- csv
