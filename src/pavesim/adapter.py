@@ -8,9 +8,10 @@ column, and both encoders read their columns through one reader.
 
 A column's kind comes from its name (:func:`pavesim.tables.kind_of`);
 its role is decided here, once. The join key names rows, so the join
-drops it. The features are the nine condition attributes when all are
-present, so other columns (the generator's answer key) ride along
-unread; otherwise they are every column but the target.
+drops it. The features are every other column but the target and
+:data:`pavesim.tables.NOT_DATA` (the generator's answer key and the
+label columns), in table order, so a second source's columns are
+features too.
 
 Conventions, pinned so results are exactly reproducible:
 
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, check_number
-from .tables import BOOLEAN, CATEGORICAL, FEATURE_COLUMNS, NUMERIC, RecordTable
+from .tables import BOOLEAN, CATEGORICAL, NOT_DATA, NUMERIC, RecordTable
 
 DROP_ROW = "drop_row"
 IMPUTE_MEDIAN = "impute_median"
@@ -283,16 +284,6 @@ def clean(table: RecordTable, policy: CleanPolicy = CleanPolicy()) -> tuple[Reco
     return table.with_rows(compress(rows, keep)), report
 
 
-def _schema_features(table: RecordTable, target_column: str) -> tuple[str, ...]:
-    # When the canonical nine condition attributes are all present, they
-    # are the feature set; anything else riding along (e.g. generator
-    # ground-truth columns) is filtered out. Otherwise every non-target
-    # column is a feature.
-    if all(c in table.column_names for c in FEATURE_COLUMNS):
-        return FEATURE_COLUMNS
-    return tuple(c for c in table.column_names if c != target_column)
-
-
 def _read_columns(table: RecordTable, features: Sequence[str], target_column: str
                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """The feature columns by name, and the target, as float arrays.
@@ -332,11 +323,14 @@ def encode_and_normalize(table: RecordTable, target_column: str) -> Dataset:
     """Build the normalized training matrix from a cleaned table.
 
     Numeric features and the target are z-scored with population moments;
-    boolean features pass through as 0/1. Raises on an empty table,
-    missing cells, non-finite values, constant numeric columns,
-    categorical features, and moments too large for a float.
+    boolean features pass through as 0/1. The features are every column
+    but the target and :data:`~pavesim.tables.NOT_DATA`, in table order.
+    Raises on an empty table, missing cells, non-finite values, constant
+    numeric columns, categorical features, and moments too large for a
+    float.
     """
-    feature_columns = _schema_features(table, target_column)
+    feature_columns = [c for c in table.column_names
+                       if c != target_column and c not in NOT_DATA]
     columns, target = _read_columns(table, feature_columns, target_column)
 
     def column_stats(name: str, arr: np.ndarray) -> ColumnStats:
@@ -394,7 +388,7 @@ def dataset_with_stats(table: RecordTable, stats: NormalizationStats,
     features named in the stats and the target are read, by the same
     column reader as :func:`encode_and_normalize`: those columns must be
     present, finite and without missing cells, and the target must not
-    be a feature; other columns may hold anything.
+    be a feature; other columns are not read.
     """
     features = [col.name for col in stats.features]
     return _encode(stats, *_read_columns(table, features, target_column))

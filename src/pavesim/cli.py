@@ -63,7 +63,10 @@ from .synthetic import (
     generate_weather_mixture,
 )
 from .tables import (
+    DERIVED_LABEL,
+    SCENARIO_LABEL,
     TARGET_COLUMN,
+    TRUTH_COLUMNS,
     csv_text,
     json_text,
     load_csv,
@@ -145,7 +148,7 @@ def _one_of(flag: str, *values: str):
 
 
 def _cmd_adapt(args, run: _Run) -> None:
-    tables = [load_csv(p) for p in args.data]
+    tables = [load_csv(p, args.key) for p in args.data]
     if args.key is not None:
         table, dropped = join_sources(tables, args.key)
         if len(tables) > 1:
@@ -169,6 +172,7 @@ def _cmd_adapt(args, run: _Run) -> None:
     if args.report is not None:
         run.stage(args.report, json_text(run.header, asdict(report)))
     run.lines += [f"seed = {args.seed}", f"cleaned: {report.summary()}",
+                  "features: " + ", ".join(c.name for c in ds.norm_stats.features),
                   f"split: {train_ds.n} train / {test_ds.n} test rows "
                   f"-> {args.out}"]
 
@@ -239,7 +243,7 @@ def _cmd_derive(args, run: _Run) -> None:
     rows = []
     for i, cells in enumerate(table.rows):
         values = dict(zip(table.column_names, cells))
-        label = values.get("Scenario") or f"row {i}"
+        label = values.get(SCENARIO_LABEL) or f"row {i}"
         model = derive(params, values, stats)
         lo, hi = confidence_interval(model, 0.95)
         run.lines.append(f"{label}: mean = {model.mean:.4f}, variance = "
@@ -248,7 +252,7 @@ def _cmd_derive(args, run: _Run) -> None:
         rows.append((label, model.mean, model.variance, lo, hi))
     if args.out is not None:
         run.stage(args.out, csv_text(run.header, (
-            "scenario", "mean", "variance", "lo95", "hi95"), rows))
+            DERIVED_LABEL, "mean", "variance", "lo95", "hi95"), rows))
         run.lines.append(f"wrote {len(rows)} rows to {args.out}")
 
 
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--truth", action="store_true",
-                   help="append the generating MuStar/SigmaStar columns")
+                   help=f"append the answer key, {'/'.join(TRUTH_COLUMNS)}")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("adapt",
@@ -338,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", action="append", required=True,
                    help="input CSV; repeat to join multiple sources")
     p.add_argument("--key", default=None,
-                   help="join key column, dropped after the join "
+                   help="join key column, read as text and dropped after the join "
                         "(required for multiple --data)")
     p.add_argument("--target", default=TARGET_COLUMN)
     p.add_argument("--missing", default=IMPUTE_MEDIAN,
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="derive per-scenario productivity distributions")
     p.add_argument("--model", required=True)
     p.add_argument("--scenarios", required=True,
-                   help="CSV of feature rows, optional Scenario label column")
+                   help=f"CSV of feature rows, optional {SCENARIO_LABEL} column")
     p.add_argument("--out", default=None, help="optional output CSV")
     p.set_defaults(func=_cmd_derive)
 

@@ -29,7 +29,7 @@ import numpy as np
 from .adapter import Dataset, NormalizationStats
 from .errors import DataError, NumericalError, check_number
 from .network import NetworkParams, forward_batch
-from .tables import check_value, csv_text
+from .tables import MIXTURE_LABEL, check_value, csv_text
 
 #: Central-interval z-values. A fixed table, not a quantile routine: only
 #: these three levels are supported.
@@ -230,7 +230,7 @@ class MixtureComparison:
         rows += [(r.label, r.weight, r.model.mean, r.model.variance,
                   r.variance_ratio) for r in self.components]
         return csv_text(header_comments, (
-            "label", "weight", "mean", "variance", "pooled_variance_ratio"),
+            MIXTURE_LABEL, "weight", "mean", "variance", "pooled_variance_ratio"),
             rows)
 
 

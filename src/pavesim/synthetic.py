@@ -30,10 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError, check_number
-from .tables import PAVING_COLUMNS, RecordTable
-
-#: Hidden answer-key columns appended when truth output is requested.
-TRUTH_COLUMNS = ("MuStar", "SigmaStar")
+from .tables import PAVING_COLUMNS, TRUTH_COLUMNS, RecordTable
 
 
 def true_moments(f: Mapping[str, float]) -> tuple[float, float]:
@@ -71,7 +68,7 @@ _AGE_RANGE = (0.0, 5.0)  # rounded to half-years
 
 def sample_features(rng: np.random.Generator) -> dict[str, float]:
     """Draw one plausible paving-job feature vector, keyed by column name
-    in :data:`~pavesim.tables.FEATURE_COLUMNS` order (the draw order)."""
+    in the order of :data:`~pavesim.tables.PAVING_COLUMNS` (the draw order)."""
     return {
         "Slump": float(rng.uniform(*_SLUMP_RANGE)),
         "Congestion": float(rng.random() < _CONGESTION_P),
@@ -90,11 +87,10 @@ def generate_paving_dataset(
 ) -> RecordTable:
     """Generate ``n_rows`` synthetic paving records, deterministically.
 
-    With ``include_truth`` the table carries two extra numeric columns,
-    ``MuStar`` and ``SigmaStar``, holding the generating moments per row.
-    They are an evaluation answer key; feature selection downstream
-    ignores them, so a model trained on a truth-bearing table never sees
-    them.
+    With ``include_truth`` the table carries the two numeric
+    :data:`~pavesim.tables.TRUTH_COLUMNS`, holding the generating moments
+    per row. They are an evaluation answer key, never data, so a model
+    trained on a truth-bearing table never sees them.
     """
     check_number("n_rows", n_rows, integer=True, low=1)
     rng = np.random.default_rng(seed)

@@ -15,12 +15,13 @@ on load, so files carrying an audit header round-trip cleanly.
 
 A column's kind comes from its name alone (:func:`kind_of`), in any
 header order; a table stores no kinds of its own. ``Congestion`` and
-``Spreader`` are boolean, a ``Scenario`` label and the text columns the
-CLI writes (``scenario``, ``label``, ``Condition``) are categorical, and
-every other column is numeric. A scenario value is checked by its name too
-(:func:`check_value`): ``Humidity`` lies in [0, 100], ``AirEntrainment``
-and ``PaverAge`` are at least 0, and any value of a boolean feature is 0
-or 1.
+``Spreader`` are boolean, the :data:`LABEL_COLUMNS` and ``Condition`` are
+categorical, and every other column is numeric; :func:`read_csv` reads a
+join key as text. The :data:`NOT_DATA` names are never features, and
+every other column but the target is one. A scenario value is checked
+by its name too (:func:`check_value`): ``Humidity`` lies in [0, 100],
+``AirEntrainment`` and ``PaverAge`` are at least 0, and any value of a
+boolean feature is 0 or 1.
 
 Every file is opened here: each input as UTF-8 by :func:`open_text`, each
 output by :func:`staged_files`, which renames a run's outputs into place
@@ -66,14 +67,19 @@ PAVING_COLUMNS = (
     "PaverAge",         # years
 )
 
-#: The kind of each named column: the paving columns, the label column of
-#: a scenario file, and the text columns of the files the CLI writes
-#: (``derive``'s ``scenario``, ``mixture-demo``'s ``label`` and
-#: ``Condition``). :func:`kind_of` reads any other as numeric.
+#: The names the tool itself writes that are never data, so never features:
+#: the generator's answer key (``synth --truth``) and the label columns of a
+#: scenario file, of ``derive``'s output and of ``mixture-demo``'s.
+TRUTH_COLUMNS = ("MuStar", "SigmaStar")
+SCENARIO_LABEL, DERIVED_LABEL, MIXTURE_LABEL = "Scenario", "scenario", "label"
+LABEL_COLUMNS = (SCENARIO_LABEL, DERIVED_LABEL, MIXTURE_LABEL)
+NOT_DATA = frozenset(TRUTH_COLUMNS + LABEL_COLUMNS)
+
+#: The kind of each named column, the paving and label columns and
+#: ``mixture-demo``'s ``Condition``; :func:`kind_of` reads others as numeric.
 KIND_BY_NAME = {**dict.fromkeys(PAVING_COLUMNS, NUMERIC),
                "Congestion": BOOLEAN, "Spreader": BOOLEAN,
-               **dict.fromkeys(("Scenario", "scenario", "label", "Condition"),
-                               CATEGORICAL)}
+               **dict.fromkeys((*LABEL_COLUMNS, "Condition"), CATEGORICAL)}
 
 #: The physical range of each named column, as :func:`check_number`'s
 #: bounds (Humidity in %, AirEntrainment in %, PaverAge in years);
@@ -83,9 +89,6 @@ BOUNDS_BY_NAME = {"AirEntrainment": {"low": 0},
                   "PaverAge": {"low": 0}}
 
 TARGET_COLUMN = PAVING_COLUMNS[0]
-
-#: The nine condition attributes, in canonical order.
-FEATURE_COLUMNS = PAVING_COLUMNS[1:]
 
 
 def _is_boolean_value(value: float) -> bool:
@@ -273,11 +276,11 @@ def write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def read_csv(stream: io.TextIOBase) -> RecordTable:
+def read_csv(stream: io.TextIOBase, key: str | None = None) -> RecordTable:
     """Parse an open text stream; ``#`` lines and blank lines are skipped
     anywhere, row numbers count table rows, and each column's kind is
-    :func:`kind_of` its name. A stream with no header row is refused by
-    the name of its file, if it has one."""
+    :func:`kind_of` its name, but the `key` column is text. A stream with
+    no header row is refused by the name of its file, if it has one."""
     # csv.reader yields [] for a blank line, which is never data: csv_text
     # writes a row of one empty cell as "".
     reader = filter(None, csv.reader(without_comments(stream)))
@@ -287,7 +290,8 @@ def read_csv(stream: io.TextIOBase) -> RecordTable:
         source = getattr(stream, "name", "stream")
         raise DataError(f"file has no header row: {source}") from None
     header = tuple(h.strip() for h in header)
-    kinds = tuple(map(kind_of, header))
+    kinds = tuple(CATEGORICAL if name == key else kind_of(name)
+                  for name in header)
     rows = []
     for i, raw in enumerate(reader):
         if len(raw) != len(header):
@@ -301,10 +305,10 @@ def read_csv(stream: io.TextIOBase) -> RecordTable:
     return RecordTable(header, tuple(rows))
 
 
-def load_csv(path: str | Path) -> RecordTable:
+def load_csv(path: str | Path, key: str | None = None) -> RecordTable:
     """Load a CSV file into a :class:`RecordTable` by :func:`read_csv`."""
     with open_text(path) as stream:
-        return read_csv(stream)
+        return read_csv(stream, key)
 
 
 def _field(value) -> str:

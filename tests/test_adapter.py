@@ -24,8 +24,9 @@ from pavesim.synthetic import generate_paving_dataset
 from pavesim.tables import (
     BOOLEAN,
     CATEGORICAL,
-    FEATURE_COLUMNS,
     NUMERIC,
+    PAVING_COLUMNS,
+    TRUTH_COLUMNS,
     RecordTable,
 )
 
@@ -307,7 +308,7 @@ def test_encoded_columns_are_standardized():
 def test_generated_truth_columns_are_not_features():
     table = generate_paving_dataset(50, 2, include_truth=True)
     ds = encode_and_normalize(table, "Productivity")
-    assert tuple(c.name for c in ds.norm_stats.features) == FEATURE_COLUMNS
+    assert tuple(c.name for c in ds.norm_stats.features) == PAVING_COLUMNS[1:]
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -321,21 +322,55 @@ def test_encode_rejects_bad_feature_columns(rows, message):
         encode_and_normalize(table, "Y")
 
 
+def paving_table(names):
+    """A 30-row synth table with the answer key, a numeric ``CrewSize`` and
+    the text columns ``Scenario`` and ``Condition``, as the columns `names`."""
+    table = generate_paving_dataset(30, 4, include_truth=True)
+    columns = dict(zip(table.column_names, zip(*table.rows)))
+    columns.update(CrewSize=[float(2 + i % 5) for i in range(30)],
+                   Scenario=[f"s{i}" for i in range(30)],
+                   Condition=["dry", "wet"] * 15)
+    return RecordTable(tuple(names), tuple(zip(*(columns[n] for n in names))))
+
+
+@pytest.mark.parametrize("names, features", [
+    (PAVING_COLUMNS + ("CrewSize",), PAVING_COLUMNS[1:] + ("CrewSize",)),
+    (PAVING_COLUMNS + TRUTH_COLUMNS, PAVING_COLUMNS[1:]),
+    (("Scenario",) + PAVING_COLUMNS, PAVING_COLUMNS[1:]),
+    (PAVING_COLUMNS[::-1], PAVING_COLUMNS[:0:-1]),
+], ids=["extra-numeric", "answer-key", "label", "reordered"])
+def test_features_are_every_column_but_the_target_and_not_data(names,
+                                                               features):
+    # the nine condition attributes were the features whenever all were
+    # present, in canonical order, and every other column was dropped
+    ds = encode_and_normalize(paving_table(names), "Productivity")
+    assert tuple(c.name for c in ds.norm_stats.features) == features
+
+
 def test_encode_rejects_categorical_feature_and_constant_target():
-    table = RecordTable(("Y", "Scenario"), ((1.0, "a"), (2.0, "b")))
-    with pytest.raises(DataError, match="categorical column 'Scenario'"):
-        encode_and_normalize(table, "Y")
+    # a text column is data, so a feature, and refused as one: beside the
+    # nine condition attributes too
+    for table in (RecordTable(("Y", "Condition"), ((1.0, "a"), (2.0, "b"))),
+                  paving_table(PAVING_COLUMNS + ("Condition",))):
+        with pytest.raises(DataError, match="categorical column 'Condition' "
+                                            "is not supported as a feature"):
+            encode_and_normalize(table, table.column_names[0])
     flat = RecordTable(("Y", "X"), ((2.0, 1.0), (2.0, 3.0)))
     with pytest.raises(DataError, match="constant"):
         encode_and_normalize(flat, "Y")
 
 
 def test_encode_rejects_target_as_feature_and_empty_table():
-    # a canonical table's features are the nine condition attributes
+    # a target among the nine trains on the other columns; a target that
+    # is a feature of the stored statistics is refused on new data
     table = generate_paving_dataset(20, 3)
+    ds = encode_and_normalize(table, "Slump")
+    assert tuple(c.name for c in ds.norm_stats.features) == tuple(
+        c for c in PAVING_COLUMNS if c != "Slump")
+    stats = encode_and_normalize(table, "Productivity").norm_stats
     with pytest.raises(DataError, match="target 'Slump' cannot also be a "
                                         "feature"):
-        encode_and_normalize(table, "Slump")
+        dataset_with_stats(table, stats, "Slump")
     empty = RecordTable(("Y", "X"), ())
     with pytest.raises(DataError, match="empty"):
         encode_and_normalize(empty, "Y")

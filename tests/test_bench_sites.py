@@ -8,6 +8,11 @@ test installs the tracer, runs a small walkthrough through ``cli.main``
 (a keyed two-file ``adapt``, ``train``, ``evaluate``, ``derive``, a
 ``scenario`` ``simulate`` with ``--model`` and ``mixture-demo``) and
 requires a span for every wrapped name and a working counter for each.
+The layers the benchmark times per call must be called once per unit of
+work: a replication's seed and run once per replication, a gradient and
+an Adam step once per batch. Below 1,000 calls the benchmark reports
+their percentiles as null, so a function still called, but once per
+run, would null them at full size.
 It runs in a subprocess, so the wrappers do not leak into other tests.
 A second test runs the benchmark's own traced ``pipeline`` workload at
 smoke size and requires a strict JSON result with every per-layer
@@ -15,11 +20,14 @@ metric of ``BENCHMARK.json``.
 """
 
 import json
+import math
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+from pavesim.modelfile import load_dataset
+from pavesim.network import TrainConfig
 from test_reference_build import INPUTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,18 +48,44 @@ STAGES = [
 DRIVER = """
 import json, sys
 sys.path[:0] = sys.argv[1:3]
-import pavesim.cli, tracing
+import collections, pavesim.cli, tracing
 tracer = tracing.Tracer()
 tracer.install()
 for argv in json.loads(sys.argv[3]):
     code = pavesim.cli.main(argv.split())
     if code != 0:
         sys.exit(f"{argv!r} exited with {code}")
+spans = collections.Counter(tracer.names[span[0]] for span in tracer.spans)
 print(json.dumps({"names": tracer.names, "counts": tracer.counts,
+                  "spans": spans,
                   "missing": sorted(tracer.missing),
                   "uncounted": sorted(tracer.uncounted),
                   "wraps": sorted(tracing.WRAPS)}))
 """
+
+
+#: The wrapped functions that the benchmark times per call.
+PER_CALL = ("simulator.replication_seed", "simulator.run_replication",
+            "network.loss_gradients", "network.adam_step")
+
+
+def flag(command, name, default=None):
+    """The value of `--name` in the stage that runs `command`."""
+    argv = next(s.split() for s in STAGES if s.split()[0] == command)
+    return argv[argv.index(f"--{name}") + 1] if f"--{name}" in argv else default
+
+
+def expected_per_call_spans(workdir):
+    """One span per replication of the simulate stage, and one per batch
+    of the train stage: its epochs times the batches of its dataset's
+    train split."""
+    reps = int(flag("simulate", "reps"))
+    train_rows = load_dataset(workdir / flag("train", "data"))[0].n
+    batch_size = int(flag("train", "batch-size", TrainConfig.batch_size))
+    steps = int(flag("train", "epochs")) * math.ceil(train_rows / batch_size)
+    return {"simulator.replication_seed": reps,
+            "simulator.run_replication": reps,
+            "network.loss_gradients": steps, "network.adam_step": steps}
 
 
 def test_every_wrapped_function_is_called_and_counted(tmp_path):
@@ -69,6 +103,9 @@ def test_every_wrapped_function_is_called_and_counted(tmp_path):
     assert sorted(set(report["wraps"]) - set(report["names"])) == []
     # save_dataset's counter reads the size of the file it was given
     assert report["counts"]["modelfile.save_dataset.bytes"] > 0
+    assert {name: report["spans"][name] for name in PER_CALL} == \
+        expected_per_call_spans(tmp_path)
+
 
 
 def _refuse(constant):

@@ -339,12 +339,13 @@ def test_adapt_join_requires_key(tmp_path, capsys):
     assert "requires --key" in capsys.readouterr().err
 
 
-def keyed_csv(path, congestion, truth=False):
-    """A synth table with a ``JobId`` column first and the given
-    Congestion cells (None for a blank)."""
+def keyed_csv(path, congestion, truth=False, key="{}"):
+    """A synth table with a ``JobId`` column first, row i's key being
+    ``key.format(i + 1)``, and the given Congestion cells (None for a
+    blank)."""
     table = generate_paving_dataset(len(congestion), 21, include_truth=truth)
     at = table.column_index("Congestion")
-    rows = [(i + 1, *row[:at], flag, *row[at + 1:])
+    rows = [(key.format(i + 1), *row[:at], flag, *row[at + 1:])
             for i, (row, flag) in enumerate(zip(table.rows, congestion))]
     path.write_text(csv_text((), ("JobId",) + table.column_names, rows))
     return path
@@ -384,6 +385,43 @@ def test_adapt_keyed_file_imputes_congestion_as_boolean(tmp_path, ones, fill):
     assert train_ds.norm_stats.features[at].kind == "boolean"
     flags = np.concatenate([train_ds.X[:, at], test_ds.X[:, at]])
     assert sorted(flags) == sorted([1.0] * ones + [0.0] * (18 - ones) + [fill])
+
+
+@pytest.mark.parametrize("key", ["{}", "j{}"], ids=["numeric", "text"])
+def test_adapt_joined_columns_of_a_second_source_are_features(tmp_path, capsys,
+                                                             key):
+    # a second source's columns were joined, cleaned and counted, then
+    # dropped when the nine condition attributes were all present; a text
+    # key was refused at load as "not numeric"
+    data = keyed_csv(tmp_path / "k.csv", [0, 1] * 20, key=key)
+    crew = tmp_path / "crew.csv"
+    crew.write_text("JobId,CrewSize\n" + "".join(
+        f"{key.format(i)},{3 + i % 4}\n" for i in range(41, 0, -1)))
+    out = tmp_path / "ds.json"
+    assert cli.main(["adapt", "--data", str(data), "--data", str(crew),
+                     "--key", "JobId", "--seed", "1", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "40 rows, 1 input rows dropped" in stdout
+    features = FEATURE_NAMES + ("CrewSize",)
+    assert f"features: {', '.join(features)}\n" in stdout
+    train_ds, _ = load_dataset(str(out))
+    assert tuple(c.name for c in train_ds.norm_stats.features) == features
+
+
+def test_adapt_refuses_a_repeated_nan_key(tmp_path, capsys):
+    # a key read as a number made every nan key unequal to every other, so
+    # the nan rows of both files were dropped as unmatched
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("JobId,Productivity,Slump\n1,60,3.5\nnan,70,4.0\n"
+                 "2,65,4.5\nnan,80,3.0\n")
+    b.write_text("JobId,Humidity\n1,60\n2,70\nnan,80\n")
+    out = tmp_path / "ds.json"
+    rc = cli.main(["adapt", "--data", str(a), "--data", str(b), "--key",
+                   "JobId", "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: duplicate key 'nan' in table 0 column 'JobId'\n")
+    assert not out.exists()
 
 
 def test_adapt_refuses_an_unknown_key_on_one_file(tmp_path, raw_csv, capsys):
@@ -615,6 +653,20 @@ def test_derive_labels_with_csv_syntax_read_back(model_file, tmp_path):
                    str(scen), "--out", str(out)])
     assert rc == 0
     assert load_csv(out).column_values("scenario") == ["a,b", 'say "hi"', "#1"]
+
+
+def test_derive_parses_every_column_of_the_scenario_file(model_file, tmp_path,
+                                                        capsys):
+    # derive reads only the model's features, but load parses each column
+    # by its name's kind, so a text column the model never reads is refused
+    scen = tmp_path / "scen.csv"
+    lines = SCENARIO_CSV.splitlines()
+    scen.write_text(f"{lines[0]},Site\n{lines[1]},north\n")
+    rc = cli.main(["derive", "--model", str(model_file), "--scenarios",
+                   str(scen)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: cell 'north' in row 0, column 'Site' is not numeric\n")
 
 
 def test_derive_rejects_empty_scenario_file(model_file, tmp_path, capsys):

@@ -38,7 +38,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pavesim import cli
-from pavesim.tables import FEATURE_COLUMNS, PAVING_COLUMNS, read_json
+from pavesim.tables import PAVING_COLUMNS, read_json
 
 #: A cell holding the lone byte 0xff: files are written with
 #: ``surrogateescape``, which turns this code point into that byte.
@@ -64,7 +64,7 @@ def good_cells(column):
 
 #: Each command's header and its argv for a model, data and out path.
 COMMANDS = {
-    "derive": (("Scenario",) + FEATURE_COLUMNS, lambda model, data, out: [
+    "derive": (("Scenario",) + PAVING_COLUMNS[1:], lambda model, data, out: [
         "derive", "--model", model, "--scenarios", data, "--out", out]),
     "adapt": (PAVING_COLUMNS, lambda model, data, out: [
         "adapt", "--data", data, "--seed", "1", "--out", out]),

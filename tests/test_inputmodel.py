@@ -24,7 +24,7 @@ from pavesim.inputmodel import (
 )
 from pavesim.network import NetworkConfig, NetworkParams, init_network
 from pavesim.synthetic import generate_paving_dataset
-from pavesim.tables import BOOLEAN, FEATURE_COLUMNS, NUMERIC
+from pavesim.tables import BOOLEAN, NUMERIC, PAVING_COLUMNS
 
 EPS = np.finfo(float).eps
 
@@ -37,7 +37,7 @@ def scenario_stats(target_mean=80.0, target_std=10.0):
             mean=0.0,
             std=1.0,
         )
-        for name in FEATURE_COLUMNS
+        for name in PAVING_COLUMNS[1:]
     )
     target = ColumnStats("Productivity", NUMERIC, target_mean, target_std)
     return NormalizationStats(features=features, target=target)
@@ -98,7 +98,7 @@ class TestDerive:
                    scenario_stats())
 
     def test_treats_none_as_missing(self):
-        values = dict.fromkeys(FEATURE_COLUMNS, 0.0)
+        values = dict.fromkeys(PAVING_COLUMNS[1:], 0.0)
         values["Slope"] = values["PaverAge"] = None
         with pytest.raises(DataError,
                            match="^missing scenario attributes: Slope, PaverAge$"):

@@ -158,7 +158,7 @@ def comments(text):
 
 
 def only_columns_differ(columns):
-    def check(ref, new):
+    def check(ref, new, _src):
         ref_rows, new_rows = csv_rows(ref), csv_rows(new)
         assert comments(ref) == comments(new)
         assert len(ref_rows) == len(new_rows) > 0
@@ -169,7 +169,7 @@ def only_columns_differ(columns):
 
 
 def plans_loads(ref_loads, new_loads):
-    def check(ref, new):
+    def check(ref, new, _src):
         ref_rows, new_rows = csv_rows(ref), csv_rows(new)
         # the audit header, replications and master_seed; not the six
         # statistics of completion time that close the footer
@@ -186,7 +186,7 @@ def body(text):
 
 
 def only_comments_removed(removed):
-    def check(ref, new):
+    def check(ref, new, _src):
         assert body(ref) == body(new)
         assert set(removed) <= set(comments(ref))
         assert [c for c in comments(ref) if c not in removed] == comments(new)
@@ -194,7 +194,7 @@ def only_comments_removed(removed):
 
 
 def only_line_differs(prefix):
-    def check(ref, new):
+    def check(ref, new, _src):
         ref_lines, new_lines = ref.splitlines(), new.splitlines()
         assert len(ref_lines) == len(new_lines)
         for a, b in zip(ref_lines, new_lines):
@@ -205,7 +205,7 @@ def only_line_differs(prefix):
 def only_counts_lose(column):
     """A cleaning report whose three count maps lose `column`, and that
     is otherwise unchanged."""
-    def check(ref, new):
+    def check(ref, new, _src):
         assert comments(ref) == comments(new)
         ref_report, new_report = (json.loads("\n".join(body(text)))
                                   for text in (ref, new))
@@ -215,7 +215,22 @@ def only_counts_lose(column):
     return check
 
 
-#: file -> (the change that made it differ, and why; its exact check)
+def adds_features_line(dataset):
+    """A stdout log with one line added, which names the features stored
+    in `dataset` (read from the ``src`` build's directory), in order."""
+    def check(ref, new, src):
+        stored = json.loads("\n".join(body((src / dataset).read_text())))
+        line = "features: " + ", ".join(
+            column["name"] for column in stored["normalization"]["features"])
+        lines = new.splitlines()
+        assert lines.count(line) == 1
+        lines.remove(line)
+        assert lines == ref.splitlines()
+    return check
+
+
+#: file -> (the change that made it differ, and why; its exact check),
+#: a check of the reference's and src's text and src's directory
 DECLARED = {
     name: ("one decode for evaluate and derive: sigma is "
            "sqrt(exp(s) * std**2), where the reference computes "
@@ -237,6 +252,14 @@ DECLARED.update({
     "rep_join.json": ("the join drops its key, which names rows and is not "
                       "data, so clean no longer counts, imputes or fences "
                       "JobId", only_counts_lose("JobId")),
+})
+DECLARED.update({
+    f"{stage}.log": ("adapt names the features it chose, every column but "
+                     "the target and the names that are never data",
+                     adds_features_line(dataset))
+    for stage, dataset in (("adapt", "ds.json"), ("adapt_join", "ds_join.json"),
+                           ("adapt_impute", "ds_impute.json"),
+                           ("adapt_drop", "ds_drop.json"))
 })
 
 
@@ -269,7 +292,7 @@ def test_artifacts_match_the_reference_build(tmp_path):
         ref = (dirs["reference"] / name).read_text()
         new = (dirs["src"] / name).read_text()
         if name in DECLARED:
-            DECLARED[name][1](ref, new)
+            DECLARED[name][1](ref, new, dirs["src"])
         elif ref != new:
             differ.append(name)
     assert not differ, f"undeclared changes against the reference: {differ}"

@@ -13,7 +13,6 @@ from pavesim.synthetic import (
     DEFAULT_WEATHER_MIXTURE,
     DEMO_SCENARIOS,
     MixtureSpec,
-    TRUTH_COLUMNS,
     WeatherComponent,
     generate_paving_dataset,
     generate_weather_mixture,
@@ -22,9 +21,9 @@ from pavesim.synthetic import (
 )
 from pavesim.tables import (
     CATEGORICAL,
-    FEATURE_COLUMNS,
     NUMERIC,
     PAVING_COLUMNS,
+    TRUTH_COLUMNS,
     check_value,
     kind_of,
     load_csv,
@@ -70,7 +69,7 @@ def test_true_moments_stay_in_band_on_feature_grid():
         (0.0, 5.0),            # paver age
     )
     for combo in grid:
-        mu, sigma = true_moments(dict(zip(FEATURE_COLUMNS, combo)))
+        mu, sigma = true_moments(dict(zip(PAVING_COLUMNS[1:], combo)))
         assert 30.0 <= mu <= 110.0
         assert 1.0 <= sigma <= 9.0
 
@@ -85,8 +84,8 @@ def test_sampled_features_stay_in_band():
 
 def test_sample_features_are_named_by_their_columns():
     features = sample_features(np.random.default_rng(0))
-    assert tuple(features) == FEATURE_COLUMNS
-    assert all(tuple(f) == FEATURE_COLUMNS for f in DEMO_SCENARIOS.values())
+    assert tuple(features) == PAVING_COLUMNS[1:]
+    assert all(tuple(f) == PAVING_COLUMNS[1:] for f in DEMO_SCENARIOS.values())
 
 
 def test_every_sampled_value_passes_check_value():

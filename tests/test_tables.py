@@ -110,6 +110,18 @@ def test_read_csv_kinds_come_from_names_in_any_order():
                              "7,best,4.0,0.001,-0.7,59.6,5.3,4.6,2,1,3.0,66.0\n"))
 
 
+def test_read_csv_reads_the_key_column_as_text():
+    # a text key was refused as "not numeric" before the join saw it, and
+    # keys compare as written: 1 and 1.0 are two keys, and nan one key
+    text = "JobId,X\nj0,1\n1,2\n 1.0 ,3\nnan,4\n,5\n"
+    table = read_csv(io.StringIO(text), "JobId")
+    assert table.column_values("JobId") == ["j0", "1", "1.0", "nan", None]
+    assert table.column_values("X") == [1.0, 2.0, 3.0, 4.0, 5.0]
+    with pytest.raises(DataError, match="cell 'j0' in row 0, column 'JobId' "
+                                        "is not numeric"):
+        read_csv(io.StringIO(text))
+
+
 def test_kind_of_reads_the_name_alone():
     assert [kind_of(c) for c in PAVING_COLUMNS] == list(PAVING_KINDS)
     assert kind_of("Scenario") == CATEGORICAL
