@@ -4,14 +4,14 @@ The pipeline is join -> clean -> encode/normalize -> split. Every step is
 a pure value-in/value-out transformation, so the whole chain is safe to
 run concurrently on distinct inputs and is deterministic given its seeds.
 Steps work a column at a time: clean counts, imputes and fences each
-column, and both encoders read their columns through one reader.
+data column, and both encoders read their columns through one reader.
 
 A column's kind comes from its name (:func:`pavesim.tables.kind_of`);
 its role is decided here, once. The join key names rows, so the join
 drops it. The features are every other column but the target and
 :data:`pavesim.tables.NOT_DATA` (the generator's answer key and the
 label columns), in table order, so a second source's columns are
-features too.
+features too. Cleaning, too, leaves the ``NOT_DATA`` columns as they are.
 
 Conventions, pinned so results are exactly reproducible:
 
@@ -232,24 +232,31 @@ def iqr_fences(values: Sequence[float], multiplier: float) -> tuple[float, float
 def clean(table: RecordTable, policy: CleanPolicy = CleanPolicy()) -> tuple[RecordTable, CleanReport]:
     """Handle missing cells, then outliers, per the policy, column by column.
 
-    Missing handling covers every column: drop each row with a blank, or
-    impute a numeric column's median and a boolean column's majority value
-    (ties give 0). Outlier fences apply to numeric columns only, on the
-    post-imputation values of the rows kept. When nothing is imputed, the
-    kept rows are the input's own tuples.
+    Only the data columns are cleaned: the :data:`~pavesim.tables.NOT_DATA`
+    columns (the answer key and labels) are never counted, imputed or
+    fenced, and pass through as they are. Missing handling covers every
+    data column: drop each row with a blank, or impute a numeric column's
+    median and a boolean column's majority value (ties give 0). Outlier
+    fences apply to numeric columns only, on the post-imputation values
+    of the rows kept. When nothing is imputed, the kept rows are the
+    input's own tuples.
     """
     names = table.column_names
     columns = [list(c) for c in zip(*table.rows)] or [[] for _ in names]
-    report = CleanReport({n: c.count(None) for n, c in zip(names, columns)},
-                         dict.fromkeys(names, 0), dict.fromkeys(names, 0))
+    data = [(name, kind, col) for name, kind, col
+            in zip(names, table.column_kinds, columns) if name not in NOT_DATA]
+    report = CleanReport({name: col.count(None) for name, _, col in data},
+                         {name: 0 for name, _, _ in data},
+                         {name: 0 for name, _, _ in data})
 
     keep = np.ones(table.num_rows, dtype=bool)
     if any(report.missing_counts.values()):
         if policy.missing_strategy == DROP_ROW:
-            keep = np.array([None not in row for row in table.rows], dtype=bool)
+            keep = np.array([None not in cells for cells
+                             in zip(*(col for _, _, col in data))], dtype=bool)
             report.rows_dropped_missing = int(np.count_nonzero(~keep))
         else:
-            for name, kind, col in zip(names, table.column_kinds, columns):
+            for name, kind, col in data:
                 count = report.missing_counts[name]
                 if count == 0:
                     continue
@@ -268,7 +275,7 @@ def clean(table: RecordTable, policy: CleanPolicy = CleanPolicy()) -> tuple[Reco
                 report.imputed_counts[name] = count
 
     outliers = np.zeros_like(keep)
-    for name, kind, col in zip(names, table.column_kinds, columns):
+    for name, kind, col in data:
         if kind != NUMERIC or not keep.any():
             continue
         values = np.array(col, dtype=float)  # a dropped row's blank is NaN

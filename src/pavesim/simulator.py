@@ -20,8 +20,11 @@ Model choices that keep a closed-form oracle exact:
   than truncated or resampled, and every clamp is counted.
 
 With those choices the trucks move in lockstep waves and the paver is a
-single first-in, first-out server, so a replication is the Lindley
-recursion of :func:`run_replication`. :func:`run_monte_carlo` keeps each
+single first-in, first-out server. Only the rates vary between
+replications, so a run builds and checks its load plan once
+(:attr:`SimConfig.plan`: each load's arrival and amount), and a
+replication only draws its rates and runs the Lindley recursion of
+:func:`run_replication` over that plan. :func:`run_monte_carlo` keeps each
 replication's completion time, busy fraction and clamp count as the
 columns of a :class:`SimResult`. At a constant rate completion time also
 has a closed form: the first time paving at that rate has placed all the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -96,13 +100,26 @@ class SimConfig:
         closing = self.total_quantity - self.truck_capacity * (n - 1)
         return n - 1 if n > 1 and closing <= 1e-9 * self.truck_capacity else n
 
-    @property
-    def cycle_time(self) -> float:
-        return self.load_time + self.haul_time + self.dump_time + self.return_time
+    @cached_property
+    def plan(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Each load's hopper arrival and amount, built and checked once.
 
-    @property
-    def first_delivery_offset(self) -> float:
-        return self.load_time + self.haul_time + self.dump_time
+        All trucks start loading at t = 0 and truck ``i % K`` hauls load
+        ``i``, so load ``i`` lands at ``(i // K) * cycle + first``, where
+        ``first`` is load + haul + dump and ``cycle`` adds the return.
+        """
+        amounts = tuple(truckload_amounts(self))
+        placed, total = sum(amounts), self.total_quantity
+        # the n additions and the partial load's subtraction each err by
+        # about an ulp of the total at most: a lost load above 2n ulps shows
+        slack = 2 * len(amounts) * math.ulp(total)
+        if not math.isclose(placed, total, rel_tol=0, abs_tol=slack):
+            raise AssertionError(
+                f"conservation violated: placed {placed!r} of {total!r}")
+        first = self.load_time + self.haul_time + self.dump_time
+        cycle, k = first + self.return_time, self.truck_count
+        arrivals = tuple((i // k) * cycle + first for i in range(len(amounts)))
+        return arrivals, amounts
 
 
 @dataclass(frozen=True)
@@ -164,22 +181,13 @@ def truckload_amounts(cfg: SimConfig) -> list[float]:
     return amounts
 
 
-def _clamped_draws(cfg: SimConfig, seed: int) -> tuple[list[float], int]:
-    """Sampled productivity draws, floored at clamp_floor."""
-    n = 1 if cfg.resample_mode == PER_REPLICATION else cfg.truckloads
-    draws = sample(cfg.productivity_source, seed, n)
-    clamp_count = sum(1 for p in draws if p < cfg.clamp_floor)
-    return [max(p, cfg.clamp_floor) for p in draws], clamp_count
-
-
 def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
     """Simulate one replication of the paving operation; returns its
     ``(completion_time, busy_fraction, clamp_count)``.
 
-    All trucks start loading at t = 0 and truck ``i % K`` hauls load
-    ``i``, so load ``i`` lands in the hopper at ``a_i = (i // K) * tau +
-    t1``. The paver places loads first in, first out, each at the rate
-    sampled for it, so load ``i`` is finished at::
+    Over the run's one :attr:`SimConfig.plan` of arrivals ``a_i`` the
+    paver places loads first in, first out, each at the rate sampled for
+    it, so load ``i`` is finished at::
 
         f_i = max(a_i, f_{i-1}) + amount_i / rate_i
 
@@ -190,30 +198,19 @@ def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
     parcel finish at the same instant changes no start time, which is
     always ``max(arrival, previous finish)``.
     """
-    draws, clamp_count = _clamped_draws(cfg, seed)
-    n_loads = cfg.truckloads
-    rates = draws * n_loads if cfg.resample_mode == PER_REPLICATION else draws
-    amounts = truckload_amounts(cfg)
+    arrivals, amounts = cfg.plan
+    per_load = cfg.resample_mode == PER_TRUCKLOAD
+    draws = sample(cfg.productivity_source, seed,
+                   len(amounts) if per_load else 1)
+    floor = cfg.clamp_floor
+    clamp_count = sum(1 for p in draws if p < floor)
+    rates = [max(p, floor) for p in draws] * (1 if per_load else len(amounts))
 
-    tau, t1, k = cfg.cycle_time, cfg.first_delivery_offset, cfg.truck_count
-    busy_time = 0.0
-    placed = 0.0
-    now = 0.0
-    for i in range(n_loads):
-        arrival = (i // k) * tau + t1
-        duration = amounts[i] / rates[i]
+    busy_time = now = 0.0
+    for arrival, amount, rate in zip(arrivals, amounts, rates):
+        duration = amount / rate
         now = max(arrival, now) + duration
         busy_time += duration
-        placed += amounts[i]
-
-    # the n additions and the partial load's subtraction each err by about
-    # an ulp of the total at most: a lost load above 2n ulps shows
-    slack = 2 * n_loads * math.ulp(cfg.total_quantity)
-    if not math.isclose(placed, cfg.total_quantity, rel_tol=0, abs_tol=slack):
-        raise AssertionError(
-            f"conservation violated: placed {placed!r} of "
-            f"{cfg.total_quantity!r}"
-        )
     return now, busy_time / now, clamp_count
 
 

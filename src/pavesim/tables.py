@@ -17,11 +17,12 @@ A column's kind comes from its name alone (:func:`kind_of`), in any
 header order; a table stores no kinds of its own. ``Congestion`` and
 ``Spreader`` are boolean, the :data:`LABEL_COLUMNS` and ``Condition`` are
 categorical, and every other column is numeric; :func:`read_csv` reads a
-join key as text. The :data:`NOT_DATA` names are never features, and
-every other column but the target is one. A scenario value is checked
-by its name too (:func:`check_value`): ``Humidity`` lies in [0, 100],
-``AirEntrainment`` and ``PaverAge`` are at least 0, and any value of a
-boolean feature is 0 or 1.
+join key as text and holds each boolean cell to 0 or 1. The
+:data:`NOT_DATA` names are never features, and every other column but
+the target is one. A scenario value is checked by its name too
+(:func:`check_value`): ``Humidity`` lies in [0, 100], ``AirEntrainment``
+and ``PaverAge`` are at least 0, and any value of a boolean feature is 0
+or 1.
 
 Every file is opened here: each input as UTF-8 by :func:`open_text`, each
 output by :func:`staged_files`, which renames a run's outputs into place
@@ -112,16 +113,6 @@ class RecordTable:
                 raise DataError(
                     f"row {i} has {len(row)} cells, expected {width}"
                 )
-        for col, name in enumerate(self.column_names):
-            if kind_of(name) != BOOLEAN:
-                continue
-            for i, row in enumerate(self.rows):
-                value = row[col]
-                if value is not None and not _is_boolean_value(value):
-                    raise DataError(
-                        f"boolean column {name!r} holds {value!r} in row {i}; "
-                        "only 0 and 1 are allowed"
-                    )
 
     @property
     def column_kinds(self) -> tuple[str, ...]:
@@ -170,11 +161,15 @@ def _parse_cell(text: str, kind: str, row: int, column: str) -> Cell:
     if kind == CATEGORICAL:
         return text
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(
             f"cell {text!r} in row {row}, column {column!r} is not numeric"
         ) from None
+    if kind == BOOLEAN and not _is_boolean_value(value):
+        raise DataError(f"boolean column {column!r} holds {value!r} in row "
+                        f"{row}; only 0 and 1 are allowed")
+    return value
 
 
 def comment_block(lines: Iterable[str]) -> str:

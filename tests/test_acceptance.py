@@ -221,7 +221,7 @@ def test_simulator_agrees_with_closed_form_and_independent_mc():
     )
     result = run_monte_carlo(cfg, 2000, 2024)
     draws = np.random.default_rng(9090).normal(50.0, 5.0, 10 ** 6)
-    oracle = cfg.first_delivery_offset + 100.0 / np.maximum(1.0, draws)
+    oracle = (1e-6 + 0.5 + 1e-6) + 100.0 / np.maximum(1.0, draws)
     se = float(np.sqrt(np.var(result.completion_times) / 2000
                        + oracle.var() / 10 ** 6))
     z = abs(result.mean - float(oracle.mean())) / se

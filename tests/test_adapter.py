@@ -191,9 +191,25 @@ def test_clean_entirely_missing_column_rejected():
 
 
 def test_clean_cannot_impute_categorical():
-    table = RecordTable(("Scenario",), (("a",), (None,)))
-    with pytest.raises(DataError, match="categorical column 'Scenario'"):
+    table = RecordTable(("Condition",), (("a",), (None,)))
+    with pytest.raises(DataError, match="categorical column 'Condition'"):
         clean(table)
+
+
+def test_clean_passes_the_answer_key_and_labels_through():
+    # MuStar's outlier dropped a training row, and a blank label could not
+    # be imputed
+    names = ("Slump", "MuStar", "Scenario")
+    rows = tuple((float(i), float(i), "s") for i in range(19)) + \
+        ((5.0, 1e6, None),)
+    table = RecordTable(names, rows)
+    for missing in ("impute_median", DROP_ROW):
+        cleaned, report = clean(table, CleanPolicy(missing, DROP_ROW))
+        assert cleaned.rows == rows
+        assert report.is_empty()
+        for counts in (report.missing_counts, report.imputed_counts,
+                       report.outlier_counts):
+            assert list(counts) == ["Slump"]
 
 
 def test_clean_never_fences_indicator_columns():

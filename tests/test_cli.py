@@ -408,6 +408,50 @@ def test_adapt_joined_columns_of_a_second_source_are_features(tmp_path, capsys,
     assert tuple(c.name for c in train_ds.norm_stats.features) == features
 
 
+def test_adapt_joins_on_a_boolean_named_key(tmp_path, capsys):
+    # the key is read as text, yet the table held a boolean name to 0 and 1
+    data = tmp_path / "k.csv"
+    data.write_text("Spreader,Productivity,Slump\n"
+                    "1,60,3.5\n0,70,4.0\n2,65,4.5\n3,80,3.0\n")
+    out = tmp_path / "ds.json"
+    assert cli.main(["adapt", "--data", str(data), "--key", "Spreader",
+                     "--seed", "1", "--out", str(out)]) == 0
+    assert "features: Slump\n" in capsys.readouterr().out
+    train_ds, test_ds = load_dataset(str(out))
+    assert train_ds.n + test_ds.n == 4
+
+
+def test_adapt_drops_the_same_rows_with_or_without_the_answer_key(
+        tmp_path, capsys):
+    # clean fenced MuStar and SigmaStar too: with them, drop_row dropped 5
+    # rows of this table where it drops 3 without them
+    logs = []
+    for truth in ([], ["--truth"]):
+        data, out = tmp_path / "d.csv", tmp_path / "ds.json"
+        assert cli.main(["synth", "--n", "300", "--seed", "11", *truth,
+                         "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert cli.main(["adapt", "--data", str(data), "--seed", "12",
+                         "--outliers", "drop_row", "--out", str(out)]) == 0
+        logs.append(capsys.readouterr().out)
+    assert "3 outlier values (3 rows dropped)" in logs[0]
+    assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("missing", ["impute_median", "drop_row"])
+def test_adapt_keeps_a_row_with_a_blank_label(tmp_path, capsys, missing):
+    # a blank Scenario aborted adapt: "cannot impute categorical column"
+    data = tmp_path / "s.csv"
+    data.write_text("Scenario,Productivity,Slump\n"
+                    "a,60,3.5\n,70,4.0\nc,65,4.5\nd,80,3.0\n")
+    out = tmp_path / "ds.json"
+    assert cli.main(["adapt", "--data", str(data), "--missing", missing,
+                     "--seed", "1", "--out", str(out)]) == 0
+    assert "cleaned: nothing to do\n" in capsys.readouterr().out
+    train_ds, test_ds = load_dataset(str(out))
+    assert train_ds.n + test_ds.n == 4
+
+
 def test_adapt_refuses_a_repeated_nan_key(tmp_path, capsys):
     # a key read as a number made every nan key unequal to every other, so
     # the nan rows of both files were dropped as unmatched

@@ -202,15 +202,16 @@ def only_line_differs(prefix):
     return check
 
 
-def only_counts_lose(column):
-    """A cleaning report whose three count maps lose `column`, and that
+def only_counts_lose(*columns):
+    """A cleaning report whose three count maps lose `columns`, and that
     is otherwise unchanged."""
     def check(ref, new, _src):
         assert comments(ref) == comments(new)
         ref_report, new_report = (json.loads("\n".join(body(text)))
                                   for text in (ref, new))
         for counts in ("missing_counts", "imputed_counts", "outlier_counts"):
-            del ref_report[counts][column]
+            for column in columns:
+                del ref_report[counts][column]
         assert ref_report == new_report
     return check
 
@@ -227,6 +228,14 @@ def adds_features_line(dataset):
         lines.remove(line)
         assert lines == ref.splitlines()
     return check
+
+
+def after_replacing(old, replacement, check):
+    """`check`, against the reference text with its one `old` replaced."""
+    def composed(ref, new, src):
+        assert ref.count(old) == 1
+        check(ref.replace(old, replacement), new, src)
+    return composed
 
 
 #: file -> (the change that made it differ, and why; its exact check),
@@ -252,6 +261,9 @@ DECLARED.update({
     "rep_join.json": ("the join drops its key, which names rows and is not "
                       "data, so clean no longer counts, imputes or fences "
                       "JobId", only_counts_lose("JobId")),
+    "rep.json": ("clean leaves the answer key and the labels as they are, "
+                 "so it no longer counts, imputes or fences MuStar and "
+                 "SigmaStar", only_counts_lose("MuStar", "SigmaStar")),
 })
 DECLARED.update({
     f"{stage}.log": ("adapt names the features it chose, every column but "
@@ -261,6 +273,11 @@ DECLARED.update({
                            ("adapt_impute", "ds_impute.json"),
                            ("adapt_drop", "ds_drop.json"))
 })
+DECLARED["adapt.log"] = (
+    "adapt names the features it chose, and clean no longer fences the "
+    "three outliers of MuStar and SigmaStar",
+    after_replacing("6 outlier values", "3 outlier values",
+                    adds_features_line("ds.json")))
 
 
 def run_builds(tmp_path):

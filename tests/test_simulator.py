@@ -387,8 +387,7 @@ def test_per_replication_mode_reuses_one_draw():
 def test_sim_config_properties():
     cfg = constrained_config(total_quantity=100.0, truck_capacity=30.0)
     assert cfg.truckloads == 4
-    assert cfg.cycle_time == pytest.approx(1.0, rel=1e-12)
-    assert cfg.first_delivery_offset == pytest.approx(0.9, rel=1e-12)
+    assert cfg.plan[0] == pytest.approx((0.9, 0.9, 1.9, 1.9))
     assert constrained_config(total_quantity=90.0, truck_capacity=30.0).truckloads == 3
 
 
@@ -477,6 +476,21 @@ def test_losing_a_tiny_partial_load_breaks_conservation(monkeypatch):
                         lambda cfg: plan[:-1] + [0.0])
     with pytest.raises(AssertionError, match="conservation violated"):
         run_replication(cfg, 1)
+
+
+def test_a_run_plans_its_loads_once(monkeypatch):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return truckload_amounts(cfg)
+
+    monkeypatch.setattr(simulator, "truckload_amounts", counted)
+    cfg = constrained_config(
+        productivity_source=GaussianInputModel(50.0, 64.0),
+        resample_mode=PER_TRUCKLOAD)
+    run_monte_carlo(cfg, 50, 1)
+    assert len(calls) == 1 and calls[0] is cfg
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

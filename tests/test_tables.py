@@ -275,9 +275,13 @@ def test_record_table_rejects_ragged_rows():
         RecordTable(("A", "B"), ((1.0,),))
 
 
-def test_record_table_rejects_non_binary_boolean():
-    with pytest.raises(DataError, match="boolean column 'Congestion'"):
-        RecordTable(("Congestion",), ((0.5,),))
+def test_read_csv_checks_booleans_by_the_kind_a_cell_is_read_as():
+    with pytest.raises(DataError, match=r"^boolean column 'Congestion' holds "
+                       r"0\.5 in row 1; only 0 and 1 are allowed$"):
+        read_csv(io.StringIO("Congestion\n1\n0.5\n"))
+    # a key is read as text, so a boolean name does not hold it to 0 and 1
+    table = read_csv(io.StringIO("Spreader,A\n1,5\n2,6\n"), "Spreader")
+    assert table.rows == (("1", 5.0), ("2", 6.0))
 
 
 def test_record_table_boolean_allows_missing():
