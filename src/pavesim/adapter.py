@@ -132,6 +132,9 @@ class NormalizationStats:
         if not self.features:
             raise DataError("there is no feature column besides the target "
                             f"{self.target.name!r}")
+        if self.target.name in (col.name for col in self.features):
+            raise DataError(f"target {self.target.name!r} cannot also be a "
+                            "feature")
 
     def encode_features(self, values: Mapping[str, object]) -> np.ndarray:
         """Normalize scalars or 1-D columns keyed by feature name into
@@ -295,12 +298,9 @@ def _read_columns(table: RecordTable, features: Sequence[str], target_column: st
                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """The feature columns by name, and the target, as float arrays.
 
-    Refuses a target among the features, an empty table, a non-numeric
-    target, a categorical feature, a missing cell and a non-finite value;
-    only the named columns are read.
+    Refuses an empty table, a non-numeric target, a categorical feature,
+    a missing cell and a non-finite value; only the named columns are read.
     """
-    if target_column in features:
-        raise DataError(f"target {target_column!r} cannot also be a feature")
     if table.num_rows == 0:
         raise DataError("cannot encode an empty table: it has no rows")
     if table.column_kind(target_column) != NUMERIC:
@@ -386,16 +386,14 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     return train, test
 
 
-def dataset_with_stats(table: RecordTable, stats: NormalizationStats,
-                       target_column: str) -> Dataset:
+def dataset_with_stats(table: RecordTable, stats: NormalizationStats) -> Dataset:
     """Normalize a raw table under previously computed statistics.
 
     Used when fresh evaluation data must be encoded exactly as the
     training data was, e.g. scoring a stored model on a new CSV. Only the
-    features named in the stats and the target are read, by the same
+    features and the target named in the stats are read, by the same
     column reader as :func:`encode_and_normalize`: those columns must be
-    present, finite and without missing cells, and the target must not
-    be a feature; other columns are not read.
+    present, finite and without missing cells; other columns are not read.
     """
     features = [col.name for col in stats.features]
-    return _encode(stats, *_read_columns(table, features, target_column))
+    return _encode(stats, *_read_columns(table, features, stats.target.name))

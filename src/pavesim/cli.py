@@ -224,7 +224,7 @@ def _cmd_evaluate(args, run: _Run) -> None:
         _, test_ds = load_dataset(args.data)
     else:
         table = load_csv(args.data)
-        test_ds = dataset_with_stats(table, stats, args.target)
+        test_ds = dataset_with_stats(table, stats)
     report = coverage(params, stats, test_ds, args.level)
     if args.out is not None:
         run.stage(args.out, report.to_csv(run.header))
@@ -380,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset file (its test split is used) or a raw CSV")
     p.add_argument("--level", type=float, default=0.95,
                    choices=tuple(Z_VALUES))
-    p.add_argument("--target", default=TARGET_COLUMN,
-                   help="target column (CSV input only)")
     p.add_argument("--out", default=None, help="coverage CSV path")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -10,16 +10,19 @@ and identical inputs produce byte-identical files.
 
 A model file carries the network parameters with explicit shape
 metadata, the normalization statistics needed to de-normalize outputs,
-and both configs. A dataset file carries the train and test splits plus
-their shared normalization statistics. Configs and statistics are
-written field for field by ``dataclasses.asdict`` and read back by
-:func:`pavesim.errors.check_record`, each with exactly its dataclass's
-fields (no default is filled in), whose numbers the dataclass checks.
-Every other object (the top level, each layer, the normalization object
-and each split) holds exactly the keys written, by the same key rule,
-:func:`pavesim.errors.check_keys`. Weights, biases, ``X`` and ``y`` hold
-JSON numbers only. A missing or unknown key, a wrong shape or a refused
-value is a malformed file.
+and both configs. Its ``network`` record fixes every layer's ``shape``
+key, weights shape and bias shape, and the feature count; one rule
+checks this, and that every parameter is finite, on save and on load,
+so a saved model always loads. A dataset file carries the train and
+test splits plus their shared normalization statistics. Configs and
+statistics are written field for field by ``dataclasses.asdict`` and
+read back by :func:`pavesim.errors.check_record`, each with exactly its
+dataclass's fields (no default is filled in), whose numbers the
+dataclass checks. Every other object (the top level, each layer, the
+normalization object and each split) holds exactly the keys written, by
+the same key rule, :func:`pavesim.errors.check_keys`. Weights, biases,
+``X`` and ``y`` hold JSON numbers only. A missing or unknown key, a
+wrong shape or a refused value is a malformed file.
 """
 
 from __future__ import annotations
@@ -75,6 +78,34 @@ def _stats_from_obj(obj: dict) -> NormalizationStats:
         raise DataError(f"malformed normalization statistics: {exc}") from exc
 
 
+def _check_model(params: NetworkParams, stats: NormalizationStats,
+                 net_cfg: NetworkConfig, shapes: list) -> None:
+    """The one shape rule of a model file, on save and on load: the
+    network record fixes the feature count and each layer's `shapes`
+    entry (its ``shape`` key), weights shape and bias shape; every
+    parameter is finite."""
+    if len(stats.features) != net_cfg.input_dim:
+        raise DataError(f"the normalization has {len(stats.features)} "
+                        f"features but the network has input_dim "
+                        f"{net_cfg.input_dim}")
+    dims = net_cfg.layer_dims
+    if not len(dims) == len(shapes) == len(params.weights) == len(params.biases):
+        raise DataError(f"the network record fixes {len(dims)} layers, got "
+                        f"{len(params.weights)} weights and "
+                        f"{len(params.biases)} biases")
+    for i, (dim, shape, w, b) in enumerate(
+            zip(dims, shapes, params.weights, params.biases)):
+        if w.shape != dim or b.shape != dim[1:]:
+            raise DataError(f"layer {i} holds weights {list(w.shape)} and "
+                            f"bias {list(b.shape)}, but the network record "
+                            f"fixes {list(dim)} and {list(dim[1:])}")
+        if shape != list(dim):
+            raise DataError(f"layer {i} declares shape {shape}, but the "
+                            f"network record fixes {list(dim)}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise DataError(f"layer {i} holds non-finite parameters")
+
+
 def model_to_text(
     params: NetworkParams,
     stats: NormalizationStats,
@@ -82,14 +113,11 @@ def model_to_text(
     train_cfg: TrainConfig,
     header_comments=(),
 ) -> str:
-    params.validate()
+    shapes = [list(w.shape) for w in params.weights]
+    _check_model(params, stats, net_cfg, shapes)
     layers = [
-        {
-            "shape": list(w.shape),
-            "weights": w.tolist(),
-            "bias": b.tolist(),
-        }
-        for w, b in zip(params.weights, params.biases)
+        {"shape": shape, "weights": w.tolist(), "bias": b.tolist()}
+        for shape, w, b in zip(shapes, params.weights, params.biases)
     ]
     payload = {
         "format": MODEL_FORMAT,
@@ -125,28 +153,16 @@ def load_model(
         net_cfg = check_record(NetworkConfig, "network", raw["network"])
         train_cfg = check_record(TrainConfig, "training", raw["training"])
         stats = _stats_from_obj(raw["normalization"])
-        weights, biases = [], []
+        shapes, weights, biases = [], [], []
         for i, layer in enumerate(raw["layers"]):
             check_keys(f"layer {i}", layer, ("shape", "weights", "bias"))
-            w = _float_array(f"layer {i} weights", layer["weights"])
-            b = _float_array(f"layer {i} bias", layer["bias"])
-            if list(w.shape) != list(layer["shape"]):
-                raise DataError(
-                    f"layer {i} declares shape {layer['shape']} but holds "
-                    f"{list(w.shape)}"
-                )
-            weights.append(w)
-            biases.append(b)
+            shapes.append(layer["shape"])
+            weights.append(_float_array(f"layer {i} weights", layer["weights"]))
+            biases.append(_float_array(f"layer {i} bias", layer["bias"]))
+        params = NetworkParams(weights, biases)
+        _check_model(params, stats, net_cfg, shapes)
     except (TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
-    params = NetworkParams(weights, biases)
-    params.validate()
-    expected = [tuple(d) for d in net_cfg.layer_dims]
-    if params.shapes() != expected:
-        raise DataError(
-            f"model file layers {params.shapes()} do not match the declared "
-            f"architecture {expected}"
-        )
     return params, stats, net_cfg, train_cfg
 
 

@@ -115,29 +115,6 @@ class NetworkParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    def shapes(self) -> list[tuple[int, int]]:
-        return [w.shape for w in self.weights]
-
-    def validate(self) -> None:
-        if len(self.weights) != len(self.biases):
-            raise DataError("weights and biases must pair up layer by layer")
-        previous = None
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
-                raise DataError(f"layer {i} has inconsistent shapes")
-            if previous is not None and w.shape[0] != previous:
-                raise DataError(
-                    f"layer {i} expects {w.shape[0]} inputs but layer "
-                    f"{i - 1} produces {previous}"
-                )
-            previous = w.shape[1]
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise DataError(f"layer {i} holds non-finite parameters")
-        if previous != OUTPUT_UNITS:
-            raise DataError(
-                f"final layer must have {OUTPUT_UNITS} output units, got {previous}"
-            )
-
 
 @dataclass(eq=False)
 class AdamState:

@@ -24,12 +24,13 @@ the target is one. A scenario value is checked by its name too
 and ``PaverAge`` are at least 0, and any value of a boolean feature is 0
 or 1.
 
-Every file is opened here: each input as UTF-8 by :func:`open_text`, each
-output by :func:`staged_files`, which renames a run's outputs into place
-only once all are written (:func:`write_text` fills a staged file in
-place). A missing, unreadable or non-UTF-8 input and an unwritable output
-each raise a :class:`DataError` naming the path the user gave. One window
-remains: two renames cannot be one atomic step, so a failed second
+Every file is opened here: each input as UTF-8 (a leading byte-order
+mark skipped) by :func:`open_text`, each output by :func:`staged_files`,
+which renames a run's outputs into place only once all are written
+(:func:`write_text` fills a staged file in place). A missing, unreadable
+or non-UTF-8 input and an unwritable output each raise a
+:class:`DataError` naming the path the user gave. One window remains:
+two renames cannot be one atomic step, so a failed second
 ``os.replace`` can leave the first file committed.
 """
 
@@ -186,10 +187,11 @@ def without_comments(lines: Iterable[str]) -> Iterator[str]:
 @contextmanager
 def open_text(path: str | Path) -> Iterator[io.TextIOBase]:
     """An input file opened as UTF-8 text with ``newline=""`` (as
-    ``csv`` asks). Failing to open or to read it, in the ``with`` body
-    too, raises a :class:`DataError` naming the path."""
+    ``csv`` asks); a leading byte-order mark, as spreadsheet exports
+    write, is skipped. Failing to open or to read it, in the ``with``
+    body too, raises a :class:`DataError` naming the path."""
     try:
-        with open(path, encoding="utf-8", newline="") as stream:
+        with open(path, encoding="utf-8-sig", newline="") as stream:
             yield stream
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None

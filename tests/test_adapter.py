@@ -377,16 +377,17 @@ def test_encode_rejects_categorical_feature_and_constant_target():
 
 
 def test_encode_rejects_target_as_feature_and_empty_table():
-    # a target among the nine trains on the other columns; a target that
-    # is a feature of the stored statistics is refused on new data
+    # a target among the nine trains on the other columns; statistics
+    # whose target is also one of their features are refused
     table = generate_paving_dataset(20, 3)
     ds = encode_and_normalize(table, "Slump")
     assert tuple(c.name for c in ds.norm_stats.features) == tuple(
         c for c in PAVING_COLUMNS if c != "Slump")
     stats = encode_and_normalize(table, "Productivity").norm_stats
-    with pytest.raises(DataError, match="target 'Slump' cannot also be a "
-                                        "feature"):
-        dataset_with_stats(table, stats, "Slump")
+    slump = next(c for c in stats.features if c.name == "Slump")
+    with pytest.raises(DataError, match="^target 'Slump' cannot also be a "
+                                        "feature$"):
+        NormalizationStats(stats.features, slump)
     empty = RecordTable(("Y", "X"), ())
     with pytest.raises(DataError, match="empty"):
         encode_and_normalize(empty, "Y")
@@ -515,7 +516,7 @@ def test_split_dataset_carries_stats_and_rows():
 def test_dataset_with_stats_matches_fresh_encoding():
     table = generate_paving_dataset(40, 6)
     ds = encode_and_normalize(table, "Productivity")
-    again = dataset_with_stats(table, ds.norm_stats, "Productivity")
+    again = dataset_with_stats(table, ds.norm_stats)
     assert np.array_equal(again.X, ds.X)
     assert np.array_equal(again.y, ds.y)
 
@@ -525,11 +526,11 @@ def test_dataset_with_stats_rejects_bad_tables():
     ds = encode_and_normalize(table, "Productivity")
     empty = table.with_rows(())
     with pytest.raises(DataError, match="no rows"):
-        dataset_with_stats(empty, ds.norm_stats, "Productivity")
+        dataset_with_stats(empty, ds.norm_stats)
     holey = table.with_rows(
         (table.rows[0][:1] + (None,) + table.rows[0][2:],))
     with pytest.raises(DataError, match="missing"):
-        dataset_with_stats(holey, ds.norm_stats, "Productivity")
+        dataset_with_stats(holey, ds.norm_stats)
 
 
 def test_dataset_with_stats_reads_only_the_columns_it_encodes():
@@ -538,13 +539,13 @@ def test_dataset_with_stats_reads_only_the_columns_it_encodes():
     blank = table.column_index("MuStar")
     holey = table.with_rows(
         row[:blank] + (None,) + row[blank + 1:] for row in table.rows)
-    again = dataset_with_stats(holey, ds.norm_stats, "Productivity")
+    again = dataset_with_stats(holey, ds.norm_stats)
     assert np.array_equal(again.X, ds.X)
     assert np.array_equal(again.y, ds.y)
     slump = table.with_rows(
         (table.rows[0][:1] + (None,) + table.rows[0][2:],) + table.rows[1:])
     with pytest.raises(DataError, match="column 'Slump' still has missing"):
-        dataset_with_stats(slump, ds.norm_stats, "Productivity")
+        dataset_with_stats(slump, ds.norm_stats)
 
 
 def test_dataset_with_stats_names_an_absent_feature_column():
@@ -555,4 +556,4 @@ def test_dataset_with_stats_names_an_absent_feature_column():
         tuple(table.column_names[i] for i in keep),
         tuple(tuple(row[i] for i in keep) for row in table.rows))
     with pytest.raises(DataError, match="no column named 'Slump'"):
-        dataset_with_stats(narrow, ds.norm_stats, "Productivity")
+        dataset_with_stats(narrow, ds.norm_stats)

@@ -600,14 +600,15 @@ def test_evaluate_on_raw_csv_reads_only_the_model_columns(model_file, tmp_path,
         "error: column 'Slump' still has missing cells; clean the table first\n")
 
 
-def test_evaluate_refuses_a_target_that_is_a_model_feature(model_file, raw_csv,
-                                                          tmp_path, capsys):
+def test_evaluate_refuses_a_target_flag(model_file, raw_csv, tmp_path,
+                                        capsys):
+    # the model names its target, so evaluate takes no --target
     out = tmp_path / "cov.csv"
     rc = cli.main(["evaluate", "--model", str(model_file), "--data",
-                   str(raw_csv), "--target", "Temperature", "--out", str(out)])
+                   str(raw_csv), "--target", "SigmaStar", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr() == (
-        "", "error: target 'Temperature' cannot also be a feature\n")
+        "", "error: unrecognized arguments: --target SigmaStar\n")
     assert not out.exists()
 
 
@@ -1097,9 +1098,12 @@ def test_a_model_of_any_schema_runs_every_stage(tmp_path, capsys):
          "--out", str(tmp_path / "der.csv")],
         ["simulate", "--config", str(cfg), "--model", str(model),
          "--reps", "5", "--seed", "3", "--out", str(tmp_path / "sim.csv")],
+        ["evaluate", "--model", str(model), "--data", str(data)],
     ):
         assert cli.main(argv) == 0, capsys.readouterr().err
-    assert "near: mean = " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "near: mean = " in out
+    assert "coverage fraction = " in out
 
 
 # ----------------------------------------------------------- mixture-demo

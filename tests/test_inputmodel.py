@@ -253,8 +253,7 @@ class TestCoverage:
         for row in table.rows:
             mapping = dict(zip(table.column_names, row))
             model = derive(net, mapping, stats)
-            one_row = dataset_with_stats(table.with_rows((row,)), stats,
-                                         "Productivity")
+            one_row = dataset_with_stats(table.with_rows((row,)), stats)
             for level in Z_VALUES:
                 (point,) = coverage(net, stats, one_row, level).points
                 assert (point.mu, point.sigma) == (model.mean, model.std)

@@ -1,11 +1,13 @@
 import json
+import re
 import stat
 import threading
 
 import numpy as np
 import pytest
 
-from pavesim.adapter import encode_and_normalize, split
+from pavesim.adapter import (ColumnStats, NormalizationStats,
+                             encode_and_normalize, split)
 from pavesim.errors import DataError
 from pavesim.modelfile import (
     dataset_to_text,
@@ -17,11 +19,13 @@ from pavesim.modelfile import (
 )
 from pavesim.network import (
     NetworkConfig,
+    NetworkParams,
     TrainConfig,
     init_network,
     train,
 )
 from pavesim.synthetic import generate_paving_dataset
+from pavesim.tables import NUMERIC
 
 from params_helpers import params_equal
 from test_tables import write_text_atomic
@@ -125,7 +129,9 @@ def test_load_model_rejects_shape_metadata_mismatch(tmp_path):
     raw = json.loads(path.read_text())
     raw["layers"][0]["shape"] = [3, 3]
     path.write_text(json.dumps(raw))
-    with pytest.raises(DataError, match="declares shape"):
+    with pytest.raises(DataError, match=re.escape(
+            "layer 0 declares shape [3, 3], but the network record fixes "
+            "[9, 4]")):
         load_model(path)
 
 
@@ -136,8 +142,65 @@ def test_load_model_rejects_architecture_mismatch(tmp_path):
     raw = json.loads(path.read_text())
     raw["network"]["hidden_widths"] = [4, 4]
     path.write_text(json.dumps(raw))
-    with pytest.raises(DataError, match="declared architecture"):
+    with pytest.raises(DataError, match="the network record fixes 3 layers, "
+                                        "got 2 weights and 2 biases"):
         load_model(path)
+
+
+def test_load_model_refuses_a_feature_count_other_than_input_dim(tmp_path):
+    params, ds, net_cfg, train_cfg = trained_fixture()
+    path = tmp_path / "m.model"
+    save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    raw = json.loads(path.read_text())
+    del raw["normalization"]["features"][-1]
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=re.escape(
+            f"malformed model file {path}: the normalization has 8 features "
+            "but the network has input_dim 9")):
+        load_model(path)
+
+
+def test_load_dataset_refuses_a_target_that_is_a_feature(tmp_path):
+    train_ds, test_ds = split(
+        encode_and_normalize(generate_paving_dataset(20, 1), "Productivity"),
+        0.5, 1)
+    path = tmp_path / "d.json"
+    save_dataset(path, train_ds, test_ds)
+    raw = json.loads(path.read_text())
+    raw["normalization"]["target"] = raw["normalization"]["features"][0]
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=re.escape(
+            f"malformed dataset file {path}: malformed normalization "
+            "statistics: target 'Slump' cannot also be a feature")):
+        load_dataset(path)
+
+
+def test_model_to_text_refuses_inconsistent_params():
+    stats = NormalizationStats((ColumnStats("X", NUMERIC, 0.0, 1.0),),
+                               ColumnStats("Y", NUMERIC, 0.0, 1.0))
+    train_cfg = TrainConfig()
+    good = NetworkParams([np.array([[2.0]]), np.array([[1.0, 0.0]])],
+                         [np.array([1.0]), np.array([0.0, 0.0])])
+    model_to_text(good, stats, NetworkConfig(1, (1,)), train_cfg)
+    nan = NetworkParams(good.weights, good.biases)
+    nan.weights[0][0, 0] = np.nan
+    for params, hidden, message in [
+        (NetworkParams(good.weights, good.biases[:1]), (1,),
+         "the network record fixes 2 layers, got 2 weights and 1 biases"),
+        (NetworkParams([np.zeros((1, 3)), np.zeros((1, 2))],
+                       [np.zeros(3), np.zeros(2)]), (3,),
+         "layer 1 holds weights [1, 2] and bias [2], but the network record "
+         "fixes [3, 2] and [2]"),
+        (NetworkParams([np.zeros((1, 3))], [np.zeros(3)]), (),
+         "layer 0 holds weights [1, 3] and bias [3], but the network record "
+         "fixes [1, 2] and [2]"),
+        (nan, (1,), "layer 0 holds non-finite parameters"),
+        # written, these would make a file that load_model refuses
+        (init_network(NetworkConfig(1, (6, 6))), (5,),
+         "the network record fixes 2 layers, got 3 weights and 3 biases"),
+    ]:
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            model_to_text(params, stats, NetworkConfig(1, hidden), train_cfg)
 
 
 def test_load_model_rejects_missing_section(tmp_path):
@@ -490,4 +553,4 @@ def test_fresh_nets_round_trip_without_training(tmp_path):
     save_model(path, params, ds.norm_stats, net_cfg, TrainConfig())
     loaded, _, _, _ = load_model(path)
     assert params_equal(loaded, params)
-    assert loaded.shapes() == [(9, 5), (5, 3), (3, 2)]
+    assert [w.shape for w in loaded.weights] == [(9, 5), (5, 3), (3, 2)]

@@ -70,25 +70,6 @@ def test_config_validation():
             TrainConfig(learning_rate=lr)
 
 
-def test_params_validate_catches_inconsistencies():
-    good = affine_net()
-    good.validate()
-    lonely = NetworkParams(good.weights, good.biases[:1])
-    with pytest.raises(DataError, match="pair up"):
-        lonely.validate()
-    skewed = NetworkParams(
-        [np.zeros((1, 3)), np.zeros((1, 2))], [np.zeros(3), np.zeros(2)])
-    with pytest.raises(DataError, match="layer 1 expects"):
-        skewed.validate()
-    wide = NetworkParams([np.zeros((1, 3))], [np.zeros(3)])
-    with pytest.raises(DataError, match="output units"):
-        wide.validate()
-    broken = affine_net()
-    broken.weights[0][0, 0] = np.nan
-    with pytest.raises(DataError, match="non-finite"):
-        broken.validate()
-
-
 def test_params_copy_is_independent():
     original = affine_net()
     clone = NetworkParams(original.weights, original.biases)
@@ -109,7 +90,7 @@ def test_params_are_views_over_one_vector():
     assert net.vector[12 + 8 + 3] == -7.0
     _, grads = loss_gradients(net, np.ones((2, 3)), np.zeros(2))
     assert grads.vector.shape == net.vector.shape
-    assert grads.shapes() == net.shapes()
+    assert [w.shape for w in grads.weights] == [w.shape for w in net.weights]
 
 
 def test_params_copy_their_constructor_arrays():
@@ -392,9 +373,9 @@ def test_adam_states_compare_by_identity():
 def test_init_shapes_biases_and_determinism():
     cfg = NetworkConfig(input_dim=9, hidden_widths=(8, 8), seed=0)
     net = init_network(cfg)
-    assert net.shapes() == [(9, 8), (8, 8), (8, 2)]
+    assert [w.shape for w in net.weights] == [(9, 8), (8, 8), (8, 2)]
     assert all(not b.any() for b in net.biases)
-    net.validate()
+    assert np.isfinite(net.vector).all()
     assert params_equal(net, init_network(cfg))
     other = init_network(NetworkConfig(input_dim=9, hidden_widths=(8, 8), seed=1))
     assert not params_equal(net, other)

@@ -1,3 +1,4 @@
+import codecs
 import io
 import math
 import re
@@ -196,18 +197,22 @@ def test_open_text_refuses_text_that_is_not_utf8(tmp_path, data):
 
 
 def test_open_text_reads_utf8_and_keeps_line_ends(tmp_path):
+    # a leading byte-order mark, as spreadsheet exports write, is skipped
     path = tmp_path / "t.csv"
-    path.write_bytes("Scenario,Y\r\nbeté,1\r\n".encode())
-    with open_text(path) as stream:
-        assert stream.read() == "Scenario,Y\r\nbeté,1\r\n"
-    table = load_csv(path)
-    assert table.rows == (("beté", 1.0),)
+    for mark in (b"", codecs.BOM_UTF8):
+        path.write_bytes(mark + "Scenario,Y\r\nbeté,1\r\n".encode())
+        with open_text(path) as stream:
+            assert stream.read() == "Scenario,Y\r\nbeté,1\r\n"
+        table = load_csv(path)
+        assert table.column_names == ("Scenario", "Y")
+        assert table.rows == (("beté", 1.0),)
 
 
 def test_read_json_drops_comment_lines(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text('# audit\n{"a":\n# inside\n 1}\n')
-    assert read_json(path) == {"a": 1}
+    for mark in (b"", codecs.BOM_UTF8):
+        path.write_bytes(mark + b'# audit\n{"a":\n# inside\n 1}\n')
+        assert read_json(path) == {"a": 1}
 
 
 @pytest.mark.parametrize("text, message", [
