@@ -132,9 +132,13 @@ class NormalizationStats:
         if not self.features:
             raise DataError("there is no feature column besides the target "
                             f"{self.target.name!r}")
-        if self.target.name in (col.name for col in self.features):
+        names = [col.name for col in self.features]
+        if self.target.name in names:
             raise DataError(f"target {self.target.name!r} cannot also be a "
                             "feature")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DataError(f"feature {name!r} is listed more than once")
 
     def encode_features(self, values: Mapping[str, object]) -> np.ndarray:
         """Normalize scalars or 1-D columns keyed by feature name into

@@ -27,6 +27,7 @@ wrong shape or a refused value is a malformed file.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict
 from pathlib import Path
 
@@ -60,7 +61,9 @@ def _float_array(name: str, value) -> np.ndarray:
     """`value`, nested lists of JSON numbers, as a float array; np.array
     alone also reads ``"0.5"``, ``true`` and ``null``."""
     array = np.array(value, dtype=float)
-    items = np.array(value, dtype=object).ravel()
+    items = [value]
+    for _ in range(array.ndim):
+        items = list(itertools.chain.from_iterable(items))
     if not set(map(type, items)) <= {int, float}:
         check_number(name, next(v for v in items if type(v) not in (int, float)))
     return array

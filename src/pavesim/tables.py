@@ -201,12 +201,27 @@ def open_text(path: str | Path) -> Iterator[io.TextIOBase]:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
 
 
+#: The line breaks that ``str.splitlines`` knows besides ``"\n"``.
+_OTHER_BREAKS = frozenset("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def read_json(path: str | Path) -> dict:
-    """The JSON object in a file whose ``#`` lines are dropped."""
+    """The JSON object in a file whose ``#`` lines are dropped. Fast path:
+    when the text after its leading ``#`` lines holds no ``#``, and those
+    lines hold no line break of ``str.splitlines`` but the newline, that
+    rest is parsed as it is. It is then the very string that dropping the
+    ``#`` lines of ``splitlines`` gives, so the object, or the error with
+    its line and column, is the same."""
     with open_text(path) as stream:
-        text = "".join(without_comments(stream.read().splitlines(keepends=True)))
+        text = stream.read()
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1 or len(text)
+    body = text[start:]
+    if "#" in body or not _OTHER_BREAKS.isdisjoint(text[:start]):
+        body = "".join(without_comments(text.splitlines(keepends=True)))
     try:
-        raw = json.loads(text)
+        raw = json.loads(body)
     # bad syntax, an integer literal too long to convert, too deep nesting
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
@@ -337,9 +352,48 @@ def csv_text(header_comments: Iterable[str], header: Sequence[str],
 
 def json_text(header_comments: Iterable[str], payload) -> str:
     """The one JSON layout of every artifact: a ``#`` audit header, then
-    the payload with sorted keys and two-space indents."""
-    return (comment_block(header_comments)
-            + json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    the payload with sorted keys and two-space indents. The payload's
+    bytes are those of ``json.dumps(payload, indent=2, sort_keys=True)``
+    for text keys: each key and scalar is written by ``json.dumps``, a
+    tuple as a list. Two fast paths skip ``json``'s pure-Python encoder,
+    which ``indent`` selects: a list of finite floats, and a rectangular
+    list of such lists (a matrix), are written by ``float.__repr__``."""
+    return comment_block(header_comments) + _json(payload, "") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    """`value` laid out as :func:`json_text` writes it, at `indent`."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return _block("{}", items, indent)
+    if isinstance(value, (list, tuple)) and value:
+        return (_finite_floats(value, indent)
+                or _block("[]", [_json(v, inner) for v in value], indent))
+    return json.dumps(value)   # a scalar, [] or {}
+
+
+def _block(brackets: str, items: Iterable[str], indent: str) -> str:
+    inner = "\n" + indent + "  "
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + indent + brackets[1])
+
+
+def _finite_floats(value: Sequence, indent: str) -> str | None:
+    """`value` laid out at `indent`, if it is a list of finite floats or a
+    matrix of them; otherwise None."""
+    types = set(map(type, value))
+    if types == {float}:
+        items = map(float.__repr__, value)
+    elif (types <= {list, tuple} and len(set(map(len, value))) == 1
+          and set(map(type, itertools.chain.from_iterable(value))) == {float}):
+        row = _block("[]", ["%r"] * len(value[0]), indent + "  ")
+        items = [row % tuple(r) for r in value]
+    else:
+        return None
+    text = _block("[]", items, indent)
+    return None if "n" in text else text   # nan, inf: json writes NaN, Infinity
 
 
 #: How :func:`table_to_csv` writes a cell of each column kind.

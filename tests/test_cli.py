@@ -748,6 +748,26 @@ def test_derive_rejects_malformed_column_stats(model_file, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_derive_refuses_a_model_that_lists_a_feature_twice(model_file,
+                                                          tmp_path, capsys):
+    # Slump in place of Congestion fed Slump into the Congestion input
+    raw = json.loads("\n".join(non_comment_lines(model_file)))
+    features = raw["normalization"]["features"]
+    features[1] = features[0]
+    bad = tmp_path / "bad.model"
+    bad.write_text(json.dumps(raw))
+    scen = tmp_path / "scen.csv"
+    scen.write_text(SCENARIO_CSV)
+    out = tmp_path / "der.csv"
+    rc = cli.main(["derive", "--model", str(bad), "--scenarios", str(scen),
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed model file {bad}: malformed normalization "
+        "statistics: feature 'Slump' is listed more than once\n")
+    assert not out.exists()
+
+
 def test_derive_refuses_an_empty_scenario_cell(model_file, tmp_path, capsys):
     scen = tmp_path / "scen.csv"
     scen.write_text(SCENARIO_CSV.replace("best,3.0,", "best,,"))

@@ -175,6 +175,16 @@ def test_load_dataset_refuses_a_target_that_is_a_feature(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("kind", ["model", "dataset"])
+def test_load_refuses_a_feature_listed_twice(tmp_path, kind):
+    # Slump in place of Congestion: Slump would feed the Congestion input
+    path = edited_file(tmp_path, kind, ("normalization", "features"),
+                       lambda f: [f[0], f[0], *f[2:]])
+    assert refusal(kind, path) == (
+        f"malformed {kind} file {path}: malformed normalization statistics: "
+        "feature 'Slump' is listed more than once")
+
+
 def test_model_to_text_refuses_inconsistent_params():
     stats = NormalizationStats((ColumnStats("X", NUMERIC, 0.0, 1.0),),
                                ColumnStats("Y", NUMERIC, 0.0, 1.0))

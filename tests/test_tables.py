@@ -1,5 +1,6 @@
 import codecs
 import io
+import json
 import math
 import re
 import struct
@@ -16,6 +17,7 @@ from pavesim.tables import (
     PAVING_COLUMNS,
     RecordTable,
     check_value,
+    json_text,
     kind_of,
     load_csv,
     open_text,
@@ -430,3 +432,99 @@ def test_written_tables_read_back_bit_for_bit(table):
     assert back.num_rows == table.num_rows
     for written, read in zip(table.rows, back.rows):
         assert all(map(same_cell, written, read)), (written, read)
+
+
+# ------------------------------------------------------- JSON, both ways
+
+FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e308])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOAT_LISTS = st.lists(FINITE, max_size=5) | st.lists(FLOATS, max_size=5)
+MATRICES = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(FINITE, min_size=width, max_size=width)
+    | st.lists(FLOATS, min_size=width, max_size=width).map(tuple),
+    min_size=1, max_size=4))
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=4)
+    | FLOAT_LISTS | MATRICES | st.lists(FLOAT_LISTS, max_size=4)
+    | st.lists(FINITE | st.booleans() | st.integers(), max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=PAYLOADS)
+def test_json_text_writes_the_bytes_of_json_dumps(payload):
+    # text keys hold non-ASCII and control characters; a bool never reads
+    # as a float, nor a ragged matrix as a rectangular one
+    assert json_text([], payload) == (
+        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+#: The one-character line breaks of str.splitlines; "\r\n" is the other.
+BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+LINE_TEXT = st.text(st.sampled_from(["a", "#", " ", "{", "é", *BREAKS]),
+                    max_size=5)
+COMMENT = st.builds("#{}{}".format, LINE_TEXT,
+                    st.sampled_from([*BREAKS, "\r\n", ""]))
+JSON_TEXT = st.text(st.sampled_from(["a", "#", " ", "é", "\\", *BREAKS]),
+                    max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=3)),
+    max_leaves=6)
+
+
+def json_oracle(path, data: bytes):
+    """What reading `data` as a JSON file gives: the object, or the text of
+    the error, after every line that starts with "#" is dropped."""
+    text = data.decode("utf-8-sig")
+    kept = [line for line in text.splitlines(keepends=True)
+            if not line.startswith("#")]
+    try:
+        raw = json.loads("".join(kept))
+    except ValueError as exc:
+        return f"{path} is not valid JSON: {exc}"
+    return raw if isinstance(raw, dict) else f"{path} must hold a JSON object"
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("read_json") / "f.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_read_json_gives_what_dropping_comment_lines_gives(json_path, data):
+    head = data.draw(st.lists(COMMENT, max_size=3))
+    value = data.draw(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=3)
+                      | JSON_VALUES)
+    body = json.dumps(value, indent=data.draw(st.sampled_from([None, 0, 2])),
+                      ensure_ascii=data.draw(st.booleans()))
+    end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [data.draw(st.sampled_from(["", "# note\n", "#\r"])) + line + end
+             for line in body.split("\n")]
+    tail = data.draw(st.lists(COMMENT, max_size=2))
+    text = "".join(head + ([] if data.draw(st.booleans()) else lines + tail))
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]
+    raw = data.draw(st.sampled_from([b"", codecs.BOM_UTF8])) + text.encode()
+    json_path.write_bytes(raw)
+    expected = json_oracle(json_path, raw)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as info:
+            read_json(json_path)
+        assert str(info.value) == expected
+    else:
+        assert read_json(json_path) == expected
+
+
+@pytest.mark.parametrize("line_break", [*BREAKS, "\r\n"])
+def test_read_json_ends_a_comment_at_any_line_break(json_path, line_break):
+    json_path.write_text(f'# audit{line_break}{{"a": 1}}\n', encoding="utf-8",
+                         newline="")
+    assert read_json(json_path) == {"a": 1}
