@@ -17,9 +17,9 @@ Productivity is drawn as N(mu*, sigma*^2). Over the sampled feature
 ranges mu* stays within [30, 110] m/h and sigma* within [1, 9] m/h.
 
 A feature vector is a plain dict keyed by column name, the form
-:func:`pavesim.inputmodel.derive` reads: :func:`sample_features` draws
-one, :func:`true_moments` takes one, and :data:`DEMO_SCENARIOS` holds
-three.
+:func:`pavesim.inputmodel.derive` reads: :func:`true_moments` takes one
+(of scalars, or of columns) and :data:`DEMO_SCENARIOS` holds three. The
+sampling ranges live in :data:`FEATURE_LAW` and nowhere else.
 """
 
 from __future__ import annotations
@@ -35,57 +35,42 @@ from .tables import PAVING_COLUMNS, TRUTH_COLUMNS, RecordTable
 
 def true_moments(f: Mapping[str, float]) -> tuple[float, float]:
     """True (mean, standard deviation) of productivity for the features
-    ``f``, keyed by column name."""
+    ``f``, keyed by column name, each a scalar or a column array. The
+    square calls libm ``pow`` (``np.float_power``), as Python's ``**``
+    does; numpy's ``**2`` multiplies and can differ in the last bit."""
     mu = (
         90.0
         - 4.5 * f["PaverAge"]
         - 8.0 * f["Congestion"]
         + 7.0 * f["Spreader"]
         + 2.5 * (f["Slump"] - 4.0)
-        - 0.045 * (f["Temperature"] - 20.0) ** 2
+        - 0.045 * np.float_power(f["Temperature"] - 20.0, 2.0)
         - 0.06 * (f["Humidity"] - 70.0)
         - 1.5 * abs(f["Slope"])
         - 800.0 * abs(f["Curvature"])
     )
-    sigma = max(
-        1.0,
-        2.5 + 0.7 * f["PaverAge"] + 2.0 * f["Congestion"] - 1.0 * f["Spreader"],
-    )
+    sigma = np.maximum(1.0, 2.5 + 0.7 * f["PaverAge"] + 2.0 * f["Congestion"]
+                       - 1.0 * f["Spreader"])
     return mu, sigma
 
 
-#: Feature sampling ranges; uniform unless noted.
-_SLUMP_RANGE = (2.5, 5.0)
-_CONGESTION_P = 0.5
-_SPREADER_P = 0.3
-_AIR_RANGE = (3.8, 5.0)
-_TEMPERATURE_RANGE = (2.0, 32.0)
-_HUMIDITY_RANGE = (50.0, 95.0)
-_SLOPE_RANGE = (-4.0, 4.0)
-_CURVATURE_RANGE = (-0.002, 0.002)
-_AGE_RANGE = (0.0, 5.0)  # rounded to half-years
-
-
-def sample_features(rng: np.random.Generator) -> dict[str, float]:
-    """Draw one plausible paving-job feature vector, keyed by column name
-    in the order of :data:`~pavesim.tables.PAVING_COLUMNS` (the draw order)."""
-    return {
-        "Slump": float(rng.uniform(*_SLUMP_RANGE)),
-        "Congestion": float(rng.random() < _CONGESTION_P),
-        "Spreader": float(rng.random() < _SPREADER_P),
-        "AirEntrainment": float(rng.uniform(*_AIR_RANGE)),
-        "Temperature": float(rng.uniform(*_TEMPERATURE_RANGE)),
-        "Humidity": float(rng.uniform(*_HUMIDITY_RANGE)),
-        "Slope": float(rng.uniform(*_SLOPE_RANGE)),
-        "Curvature": float(rng.uniform(*_CURVATURE_RANGE)),
-        "PaverAge": round(rng.uniform(*_AGE_RANGE) * 2.0) / 2.0,
-    }
+#: The sampling law, in column and draw order: uniform on ``(low, high)``,
+#: or 1.0 with probability ``(p,)``; PaverAge is rounded to half-years.
+FEATURE_LAW: dict[str, tuple[float, ...]] = dict(
+    Slump=(2.5, 5.0), Congestion=(0.5,), Spreader=(0.3,),
+    AirEntrainment=(3.8, 5.0), Temperature=(2.0, 32.0), Humidity=(50.0, 95.0),
+    Slope=(-4.0, 4.0), Curvature=(-0.002, 0.002), PaverAge=(0.0, 5.0),
+)
 
 
 def generate_paving_dataset(
     n_rows: int, seed: int, include_truth: bool = False
 ) -> RecordTable:
     """Generate ``n_rows`` synthetic paving records, deterministically.
+
+    Each row draws nine uniforms, one per feature in column order, then
+    one standard normal ``z``. Features and ``mu* + sigma* * z`` are then
+    computed by column, as scalar ``Generator.uniform`` and ``normal`` do.
 
     With ``include_truth`` the table carries the two numeric
     :data:`~pavesim.tables.TRUTH_COLUMNS`, holding the generating moments
@@ -94,17 +79,19 @@ def generate_paving_dataset(
     """
     check_number("n_rows", n_rows, integer=True, low=1)
     rng = np.random.default_rng(seed)
+    u = np.empty((n_rows, len(FEATURE_LAW)))
+    z = np.empty(n_rows)
+    for i in range(n_rows):
+        rng.random(out=u[i])
+        z[i] = rng.standard_normal()
+    f = {name: (u[:, j] < law[0]).astype(float) if len(law) == 1
+         else law[0] + (law[1] - law[0]) * u[:, j]
+         for j, (name, law) in enumerate(FEATURE_LAW.items())}
+    f["PaverAge"] = np.round(f["PaverAge"] * 2.0) / 2.0
+    mu, sigma = true_moments(f)
     names = PAVING_COLUMNS + (TRUTH_COLUMNS if include_truth else ())
-    rows = []
-    for _ in range(n_rows):
-        f = sample_features(rng)
-        mu, sigma = true_moments(f)
-        productivity = float(rng.normal(mu, sigma))
-        row = [productivity, *f.values()]
-        if include_truth:
-            row += [mu, sigma]
-        rows.append(tuple(row))
-    return RecordTable(names, tuple(rows))
+    columns = [mu + sigma * z, *f.values(), mu, sigma][: len(names)]
+    return RecordTable(names, tuple(zip(*(c.tolist() for c in columns))))
 
 
 @dataclass(frozen=True)

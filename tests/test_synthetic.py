@@ -12,11 +12,11 @@ from pavesim.inputmodel import (
 from pavesim.synthetic import (
     DEFAULT_WEATHER_MIXTURE,
     DEMO_SCENARIOS,
+    FEATURE_LAW,
     MixtureSpec,
     WeatherComponent,
     generate_paving_dataset,
     generate_weather_mixture,
-    sample_features,
     true_moments,
 )
 from pavesim.tables import (
@@ -74,32 +74,73 @@ def test_true_moments_stay_in_band_on_feature_grid():
         assert 1.0 <= sigma <= 9.0
 
 
+def sampled_features(n_rows, seed):
+    """The feature columns of a generated table, keyed by column name."""
+    table = generate_paving_dataset(n_rows, seed)
+    return {name: table.column_values(name) for name in PAVING_COLUMNS[1:]}
+
+
 def test_sampled_features_stay_in_band():
-    rng = np.random.default_rng(0)
-    for _ in range(2000):
-        mu, sigma = true_moments(sample_features(rng))
-        assert 30.0 <= mu <= 110.0
-        assert 1.0 <= sigma <= 9.0
+    f = {k: np.array(v) for k, v in sampled_features(2000, 0).items()}
+    mu, sigma = true_moments(f)
+    assert mu.shape == sigma.shape == (2000,)
+    assert np.all((30.0 <= mu) & (mu <= 110.0))
+    assert np.all((1.0 <= sigma) & (sigma <= 9.0))
 
 
 def test_sample_features_are_named_by_their_columns():
-    features = sample_features(np.random.default_rng(0))
-    assert tuple(features) == PAVING_COLUMNS[1:]
+    assert tuple(FEATURE_LAW) == PAVING_COLUMNS[1:]
     assert all(tuple(f) == PAVING_COLUMNS[1:] for f in DEMO_SCENARIOS.values())
 
 
 def test_every_sampled_value_passes_check_value():
-    rng = np.random.default_rng(2)
-    for _ in range(2000):
-        for name, value in sample_features(rng).items():
+    for name, column in sampled_features(2000, 2).items():
+        for value in column:
             assert check_value(name, kind_of(name), value) == value
 
 
 def test_sampled_paver_age_lands_on_half_years():
-    rng = np.random.default_rng(1)
-    ages = {sample_features(rng)["PaverAge"] for _ in range(500)}
+    ages = set(sampled_features(2000, 1)["PaverAge"])
     assert all(a * 2 == int(a * 2) for a in ages)
     assert len(ages) > 3
+
+
+def loop_oracle(n_rows, seed, include_truth):
+    """The rows of the per-row sampling loop, written out: ten scalar
+    generator calls and Python arithmetic per row."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n_rows):
+        slump = float(rng.uniform(2.5, 5.0))
+        congestion = float(rng.random() < 0.5)
+        spreader = float(rng.random() < 0.3)
+        air = float(rng.uniform(3.8, 5.0))
+        temperature = float(rng.uniform(2.0, 32.0))
+        humidity = float(rng.uniform(50.0, 95.0))
+        slope = float(rng.uniform(-4.0, 4.0))
+        curvature = float(rng.uniform(-0.002, 0.002))
+        age = round(rng.uniform(0.0, 5.0) * 2.0) / 2.0
+        mu = (
+            90.0 - 4.5 * age - 8.0 * congestion + 7.0 * spreader
+            + 2.5 * (slump - 4.0) - 0.045 * (temperature - 20.0) ** 2
+            - 0.06 * (humidity - 70.0) - 1.5 * abs(slope)
+            - 800.0 * abs(curvature)
+        )
+        sigma = max(1.0, 2.5 + 0.7 * age + 2.0 * congestion - 1.0 * spreader)
+        row = (float(rng.normal(mu, sigma)), slump, congestion, spreader,
+               air, temperature, humidity, slope, curvature, age)
+        rows.append(row + ((mu, sigma) if include_truth else ()))
+    return rows
+
+
+@pytest.mark.parametrize("include_truth", [False, True])
+@pytest.mark.parametrize("n_rows, seed", [(1, 0), (7, 3), (200, 5), (10000, 12345)])
+def test_generate_matches_the_per_row_loop(n_rows, seed, include_truth):
+    # (10000, 12345) holds a row whose Productivity differs in the last
+    # bit if the temperature term is squared by numpy's ** rather than pow.
+    rows = generate_paving_dataset(n_rows, seed, include_truth).rows
+    assert list(rows) == loop_oracle(n_rows, seed, include_truth)
+    assert all(type(cell) is float for row in rows for cell in row)
 
 
 def test_generate_is_deterministic():
