@@ -52,18 +52,18 @@ from .inputmodel import (
     confidence_interval,
     coverage,
     derive,
-    pooled_fit,
 )
 from .modelfile import load_dataset, load_model, save_dataset, save_model
 from .network import NetworkConfig, TrainConfig, train
 from .simulator import SimConfig, run_monte_carlo
 from .synthetic import (
-    DEFAULT_WEATHER_MIXTURE,
+    WEATHER_MIXTURE,
     generate_paving_dataset,
     generate_weather_mixture,
 )
 from .tables import (
     DERIVED_LABEL,
+    MIXTURE_LABEL,
     SCENARIO_LABEL,
     TARGET_COLUMN,
     TRUTH_COLUMNS,
@@ -295,25 +295,20 @@ def _cmd_simulate(args, run: _Run) -> None:
 
 def _cmd_mixture_demo(args, run: _Run) -> None:
     table = generate_weather_mixture(args.n, args.seed)
-    durations = {c.label: [] for c in DEFAULT_WEATHER_MIXTURE.components}
-    for condition, duration in zip(table.column_values("Condition"),
-                                   table.column_values("Duration")):
-        durations[str(condition)].append(float(duration))
-    labels = [label for label, values in durations.items() if values]
-    comparison = compare_pooled_vs_conditioned(
-        [(len(durations[label]) / args.n, pooled_fit(durations[label]))
-         for label in labels], labels)
-    run.stage(args.out, comparison.to_csv(run.header))
+    rows = compare_pooled_vs_conditioned(
+        [label for label, *_ in WEATHER_MIXTURE],
+        table.column_values("Condition"), table.column_values("Duration"))
+    run.stage(args.out, csv_text(run.header, (
+        MIXTURE_LABEL, "weight", "mean", "variance", "pooled_variance_ratio"),
+        rows))
     if args.samples_out is not None:
         run.stage(args.samples_out, table_to_csv(table, run.header))
+    (_, _, mean, variance, _), *conditions = rows
     run.lines += [f"seed = {args.seed}",
-                  f"pooled: mean = {comparison.pooled.mean:.4f}, "
-                  f"variance = {comparison.pooled.variance:.4f}"]
-    run.lines += (f"{row.label}: weight = {row.weight:.4f}, "
-                  f"mean = {row.model.mean:.4f}, "
-                  f"variance = {row.model.variance:.4f}, "
-                  f"pooled/component = {row.variance_ratio:.2f}"
-                  for row in comparison.components)
+                  f"pooled: mean = {mean:.4f}, variance = {variance:.4f}"]
+    run.lines += (f"{label}: weight = {w:.4f}, mean = {m:.4f}, "
+                  f"variance = {v:.4f}, pooled/component = {r:.2f}"
+                  for label, w, m, v, r in conditions)
     run.lines.append(f"wrote {args.out}")
 
 

@@ -7,10 +7,10 @@ demo): :func:`derive` applies it to one scenario, read by the model's
 own feature names, :func:`sample` draws variates from the result, and
 :func:`coverage` applies it to every held-out row, so its sigma and
 interval equal derive's bit for bit.
-:func:`pooled_fit` is the deliberately naive baseline that ignores
-conditions and fits one Gaussian to everything;
-:func:`compare_pooled_vs_conditioned` quantifies what that pooling costs
-in variance.
+:func:`compare_pooled_vs_conditioned` fits the deliberately naive
+baseline that ignores conditions, one Gaussian over a labelled sample,
+and quantifies what that pooling costs in variance against a Gaussian
+per condition.
 
 Variates are never truncated at zero even though negative productivity
 is unphysical; consumers clamp instead, so the model's moments stay
@@ -29,7 +29,7 @@ import numpy as np
 from .adapter import Dataset, NormalizationStats
 from .errors import DataError, NumericalError, check_number
 from .network import NetworkParams, forward_batch
-from .tables import MIXTURE_LABEL, check_value, csv_text
+from .tables import check_value, csv_text
 
 #: Central-interval z-values. A fixed table, not a quantile routine: only
 #: these three levels are supported.
@@ -193,86 +193,31 @@ def coverage(
     return CoverageReport(points=tuple(points), level=level)
 
 
-def pooled_fit(samples: Sequence[float]) -> GaussianInputModel:
-    """One Gaussian over all samples, conditions ignored.
-
-    Population (divide-by-n) moments, matching the normalization
-    convention elsewhere so tests can be exact.
-    """
-    values = np.asarray(samples, dtype=float)
-    if values.size == 0:
-        raise DataError("cannot fit a distribution to zero samples")
-    if not np.isfinite(values).all():
-        raise DataError("samples contain non-finite values")
-    return GaussianInputModel(
-        mean=float(values.mean()), variance=float(values.var())
-    )
-
-
-@dataclass(frozen=True)
-class MixtureComponentRow:
-    label: str
-    weight: float
-    model: GaussianInputModel
-    #: pooled variance divided by this component's variance
-    variance_ratio: float
-
-
-@dataclass(frozen=True)
-class MixtureComparison:
-    """Pooled Gaussian vs the per-condition Gaussians it smears together."""
-
-    pooled: GaussianInputModel
-    components: tuple[MixtureComponentRow, ...]
-
-    def to_csv(self, header_comments: Sequence[str] = ()) -> str:
-        rows = [("pooled", 1.0, self.pooled.mean, self.pooled.variance, 1.0)]
-        rows += [(r.label, r.weight, r.model.mean, r.model.variance,
-                  r.variance_ratio) for r in self.components]
-        return csv_text(header_comments, (
-            MIXTURE_LABEL, "weight", "mean", "variance", "pooled_variance_ratio"),
-            rows)
-
-
 def compare_pooled_vs_conditioned(
-    components: Sequence[tuple[float, GaussianInputModel]],
-    labels: Sequence[str] | None = None,
-) -> MixtureComparison:
-    """Pool weighted Gaussian components by the law of total variance.
-
-    Pooled mean is the weighted component mean; pooled variance adds the
-    weighted within-component variance and the weighted squared spread
-    of component means. The ratio pooled/component says how much wider
-    the condition-blind model is than each condition-specific one.
+    labels: Sequence[str], conditions: Sequence[str],
+    durations: Sequence[float],
+) -> list[tuple[str, float, float, float, float]]:
+    """``mixture-demo``'s CSV rows ``(label, weight, mean, variance,
+    pooled_variance_ratio)``: the pooled Gaussian, then each of ``labels``
+    present in ``conditions``. A condition's weight is its sample share and
+    its moments are population (divide-by-n) ones. The law of total
+    variance pools them: weighted mean, and weighted within-condition
+    variance plus weighted squared spread of the means. The ratio is
+    ``inf`` for a condition of zero variance.
     """
-    if len(components) == 0:
-        raise DataError("need at least one (weight, model) component")
-    weights = [w for w, _ in components]
-    if any(not w > 0 for w in weights):
-        raise DataError(f"weights must be positive, got {weights}")
-    total = sum(weights)
-    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise DataError(f"weights must sum to 1, got {total!r}")
-    if labels is None:
-        labels = [f"component_{i}" for i in range(len(components))]
-    if len(labels) != len(components):
-        raise DataError(
-            f"{len(labels)} labels for {len(components)} components"
-        )
-
-    pooled_mean = sum(w * m.mean for w, m in components)
-    within = sum(w * m.variance for w, m in components)
-    between = sum(w * (m.mean - pooled_mean) ** 2 for w, m in components)
-    pooled = GaussianInputModel(mean=pooled_mean, variance=within + between)
-
-    rows = tuple(
-        MixtureComponentRow(
-            label=label,
-            weight=w,
-            model=m,
-            variance_ratio=pooled.variance / m.variance if m.variance > 0
-            else math.inf,
-        )
-        for label, (w, m) in zip(labels, components)
-    )
-    return MixtureComparison(pooled=pooled, components=rows)
+    conditions = np.asarray(conditions)
+    durations = np.asarray(durations, dtype=float)
+    # Scalar Python sums and pow keep mix.csv's bits; numpy's array sum
+    # and ``**2`` (a multiply) can differ in the last bit.
+    parts = []
+    for label in labels:
+        x = durations[conditions == label]
+        if x.size:
+            parts.append((label, x.size / durations.size,
+                          float(np.mean(x)), float(np.var(x))))
+    mean = sum(w * m for _, w, m, _ in parts)
+    variance = (sum(w * v for _, w, _, v in parts)
+                + sum(w * (m - mean) ** 2 for _, w, m, _ in parts))
+    return [("pooled", 1.0, mean, variance, 1.0)] + [
+        (label, w, m, v, variance / v if v > 0 else math.inf)
+        for label, w, m, v in parts]

@@ -11,25 +11,25 @@ The generating law is fixed here and nowhere else:
     mu*(x)    = 90 - 4.5*age - 8*congestion + 7*spreader + 2.5*(slump - 4)
                 - 0.045*(T - 20)**2 - 0.06*(humidity - 70)
                 - 1.5*|slope| - 800*|curvature|
-    sigma*(x) = max(1.0, 2.5 + 0.7*age + 2.0*congestion - 1.0*spreader)
+    sigma*(x) = 2.5 + 0.7*age + 2.0*congestion - 1.0*spreader
 
 Productivity is drawn as N(mu*, sigma*^2). Over the sampled feature
-ranges mu* stays within [30, 110] m/h and sigma* within [1, 9] m/h.
+ranges mu* stays within [30, 110] m/h and sigma* within [1.5, 8] m/h.
 
 A feature vector is a plain dict keyed by column name, the form
 :func:`pavesim.inputmodel.derive` reads: :func:`true_moments` takes one
 (of scalars, or of columns) and :data:`DEMO_SCENARIOS` holds three. The
 sampling ranges live in :data:`FEATURE_LAW` and nowhere else.
+:func:`generate_weather_mixture` draws ``mixture-demo``'s sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, check_number
+from .errors import check_number
 from .tables import PAVING_COLUMNS, TRUTH_COLUMNS, RecordTable
 
 
@@ -49,8 +49,8 @@ def true_moments(f: Mapping[str, float]) -> tuple[float, float]:
         - 1.5 * abs(f["Slope"])
         - 800.0 * abs(f["Curvature"])
     )
-    sigma = np.maximum(1.0, 2.5 + 0.7 * f["PaverAge"] + 2.0 * f["Congestion"]
-                       - 1.0 * f["Spreader"])
+    sigma = (2.5 + 0.7 * f["PaverAge"] + 2.0 * f["Congestion"]
+             - 1.0 * f["Spreader"])
     return mu, sigma
 
 
@@ -94,68 +94,40 @@ def generate_paving_dataset(
     return RecordTable(names, tuple(zip(*(c.tolist() for c in columns))))
 
 
-@dataclass(frozen=True)
-class WeatherComponent:
-    """One weather condition: label, mixture weight, duration law N(mu, sigma^2)."""
-
-    label: str
-    weight: float
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not self.label:
-            raise DataError("component label must be non-empty")
-        check_number("component weight", self.weight, above=0)
-        check_number("component std", self.std, above=0)
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Finite Gaussian mixture over labelled operating conditions."""
-
-    components: tuple[WeatherComponent, ...]
-
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise DataError("mixture needs at least one component")
-        labels = [c.label for c in self.components]
-        if len(set(labels)) != len(labels):
-            raise DataError(f"duplicate component labels: {labels}")
-        total = sum(c.weight for c in self.components)
-        if not np.isclose(total, 1.0, rtol=0, atol=1e-9):
-            raise DataError(f"component weights must sum to 1, got {total!r}")
-
-
-#: Equal-weight demo mixture: rain slows hauling, sun speeds it up.
-#: Pooled variance is 28 (4 within-condition + 24 between-condition),
-#: far above any single condition's 4.
-DEFAULT_WEATHER_MIXTURE = MixtureSpec(
-    components=(
-        WeatherComponent("rainy", 1.0 / 3.0, 30.0, 2.0),
-        WeatherComponent("windy", 1.0 / 3.0, 24.0, 2.0),
-        WeatherComponent("sunny", 1.0 / 3.0, 18.0, 2.0),
-    )
+#: Equal-weight demo mixture, one ``(label, weight, mean, std)`` row per
+#: weather condition, whose hauling duration is N(mean, std^2): rain slows
+#: hauling, sun speeds it up. Pooled variance is 28 (4 within-condition +
+#: 24 between-condition), far above any single condition's 4.
+WEATHER_MIXTURE = (
+    ("rainy", 1.0 / 3.0, 30.0, 2.0),
+    ("windy", 1.0 / 3.0, 24.0, 2.0),
+    ("sunny", 1.0 / 3.0, 18.0, 2.0),
 )
 
 
 def generate_weather_mixture(
-    n_rows: int, seed: int, spec: MixtureSpec = DEFAULT_WEATHER_MIXTURE
+    n_rows: int, seed: int,
+    spec: tuple[tuple[str, float, float, float], ...] = WEATHER_MIXTURE,
 ) -> RecordTable:
-    """Sample labelled cycle durations from a weather mixture.
-
-    Each row picks a condition by weight, then draws Duration from that
-    condition's Gaussian. Output columns: Condition (categorical),
-    Duration (numeric).
-    """
+    """Sample labelled cycle durations, columns Condition (categorical)
+    and Duration (numeric), from ``spec``'s ``(label, weight, mean, std)``
+    rows. Each row draws a uniform ``u``, then a standard normal ``z``;
+    by column, ``u`` picks the condition as scalar ``Generator.choice``
+    does, and Duration is ``mean + std * z``, as ``Generator.normal``."""
     check_number("n_rows", n_rows, integer=True, low=1)
     rng = np.random.default_rng(seed)
-    weights = [c.weight for c in spec.components]
-    rows = []
-    for _ in range(n_rows):
-        c = spec.components[rng.choice(len(spec.components), p=weights)]
-        rows.append((c.label, float(rng.normal(c.mean, c.std))))
-    return RecordTable(("Condition", "Duration"), tuple(rows))
+    u = np.empty(n_rows)
+    z = np.empty(n_rows)
+    for i in range(n_rows):
+        u[i] = rng.random()
+        z[i] = rng.standard_normal()
+    labels, weights, means, stds = map(np.array, zip(*spec))
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    k = cdf.searchsorted(u, side="right")
+    # As objects, the rows share one str per label, not one str each.
+    return RecordTable(("Condition", "Duration"), tuple(zip(
+        labels.astype(object)[k].tolist(), (means[k] + stds[k] * z).tolist())))
 
 
 #: Three reference job profiles spanning the productivity range: an old

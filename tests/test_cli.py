@@ -1147,6 +1147,20 @@ def test_mixture_demo_writes_comparison(tmp_path, capsys):
     assert len(sample_rows) == 1 + 500
 
 
+def test_mixture_demo_of_one_sample_has_an_infinite_ratio(tmp_path, capsys):
+    # one sample: its condition has zero variance, and so has the pool
+    out = tmp_path / "mix.csv"
+    assert cli.main(["mixture-demo", "--n", "1", "--seed", "3",
+                     "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    header, pooled, rainy = non_comment_lines(out)
+    mean = pooled.split(",")[2]
+    assert pooled == f"pooled,1.0,{mean},0.0,1.0"
+    assert rainy == f"rainy,1.0,{mean},0.0,inf"
+    assert "rainy: weight = 1.0000" in stdout
+    assert "pooled/component = inf" in stdout
+
+
 def test_adapt_names_the_text_column_of_a_mixture_sample(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     assert cli.main(["mixture-demo", "--n", "50", "--seed", "1", "--out",

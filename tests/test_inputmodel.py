@@ -19,7 +19,6 @@ from pavesim.inputmodel import (
     confidence_interval,
     coverage,
     derive,
-    pooled_fit,
     sample,
 )
 from pavesim.network import NetworkConfig, NetworkParams, init_network
@@ -264,107 +263,92 @@ class TestCoverage:
         assert point.covered
 
 
+def compare(samples):
+    """compare_pooled_vs_conditioned on a mapping of label -> samples,
+    the labels in mapping order."""
+    conditions = [label for label, xs in samples.items() for _ in xs]
+    durations = [x for xs in samples.values() for x in xs]
+    return compare_pooled_vs_conditioned(list(samples), conditions, durations)
+
+
 class TestPooledFit:
+    # one condition: the pooled row is that sample's population fit
+
     def test_constant_samples(self):
-        fit = pooled_fit([1.0, 1.0, 1.0])
-        assert (fit.mean, fit.variance) == (1.0, 0.0)
+        assert compare({"a": [1.0, 1.0, 1.0]}) == [
+            ("pooled", 1.0, 1.0, 0.0, 1.0), ("a", 1.0, 1.0, 0.0, math.inf)]
 
     def test_two_point_population_variance(self):
-        fit = pooled_fit([0.0, 2.0])
-        assert (fit.mean, fit.variance) == (1.0, 1.0)
+        assert compare({"a": [0.0, 2.0]})[0] == ("pooled", 1.0, 1.0, 1.0, 1.0)
 
     def test_four_sample_fixture(self):
-        fit = pooled_fit([66.08, 86.79, 69.35, 93.69])
-        assert fit.mean == pytest.approx(78.9775, abs=1e-10)
-        assert fit.variance == pytest.approx(134.13176875, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(DataError, match="zero samples"):
-            pooled_fit([])
-        with pytest.raises(DataError, match="non-finite"):
-            pooled_fit([1.0, math.inf])
+        _, _, mean, variance, _ = compare(
+            {"a": [66.08, 86.79, 69.35, 93.69]})[0]
+        assert mean == pytest.approx(78.9775, abs=1e-10)
+        assert variance == pytest.approx(134.13176875, abs=1e-9)
 
 
 class TestMixtureComparison:
     def test_two_equal_weight_components(self):
-        result = compare_pooled_vs_conditioned([
-            (0.5, GaussianInputModel(10.0, 4.0)),
-            (0.5, GaussianInputModel(30.0, 4.0)),
-        ])
+        rows = compare({"a": [8.0, 12.0], "b": [28.0, 32.0]})
         # within 4, between 0.5*100 + 0.5*100
-        assert result.pooled.mean == 20.0
-        assert result.pooled.variance == 104.0
-        assert [r.variance_ratio for r in result.components] == [26.0, 26.0]
-        assert [r.label for r in result.components] == [
-            "component_0", "component_1"]
+        assert rows == [("pooled", 1.0, 20.0, 104.0, 1.0),
+                        ("a", 0.5, 10.0, 4.0, 26.0),
+                        ("b", 0.5, 30.0, 4.0, 26.0)]
 
     def test_identical_means_leave_only_within_variance(self):
-        result = compare_pooled_vs_conditioned([
-            (0.5, GaussianInputModel(10.0, 4.0)),
-            (0.5, GaussianInputModel(10.0, 8.0)),
-        ])
-        assert result.pooled.variance == 6.0
-        assert result.components[0].variance_ratio == 1.5
-        assert result.components[1].variance_ratio == 0.75
+        rows = compare({"a": [8.0, 12.0, 8.0, 12.0],
+                        "b": [6.0, 10.0, 10.0, 14.0]})
+        assert rows[0][3] == 6.0
+        assert [r[4] for r in rows[1:]] == [1.5, 0.75]
 
     def test_conditioning_beats_pooling_when_means_spread(self):
-        # equal component variances and distinct means: the pooled model
+        # equal condition variances and distinct means: the pooled model
         # is strictly wider than every conditioned one
-        result = compare_pooled_vs_conditioned([
-            (0.25, GaussianInputModel(m, 2.5)) for m in (10.0, 14.0, 20.0, 30.0)
-        ])
-        assert all(r.variance_ratio > 1.0 for r in result.components)
+        rows = compare({str(m): [m - 1.0, m + 1.0]
+                        for m in (10.0, 14.0, 20.0, 30.0)})
+        assert all(r[4] > 1.0 for r in rows[1:])
 
     def test_zero_variance_component_has_infinite_ratio(self):
-        result = compare_pooled_vs_conditioned([
-            (0.5, GaussianInputModel(1.0, 0.0)),
-            (0.5, GaussianInputModel(2.0, 1.0)),
-        ])
-        assert result.components[0].variance_ratio == math.inf
+        rows = compare({"a": [1.0, 1.0], "b": [1.0, 3.0]})
+        assert rows[1] == ("a", 0.5, 1.0, 0.0, math.inf)
+        assert rows[2][4] == rows[0][3] == 0.75
 
     def test_single_component_is_the_pooled_model(self):
-        model = GaussianInputModel(40.0, 9.0)
-        result = compare_pooled_vs_conditioned([(1.0, model)], labels=["all"])
-        assert result.pooled == model
-        assert result.components[0].variance_ratio == 1.0
-        assert result.components[0].label == "all"
+        rows = compare({"all": [37.0, 43.0]})
+        assert rows == [("pooled", 1.0, 40.0, 9.0, 1.0),
+                        ("all", 1.0, 40.0, 9.0, 1.0)]
 
     def test_monte_carlo_agrees_with_total_variance_law(self):
-        components = [
-            (0.5, GaussianInputModel(10.0, 4.0)),
-            (0.3, GaussianInputModel(20.0, 9.0)),
-            (0.2, GaussianInputModel(35.0, 1.0)),
-        ]
-        result = compare_pooled_vs_conditioned(components)
-        assert result.pooled.mean == pytest.approx(18.0, rel=1e-12)
-        assert result.pooled.variance == pytest.approx(95.9, rel=1e-12)
+        components = {
+            "a": (0.5, GaussianInputModel(10.0, 4.0)),
+            "b": (0.3, GaussianInputModel(20.0, 9.0)),
+            "c": (0.2, GaussianInputModel(35.0, 1.0)),
+        }
         # stratified draw with exact component proportions
-        pool = []
-        for i, (weight, model) in enumerate(components):
-            pool += sample(model, 500 + i, int(round(weight * 10**5)))
-        fit = pooled_fit(pool)
-        assert abs(fit.mean - 18.0) / 18.0 < 0.02
-        assert abs(fit.variance - 95.9) / 95.9 < 0.05
-
-    def test_validation(self):
-        good = GaussianInputModel(0.0, 1.0)
-        with pytest.raises(DataError, match="at least one"):
-            compare_pooled_vs_conditioned([])
-        with pytest.raises(DataError, match="positive"):
-            compare_pooled_vs_conditioned([(0.0, good), (1.0, good)])
-        with pytest.raises(DataError, match="sum to 1"):
-            compare_pooled_vs_conditioned([(0.6, good), (0.6, good)])
-        with pytest.raises(DataError, match="labels for"):
-            compare_pooled_vs_conditioned([(1.0, good)], labels=["a", "b"])
+        samples = {label: sample(model, 500 + i, int(round(weight * 10**5)))
+                   for i, (label, (weight, model))
+                   in enumerate(components.items())}
+        rows = compare(samples)
+        (_, _, mean, variance, _), *conditions = rows
+        assert abs(mean - 18.0) / 18.0 < 0.02
+        assert abs(variance - 95.9) / 95.9 < 0.05
+        # pooling the condition moments gives the one-Gaussian fit
+        pool = [x for xs in samples.values() for x in xs]
+        assert mean == pytest.approx(np.mean(pool), rel=1e-12)
+        assert variance == pytest.approx(np.var(pool), rel=1e-12)
+        for (label, w, m, v, _), (weight, model) in zip(
+                conditions, components.values()):
+            assert w == weight
+            assert abs(m - model.mean) < 0.05
+            assert abs(v / model.variance - 1.0) < 0.05
 
     def test_csv_puts_the_pooled_row_first(self):
-        result = compare_pooled_vs_conditioned(
-            [(1.0, GaussianInputModel(5.0, 4.0))], labels=["calm"])
-        lines = result.to_csv(header_comments=("x",)).splitlines()
-        assert lines[0] == "# x"
-        assert lines[1] == "label,weight,mean,variance,pooled_variance_ratio"
-        assert lines[2] == "pooled,1.0,5.0,4.0,1.0"
-        assert lines[3] == "calm,1.0,5.0,4.0,1.0"
+        # labels come in the given order, absent ones are left out
+        rows = compare_pooled_vs_conditioned(
+            ["windy", "calm", "stormy"], ["calm", "calm"], [3.0, 7.0])
+        assert rows == [("pooled", 1.0, 5.0, 4.0, 1.0),
+                        ("calm", 1.0, 5.0, 4.0, 1.0)]
 
 
 def test_z_value_table_is_fixed():

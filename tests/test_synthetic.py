@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from pavesim.errors import DataError
-from pavesim.inputmodel import (
-    GaussianInputModel,
-    compare_pooled_vs_conditioned,
-    pooled_fit,
-)
+from pavesim.inputmodel import compare_pooled_vs_conditioned
 from pavesim.synthetic import (
-    DEFAULT_WEATHER_MIXTURE,
     DEMO_SCENARIOS,
     FEATURE_LAW,
-    MixtureSpec,
-    WeatherComponent,
+    WEATHER_MIXTURE,
     generate_paving_dataset,
     generate_weather_mixture,
     true_moments,
@@ -71,7 +65,7 @@ def test_true_moments_stay_in_band_on_feature_grid():
     for combo in grid:
         mu, sigma = true_moments(dict(zip(PAVING_COLUMNS[1:], combo)))
         assert 30.0 <= mu <= 110.0
-        assert 1.0 <= sigma <= 9.0
+        assert 1.5 <= sigma <= 8.0
 
 
 def sampled_features(n_rows, seed):
@@ -85,7 +79,7 @@ def test_sampled_features_stay_in_band():
     mu, sigma = true_moments(f)
     assert mu.shape == sigma.shape == (2000,)
     assert np.all((30.0 <= mu) & (mu <= 110.0))
-    assert np.all((1.0 <= sigma) & (sigma <= 9.0))
+    assert np.all((1.5 <= sigma) & (sigma <= 8.0))
 
 
 def test_sample_features_are_named_by_their_columns():
@@ -195,46 +189,66 @@ def test_generated_table_round_trips_through_csv(tmp_path):
 # -------------------------------------------------------------- mixture
 
 
-def pooled_model(spec):
-    """The pooled Gaussian of a spec's components, as mixture-demo pools."""
-    components = [(c.weight, GaussianInputModel(c.mean, c.std**2))
-                  for c in spec.components]
-    return compare_pooled_vs_conditioned(components).pooled
+def pooled_row(spec):
+    """mixture-demo's pooled row for an equal-weight spec, from a sample
+    that holds each condition's moments exactly: mean - std, mean + std."""
+    assert len({weight for _, weight, _, _ in spec}) == 1
+    labels = [label for label, _, _, _ in spec]
+    durations = [mean + sign * std for _, _, mean, std in spec
+                 for sign in (-1.0, 1.0)]
+    return compare_pooled_vs_conditioned(
+        labels, [label for label in labels for _ in (0, 1)], durations)[0]
 
 
 def test_pooled_model_by_total_variance():
-    pooled = pooled_model(DEFAULT_WEATHER_MIXTURE)
+    _, _, mean, variance, _ = pooled_row(WEATHER_MIXTURE)
     # within = 4, between = (6^2 + 0 + 6^2)/3 = 24
-    assert pooled.mean == pytest.approx(24.0, rel=1e-12)
-    assert pooled.variance == pytest.approx(28.0, rel=1e-12)
+    assert mean == pytest.approx(24.0, rel=1e-12)
+    assert variance == pytest.approx(28.0, rel=1e-12)
 
 
 def test_single_component_mixture_is_just_that_gaussian():
-    spec = MixtureSpec((WeatherComponent("only", 1.0, 40.0, 3.0),))
-    assert pooled_model(spec) == GaussianInputModel(40.0, 9.0)
+    spec = (("only", 1.0, 40.0, 3.0),)
+    assert pooled_row(spec) == ("pooled", 1.0, 40.0, 9.0, 1.0)
     table = generate_weather_mixture(100, 2, spec)
     assert set(table.column_values("Condition")) == {"only"}
 
 
-def test_mixture_validation():
-    with pytest.raises(DataError, match="sum to 1"):
-        MixtureSpec((
-            WeatherComponent("a", 0.5, 1.0, 1.0),
-            WeatherComponent("b", 0.4, 2.0, 1.0),
-        ))
-    with pytest.raises(DataError, match="duplicate"):
-        MixtureSpec((
-            WeatherComponent("a", 0.5, 1.0, 1.0),
-            WeatherComponent("a", 0.5, 2.0, 1.0),
-        ))
-    with pytest.raises(DataError, match="at least one"):
-        MixtureSpec(())
-    with pytest.raises(DataError):
-        WeatherComponent("a", 0.0, 1.0, 1.0)
-    with pytest.raises(DataError):
-        WeatherComponent("a", 1.0, 1.0, 0.0)
-    with pytest.raises(DataError):
-        WeatherComponent("", 1.0, 1.0, 1.0)
+#: The default mixture written out, then a 0.9/0.1 mixture, a single
+#: condition, and three conditions of unequal weight.
+MIXTURE_SPECS = {
+    "default": (("rainy", 1.0 / 3.0, 30.0, 2.0),
+                ("windy", 1.0 / 3.0, 24.0, 2.0),
+                ("sunny", 1.0 / 3.0, 18.0, 2.0)),
+    "rare": (("common", 0.9, 10.0, 1.0), ("rare", 0.1, 50.0, 1.0)),
+    "single": (("only", 1.0, 40.0, 3.0),),
+    "unequal": (("a", 0.5, 10.0, 2.0), ("b", 0.3, 20.0, 3.0),
+                ("c", 0.2, 35.0, 1.0)),
+}
+
+
+def mixture_oracle(n_rows, seed, spec):
+    """The rows of the per-row mixture loop, written out: a weighted
+    ``rng.choice`` of the condition, then ``rng.normal`` of its law."""
+    rng = np.random.default_rng(seed)
+    weights = [weight for _, weight, _, _ in spec]
+    rows = []
+    for _ in range(n_rows):
+        label, _, mean, std = spec[rng.choice(len(spec), p=weights)]
+        rows.append((label, float(rng.normal(mean, std))))
+    return rows
+
+
+@pytest.mark.parametrize("n_rows", [1, 7, 2000])
+@pytest.mark.parametrize("name", list(MIXTURE_SPECS))
+def test_weather_mixture_matches_the_per_row_loop(name, n_rows):
+    spec = MIXTURE_SPECS[name]
+    for seed in (0, 5, 2**40 + 5):
+        table = (generate_weather_mixture(n_rows, seed) if name == "default"
+                 else generate_weather_mixture(n_rows, seed, spec))
+        assert list(table.rows) == mixture_oracle(n_rows, seed, spec)
+        assert all(type(label) is str and type(duration) is float
+                   for label, duration in table.rows)
 
 
 def test_weather_table_shape_and_determinism():
@@ -250,20 +264,17 @@ def test_weather_sample_variances_split_as_designed():
     table = generate_weather_mixture(30000, 7)
     durations = np.array(table.column_values("Duration"), dtype=float)
     labels = table.column_values("Condition")
-    pooled = pooled_fit(durations)
-    assert abs(pooled.variance - 28.0) / 28.0 < 0.05
+    pooled_variance = np.var(durations)
+    assert abs(pooled_variance - 28.0) / 28.0 < 0.05
     for condition in ("rainy", "windy", "sunny"):
-        fit = pooled_fit(
+        variance = np.var(
             [d for d, l in zip(durations, labels) if l == condition])
-        assert 1.9 < fit.std < 2.1
-        assert fit.variance < pooled.variance
+        assert 1.9 < np.sqrt(variance) < 2.1
+        assert variance < pooled_variance
 
 
 def test_custom_mixture_weights_drive_label_frequencies():
-    spec = MixtureSpec((
-        WeatherComponent("common", 0.9, 10.0, 1.0),
-        WeatherComponent("rare", 0.1, 50.0, 1.0),
-    ))
+    spec = (("common", 0.9, 10.0, 1.0), ("rare", 0.1, 50.0, 1.0))
     table = generate_weather_mixture(5000, 8, spec)
     labels = table.column_values("Condition")
     frac = labels.count("common") / len(labels)
