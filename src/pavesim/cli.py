@@ -148,7 +148,7 @@ def _one_of(flag: str, *values: str):
 
 
 def _cmd_adapt(args, run: _Run) -> None:
-    tables = [load_csv(p, args.key) for p in args.data]
+    tables = [load_csv(p, lambda name: name != args.key) for p in args.data]
     if args.key is not None:
         table, dropped = join_sources(tables, args.key)
         if len(tables) > 1:
@@ -223,12 +223,13 @@ def _cmd_evaluate(args, run: _Run) -> None:
     if _is_dataset_file(args.data):
         _, test_ds = load_dataset(args.data)
     else:
-        table = load_csv(args.data)
+        names = {c.name for c in (*stats.features, stats.target)}
+        table = load_csv(args.data, names.__contains__)
         test_ds = dataset_with_stats(table, stats)
     report = coverage(params, stats, test_ds, args.level)
     if args.out is not None:
         run.stage(args.out, report.to_csv(run.header))
-        run.lines.append(f"wrote {len(report.points)} rows to {args.out}")
+        run.lines.append(f"wrote {report.observed.size} rows to {args.out}")
     run.lines += ["seeds: none (deterministic)",
                   f"coverage fraction = {report.coverage_fraction:.4f} "
                   f"at level {args.level}"]
@@ -236,7 +237,8 @@ def _cmd_evaluate(args, run: _Run) -> None:
 
 def _cmd_derive(args, run: _Run) -> None:
     params, stats, _, _ = load_model(args.model)
-    table = load_csv(args.scenarios)
+    names = {c.name for c in stats.features}
+    table = load_csv(args.scenarios, names.__contains__)
     if not table.rows:
         raise DataError(f"scenario file {args.scenarios} has no rows")
     run.lines.append("seeds: none (deterministic)")
@@ -245,10 +247,9 @@ def _cmd_derive(args, run: _Run) -> None:
         values = dict(zip(table.column_names, cells))
         label = values.get(SCENARIO_LABEL) or f"row {i}"
         model = derive(params, values, stats)
-        lo, hi = confidence_interval(model, 0.95)
+        lo, hi = confidence_interval(model.mean, model.std, 0.95)
         run.lines.append(f"{label}: mean = {model.mean:.4f}, variance = "
-                         f"{model.variance:.4f}, 95% CI = "
-                         f"[{lo:.4f}, {hi:.4f}]")
+                         f"{model.variance:.4f}, 95% CI = [{lo:.4f}, {hi:.4f}]")
         rows.append((label, model.mean, model.variance, lo, hi))
     if args.out is not None:
         run.stage(args.out, csv_text(run.header, (

@@ -1,12 +1,12 @@
 """Gaussian simulation input models in physical units.
 
 This is where network outputs stop being normalized numbers and become
-usable distributions. One decode maps the network's normalized heads to
-a ``(mean, variance)`` pair in m^3/hr (or minutes, for the hauling
-demo): :func:`derive` applies it to one scenario, read by the model's
+usable distributions. One forward pass and one decode map feature rows
+to ``(mean, variance)`` columns in m^3/hr (or minutes, for the hauling
+demo): :func:`derive` applies them to one scenario, read by the model's
 own feature names, :func:`sample` draws variates from the result, and
-:func:`coverage` applies it to every held-out row, so its sigma and
-interval equal derive's bit for bit.
+:func:`coverage` to every held-out row, so for the same feature row its
+mu, sigma and interval equal derive's bit for bit.
 :func:`compare_pooled_vs_conditioned` fits the deliberately naive
 baseline that ignores conditions, one Gaussian over a labelled sample,
 and quantifies what that pooling costs in variance against a Gaussian
@@ -52,22 +52,34 @@ class GaussianInputModel:
         return math.sqrt(self.variance)
 
 
-def _decode(
-    stats: NormalizationStats, mu_norm: float, s: float
-) -> GaussianInputModel:
-    """Map one normalized ``(mu, s)`` head pair to physical units:
-    ``mean = mu_norm * std_y + mean_y``, ``variance = exp(s) * std_y**2``."""
-    if not (math.isfinite(mu_norm) and math.isfinite(s)):
-        raise NumericalError(
-            f"network produced non-finite output (mu={mu_norm!r}, s={s!r})"
-        )
+def _exp(s: float) -> float:
+    """``math.exp``, but ``inf`` past a float's range, where it raises."""
     try:
-        variance = math.exp(s) * stats.target.std**2
+        return math.exp(s)
     except OverflowError:
-        raise NumericalError(f"predicted variance overflowed (s={s!r})") from None
-    if not math.isfinite(variance):
-        raise NumericalError(f"predicted variance overflowed (s={s!r})")
-    return GaussianInputModel(mean=stats.target.decode(mu_norm), variance=variance)
+        return math.inf
+
+
+def _decode(stats: NormalizationStats, mu_norm: np.ndarray, s: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Map normalized head columns to physical ones: ``mean = mu_norm *
+    std_y + mean_y``, ``variance = exp(s) * std_y**2`` by ``math.exp`` per
+    element (numpy's ``exp`` can differ in the last bit). The first row
+    with a non-finite head, variance or mean is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = stats.target.decode(mu_norm)
+        variance = np.array([_exp(v) for v in s.tolist()]) * stats.target.std**2
+    bad = ~(np.isfinite(s) & np.isfinite(mean) & np.isfinite(variance))
+    if bad.any():
+        i = int(bad.argmax())
+        mu_i, s_i = float(mu_norm[i]), float(s[i])
+        if not (math.isfinite(mu_i) and math.isfinite(s_i)):
+            raise NumericalError(
+                f"network produced non-finite output (mu={mu_i!r}, s={s_i!r})")
+        if not math.isfinite(variance[i]):
+            raise NumericalError(f"predicted variance overflowed (s={s_i!r})")
+        GaussianInputModel(float(mean[i]), float(variance[i]))  # refuses mean
+    return mean, variance
 
 
 def derive(
@@ -89,8 +101,8 @@ def derive(
     x = stats.encode_features(
         {c.name: check_value(c.name, c.kind, values[c.name])
          for c in stats.features})
-    mu_norm, s = forward_batch(params, x[None, :])
-    return _decode(stats, float(mu_norm[0]), float(s[0]))
+    (mean,), (variance,) = _decode(stats, *forward_batch(params, x[None, :]))
+    return GaussianInputModel(mean=float(mean), variance=float(variance))
 
 
 def _polar_normals(rng: random.Random, n: int) -> list[float]:
@@ -116,47 +128,40 @@ def sample(model: GaussianInputModel, seed: int, n: int) -> list[float]:
     return [model.mean + std * z for z in _polar_normals(rng, n)]
 
 
-def confidence_interval(
-    model: GaussianInputModel, level: float
-) -> tuple[float, float]:
-    """Central interval ``mean -+ z*sigma`` at one of the supported levels."""
+def confidence_interval(mean, std, level: float):
+    """``mean -+ z*std``, scalars or columns, at a level of :data:`Z_VALUES`."""
     if level not in Z_VALUES:
         supported = ", ".join(str(k) for k in sorted(Z_VALUES))
         raise DataError(f"unsupported level {level!r}; pick one of {supported}")
-    half_width = Z_VALUES[level] * model.std
-    return model.mean - half_width, model.mean + half_width
+    half_width = Z_VALUES[level] * std
+    return mean - half_width, mean + half_width
 
 
-@dataclass(frozen=True)
-class CoveragePoint:
-    observed: float
-    mu: float
-    sigma: float
-    lo: float
-    hi: float
+@dataclass(frozen=True, eq=False)
+class CoverageReport:
+    """Per-row columns of a held-out set, in physical units: the observed
+    target, and the predicted mean, sigma and central interval."""
+
+    observed: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     @property
-    def covered(self) -> bool:
-        return self.lo <= self.observed <= self.hi
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Per-point interval hits plus the aggregate coverage fraction."""
-
-    points: tuple[CoveragePoint, ...]
-    level: float
+    def covered(self) -> np.ndarray:
+        return (self.lo <= self.observed) & (self.observed <= self.hi)
 
     @property
     def coverage_fraction(self) -> float:
-        return sum(p.covered for p in self.points) / len(self.points)
+        return np.count_nonzero(self.covered) / self.observed.size
 
     def to_csv(self, header_comments: Sequence[str] = ()) -> str:
         """Plot-data CSV: one row per test point, covered flag as 0/1."""
-        return csv_text(
-            header_comments, ("observed", "mu", "sigma", "lo", "hi", "covered"),
-            ((p.observed, p.mu, p.sigma, p.lo, p.hi, int(p.covered))
-             for p in self.points))
+        columns = (self.observed, self.mu, self.sigma, self.lo, self.hi,
+                   self.covered.astype(int))
+        return csv_text(header_comments, ("observed", "mu", "sigma", "lo",
+                        "hi", "covered"), zip(*(c.tolist() for c in columns)))
 
 
 def coverage(
@@ -178,19 +183,10 @@ def coverage(
         )
     if test.n == 0:
         raise DataError("test dataset is empty")
-    mu_norm, s = forward_batch(params, test.X)
-    points = []
-    for i in range(test.n):
-        model = _decode(stats, float(mu_norm[i]), float(s[i]))
-        lo, hi = confidence_interval(model, level)
-        points.append(CoveragePoint(
-            observed=stats.target.decode(float(test.y[i])),
-            mu=model.mean,
-            sigma=model.std,
-            lo=lo,
-            hi=hi,
-        ))
-    return CoverageReport(points=tuple(points), level=level)
+    mean, variance = _decode(stats, *forward_batch(params, test.X))
+    sigma = np.sqrt(variance)
+    return CoverageReport(stats.target.decode(test.y), mean, sigma,
+                          *confidence_interval(mean, sigma, level))
 
 
 def compare_pooled_vs_conditioned(

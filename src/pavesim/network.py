@@ -174,15 +174,17 @@ def _forward_cached(params: NetworkParams, X: np.ndarray):
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predicted (mu, s) arrays for a batch of normalized feature rows; an
-    overflow is silent, for the caller to refuse."""
+    overflow is silent, for the caller to refuse. Rows run as a stack of
+    one-row matrices, each multiplied as a lone row is, so no row's bits
+    depend on its batch, as in one ``n``-row BLAS product they would."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DataError(
             f"expected shape (n, {params.input_dim}), got {X.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        _, activations = _forward_cached(params, X)
-    out = activations[-1]
+        _, activations = _forward_cached(params, X[:, None, :])
+    out = activations[-1][:, 0]
     return out[:, MU_HEAD], out[:, S_HEAD]
 
 

@@ -16,8 +16,8 @@ on load, so files carrying an audit header round-trip cleanly.
 A column's kind comes from its name alone (:func:`kind_of`), in any
 header order; a table stores no kinds of its own. ``Congestion`` and
 ``Spreader`` are boolean, the :data:`LABEL_COLUMNS` and ``Condition`` are
-categorical, and every other column is numeric; :func:`read_csv` reads a
-join key as text and holds each boolean cell to 0 or 1. The
+categorical, and every other column is numeric; :func:`read_csv` reads as
+text a column it is told not to parse, and holds booleans to 0 or 1. The
 :data:`NOT_DATA` names are never features, and every other column but
 the target is one. A scenario value is checked by its name too
 (:func:`check_value`): ``Humidity`` lies in [0, 100], ``AirEntrainment``
@@ -288,11 +288,11 @@ def write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def read_csv(stream: io.TextIOBase, key: str | None = None) -> RecordTable:
+def read_csv(stream: io.TextIOBase, parse=lambda name: True) -> RecordTable:
     """Parse an open text stream; ``#`` lines and blank lines are skipped
-    anywhere, row numbers count table rows, and each column's kind is
-    :func:`kind_of` its name, but the `key` column is text. A stream with
-    no header row is refused by the name of its file, if it has one."""
+    anywhere, row numbers count table rows, and a column is of the kind
+    :func:`kind_of` its name if `parse` accepts that name, else text. A
+    stream with no header row is refused by the name of its file, if any."""
     # csv.reader yields [] for a blank line, which is never data: csv_text
     # writes a row of one empty cell as "".
     reader = filter(None, csv.reader(without_comments(stream)))
@@ -302,7 +302,7 @@ def read_csv(stream: io.TextIOBase, key: str | None = None) -> RecordTable:
         source = getattr(stream, "name", "stream")
         raise DataError(f"file has no header row: {source}") from None
     header = tuple(h.strip() for h in header)
-    kinds = tuple(CATEGORICAL if name == key else kind_of(name)
+    kinds = tuple(kind_of(name) if parse(name) else CATEGORICAL
                   for name in header)
     rows = []
     for i, raw in enumerate(reader):
@@ -317,10 +317,10 @@ def read_csv(stream: io.TextIOBase, key: str | None = None) -> RecordTable:
     return RecordTable(header, tuple(rows))
 
 
-def load_csv(path: str | Path, key: str | None = None) -> RecordTable:
+def load_csv(path: str | Path, parse=lambda name: True) -> RecordTable:
     """Load a CSV file into a :class:`RecordTable` by :func:`read_csv`."""
     with open_text(path) as stream:
-        return read_csv(stream, key)
+        return read_csv(stream, parse)
 
 
 def _field(value) -> str:

@@ -700,18 +700,44 @@ def test_derive_labels_with_csv_syntax_read_back(model_file, tmp_path):
     assert load_csv(out).column_values("scenario") == ["a,b", 'say "hi"', "#1"]
 
 
-def test_derive_parses_every_column_of_the_scenario_file(model_file, tmp_path,
-                                                        capsys):
-    # derive reads only the model's features, but load parses each column
-    # by its name's kind, so a text column the model never reads is refused
-    scen = tmp_path / "scen.csv"
-    lines = SCENARIO_CSV.splitlines()
-    scen.write_text(f"{lines[0]},Site\n{lines[1]},north\n")
-    rc = cli.main(["derive", "--model", str(model_file), "--scenarios",
-                   str(scen)])
-    assert rc == 1
-    assert capsys.readouterr() == (
-        "", "error: cell 'north' in row 0, column 'Site' is not numeric\n")
+def test_derive_and_evaluate_skip_a_text_column_they_never_read(
+        model_file, raw_csv, tmp_path):
+    # load parsed each column by its name's kind, so a Notes column of
+    # "ok", which neither command reads, failed both with "cell 'ok' in
+    # row 0, column 'Notes' is not numeric"
+    lines = raw_csv.read_text().splitlines(keepends=True)
+    first = len([line for line in lines if line.startswith("#")])
+    noted = tmp_path / "notes.csv"
+    noted.write_text("".join(lines[:first]) + "".join(
+        line.replace("\n", ",Notes\n" if i == 0 else ",ok\n")
+        for i, line in enumerate(lines[first:])))
+    bodies = {}
+    for data in (raw_csv, noted):
+        for command, flag in (("evaluate", "--data"), ("derive", "--scenarios")):
+            out = tmp_path / f"{command}.csv"
+            assert cli.main([command, "--model", str(model_file), flag,
+                             str(data), "--out", str(out)]) == 0
+            bodies.setdefault(command, []).append(non_comment_lines(out))
+    assert bodies["evaluate"][0] == bodies["evaluate"][1]
+    assert bodies["derive"][0] == bodies["derive"][1]
+
+
+def test_evaluate_and_derive_agree_bit_for_bit_on_every_row(
+        model_file, raw_csv, tmp_path):
+    # evaluate ran its rows as one BLAS batch and derive each row alone,
+    # and a row rounds otherwise in a batch: mu and sigma differed in the
+    # last bits of some rows
+    cov, der = tmp_path / "c.csv", tmp_path / "d.csv"
+    assert cli.main(["evaluate", "--model", str(model_file), "--data",
+                     str(raw_csv), "--out", str(cov)]) == 0
+    assert cli.main(["derive", "--model", str(model_file), "--scenarios",
+                     str(raw_csv), "--out", str(der)]) == 0
+    evaluated = list(csv.DictReader(non_comment_lines(cov)))
+    derived = list(csv.DictReader(non_comment_lines(der)))
+    assert len(evaluated) == len(derived) == 200
+    for e, d in zip(evaluated, derived):
+        assert float(e["mu"]) == float(d["mean"])
+        assert float(e["sigma"]) == np.sqrt(float(d["variance"]))
 
 
 def test_derive_rejects_empty_scenario_file(model_file, tmp_path, capsys):

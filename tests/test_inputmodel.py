@@ -12,7 +12,7 @@ from pavesim.adapter import (
 )
 from pavesim.errors import DataError, NumericalError
 from pavesim.inputmodel import (
-    CoveragePoint,
+    CoverageReport,
     GaussianInputModel,
     Z_VALUES,
     compare_pooled_vs_conditioned,
@@ -131,14 +131,14 @@ class TestSample:
         draws = np.array(sample(model, 17, 10**5))
         # 4-sigma CLT band on the sample mean
         assert abs(draws.mean() - 90.0) < 4 * 5.0 / math.sqrt(10**5)
-        lo, hi = confidence_interval(model, 0.95)
+        lo, hi = confidence_interval(model.mean, model.std, 0.95)
         frac = float(np.mean((draws >= lo) & (draws <= hi)))
         assert 0.94 < frac < 0.96
 
 
 class TestConfidenceInterval:
     def test_fixture_interval(self):
-        lo, hi = confidence_interval(GaussianInputModel(86.79, 25.0), 0.95)
+        lo, hi = confidence_interval(86.79, 5.0, 0.95)
         assert (lo, hi) == (76.99000000000001, 96.59)
         # the fixture happens to subtract back exactly
         assert (86.79 - lo) == (hi - 86.79)
@@ -151,7 +151,7 @@ class TestConfidenceInterval:
             mean = float(rng.normal(0, 1) * 10 ** rng.uniform(-3, 3))
             std = float(abs(rng.normal(0, 1)) * 10 ** rng.uniform(-3, 3))
             model = GaussianInputModel(mean, std * std)
-            lo, hi = confidence_interval(model, 0.95)
+            lo, hi = confidence_interval(model.mean, model.std, 0.95)
             half = Z_VALUES[0.95] * model.std
             slack = 4 * EPS * (abs(mean) + half)
             assert abs((mean - lo) - (hi - mean)) <= slack
@@ -161,17 +161,17 @@ class TestConfidenceInterval:
         model = GaussianInputModel(10.0, 4.0)
         widths = {}
         for level, z in Z_VALUES.items():
-            lo, hi = confidence_interval(model, level)
+            lo, hi = confidence_interval(model.mean, model.std, level)
             widths[level] = hi - lo
             assert widths[level] == pytest.approx(2 * z * 2.0, rel=1e-12)
         assert widths[0.90] < widths[0.95] < widths[0.99]
 
     def test_zero_variance_interval_is_a_point(self):
-        assert confidence_interval(GaussianInputModel(7.0, 0.0), 0.95) == (7.0, 7.0)
+        assert confidence_interval(7.0, 0.0, 0.95) == (7.0, 7.0)
 
     def test_unsupported_level(self):
         with pytest.raises(DataError, match="unsupported level"):
-            confidence_interval(GaussianInputModel(0.0, 1.0), 0.5)
+            confidence_interval(0.0, 1.0, 0.5)
 
 
 def unit_dataset(y_values):
@@ -191,10 +191,9 @@ class TestCoverage:
         ds, stats = unit_dataset([0.0, 1.0, 5.0])
         report = coverage(constant_head_net(1, 0.0, 0.0), stats, ds, 0.95)
         assert report.coverage_fraction == pytest.approx(2.0 / 3.0)
-        assert [p.covered for p in report.points] == [True, True, False]
-        point = report.points[0]
-        assert (point.lo, point.hi) == (-1.96, 1.96)
-        assert point.sigma == 1.0
+        assert report.covered.tolist() == [True, True, False]
+        assert (report.lo[0], report.hi[0]) == (-1.96, 1.96)
+        assert report.sigma.tolist() == [1.0] * 3
 
     def test_everything_covered(self):
         ds, stats = unit_dataset([0.0, 0.5, -0.5])
@@ -239,28 +238,56 @@ class TestCoverage:
         with pytest.raises(NumericalError, match="overflowed"):
             coverage(constant_head_net(1, 0.0, 800.0), stats, ds, 0.95)
 
+    @pytest.mark.parametrize("rows, error, message", [
+        ([[0.0, 0.0], [0.0, 8e-298], [0.0, 1e10]], NumericalError,
+         r"^predicted variance overflowed \(s=800\.0\d*\)$"),
+        ([[0.0, 0.0], [0.0, 1e10], [0.0, 8e-298]], NumericalError,
+         r"^network produced non-finite output \(mu=0\.0, s=inf\)$"),
+        ([[0.0, 0.0], [1e8, 0.0], [0.0, 1e10]], DataError,
+         r"^mean must be a finite number, got inf$"),
+    ], ids=["variance", "head", "mean"])
+    def test_refuses_the_first_bad_row(self, rows, error, message):
+        # mu = 1e300 * a and s = 1e300 * b, with std_y 10: row 1 is the
+        # first bad row, whatever fails in row 2
+        stats = NormalizationStats(
+            features=(ColumnStats("A", NUMERIC, 0.0, 1.0),
+                      ColumnStats("B", NUMERIC, 0.0, 1.0)),
+            target=ColumnStats("Y", NUMERIC, 0.0, 10.0))
+        ds = Dataset(X=np.array(rows), y=np.zeros(3), norm_stats=stats)
+        net = NetworkParams(weights=[np.diag([1e300, 1e300])],
+                            biases=[np.zeros(2)])
+        with pytest.raises(error, match=message):
+            coverage(net, stats, ds, 0.95)
+
     def test_points_equal_derive_bit_for_bit(self):
-        # A one-row test set gives coverage and derive the same forward
-        # pass on the same encoded row, so only their decodes could
-        # differ. An untrained net spreads the log-variances enough that
-        # a second rounding of sigma (sqrt(exp(s)) * std in place of
-        # sqrt(exp(s) * std**2)) shows in the last bits of some rows.
+        # Coverage runs the whole table as one batch and derive one row
+        # at a time, so both the forward pass and the decode must not
+        # depend on the batch. An untrained net spreads the log-variances
+        # enough that a second rounding of sigma (sqrt(exp(s)) * std in
+        # place of sqrt(exp(s) * std**2)), or np.exp in place of math.exp,
+        # shows in the last bits of some rows.
         table = generate_paving_dataset(200, 11)
         stats = encode_and_normalize(table, "Productivity").norm_stats
         net = init_network(NetworkConfig(input_dim=9, hidden_widths=(8,),
                                          seed=4))
-        for row in table.rows:
-            mapping = dict(zip(table.column_names, row))
-            model = derive(net, mapping, stats)
-            one_row = dataset_with_stats(table.with_rows((row,)), stats)
-            for level in Z_VALUES:
-                (point,) = coverage(net, stats, one_row, level).points
-                assert (point.mu, point.sigma) == (model.mean, model.std)
-                assert (point.lo, point.hi) == confidence_interval(model, level)
+        models = [derive(net, dict(zip(table.column_names, row)), stats)
+                  for row in table.rows]
+        for level in Z_VALUES:
+            report = coverage(net, stats, dataset_with_stats(table, stats),
+                              level)
+            for i, model in enumerate(models):
+                assert (report.mu[i], report.sigma[i]) == (model.mean,
+                                                           model.std)
+                assert (report.lo[i], report.hi[i]) == confidence_interval(
+                    model.mean, model.std, level)
 
     def test_point_covered_is_inclusive(self):
-        point = CoveragePoint(observed=1.0, mu=0.0, sigma=1.0, lo=-1.0, hi=1.0)
-        assert point.covered
+        # an observation on either end of its interval is covered
+        report = CoverageReport(
+            observed=np.array([-1.0, 1.0]), mu=np.zeros(2), sigma=np.ones(2),
+            lo=np.full(2, -1.0), hi=np.ones(2))
+        assert report.covered.tolist() == [True, True]
+        assert report.coverage_fraction == 1.0
 
 
 def compare(samples):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pavesim.adapter import encode_and_normalize, split
 from pavesim.errors import DataError, NumericalError, TrainingDivergedError
@@ -134,6 +135,35 @@ def test_forward_batch_heads_are_columns():
     mu, s = forward_batch(affine_net(), np.array([[0.0], [1.0], [4.0]]))
     assert mu.tolist() == [1.0, 3.0, 9.0]
     assert s.tolist() == [0.0, 0.0, 0.0]
+
+
+def one_row_forward(params, x):
+    """The (mu, s) of one row, as a literal chain of 1 x k products."""
+    a = x[None, :]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ w + b
+        if i < params.num_layers - 1:
+            a = np.maximum(a, 0.0)
+    return a[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(widths=st.lists(st.integers(1, 80), min_size=1, max_size=4),
+       n=st.integers(1, 2500), seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_batch_rows_equal_one_row_products(widths, n, seed):
+    # One n-row BLAS product picks its kernel and summation order by n, so
+    # a row rounded otherwise in a batch than alone, and evaluate's batch
+    # and derive's single rows disagreed in the last bits. A numpy that
+    # fused a stack of row products into one such product fails here.
+    rng = np.random.default_rng(seed)
+    dims = list(zip(widths, widths[1:] + [2]))
+    params = NetworkParams([rng.normal(size=d) for d in dims],
+                           [rng.normal(size=d[1]) for d in dims])
+    X = rng.normal(size=(n, widths[0]))
+    got = np.stack(forward_batch(params, X), axis=1)
+    want = np.array([one_row_forward(params, x) for x in X])
+    differ = np.count_nonzero((got != want).any(axis=1))
+    assert got.tobytes() == want.tobytes(), f"{differ} of {n} rows differ"
 
 
 def test_forward_input_validation():

@@ -12,11 +12,14 @@ kernels that ``train``, ``evaluate`` and ``derive`` go through.
 Every artifact and every stdout log must be identical, except the entries
 of :data:`DECLARED`: changes made on purpose, each checked exactly. The
 reference build also trains on the raw CSV (:data:`REFERENCE_STAGES`), a
-path ``src`` no longer has; that model's body must equal ``src``'s.
+path ``src`` no longer has; that model's body must equal ``src``'s. And
+``src`` alone derives every row of the raw CSV (:data:`SRC_STAGES`): each
+must equal that row of ``evaluate``'s coverage CSV bit for bit.
 """
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -124,6 +127,12 @@ REFERENCE_STAGES = [
     ("train_raw", ["train", "--data", "d.csv", "--seed", "13",
                    "--split-seed", "12", "--epochs", "4", "--hidden", "6,6",
                    "--out", "m_raw.model"]),
+]
+#: Stages only ``src`` runs: ``derive`` on every row that ``evaluate_raw``
+#: scores (the reference build's two disagree in the last bits).
+SRC_STAGES = [
+    ("derive_raw", ["derive", "--model", "m.model", "--scenarios", "d.csv",
+                    "--out", "der_raw.csv"]),
 ]
 ARTIFACTS = ("d.csv", "ds.json", "rep.json", "m.model", "cov.csv",
              "cov_raw.csv", "der.csv", "sim.csv", "sim_scenario.csv",
@@ -244,10 +253,12 @@ DECLARED = {
     name: ("one decode for evaluate and derive: sigma is "
            "sqrt(exp(s) * std**2), where the reference computes "
            "sqrt(exp(s)) * std, so sigma, lo and hi move in their last bits; "
-           "and evaluate scores the model's own target, so its audit header "
-           "loses the --target flag",
+           "one forward pass too: each row runs alone, where the reference "
+           "runs the test set as one BLAS batch, so mu moves in its last "
+           "bits as well; and evaluate scores the model's own target, so its "
+           "audit header loses the --target flag",
            after_replacing("# target = Productivity\n", "",
-                           only_columns_differ({"sigma", "lo", "hi"})))
+                           only_columns_differ({"mu", "sigma", "lo", "hi"})))
     for name in ("cov.csv", "cov_raw.csv")
 }
 DECLARED.update({
@@ -289,7 +300,8 @@ def run_builds(tmp_path):
                MKL_NUM_THREADS="1")
     procs = {}
     for build, path in BUILDS.items():
-        stages = STAGES + (REFERENCE_STAGES if build == "reference" else [])
+        stages = STAGES + (REFERENCE_STAGES if build == "reference"
+                           else SRC_STAGES)
         workdir = tmp_path / build
         workdir.mkdir()
         for name, text in INPUTS.items():
@@ -320,3 +332,10 @@ def test_artifacts_match_the_reference_build(tmp_path):
     # training on adapt's split is training on the CSV with that split seed
     assert (body((dirs["reference"] / "m_raw.model").read_text())
             == body((dirs["src"] / "m.model").read_text()))
+    # evaluate and derive give every row of the raw CSV the same bits
+    evaluated = csv_rows((dirs["src"] / "cov_raw.csv").read_text())
+    derived = csv_rows((dirs["src"] / "der_raw.csv").read_text())
+    assert len(evaluated) == len(derived) == 300
+    for e, d in zip(evaluated, derived):
+        assert float(e["mu"]) == float(d["mean"])
+        assert float(e["sigma"]) == math.sqrt(float(d["variance"]))

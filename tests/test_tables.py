@@ -117,12 +117,24 @@ def test_read_csv_reads_the_key_column_as_text():
     # a text key was refused as "not numeric" before the join saw it, and
     # keys compare as written: 1 and 1.0 are two keys, and nan one key
     text = "JobId,X\nj0,1\n1,2\n 1.0 ,3\nnan,4\n,5\n"
-    table = read_csv(io.StringIO(text), "JobId")
+    table = read_csv(io.StringIO(text), lambda name: name != "JobId")
     assert table.column_values("JobId") == ["j0", "1", "1.0", "nan", None]
     assert table.column_values("X") == [1.0, 2.0, 3.0, 4.0, 5.0]
     with pytest.raises(DataError, match="cell 'j0' in row 0, column 'JobId' "
                                         "is not numeric"):
         read_csv(io.StringIO(text))
+
+
+def test_read_csv_reads_the_columns_it_does_not_parse_as_text():
+    # a column no command reads is text, whatever its name's kind, so a
+    # note or an out-of-range flag there cannot fail the load; the
+    # columns parsed keep their kinds and their refusals
+    text = "Y,Notes,Congestion,X\n1,ok,2,4\n3,,0.5,x\n"
+    table = read_csv(io.StringIO(text), {"Y"}.__contains__)
+    assert table.rows == ((1.0, "ok", "2", "4"), (3.0, None, "0.5", "x"))
+    with pytest.raises(DataError, match="cell 'x' in row 1, column 'X' is "
+                                        "not numeric"):
+        read_csv(io.StringIO(text), {"Y", "X"}.__contains__)
 
 
 def test_kind_of_reads_the_name_alone():
@@ -287,7 +299,8 @@ def test_read_csv_checks_booleans_by_the_kind_a_cell_is_read_as():
                        r"0\.5 in row 1; only 0 and 1 are allowed$"):
         read_csv(io.StringIO("Congestion\n1\n0.5\n"))
     # a key is read as text, so a boolean name does not hold it to 0 and 1
-    table = read_csv(io.StringIO("Spreader,A\n1,5\n2,6\n"), "Spreader")
+    table = read_csv(io.StringIO("Spreader,A\n1,5\n2,6\n"),
+                     lambda name: name != "Spreader")
     assert table.rows == (("1", 5.0), ("2", 6.0))
 
 
