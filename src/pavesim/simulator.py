@@ -24,7 +24,10 @@ single first-in, first-out server. Only the rates vary between
 replications, so a run builds and checks its load plan once
 (:attr:`SimConfig.plan`: each load's arrival and amount), and a
 replication only draws its rates and runs the Lindley recursion of
-:func:`run_replication` over that plan. :func:`run_monte_carlo` keeps each
+:func:`run_replication` over that plan. Its per-load work runs in C
+builtins: the sampler draws by array from 112 variates on, and the
+recursion is one conditional and one add per load, with the durations
+divided out before it. :func:`run_monte_carlo` keeps each
 replication's completion time, busy fraction and clamp count as the
 columns of a :class:`SimResult`. At a constant rate completion time also
 has a closed form: the first time paving at that rate has placed all the
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import add, lt, truediv
 from typing import Sequence
 
 import numpy as np
@@ -185,9 +190,12 @@ def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
     """Simulate one replication of the paving operation; returns its
     ``(completion_time, busy_fraction, clamp_count)``.
 
-    Over the run's one :attr:`SimConfig.plan` of arrivals ``a_i`` the
-    paver places loads first in, first out, each at the rate sampled for
-    it, so load ``i`` is finished at::
+    The replication makes one :func:`~pavesim.inputmodel.sample` call on
+    ``seed``: one rate per load in ``per_truckload`` mode, one for every
+    load in ``per_replication`` mode. A rate below ``clamp_floor`` is
+    raised to it and counted. Over the run's one :attr:`SimConfig.plan`
+    of arrivals ``a_i`` the paver places loads first in, first out, so
+    load ``i`` is finished at::
 
         f_i = max(a_i, f_{i-1}) + amount_i / rate_i
 
@@ -196,22 +204,27 @@ def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
     load-index order, simultaneous dumps order by truck index ``i % K``
     and so also by load index, and handling a dump before or after a
     parcel finish at the same instant changes no start time, which is
-    always ``max(arrival, previous finish)``.
+    always ``max(arrival, previous finish)``. The loop writes that ``max``
+    as a conditional expression, which keeps its tie rule and saves a
+    call per load. The durations are divided out in one pass first, and
+    busy time is their left-to-right float sum (``sum()`` compensates
+    from Python 3.12 on, so it would change the bits).
     """
     arrivals, amounts = cfg.plan
     per_load = cfg.resample_mode == PER_TRUCKLOAD
     draws = sample(cfg.productivity_source, seed,
                    len(amounts) if per_load else 1)
     floor = cfg.clamp_floor
-    clamp_count = sum(1 for p in draws if p < floor)
-    rates = [max(p, floor) for p in draws] * (1 if per_load else len(amounts))
+    # operator.lt, not floor.__gt__: an int floor returns NotImplemented
+    clamp_count = sum(map(lt, draws, repeat(floor)))
+    rates = list(map(max, draws, repeat(floor))) if clamp_count else draws
+    durations = list(map(truediv, amounts,
+                         rates if per_load else repeat(rates[0])))
 
-    busy_time = now = 0.0
-    for arrival, amount, rate in zip(arrivals, amounts, rates):
-        duration = amount / rate
-        now = max(arrival, now) + duration
-        busy_time += duration
-    return now, busy_time / now, clamp_count
+    now = 0.0
+    for arrival, duration in zip(arrivals, durations):
+        now = (now if now > arrival else arrival) + duration
+    return now, reduce(add, durations, 0.0) / now, clamp_count
 
 
 def run_monte_carlo(

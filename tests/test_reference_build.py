@@ -51,6 +51,15 @@ INPUTS = {
         "clamp_floor": 2.0,
         "scenario": SCENARIOS,
     }),
+    # 500 loads, each with its own draw: above the sampler's bulk cut, and
+    # the floor binds on about a quarter of the draws
+    "fleet.cfg": json.dumps({
+        "total_quantity": 6000, "truck_count": 4, "truck_capacity": 12,
+        "load_time": 0.15, "haul_time": 0.4, "dump_time": 0.1,
+        "return_time": 0.25, "resample_mode": "per_truckload",
+        "clamp_floor": 2.0,
+        "productivity": {"mean": 20.0, "variance": 900.0},
+    }),
 }
 
 # Two keyed sources with blanks, each holding keys the other lacks, and
@@ -108,6 +117,8 @@ STAGES = [
     ("simulate_scenario", ["simulate", "--config", "scenario.cfg",
                            "--model", "m.model", "--reps", "20",
                            "--seed", "16", "--out", "sim_scenario.csv"]),
+    ("simulate_fleet", ["simulate", "--config", "fleet.cfg", "--reps", "30",
+                        "--seed", "17", "--out", "sim_fleet.csv"]),
     ("mixture_demo", ["mixture-demo", "--n", "2000", "--seed", "15",
                       "--out", "mix.csv", "--samples-out", "mixsamp.csv"]),
     ("adapt_join", ["adapt", "--data", "a.csv", "--data", "b.csv",
@@ -136,9 +147,9 @@ SRC_STAGES = [
 ]
 ARTIFACTS = ("d.csv", "ds.json", "rep.json", "m.model", "cov.csv",
              "cov_raw.csv", "der.csv", "sim.csv", "sim_scenario.csv",
-             "mix.csv", "mixsamp.csv", "ds_join.json", "rep_join.json",
-             "ds_impute.json", "rep_impute.json", "ds_drop.json",
-             "rep_drop.json")
+             "sim_fleet.csv", "mix.csv", "mixsamp.csv", "ds_join.json",
+             "rep_join.json", "ds_impute.json", "rep_impute.json",
+             "ds_drop.json", "rep_drop.json")
 
 #: Runs every stage in one process and writes each stage's stdout to
 #: ``<name>.log``; argv: the directory pavesim must come from, the stages.

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pavesim import simulator
 from pavesim.errors import DataError, NumericalError, check_record
@@ -11,6 +11,7 @@ from pavesim.simulator import (
     MAX_TRUCKLOADS,
     PER_REPLICATION,
     PER_TRUCKLOAD,
+    RESAMPLE_MODES,
     SimConfig,
     SimResult,
     replication_seed,
@@ -296,6 +297,56 @@ def test_busy_time_sums_parcel_times_under_varying_rates():
         truckload_amounts(cfg), clamped_rates(cfg, 11, cfg.truckloads)))
     busy_hours = busy_fraction * completion_time
     assert busy_hours == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def replication_configs(draw):
+    """SimConfigs of 1 to 300 loads with a partial closing load, in both
+    resample modes, with float or int fields as JSON gives them: an int
+    capacity may lie above 2^53, and an int clamp floor may bind."""
+    loads = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        capacity = draw(st.integers(1, 40) | st.integers(2**53, 2**60))
+        partial = draw(st.integers(1, capacity))
+    else:
+        capacity = draw(st.floats(0.25, 40.0))
+        partial = capacity * draw(st.floats(0.01, 1.0))
+    legs = draw(st.lists(st.integers(1, 3) | st.floats(0.01, 1.0),
+                         min_size=4, max_size=4))
+    return SimConfig(
+        total_quantity=capacity * (loads - 1) + partial,
+        truck_count=draw(st.integers(1, 9)), truck_capacity=capacity,
+        load_time=legs[0], haul_time=legs[1], dump_time=legs[2],
+        return_time=legs[3],
+        productivity_source=GaussianInputModel(
+            draw(st.sampled_from([5, 20.0, 55.0])),
+            draw(st.sampled_from([0.0, 30.0, 900]))),
+        resample_mode=draw(st.sampled_from(RESAMPLE_MODES)),
+        clamp_floor=draw(st.sampled_from([1.0, 2, 20, 20.5])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=replication_configs(), seed=st.integers(0, 2**64 + 7))
+@example(cfg=SimConfig(6000, 4, 12, 0.15, 0.4, 0.1, 0.25,
+                       GaussianInputModel(20.0, 900.0), PER_TRUCKLOAD, 2.0),
+         seed=17)
+@example(cfg=SimConfig(3 * (2**53 + 1) + 5, 2, 2**53 + 1, 1, 1, 1, 1,
+                       GaussianInputModel(5, 30.0), PER_REPLICATION, 20),
+         seed=2**64 + 7)
+def test_replication_is_the_literal_per_load_loop(cfg, seed):
+    arrivals, amounts = cfg.plan
+    per_load = cfg.resample_mode == PER_TRUCKLOAD
+    n = len(amounts) if per_load else 1
+    rates = clamped_rates(cfg, seed, n)
+    if not per_load:
+        rates = rates * len(amounts)
+    now = busy = 0.0
+    for arrival, amount, rate in zip(arrivals, amounts, rates):
+        now = max(arrival, now) + amount / rate
+        busy += amount / rate
+    clamps = sum(p < cfg.clamp_floor
+                 for p in sample(cfg.productivity_source, seed, n))
+    assert run_replication(cfg, seed) == (now, busy / now, clamps)
 
 
 # ------------------------------------------------------------ stochastic
