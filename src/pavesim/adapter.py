@@ -5,6 +5,9 @@ a pure value-in/value-out transformation, so the whole chain is safe to
 run concurrently on distinct inputs and is deterministic given its seeds.
 Steps work a column at a time: clean counts, imputes and fences each
 data column, and both encoders read their columns through one reader.
+The join works a key at a time in C builtins: a dict of each table's keys
+to row numbers, matched in the first table's key order, and each joined
+row gathered from its source rows by one ``itemgetter``.
 
 A column's kind comes from its name (:func:`pavesim.tables.kind_of`);
 its role is decided here, once. The join key names rows, so the join
@@ -25,8 +28,10 @@ Conventions, pinned so results are exactly reproducible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from itertools import compress
-from typing import Mapping, Sequence
+from operator import add, itemgetter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -189,37 +194,54 @@ def join_sources(tables: Sequence[RecordTable], key_column: str) -> tuple[Record
     """
     if not tables:
         raise DataError("join_sources needs at least one table")
+    key_rows = [_key_index(table, t, key_column)  # per table, key -> row number
+                for t, table in enumerate(tables)]
 
-    key_rows = []  # per table, key -> row number
-    for t, table in enumerate(tables):
-        index: dict[object, int] = {}
-        for i, key in enumerate(table.column_values(key_column)):
-            if key is None:
-                raise DataError(f"blank key in row {i} of table {t} "
-                                f"column {key_column!r}")
-            if key in index:
-                raise DataError(
-                    f"duplicate key {key!r} in table {t} column {key_column!r}"
-                )
-            index[key] = i
-        key_rows.append(index)
-
-    picks = [(t, c) for t, table in enumerate(tables)  # (table, column)
-             for c, name in enumerate(table.column_names) if name != key_column]
-    names = tuple(tables[t].column_names[c] for t, c in picks)
+    header = sum((table.column_names for table in tables), ())
+    picks = [i for i, name in enumerate(header) if name != key_column]
+    names = tuple(header[i] for i in picks)
     for i, name in enumerate(names):
         if name in names[:i]:
             raise DataError(f"column {name!r} appears in more than one table")
 
-    rows = []
-    for key in key_rows[0]:  # first table's key order
-        if all(key in index for index in key_rows[1:]):
-            sources = [table.rows[index[key]]
-                       for table, index in zip(tables, key_rows)]
-            rows.append(tuple(sources[t][c] for t, c in picks))
+    keys = list(key_rows[0])  # first table's key order
+    for index in key_rows[1:]:
+        keys = list(filter(index.__contains__, keys))
+    sources = [map(table.rows.__getitem__, map(index.__getitem__, keys))
+               for table, index in zip(tables, key_rows)]
+    # per key, its source rows end to end, and of those the picked cells
+    rows = tuple(map(_picker(picks), reduce(partial(map, add), sources)))
 
-    dropped = sum(t.num_rows for t in tables) - len(tables) * len(rows)
-    return RecordTable(names, tuple(rows)), dropped
+    dropped = sum(t.num_rows for t in tables) - len(tables) * len(keys)
+    return RecordTable(names, rows), dropped
+
+
+def _key_index(table: RecordTable, t: int, key_column: str) -> dict[object, int]:
+    """Each key of table number `t` mapped to its row number. A blank or
+    repeated key is refused, the first in row order."""
+    keys = table.column_values(key_column)
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) < len(keys) or None in index:
+        seen = set()
+        for i, key in enumerate(keys):
+            if key is None:
+                raise DataError(f"blank key in row {i} of table {t} "
+                                f"column {key_column!r}")
+            if key in seen:
+                raise DataError(
+                    f"duplicate key {key!r} in table {t} column {key_column!r}"
+                )
+            seen.add(key)
+    return index
+
+
+def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A C function from a row to the tuple of its cells at `positions`;
+    ``itemgetter`` gives one cell bare, so one position or none is a slice."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
 
 
 def iqr_fences(values: Sequence[float], multiplier: float) -> tuple[float, float]:

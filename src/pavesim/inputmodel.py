@@ -228,9 +228,16 @@ def coverage(
         )
     if test.n == 0:
         raise DataError("test dataset is empty")
+    with np.errstate(over="ignore"):
+        observed = stats.target.decode(test.y)
+    finite = np.isfinite(observed)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise DataError(f"observed target in row {i} ({float(test.y[i])!r} "
+                        "normalized) overflows a float when decoded")
     mean, variance = _decode(stats, *forward_batch(params, test.X))
     sigma = np.sqrt(variance)
-    return CoverageReport(stats.target.decode(test.y), mean, sigma,
+    return CoverageReport(observed, mean, sigma,
                           *confidence_interval(mean, sigma, level))
 
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pavesim.adapter import (
     CleanPolicy,
@@ -124,6 +125,72 @@ def test_join_clashing_column_name_rejected():
 def test_join_empty_list_rejected():
     with pytest.raises(DataError):
         join_sources([], "JobId")
+
+
+def join_oracle(tables, key):
+    """The inner join a key at a time: the column names, the rows in the
+    first table's key order and the count of rows dropped, or the text of
+    the first error."""
+    by_key = []
+    for t, table in enumerate(tables):
+        k = table.column_names.index(key)
+        rows = {}
+        for i, row in enumerate(table.rows):
+            if row[k] is None:
+                return f"blank key in row {i} of table {t} column {key!r}"
+            if row[k] in rows:
+                return f"duplicate key {row[k]!r} in table {t} column {key!r}"
+            rows[row[k]] = row
+        by_key.append(rows)
+    names = []
+    for table in tables:
+        for name in table.column_names:
+            if name != key:
+                if name in names:
+                    return f"column {name!r} appears in more than one table"
+                names.append(name)
+    joined = []
+    for value in by_key[0]:
+        if all(value in rows for rows in by_key):
+            cells = []
+            for table, rows in zip(tables, by_key):
+                for name, cell in zip(table.column_names, rows[value]):
+                    if name != key:
+                        cells.append(cell)
+            joined.append(tuple(cells))
+    dropped = sum(len(t.rows) for t in tables) - len(tables) * len(joined)
+    return tuple(names), tuple(joined), dropped
+
+
+KEYS = ("k0", "k1", "k2", "k3", "k4", "k5")
+#: Mostly distinct keys; now and then a blank or a repeat.
+KEY_LISTS = (st.lists(st.sampled_from(KEYS), unique=True, max_size=6)
+             | st.lists(st.sampled_from((*KEYS, None)), max_size=6))
+
+
+@st.composite
+def keyed_tables(draw):
+    names = draw(st.lists(st.sampled_from(("A", "B", "C", "D", "E")),
+                          unique=True, max_size=3))
+    names = draw(st.permutations(["JobId", *names]))  # the key anywhere
+    keys = draw(KEY_LISTS)
+    cells = st.none() | st.floats(allow_nan=False)
+    rows = [tuple(key if name == "JobId" else draw(cells) for name in names)
+            for key in keys]
+    return RecordTable(tuple(names), tuple(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables=st.lists(keyed_tables(), min_size=1, max_size=3))
+def test_join_is_the_per_key_loop(tables):
+    expected = join_oracle(tables, "JobId")
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as info:
+            join_sources(tables, "JobId")
+        assert str(info.value) == expected
+        return
+    joined, dropped = join_sources(tables, "JobId")
+    assert (joined.column_names, joined.rows, dropped) == expected
 
 
 # ---------------------------------------------------------------- clean

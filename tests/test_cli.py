@@ -271,6 +271,18 @@ def test_adapt_refuses_a_csv_of_the_target_alone(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_adapt_names_the_repeated_column(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text("Productivity,Slump,Slump\n60,3.5,4.0\n70,4.0,4.5\n")
+    out = tmp_path / "ds.json"
+    rc = cli.main(["adapt", "--data", str(data), "--seed", "1", "--out",
+                   str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: column names must be unique: 'Slump' repeats\n")
+    assert not out.exists()
+
+
 def test_adapt_reads_a_csv_with_a_trailing_blank_line(tmp_path, capsys):
     data = tmp_path / "x.csv"
     data.write_text("Y,X\n1,5\n2,5\n3,5\n4,5\n5,6\n\n")

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,21 @@ class TestCoverage:
             coverage(net, other, ds, 0.95)
         with pytest.raises(DataError, match="unsupported level"):
             coverage(net, stats, ds, 0.8)
+
+    def test_refuses_a_target_that_overflows_when_decoded(self):
+        # a dataset file may hold any finite normalized target; decoding
+        # 1e308 with std_y 10 overflowed with a numpy warning
+        stats = NormalizationStats(
+            features=(ColumnStats("X", NUMERIC, 0.0, 1.0),),
+            target=ColumnStats("Y", NUMERIC, 0.0, 10.0))
+        ds = Dataset(X=np.zeros((3, 1)), y=np.array([0.0, 1e308, -1e308]),
+                     norm_stats=stats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^observed target in row 1 "
+                               r"\(1e\+308 normalized\) overflows a float "
+                               r"when decoded$"):
+                coverage(constant_head_net(1, 0.0, 0.0), stats, ds, 0.95)
 
     def test_overflowing_variance_raises(self):
         ds, stats = unit_dataset([0.0])

@@ -1,4 +1,5 @@
 import codecs
+import csv
 import io
 import json
 import math
@@ -6,9 +7,11 @@ import re
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pavesim import tables as tables_module
 from pavesim.errors import DataError
 from pavesim.tables import (
     BOOLEAN,
@@ -17,6 +20,7 @@ from pavesim.tables import (
     PAVING_COLUMNS,
     RecordTable,
     check_value,
+    csv_text,
     json_text,
     kind_of,
     load_csv,
@@ -157,6 +161,19 @@ def test_read_csv_skips_a_blank_line_mid_file():
         read_csv(io.StringIO("Y,X\n1,2\n\n3,4\nx,5\n"))
     with pytest.raises(DataError, match="row 1 has 1 cells"):
         read_csv(io.StringIO("Y,X\n\n1,2\n\n3\n"))
+
+
+def test_read_csv_names_a_bad_cell_before_a_failed_read():
+    # rows are read in blocks; a read that fails within a block must not
+    # hide a fault in the rows read before it
+    def lines(bad):
+        yield "Y,X\n"
+        yield f"1,{bad}\n"
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+    with pytest.raises(DataError, match="cell 'x' in row 0, column 'X'"):
+        read_csv(lines("x"))
+    with pytest.raises(UnicodeDecodeError):
+        read_csv(lines("2"))
 
 
 def test_read_csv_skips_blank_lines_before_the_header():
@@ -414,6 +431,14 @@ CELLS = {
     BOOLEAN: st.sampled_from([None, 0.0, 1.0]),
     CATEGORICAL: CATEGORICAL_CELLS,
 }
+#: The same cells with none missing, and numeric cells that may be numpy
+#: floats, which the writer must not write as ``np.float64(...)``.
+FILLED_CELLS = {
+    NUMERIC: NUMERIC_CELLS.filter(lambda v: v is not None).flatmap(
+        lambda v: st.sampled_from([v, np.float64(v)])),
+    BOOLEAN: st.sampled_from([0.0, 1.0]),
+    CATEGORICAL: CATEGORICAL_CELLS.filter(bool),
+}
 
 
 #: Column names of each kind; a read takes a column's kind from its name.
@@ -425,7 +450,8 @@ def tables(draw):
     names = tuple(draw(st.lists(st.sampled_from(NAMES), min_size=1,
                                 max_size=5, unique=True)))
     kinds = tuple(map(kind_of, names))
-    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=8))
+    cells = draw(st.sampled_from([CELLS, FILLED_CELLS]))
+    rows = draw(st.lists(st.tuples(*(cells[k] for k in kinds)), max_size=8))
     return RecordTable(names, tuple(rows))
 
 
@@ -445,6 +471,114 @@ def test_written_tables_read_back_bit_for_bit(table):
     assert back.num_rows == table.num_rows
     for written, read in zip(table.rows, back.rows):
         assert all(map(same_cell, written, read)), (written, read)
+
+
+def csv_writer_bytes(table, header_comments):
+    """The table through :func:`csv_text`'s ``csv.writer`` path, a boolean
+    cell as an int."""
+    rows = [[int(v) if v is not None and kind == BOOLEAN else v
+             for v, kind in zip(row, table.column_kinds)] for row in table.rows]
+    return csv_text(header_comments, table.column_names, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=tables())
+def test_table_to_csv_writes_the_bytes_of_the_csv_writer(table):
+    # a table of floats alone takes the "%r" fast path; None, text or a
+    # numpy float sends it through csv.writer
+    assert (table_to_csv(table, ("a comment",))
+            == csv_writer_bytes(table, ("a comment",)))
+
+
+# -------------------------------------------------- reader against oracle
+
+#: Column names and the kinds a read gives them, written out here.
+ORACLE_KINDS = {"c0": NUMERIC, "c1": NUMERIC, "Congestion": BOOLEAN,
+                "Spreader": BOOLEAN, "Scenario": CATEGORICAL}
+RAW_CELLS = st.sampled_from([
+    "", "  ", "0", "1", " 1 ", "2", "-0", "-0.0", "nan", "1e999", "-1e999",
+    "3.25", " 0.1 ", "5e-324", "abc", "1,5", '"q"', "1 2", "0x1"])
+#: Every such cell is a valid value of every kind.
+FILLER_CELLS = st.sampled_from(["", "0", "1", " 1 "])
+
+
+def read_csv_oracle(text, parse):
+    """What reading `text` gives, a row at a time: the column names and
+    rows, or the text of the error. Lines that start with "#" and rows
+    with no cell are skipped; each cell is stripped; a blank is None; a
+    text column keeps its text; any other cell must be a float, and a
+    boolean's 0 or 1."""
+    lines = [line for line in io.StringIO(text) if not line.startswith("#")]
+    records = [r for r in csv.reader(lines) if r != []]
+    if not records:
+        return "file has no header row: stream"
+    names = [name.strip() for name in records[0]]
+    rows = []
+    for i, record in enumerate(records[1:]):
+        if len(record) != len(names):
+            return f"row {i} has {len(record)} cells, expected {len(names)}"
+        row = []
+        for cell, name in zip(record, names):
+            cell = cell.strip()
+            kind = ORACLE_KINDS[name] if parse(name) else CATEGORICAL
+            if cell == "":
+                row.append(None)
+                continue
+            if kind == CATEGORICAL:
+                row.append(cell)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                return (f"cell {cell!r} in row {i}, column {name!r} is not "
+                        "numeric")
+            if kind == BOOLEAN and value != 0 and value != 1:
+                return (f"boolean column {name!r} holds {value!r} in row "
+                        f"{i}; only 0 and 1 are allowed")
+            row.append(value)
+        rows.append(tuple(row))
+    return tuple(names), rows
+
+
+def csv_line(cells):
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerow(cells)
+    return body.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_read_csv_gives_what_a_row_at_a_time_reader_gives(data):
+    names = data.draw(st.lists(st.sampled_from(sorted(ORACLE_KINDS)),
+                               min_size=1, max_size=4, unique=True))
+    text_names = data.draw(st.sets(st.sampled_from(names)))
+    width = len(names)
+    row = st.lists(RAW_CELLS, min_size=width, max_size=width)
+    ragged = st.lists(RAW_CELLS, max_size=width + 1)
+    line = st.one_of(row.map(csv_line), ragged.map(csv_line),
+                     st.sampled_from(["# note\n", "\n", "#1,2\n"]))
+    head, tail = (data.draw(st.lists(line, max_size=5)) for _ in range(2))
+    # a run of valid rows puts a fault of the tail in a later block
+    filler = [csv_line(data.draw(st.lists(FILLER_CELLS, min_size=width,
+                                          max_size=width)))]
+    block = tables_module._BLOCK_ROWS
+    filler *= data.draw(st.sampled_from(
+        [0, 1, block - 1, block, block + 1, 2 * block - 1, 3 * block + 5]))
+    text = "".join([data.draw(st.sampled_from(["", "# audit\n", "\n"])),
+                    ",".join(f" {n}" for n in names), "\n",
+                    *head, *filler, *tail])
+    parse = lambda name: name not in text_names
+    expected = read_csv_oracle(text, parse)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as info:
+            read_csv(io.StringIO(text), parse)
+        assert str(info.value) == expected
+        return
+    table = read_csv(io.StringIO(text), parse)
+    assert table.column_names == expected[0]
+    assert len(table.rows) == len(expected[1])
+    for read, want in zip(table.rows, expected[1]):
+        assert type(read) is tuple and all(map(same_cell, want, read))
 
 
 # ------------------------------------------------------- JSON, both ways
