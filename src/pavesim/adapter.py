@@ -388,8 +388,15 @@ def split_indices(n: int, train_fraction: float, seed: int) -> tuple[tuple[int, 
 
     A seeded uniform permutation assigns the first
     ``floor(n * train_fraction)`` indices to the train side; each side is
-    then sorted ascending so row order is stable.
+    then sorted ascending (by ``np.sort``) so row order is stable.
     """
+    train, test = _split_sides(n, train_fraction, seed)
+    return tuple(train.tolist()), tuple(test.tolist())
+
+
+def _split_sides(n: int, train_fraction: float,
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`split_indices` as two sorted index arrays."""
     check_number("train_fraction", train_fraction, above=0, below=1)
     if n < 2:
         raise DataError(f"need at least 2 rows to split, got {n}")
@@ -399,16 +406,14 @@ def split_indices(n: int, train_fraction: float, seed: int) -> tuple[tuple[int, 
             f"train_fraction {train_fraction!r} leaves an empty side for n={n}"
         )
     perm = np.random.default_rng(seed).permutation(n)
-    train = tuple(sorted(int(i) for i in perm[:train_size]))
-    test = tuple(sorted(int(i) for i in perm[train_size:]))
-    return train, test
+    return np.sort(perm[:train_size]), np.sort(perm[train_size:])
 
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded random split into train and test datasets."""
-    train_idx, test_idx = split_indices(ds.n, train_fraction, seed)
-    train = Dataset(ds.X[list(train_idx)], ds.y[list(train_idx)], ds.norm_stats)
-    test = Dataset(ds.X[list(test_idx)], ds.y[list(test_idx)], ds.norm_stats)
+    train_idx, test_idx = _split_sides(ds.n, train_fraction, seed)
+    train = Dataset(ds.X[train_idx], ds.y[train_idx], ds.norm_stats)
+    test = Dataset(ds.X[test_idx], ds.y[test_idx], ds.norm_stats)
     return train, test
 
 

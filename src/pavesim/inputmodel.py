@@ -66,9 +66,13 @@ def _decode(stats: NormalizationStats, mu_norm: np.ndarray, s: np.ndarray
     std_y + mean_y``, ``variance = exp(s) * std_y**2`` by ``math.exp`` per
     element (numpy's ``exp`` can differ in the last bit). The first row
     with a non-finite head, variance or mean is refused."""
+    try:
+        var_y = stats.target.std**2
+    except OverflowError:  # a model file may hold any finite std_y
+        var_y = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         mean = stats.target.decode(mu_norm)
-        variance = np.array([_exp(v) for v in s.tolist()]) * stats.target.std**2
+        variance = np.array([_exp(v) for v in s.tolist()]) * var_y
     bad = ~(np.isfinite(s) & np.isfinite(mean) & np.isfinite(variance))
     if bad.any():
         i = int(bad.argmax())

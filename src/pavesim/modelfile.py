@@ -1,8 +1,12 @@
 """On-disk formats for trained models and adapted datasets.
 
-Both artifacts are laid out by :func:`pavesim.tables.json_text` (``#``
-audit lines, then a JSON body), written in place by ``tables.write_text``
-and read by ``tables.read_json``, which drops those lines and refuses a
+Both artifacts are laid out by :func:`pavesim.tables.json_chunks` (``#``
+audit lines, then a JSON body). ``save_model`` and ``save_dataset`` hand
+their arrays to it as they are and stream its pieces to the file in
+place by ``tables.write_text``, so the file text is never built whole;
+the arrays are written a block of rows at a time. ``model_to_text`` and
+``dataset_to_text`` join the same pieces. A file is read by
+``tables.read_json``, which drops the ``#`` lines and refuses a
 missing, unreadable, non-UTF-8 or non-JSON file and a non-object. Floats
 serialize through ``repr`` (Python's shortest round-tripping decimal
 form), so save followed by load reproduces every parameter bit-exactly,
@@ -36,7 +40,7 @@ import numpy as np
 from .adapter import ColumnStats, Dataset, NormalizationStats
 from .errors import DataError, check_keys, check_number, check_record
 from .network import NetworkConfig, NetworkParams, TrainConfig
-from .tables import json_text, read_json, write_text
+from .tables import json_chunks, json_text, read_json, write_text
 
 MODEL_FORMAT = "pavesim-model"
 DATASET_FORMAT = "pavesim-dataset"
@@ -109,20 +113,15 @@ def _check_model(params: NetworkParams, stats: NormalizationStats,
             raise DataError(f"layer {i} holds non-finite parameters")
 
 
-def model_to_text(
-    params: NetworkParams,
-    stats: NormalizationStats,
-    net_cfg: NetworkConfig,
-    train_cfg: TrainConfig,
-    header_comments=(),
-) -> str:
+def _model_payload(params: NetworkParams, stats: NormalizationStats,
+                   net_cfg: NetworkConfig, train_cfg: TrainConfig) -> dict:
     shapes = [list(w.shape) for w in params.weights]
     _check_model(params, stats, net_cfg, shapes)
     layers = [
-        {"shape": shape, "weights": w.tolist(), "bias": b.tolist()}
+        {"shape": shape, "weights": w, "bias": b}
         for shape, w, b in zip(shapes, params.weights, params.biases)
     ]
-    payload = {
+    return {
         "format": MODEL_FORMAT,
         "version": FORMAT_VERSION,
         "network": asdict(net_cfg),
@@ -130,7 +129,17 @@ def model_to_text(
         "normalization": asdict(stats),
         "layers": layers,
     }
-    return json_text(header_comments, payload)
+
+
+def model_to_text(
+    params: NetworkParams,
+    stats: NormalizationStats,
+    net_cfg: NetworkConfig,
+    train_cfg: TrainConfig,
+    header_comments=(),
+) -> str:
+    return json_text(header_comments,
+                     _model_payload(params, stats, net_cfg, train_cfg))
 
 
 def save_model(
@@ -141,9 +150,8 @@ def save_model(
     train_cfg: TrainConfig,
     header_comments=(),
 ) -> None:
-    write_text(
-        path, model_to_text(params, stats, net_cfg, train_cfg, header_comments)
-    )
+    write_text(path, json_chunks(
+        header_comments, _model_payload(params, stats, net_cfg, train_cfg)))
 
 
 def load_model(
@@ -169,30 +177,30 @@ def load_model(
     return params, stats, net_cfg, train_cfg
 
 
-def _split_to_obj(ds: Dataset) -> dict:
-    return {"X": ds.X.tolist(), "y": ds.y.tolist()}
+def _dataset_payload(train: Dataset, test: Dataset) -> dict:
+    if train.norm_stats != test.norm_stats:
+        raise DataError("train and test splits carry different normalization "
+                        "statistics")
+    return {
+        "format": DATASET_FORMAT,
+        "version": FORMAT_VERSION,
+        "normalization": asdict(train.norm_stats),
+        "train": {"X": train.X, "y": train.y},
+        "test": {"X": test.X, "y": test.y},
+    }
 
 
 def dataset_to_text(
     train: Dataset, test: Dataset, header_comments=()
 ) -> str:
-    if train.norm_stats != test.norm_stats:
-        raise DataError("train and test splits carry different normalization "
-                        "statistics")
-    payload = {
-        "format": DATASET_FORMAT,
-        "version": FORMAT_VERSION,
-        "normalization": asdict(train.norm_stats),
-        "train": _split_to_obj(train),
-        "test": _split_to_obj(test),
-    }
-    return json_text(header_comments, payload)
+    return json_text(header_comments, _dataset_payload(train, test))
 
 
 def save_dataset(
     path: str | Path, train: Dataset, test: Dataset, header_comments=()
 ) -> None:
-    write_text(path, dataset_to_text(train, test, header_comments))
+    write_text(path, json_chunks(header_comments,
+                                 _dataset_payload(train, test)))
 
 
 def load_dataset(path: str | Path) -> tuple[Dataset, Dataset]:

@@ -554,6 +554,16 @@ def test_split_partition_property_all_small_n():
         assert list(test_idx) == sorted(test_idx)
 
 
+def test_split_indices_are_the_sorted_permutation_as_python_ints():
+    for n, seed in [(2, 0), (17, 3), (1000, 9)]:
+        perm = np.random.default_rng(seed).permutation(n)
+        k = int(n * 0.7)
+        train_idx, test_idx = split_indices(n, 0.7, seed)
+        assert train_idx == tuple(sorted(int(i) for i in perm[:k]))
+        assert test_idx == tuple(sorted(int(i) for i in perm[k:]))
+        assert {type(i) for i in train_idx + test_idx} == {int}
+
+
 def test_split_rejects_degenerate_fractions():
     with pytest.raises(DataError):
         split_indices(10, 0.0, 1)

@@ -283,6 +283,19 @@ def test_adapt_names_the_repeated_column(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_adapt_names_a_cell_too_large_for_csv(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("Productivity,Slump\n" + "6" * 200_000 + ",3.5\n")
+    out = tmp_path / "ds.json"
+    rc = cli.main(["adapt", "--data", str(data), "--seed", "1", "--out",
+                   str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot read row 0 of {data}: field larger than field "
+        f"limit ({csv.field_size_limit()})\n")
+    assert not out.exists()
+
+
 def test_adapt_reads_a_csv_with_a_trailing_blank_line(tmp_path, capsys):
     data = tmp_path / "x.csv"
     data.write_text("Y,X\n1,5\n2,5\n3,5\n4,5\n5,6\n\n")

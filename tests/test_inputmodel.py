@@ -295,6 +295,16 @@ class TestCoverage:
         with pytest.raises(NumericalError, match="overflowed"):
             coverage(constant_head_net(1, 0.0, 800.0), stats, ds, 0.95)
 
+    def test_a_target_std_whose_square_overflows_raises(self):
+        # std_y**2 raised OverflowError past std_y = 1.3e154
+        stats = NormalizationStats(
+            features=(ColumnStats("X", NUMERIC, 0.0, 1.0),),
+            target=ColumnStats("Y", NUMERIC, 0.0, 1e308))
+        ds = Dataset(X=np.zeros((1, 1)), y=np.zeros(1), norm_stats=stats)
+        with pytest.raises(NumericalError,
+                           match=r"^predicted variance overflowed \(s=0\.0\)$"):
+            coverage(constant_head_net(1, 0.0, 0.0), stats, ds, 0.95)
+
     @pytest.mark.parametrize("rows, error, message", [
         ([[0.0, 0.0], [0.0, 8e-298], [0.0, 1e10]], NumericalError,
          r"^predicted variance overflowed \(s=800\.0\d*\)$"),

@@ -2,11 +2,12 @@ import json
 import re
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pavesim.adapter import (ColumnStats, NormalizationStats,
+from pavesim.adapter import (ColumnStats, Dataset, NormalizationStats,
                              encode_and_normalize, split)
 from pavesim.errors import DataError
 from pavesim.modelfile import (
@@ -492,6 +493,28 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(loaded_test.y, test_ds.y)
     assert loaded_train.norm_stats == ds.norm_stats
     assert loaded_test.norm_stats == ds.norm_stats
+
+
+def test_save_dataset_streams_the_file(tmp_path):
+    # the file is written a block of rows at a time: writing it holds well
+    # under half its size, where building the text whole held 4.4 times it
+    rng = np.random.default_rng(5)
+    stats = NormalizationStats(
+        tuple(ColumnStats(f"x{i}", NUMERIC, 0.0, 1.0) for i in range(9)),
+        ColumnStats("Productivity", NUMERIC, 60.0, 10.0))
+    train_ds, test_ds = (Dataset(rng.normal(size=(n, 9)), rng.normal(size=n),
+                                 stats) for n in (4000, 1000))
+    path = tmp_path / "d.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save_dataset(path, train_ds, test_ds, header_comments=("audit",))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+    assert path.read_text() == dataset_to_text(train_ds, test_ds, ("audit",))
 
 
 def test_dataset_text_rejects_mismatched_stats():

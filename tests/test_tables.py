@@ -176,6 +176,19 @@ def test_read_csv_names_a_bad_cell_before_a_failed_read():
         read_csv(lines("2"))
 
 
+def test_read_csv_names_the_file_and_row_that_csv_cannot_read(tmp_path):
+    big = "9" * (csv.field_size_limit() + 1)
+    path = tmp_path / "big.csv"
+    for text, message in [
+            (f"Y,X\n1,2\n3,{big}\n", f"cannot read row 1 of {path}: "),
+            (f"Y,{big}\n1,2\n", f"cannot read the header row of {path}: "),
+            # a fault in a row read before it, in the same block, comes first
+            (f"Y,X\n1,x\n3,{big}\n", "cell 'x' in row 0, column 'X'")]:
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_csv(path)
+
+
 def test_read_csv_skips_blank_lines_before_the_header():
     table = read_csv(io.StringIO("\nY,X\n1,2\n"))
     assert table.column_names == ("Y", "X")
@@ -608,6 +621,54 @@ def test_json_text_writes_the_bytes_of_json_dumps(payload):
     # as a float, nor a ragged matrix as a rectangular one
     assert json_text([], payload) == (
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def listed(value):
+    """`value` with every numpy array as its tolist() and a tuple as a
+    list: what json.dumps can write."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: listed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(listed, value))
+    return value
+
+
+BLOCK = tables_module._JSON_BLOCK_ROWS
+ARRAY_ROWS = st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                              2 * BLOCK + 3])
+ARRAYS = st.one_of(
+    ARRAY_ROWS.map(lambda rows: (rows,)),
+    st.tuples(ARRAY_ROWS, st.integers(0, 4)),
+).flatmap(lambda shape: st.builds(
+    # a finite fill takes the block path; a NaN or inf anywhere, the other
+    lambda fill, cells: np.array(
+        [cells.get(i, fill) for i in range(int(np.prod(shape)))],
+        dtype=np.float64).reshape(shape),
+    FINITE, st.dictionaries(st.integers(0, max(int(np.prod(shape)) - 1, 0)),
+                            FLOATS, max_size=3)))
+ARRAY_PAYLOADS = st.recursive(
+    ARRAYS | FLOATS | st.none(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=ARRAY_PAYLOADS)
+def test_json_text_writes_an_array_as_json_dumps_writes_its_tolist(payload):
+    # 1-D and 2-D float64 arrays: empty, one row, one column, NaN and
+    # +-inf, and more rows than one block
+    assert json_text(["audit"], payload) == "# audit\n" + (
+        json.dumps(listed(payload), indent=2, sort_keys=True) + "\n")
+
+
+def test_json_chunks_write_a_large_array_a_block_at_a_time():
+    array = np.arange(10 * BLOCK, dtype=np.float64).reshape(-1, 2)
+    chunks = list(tables_module.json_chunks([], {"X": array}))
+    assert max(map(len, chunks)) < len("".join(chunks)) / 4
+    assert "".join(chunks) == json_text([], {"X": array})
 
 
 #: The one-character line breaks of str.splitlines; "\r\n" is the other.
