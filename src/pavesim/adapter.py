@@ -3,11 +3,12 @@
 The pipeline is join -> clean -> encode/normalize -> split. Every step is
 a pure value-in/value-out transformation, so the whole chain is safe to
 run concurrently on distinct inputs and is deterministic given its seeds.
-Steps work a column at a time: clean counts, imputes and fences each
-data column, and both encoders read their columns through one reader.
-The join works a key at a time in C builtins: a dict of each table's keys
-to row numbers, matched in the first table's key order, and each joined
-row gathered from its source rows by one ``itemgetter``.
+Tables are held by column, and every step works a column at a time; no
+step forms a row. The join maps each table's keys to row numbers and
+gathers each column by the rows of the keys all tables hold, in the
+first table's key order. Clean counts, imputes and fences each data
+column, copies only those it imputes, and ``compress``es each by the
+rows kept. Both encoders read their columns through one reader.
 
 A column's kind comes from its name (:func:`pavesim.tables.kind_of`);
 its role is decided here, once. The join key names rows, so the join
@@ -28,10 +29,9 @@ Conventions, pinned so results are exactly reproducible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from itertools import compress
-from operator import add, itemgetter
-from typing import Callable, Mapping, Sequence
+from itertools import compress, repeat
+from operator import is_not
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -197,9 +197,8 @@ def join_sources(tables: Sequence[RecordTable], key_column: str) -> tuple[Record
     key_rows = [_key_index(table, t, key_column)  # per table, key -> row number
                 for t, table in enumerate(tables)]
 
-    header = sum((table.column_names for table in tables), ())
-    picks = [i for i, name in enumerate(header) if name != key_column]
-    names = tuple(header[i] for i in picks)
+    names = tuple(name for table in tables for name in table.column_names
+                  if name != key_column)
     for i, name in enumerate(names):
         if name in names[:i]:
             raise DataError(f"column {name!r} appears in more than one table")
@@ -207,13 +206,14 @@ def join_sources(tables: Sequence[RecordTable], key_column: str) -> tuple[Record
     keys = list(key_rows[0])  # first table's key order
     for index in key_rows[1:]:
         keys = list(filter(index.__contains__, keys))
-    sources = [map(table.rows.__getitem__, map(index.__getitem__, keys))
-               for table, index in zip(tables, key_rows)]
-    # per key, its source rows end to end, and of those the picked cells
-    rows = tuple(map(_picker(picks), reduce(partial(map, add), sources)))
+    rows = [list(map(index.__getitem__, keys)) for index in key_rows]
+    columns = [map(column.__getitem__, picked)  # made a tuple by RecordTable
+               for table, picked in zip(tables, rows)
+               for name, column in zip(table.column_names, table.columns)
+               if name != key_column]
 
     dropped = sum(t.num_rows for t in tables) - len(tables) * len(keys)
-    return RecordTable(names, rows), dropped
+    return RecordTable(names, columns, len(keys)), dropped
 
 
 def _key_index(table: RecordTable, t: int, key_column: str) -> dict[object, int]:
@@ -233,15 +233,6 @@ def _key_index(table: RecordTable, t: int, key_column: str) -> dict[object, int]
                 )
             seen.add(key)
     return index
-
-
-def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """A C function from a row to the tuple of its cells at `positions`;
-    ``itemgetter`` gives one cell bare, so one position or none is a slice."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    start = positions[0] if positions else 0
-    return itemgetter(slice(start, start + len(positions)))
 
 
 def iqr_fences(values: Sequence[float], multiplier: float) -> tuple[float, float]:
@@ -267,31 +258,31 @@ def clean(table: RecordTable, policy: CleanPolicy = CleanPolicy()) -> tuple[Reco
     data column: drop each row with a blank, or impute a numeric column's
     median and a boolean column's majority value (ties give 0). Outlier
     fences apply to numeric columns only, on the post-imputation values
-    of the rows kept. When nothing is imputed, the kept rows are the
-    input's own tuples.
+    of the rows kept.
     """
     names = table.column_names
-    columns = [list(c) for c in zip(*table.rows)] or [[] for _ in names]
-    data = [(name, kind, col) for name, kind, col
-            in zip(names, table.column_kinds, columns) if name not in NOT_DATA]
-    report = CleanReport({name: col.count(None) for name, _, col in data},
-                         {name: 0 for name, _, _ in data},
-                         {name: 0 for name, _, _ in data})
+    columns = list(table.columns)
+    data = [(j, name, kind) for j, (name, kind)
+            in enumerate(zip(names, table.column_kinds)) if name not in NOT_DATA]
+    report = CleanReport({name: columns[j].count(None) for j, name, _ in data},
+                         {name: 0 for _, name, _ in data},
+                         {name: 0 for _, name, _ in data})
 
     keep = np.ones(table.num_rows, dtype=bool)
     if any(report.missing_counts.values()):
         if policy.missing_strategy == DROP_ROW:
-            keep = np.array([None not in cells for cells
-                             in zip(*(col for _, _, col in data))], dtype=bool)
+            for j, _, _ in data:
+                keep &= np.fromiter(map(is_not, columns[j], repeat(None)),
+                                    bool, table.num_rows)
             report.rows_dropped_missing = int(np.count_nonzero(~keep))
         else:
-            for name, kind, col in data:
+            for j, name, kind in data:
                 count = report.missing_counts[name]
                 if count == 0:
                     continue
                 if kind == CATEGORICAL:
                     raise DataError(f"cannot impute categorical column {name!r}")
-                observed = [v for v in col if v is not None]
+                observed = [v for v in columns[j] if v is not None]
                 if not observed:
                     raise DataError(
                         f"column {name!r} is entirely missing; no median to impute"
@@ -300,14 +291,14 @@ def clean(table: RecordTable, policy: CleanPolicy = CleanPolicy()) -> tuple[Reco
                     fill = 1.0 if sum(observed) * 2 > len(observed) else 0.0
                 else:
                     fill = float(np.median(observed))
-                col[:] = [fill if v is None else v for v in col]
+                columns[j] = [fill if v is None else v for v in columns[j]]
                 report.imputed_counts[name] = count
 
     outliers = np.zeros_like(keep)
-    for name, kind, col in data:
+    for j, name, kind in data:
         if kind != NUMERIC or not keep.any():
             continue
-        values = np.array(col, dtype=float)  # a dropped row's blank is NaN
+        values = np.array(columns[j], float)  # a dropped row's blank is NaN
         lo, hi = iqr_fences(values[keep], policy.iqr_multiplier)
         flagged = keep & ~((lo <= values) & (values <= hi))
         report.outlier_counts[name] = int(np.count_nonzero(flagged))
@@ -316,8 +307,9 @@ def clean(table: RecordTable, policy: CleanPolicy = CleanPolicy()) -> tuple[Reco
     if policy.outlier_strategy == DROP_ROW:
         report.rows_dropped_outliers = int(np.count_nonzero(outliers))
         keep &= ~outliers
-    rows = zip(*columns) if any(report.imputed_counts.values()) else table.rows
-    return table.with_rows(compress(rows, keep)), report
+    kept = keep.tolist()
+    columns = [compress(column, kept) for column in columns]
+    return RecordTable(names, columns, int(np.count_nonzero(keep))), report
 
 
 def _read_columns(table: RecordTable, features: Sequence[str], target_column: str

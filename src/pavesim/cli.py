@@ -239,11 +239,11 @@ def _cmd_derive(args, run: _Run) -> None:
     params, stats, _, _ = load_model(args.model)
     names = {c.name for c in stats.features}
     table = load_csv(args.scenarios, names.__contains__)
-    if not table.rows:
+    if not table.num_rows:
         raise DataError(f"scenario file {args.scenarios} has no rows")
     run.lines.append("seeds: none (deterministic)")
     rows = []
-    for i, cells in enumerate(table.rows):
+    for i, cells in enumerate(zip(*table.columns)):
         values = dict(zip(table.column_names, cells))
         label = values.get(SCENARIO_LABEL) or f"row {i}"
         model = derive(params, values, stats)

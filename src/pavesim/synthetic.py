@@ -91,7 +91,7 @@ def generate_paving_dataset(
     mu, sigma = true_moments(f)
     names = PAVING_COLUMNS + (TRUTH_COLUMNS if include_truth else ())
     columns = [mu + sigma * z, *f.values(), mu, sigma][: len(names)]
-    return RecordTable(names, tuple(zip(*(c.tolist() for c in columns))))
+    return RecordTable(names, [c.tolist() for c in columns], n_rows)
 
 
 #: Equal-weight demo mixture, one ``(label, weight, mean, std)`` row per
@@ -125,9 +125,10 @@ def generate_weather_mixture(
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     k = cdf.searchsorted(u, side="right")
-    # As objects, the rows share one str per label, not one str each.
-    return RecordTable(("Condition", "Duration"), tuple(zip(
-        labels.astype(object)[k].tolist(), (means[k] + stds[k] * z).tolist())))
+    # As objects, the cells share one str per label, not one str each.
+    return RecordTable(("Condition", "Duration"), [
+        labels.astype(object)[k].tolist(), (means[k] + stds[k] * z).tolist()],
+        n_rows)
 
 
 #: Three reference job profiles spanning the productivity range: an old

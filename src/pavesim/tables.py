@@ -1,9 +1,11 @@
 """Rectangular record tables, and the kind and range of a column by name.
 
-A :class:`RecordTable` is an immutable named-column table of operation
-records. Cells are floats for numeric and boolean columns (booleans
-restricted to 0/1), strings for categorical columns, and ``None`` for
-missing values.
+A :class:`RecordTable` is an immutable table of operation records held
+by column, a tuple of cells per name; rows are formed only where one is
+written (:func:`table_to_csv`, and ``derive`` a scenario at a time).
+Cells are floats for numeric and boolean columns (booleans restricted
+to 0/1), strings for categorical columns, and ``None`` for missing
+values.
 
 The canonical paving CSV layout is one header row::
 
@@ -26,12 +28,13 @@ or 1.
 
 Reading and writing a CSV run their per-cell steps in C builtins.
 :func:`read_csv` parses a few dozen rows at a time by column
-(``map(float, ...)`` over each column); a block with a fault is read
-again a cell at a time, so each refusal names its row and column as a
-row-at-a-time reader would; a row ``csv`` itself cannot read (a cell
-over its field size limit) is refused by file and row.
-:func:`table_to_csv` writes a table of floats alone, with no text and
-nothing missing, as one ``%`` format per row.
+(``map(float, ...)`` over a column's cells, and one step per blank) onto
+the table's columns; a block with a fault is read again a cell at a
+time, so each refusal names its row and column as a row-at-a-time reader
+would, and a row ``csv`` cannot read (a cell over its field size limit)
+is refused by file and row. :func:`table_to_csv` writes a table of
+floats alone, with no text and nothing missing, as one ``%`` format per
+row.
 
 Every JSON artifact has one layout, :func:`json_chunks`, the bytes of
 ``json.dumps(..., indent=2, sort_keys=True)`` in pieces. A float64
@@ -61,6 +64,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import methodcaller
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -119,29 +123,28 @@ def _is_boolean_value(value: float) -> bool:
 @dataclass(frozen=True)
 class RecordTable:
     """Immutable rectangular table of named columns, each of the kind its
-    name gives."""
+    name gives, held as one tuple of `num_rows` cells per name; a table
+    with no column still has its rows."""
 
     column_names: tuple[str, ...]
-    rows: tuple[tuple[Cell, ...], ...]
+    columns: tuple[tuple[Cell, ...], ...]
+    num_rows: int
 
     def __post_init__(self):
         names = self.column_names
         if len(set(names)) != len(names):
             repeated = next(n for i, n in enumerate(names) if n in names[:i])
             raise DataError(f"column names must be unique: {repeated!r} repeats")
-        width = len(names)
-        if not set(map(len, self.rows)) <= {width}:
-            i, row = next((i, r) for i, r in enumerate(self.rows)
-                          if len(r) != width)
-            raise DataError(f"row {i} has {len(row)} cells, expected {width}")
+        # tuple() of a tuple is the tuple itself: a list is copied once
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
+        lengths = list(map(len, self.columns))
+        if lengths != [self.num_rows] * len(names):
+            raise DataError(f"{len(names)} columns of {self.num_rows} cells "
+                            f"expected, got columns of {lengths} cells")
 
     @property
     def column_kinds(self) -> tuple[str, ...]:
         return tuple(map(kind_of, self.column_names))
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
 
     def column_index(self, name: str) -> int:
         try:
@@ -152,12 +155,8 @@ class RecordTable:
     def column_kind(self, name: str) -> str:
         return self.column_kinds[self.column_index(name)]
 
-    def column_values(self, name: str) -> list[Cell]:
-        idx = self.column_index(name)
-        return [row[idx] for row in self.rows]
-
-    def with_rows(self, rows: Iterable[tuple[Cell, ...]]) -> "RecordTable":
-        return RecordTable(self.column_names, tuple(rows))
+    def column_values(self, name: str) -> tuple[Cell, ...]:
+        return self.columns[self.column_index(name)]
 
 
 def kind_of(name: str) -> str:
@@ -201,7 +200,7 @@ def comment_block(lines: Iterable[str]) -> str:
 
 def without_comments(lines: Iterable[str]) -> Iterator[str]:
     """Lazily drop the lines that start with ``#``; the rest pass as is."""
-    return (line for line in lines if not line.startswith("#"))
+    return itertools.filterfalse(methodcaller("startswith", "#"), lines)
 
 
 @contextmanager
@@ -324,8 +323,8 @@ def read_csv(stream: io.TextIOBase, parse=lambda name: True) -> RecordTable:
     :func:`kind_of` its name if `parse` accepts that name, else text. A
     stream with no header row, or a row ``csv`` cannot read, is refused by
     the name of its file, if any.
-    Rows are read in blocks of :data:`_BLOCK_ROWS` and each block is
-    parsed by column (:func:`_parse_block`)."""
+    Rows are read in blocks of :data:`_BLOCK_ROWS`, and each block's
+    columns, parsed by :func:`_parse_block`, appended to the table's."""
     # csv.reader yields [] for a blank line, which is never data: csv_text
     # writes a row of one empty cell as "".
     reader = filter(None, csv.reader(without_comments(stream)))
@@ -340,30 +339,34 @@ def read_csv(stream: io.TextIOBase, parse=lambda name: True) -> RecordTable:
     header = tuple(h.strip() for h in header)
     kinds = tuple(kind_of(name) if parse(name) else CATEGORICAL
                   for name in header)
-    rows: list[tuple[Cell, ...]] = []
+    columns: list[list[Cell]] = [[] for _ in header]
+    num_rows = 0
     while True:
         block = []
         try:
             block.extend(itertools.islice(reader, _BLOCK_ROWS))
         except csv.Error as exc:
-            raise DataError(f"cannot read row {len(rows) + len(block)} of "
+            raise DataError(f"cannot read row {num_rows + len(block)} of "
                             f"{source}: {exc}") from None
         finally:  # a read that fails still names a fault in the rows before it
-            rows += _parse_block(block, header, kinds, len(rows))
+            parsed = _parse_block(block, header, kinds, num_rows)
+            for column, part in zip(columns, parsed):
+                column += part
+            num_rows += len(block)
         if len(block) < _BLOCK_ROWS:
-            return RecordTable(header, tuple(rows))
+            return RecordTable(header, columns, num_rows)
 
 
 def _parse_block(block: list[list[str]], header: Sequence[str],
-                 kinds: Sequence[str], first: int) -> Iterable[tuple[Cell, ...]]:
-    """The rows of `block`, the table's rows from number `first` on, parsed
-    a column at a time by C builtins. A block with a row of the wrong
-    width, a cell that is not a number, or a boolean that is not 0 or 1 is
-    parsed again a cell at a time, in row order, which raises the first
-    fault's :class:`DataError`."""
+                 kinds: Sequence[str], first: int) -> Iterable[Sequence[Cell]]:
+    """The columns of `block`, the table's rows from number `first` on,
+    parsed a column at a time by C builtins. A block with a row of the
+    wrong width, a cell that is not a number, or a boolean that is not 0
+    or 1 is parsed again a cell at a time, in row order, which raises the
+    first fault's :class:`DataError`."""
     if set(map(len, block)) == {len(header)}:
         try:
-            return zip(*map(_parse_column, zip(*block), kinds))
+            return list(map(_parse_column, zip(*block), kinds))
         except ValueError:
             pass
     rows = []
@@ -376,19 +379,21 @@ def _parse_block(block: list[list[str]], header: Sequence[str],
             _parse_cell(cell.strip(), kind, i, name)
             for cell, kind, name in zip(raw, kinds, header)
         ))
-    return rows
+    return zip(*rows)
 
 
 def _parse_column(cells: Sequence[str], kind: str) -> list[Cell]:
-    """One column's cells as :func:`_parse_cell` reads them; a ValueError
-    where it would raise a :class:`DataError`."""
+    """One column's cells as :func:`_parse_cell` reads them, by C builtins
+    and one step per blank; a ValueError where it would raise a
+    :class:`DataError`."""
     cells = list(map(str.strip, cells))
-    if kind == CATEGORICAL:
-        return [s or None for s in cells]
-    if "" in cells:
-        values = [float(s) if s else None for s in cells]
-    else:
-        values = list(map(float, cells))
+    values = list(filter(None, cells)) if "" in cells else cells
+    if kind != CATEGORICAL:
+        values = list(map(float, values))
+    blank = -1
+    while len(values) < len(cells):  # None put back at each blank in turn
+        blank = cells.index("", blank + 1)
+        values.insert(blank, None)
     if kind == BOOLEAN and not set(values) <= {0.0, 1.0, None}:
         raise ValueError("a boolean cell is not 0 or 1")
     return values
@@ -518,11 +523,12 @@ def table_to_csv(table: RecordTable, header_comments: Sequence[str] = ()) -> str
     ``%d`` for a boolean one: the bytes of :func:`csv_text`, which quotes
     no float's repr, without its per-cell steps."""
     kinds = table.column_kinds
-    if set(map(type, itertools.chain.from_iterable(table.rows))) <= {float}:
+    rows = zip(*table.columns)
+    if set(map(type, itertools.chain.from_iterable(table.columns))) <= {float}:
         fmt = ",".join("%d" if k == BOOLEAN else "%r" for k in kinds) + "\n"
         return (csv_text(header_comments, table.column_names, ())
-                + "".join(map(fmt.__mod__, map(tuple, table.rows))))
+                + "".join(map(fmt.__mod__, rows)))
     types = [_CELL_TYPES[kind] for kind in kinds]
     rows = ([None if v is None else t(v) for v, t in zip(row, types)]
-            for row in table.rows)
+            for row in rows)
     return csv_text(header_comments, table.column_names, rows)

@@ -7,6 +7,7 @@ agreement, byte-identical reruns) and prints a single summary line, so
 ``pytest -v -s tests/test_acceptance.py`` reads as a checklist.
 """
 
+import csv
 import json
 from types import SimpleNamespace
 
@@ -131,11 +132,8 @@ def test_heldout_interval_coverage_near_nominal(study):
 def test_sigma_correlation_and_rmse_beat_pooled_baseline(study):
     table = study.table
     train_idx, test_idx = split_indices(4000, 0.8, 202)
-    mu_col = table.column_index("MuStar")
-    sigma_col = table.column_index("SigmaStar")
-    prod_col = table.column_index("Productivity")
-    mu_star = np.array([table.rows[i][mu_col] for i in test_idx])
-    sigma_star = np.array([table.rows[i][sigma_col] for i in test_idx])
+    mu_star = np.array(table.column_values("MuStar"))[list(test_idx)]
+    sigma_star = np.array(table.column_values("SigmaStar"))[list(test_idx)]
 
     stats = study.ds.norm_stats
     mu_norm, s = forward_batch(study.params, study.test_ds.X)
@@ -145,7 +143,7 @@ def test_sigma_correlation_and_rmse_beat_pooled_baseline(study):
     corr = float(np.corrcoef(sigma_hat, sigma_star)[0, 1])
 
     pooled = float(np.mean(
-        [float(table.rows[i][prod_col]) for i in train_idx]))
+        np.array(table.column_values("Productivity"))[list(train_idx)]))
     rmse_net = float(np.sqrt(np.mean((mu_hat - mu_star) ** 2)))
     rmse_pooled = float(np.sqrt(np.mean((pooled - mu_star) ** 2)))
     ratio = rmse_net / rmse_pooled
@@ -172,15 +170,13 @@ def test_derived_scenario_means_are_ordered(study):
 
 def test_weather_mixture_variance_decomposition():
     table = generate_weather_mixture(30000, 7)
-    dur_idx = table.column_index("Duration")
-    cond_idx = table.column_index("Condition")
+    durations = table.column_values("Duration")
     by_condition = {}
-    for row in table.rows:
-        by_condition.setdefault(str(row[cond_idx]), []).append(
-            float(row[dur_idx])
-        )
+    for condition, duration in zip(table.column_values("Condition"),
+                                   durations):
+        by_condition.setdefault(str(condition), []).append(float(duration))
 
-    pooled_var = float(np.var([float(r[dur_idx]) for r in table.rows]))
+    pooled_var = float(np.var(durations))
     stds = {label: float(np.std(vals)) for label, vals in by_condition.items()}
 
     ok = abs(pooled_var / 28.0 - 1.0) < 0.05
@@ -190,6 +186,82 @@ def test_weather_mixture_variance_decomposition():
           f"pooled var {pooled_var:.3f} (28 +/- 5%), per-condition stds "
           + ", ".join(f"{label} {std:.3f}" for label, std in sorted(stds.items())),
           ok)
+
+
+# ------------------------------------------- the multi-source claim
+
+#: The sources of one synth table, split by column as perfbench's ingest
+#: splits them; each also holds the JobId key, and A the answer key.
+SOURCE_A = ("Productivity", "Slump", "Congestion", "Spreader",
+            "AirEntrainment", "MuStar", "SigmaStar")
+SOURCE_B = ("Temperature", "Humidity", "Slope", "Curvature", "PaverAge")
+
+
+def csv_columns(path):
+    """A CSV's columns by name, as floats; ``#`` lines skipped."""
+    with open(path, newline="") as stream:
+        rows = list(csv.reader(line for line in stream
+                               if not line.startswith("#")))
+    return {name: np.array([float(row[i]) for row in rows[1:]])
+            for i, name in enumerate(rows[0])}
+
+
+def write_source(path, columns, names, order):
+    """The rows `order` of `columns`, the key JobId and then `names`."""
+    lines = [",".join(("JobId",) + names)]
+    lines += [",".join([f"job{i}"]
+                       + [repr(float(columns[n][i])) for n in names])
+              for i in order]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def gaussian_nll(y, mu, sigma):
+    return float(np.mean(0.5 * np.log(2.0 * np.pi * sigma ** 2)
+                         + (y - mu) ** 2 / (2.0 * sigma ** 2)))
+
+
+def test_joined_sources_beat_one_source_at_sixteen_epochs(tmp_path):
+    # The paper's thesis: an input model fitted on several joined sources
+    # is sharper and more faithful than one fitted on a single source.
+    # Scores are computed here from evaluate's mu and sigma columns, in
+    # physical units, against the answer key of fresh rows.
+    def run(*argv):
+        assert cli.main([str(a) for a in argv]) == 0, argv[0]
+
+    run("synth", "--n", 2000, "--seed", 5, "--truth",
+        "--out", tmp_path / "d.csv")
+    run("synth", "--n", 4000, "--seed", 99, "--truth",
+        "--out", tmp_path / "fresh.csv")
+    data = csv_columns(tmp_path / "d.csv")
+    write_source(tmp_path / "a.csv", data, SOURCE_A, range(2000))
+    write_source(tmp_path / "b.csv", data, SOURCE_B, reversed(range(2000)))
+    fresh = csv_columns(tmp_path / "fresh.csv")
+
+    scores = {}
+    for name, sources in (("A", ["a.csv"]), ("A+B", ["a.csv", "b.csv"])):
+        run("adapt", *(x for s in sources for x in ("--data", tmp_path / s)),
+            "--key", "JobId", "--seed", 6, "--out", tmp_path / "ds.json")
+        run("train", "--data", tmp_path / "ds.json", "--seed", 7,
+            "--epochs", 16, "--out", tmp_path / "m.model")
+        run("evaluate", "--model", tmp_path / "m.model",
+            "--data", tmp_path / "fresh.csv", "--out", tmp_path / "cov.csv")
+        cov = csv_columns(tmp_path / "cov.csv")
+        mu, sigma = cov["mu"], cov["sigma"]
+        w2 = np.sqrt((mu - fresh["MuStar"]) ** 2
+                     + (sigma - fresh["SigmaStar"]) ** 2)
+        scores[name] = (gaussian_nll(cov["observed"], mu, sigma),
+                        float(np.mean(w2)),
+                        float(np.median(sigma / fresh["SigmaStar"])))
+    y = data["Productivity"]
+    pooled = gaussian_nll(fresh["Productivity"], y.mean(), y.std())
+
+    (nll_a, w2_a, _), (nll_ab, w2_ab, ratio_ab) = scores["A"], scores["A+B"]
+    check("multi-source claim",
+          f"NLL A+B {nll_ab:.3f} < A {nll_a:.3f} and < pooled {pooled:.3f}, "
+          f"mean W2 A+B {w2_ab:.2f} < A {w2_a:.2f}, "
+          f"median sigma/sigma* A+B {ratio_ab:.2f} (0.8..1.25)",
+          nll_ab < nll_a and nll_ab < pooled and w2_ab < w2_a
+          and 0.8 <= ratio_ab <= 1.25)
 
 
 # ------------------------------------------------- simulator correctness

@@ -1,17 +1,20 @@
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pavesim.adapter import (
     CleanPolicy,
     ColumnStats,
     DROP_ROW,
     Dataset,
+    MISSING_STRATEGIES,
     NormalizationStats,
+    OUTLIER_STRATEGIES,
     clean,
     dataset_with_stats,
     encode_and_normalize,
@@ -25,27 +28,30 @@ from pavesim.synthetic import generate_paving_dataset
 from pavesim.tables import (
     BOOLEAN,
     CATEGORICAL,
+    NOT_DATA,
     NUMERIC,
     PAVING_COLUMNS,
     TRUTH_COLUMNS,
     RecordTable,
+    kind_of,
 )
+from table_helpers import rows_of, table_of_rows
 
 
 def numeric_table(name, values):
-    return RecordTable((name,),
-                       tuple((None if v is None else float(v),) for v in values))
+    return table_of_rows((name,),
+                         ((None if v is None else float(v),) for v in values))
 
 
 # ---------------------------------------------------------------- join
 
 
 def make_weather_and_site():
-    weather = RecordTable(
+    weather = table_of_rows(
         ("JobId", "Temperature", "Humidity"),
         ((1.0, 20.0, 70.0), (2.0, 25.0, 60.0), (3.0, 30.0, 50.0)),
     )
-    site = RecordTable(
+    site = table_of_rows(
         ("JobId", "Congestion", "Spreader"),
         ((1.0, 1.0, 0.0), (2.0, 0.0, 1.0), (3.0, 0.0, 0.0)),
     )
@@ -61,14 +67,14 @@ def test_join_union_of_columns_on_shared_keys():
     assert joined.column_kinds == (NUMERIC, NUMERIC, BOOLEAN, BOOLEAN)
     assert joined.num_rows == 3
     assert dropped == 0
-    assert joined.rows[1] == (25.0, 60.0, 0.0, 1.0)
+    assert rows_of(joined)[1] == (25.0, 60.0, 0.0, 1.0)
 
 
 def test_join_single_table_drops_only_the_key():
     weather, _ = make_weather_and_site()
     joined, dropped = join_sources([weather], "JobId")
-    assert joined == RecordTable(("Temperature", "Humidity"),
-                                 tuple(row[1:] for row in weather.rows))
+    assert joined == table_of_rows(("Temperature", "Humidity"),
+                                   (row[1:] for row in rows_of(weather)))
     assert dropped == 0
 
 
@@ -77,8 +83,10 @@ def test_join_refuses_a_blank_key(tables):
     # blank keys in two sources matched each other, and a lone blank key
     # reached clean as data
     weather, site = make_weather_and_site()
-    holed = [weather.with_rows(((1.0, 20.0, 70.0), (None, 25.0, 60.0))),
-             site.with_rows(((None, 1.0, 0.0), (1.0, 0.0, 1.0)))]
+    holed = [table_of_rows(weather.column_names,
+                           ((1.0, 20.0, 70.0), (None, 25.0, 60.0))),
+             table_of_rows(site.column_names,
+                           ((None, 1.0, 0.0), (1.0, 0.0, 1.0)))]
     with pytest.raises(DataError, match=re.escape(
             "blank key in row 1 of table 0 column 'JobId'")):
         join_sources(holed[:tables], "JobId")
@@ -86,7 +94,7 @@ def test_join_refuses_a_blank_key(tables):
 
 def test_join_disjoint_keys_drops_everything():
     weather, _ = make_weather_and_site()
-    other = RecordTable(("JobId", "Slump"), ((7.0, 3.0), (8.0, 4.0)))
+    other = table_of_rows(("JobId", "Slump"), ((7.0, 3.0), (8.0, 4.0)))
     joined, dropped = join_sources([weather, other], "JobId")
     assert joined.num_rows == 0
     assert dropped == weather.num_rows + other.num_rows
@@ -94,8 +102,8 @@ def test_join_disjoint_keys_drops_everything():
 
 def test_join_partial_overlap_counts_unmatched_rows():
     weather, _ = make_weather_and_site()
-    other = RecordTable(("JobId", "Slump"),
-                        ((2.0, 3.5), (3.0, 4.0), (9.0, 4.5)))
+    other = table_of_rows(("JobId", "Slump"),
+                          ((2.0, 3.5), (3.0, 4.0), (9.0, 4.5)))
     joined, dropped = join_sources([weather, other], "JobId")
     assert joined.num_rows == 2
     assert joined.num_rows <= min(weather.num_rows, other.num_rows)
@@ -104,14 +112,14 @@ def test_join_partial_overlap_counts_unmatched_rows():
 
 
 def test_join_duplicate_key_rejected():
-    dup = RecordTable(("JobId", "X"), ((1.0, 0.0), (1.0, 1.0)))
+    dup = table_of_rows(("JobId", "X"), ((1.0, 0.0), (1.0, 1.0)))
     with pytest.raises(DataError, match="duplicate key"):
         join_sources([dup, dup], "JobId")
 
 
 def test_join_missing_key_column_rejected():
     weather, _ = make_weather_and_site()
-    other = RecordTable(("Other",), ((1.0,),))
+    other = table_of_rows(("Other",), ((1.0,),))
     with pytest.raises(DataError, match="no column named 'JobId'"):
         join_sources([weather, other], "JobId")
 
@@ -119,7 +127,18 @@ def test_join_missing_key_column_rejected():
 def test_join_clashing_column_name_rejected():
     weather, _ = make_weather_and_site()
     with pytest.raises(DataError, match="more than one table"):
-        join_sources([weather, weather.with_rows(weather.rows)], "JobId")
+        join_sources([weather, weather], "JobId")
+
+
+def test_a_join_of_keys_alone_keeps_its_rows_and_has_no_target():
+    # sources that hold only the key join to rows with no column; encoding
+    # names the absent target, not an empty table
+    keys = table_of_rows(("JobId",), (("a",), ("b",), ("c",)))
+    joined, dropped = join_sources([keys, keys], "JobId")
+    assert (joined.column_names, joined.num_rows, dropped) == ((), 3, 0)
+    assert rows_of(joined) == ((), (), ())
+    with pytest.raises(DataError, match="^no column named 'Productivity'$"):
+        encode_and_normalize(joined, "Productivity")
 
 
 def test_join_empty_list_rejected():
@@ -135,7 +154,7 @@ def join_oracle(tables, key):
     for t, table in enumerate(tables):
         k = table.column_names.index(key)
         rows = {}
-        for i, row in enumerate(table.rows):
+        for i, row in enumerate(rows_of(table)):
             if row[k] is None:
                 return f"blank key in row {i} of table {t} column {key!r}"
             if row[k] in rows:
@@ -158,7 +177,7 @@ def join_oracle(tables, key):
                     if name != key:
                         cells.append(cell)
             joined.append(tuple(cells))
-    dropped = sum(len(t.rows) for t in tables) - len(tables) * len(joined)
+    dropped = sum(len(rows_of(t)) for t in tables) - len(tables) * len(joined)
     return tuple(names), tuple(joined), dropped
 
 
@@ -177,7 +196,7 @@ def keyed_tables(draw):
     cells = st.none() | st.floats(allow_nan=False)
     rows = [tuple(key if name == "JobId" else draw(cells) for name in names)
             for key in keys]
-    return RecordTable(tuple(names), tuple(rows))
+    return table_of_rows(names, rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,7 +209,7 @@ def test_join_is_the_per_key_loop(tables):
         assert str(info.value) == expected
         return
     joined, dropped = join_sources(tables, "JobId")
-    assert (joined.column_names, joined.rows, dropped) == expected
+    assert (joined.column_names, rows_of(joined), dropped) == expected
 
 
 # ---------------------------------------------------------------- clean
@@ -214,7 +233,7 @@ def test_clean_flags_fence_violation_without_dropping():
 def test_clean_drop_row_removes_outlier():
     table = numeric_table("V", [1, 2, 3, 4, 100])
     cleaned, report = clean(table, CleanPolicy(outlier_strategy=DROP_ROW))
-    assert [r[0] for r in cleaned.rows] == [1, 2, 3, 4]
+    assert cleaned.column_values("V") == (1, 2, 3, 4)
     assert report.rows_dropped_outliers == 1
 
 
@@ -229,7 +248,7 @@ def test_clean_identity_on_clean_data():
 def test_clean_imputes_median():
     table = numeric_table("V", [5, None, 7])
     cleaned, report = clean(table)
-    assert [r[0] for r in cleaned.rows] == [5, 6, 7]
+    assert cleaned.column_values("V") == (5, 6, 7)
     assert report.missing_counts["V"] == 1
     assert report.imputed_counts["V"] == 1
 
@@ -237,18 +256,19 @@ def test_clean_imputes_median():
 def test_clean_drop_row_missing_strategy():
     table = numeric_table("V", [5, None, 7])
     cleaned, report = clean(table, CleanPolicy(missing_strategy=DROP_ROW))
-    assert [r[0] for r in cleaned.rows] == [5, 7]
+    assert cleaned.column_values("V") == (5, 7)
     assert report.rows_dropped_missing == 1
     assert report.imputed_counts["V"] == 0
 
 
 def test_clean_boolean_imputes_majority_with_tie_to_zero():
-    majority = RecordTable(("Congestion",), ((1.0,), (1.0,), (0.0,), (None,)))
+    majority = table_of_rows(("Congestion",),
+                             ((1.0,), (1.0,), (0.0,), (None,)))
     cleaned, _ = clean(majority)
-    assert cleaned.rows[3][0] == 1.0
-    tie = RecordTable(("Congestion",), ((1.0,), (0.0,), (None,)))
+    assert cleaned.column_values("Congestion")[3] == 1.0
+    tie = table_of_rows(("Congestion",), ((1.0,), (0.0,), (None,)))
     cleaned, _ = clean(tie)
-    assert cleaned.rows[2][0] == 0.0
+    assert cleaned.column_values("Congestion")[2] == 0.0
 
 
 def test_clean_entirely_missing_column_rejected():
@@ -258,7 +278,7 @@ def test_clean_entirely_missing_column_rejected():
 
 
 def test_clean_cannot_impute_categorical():
-    table = RecordTable(("Condition",), (("a",), (None,)))
+    table = table_of_rows(("Condition",), (("a",), (None,)))
     with pytest.raises(DataError, match="categorical column 'Condition'"):
         clean(table)
 
@@ -269,10 +289,10 @@ def test_clean_passes_the_answer_key_and_labels_through():
     names = ("Slump", "MuStar", "Scenario")
     rows = tuple((float(i), float(i), "s") for i in range(19)) + \
         ((5.0, 1e6, None),)
-    table = RecordTable(names, rows)
+    table = table_of_rows(names, rows)
     for missing in ("impute_median", DROP_ROW):
         cleaned, report = clean(table, CleanPolicy(missing, DROP_ROW))
-        assert cleaned.rows == rows
+        assert rows_of(cleaned) == rows
         assert report.is_empty()
         for counts in (report.missing_counts, report.imputed_counts,
                        report.outlier_counts):
@@ -281,8 +301,8 @@ def test_clean_passes_the_answer_key_and_labels_through():
 
 def test_clean_never_fences_indicator_columns():
     # 19 zeros and a single 1 would be far outside any numeric fence
-    table = RecordTable(("Congestion",),
-                        tuple((0.0,) for _ in range(19)) + ((1.0,),))
+    table = table_of_rows(("Congestion",),
+                          tuple((0.0,) for _ in range(19)) + ((1.0,),))
     cleaned, report = clean(table, CleanPolicy(outlier_strategy=DROP_ROW))
     assert cleaned.num_rows == 20
     assert report.outlier_counts["Congestion"] == 0
@@ -291,12 +311,12 @@ def test_clean_never_fences_indicator_columns():
 def test_clean_fences_only_the_rows_it_keeps():
     # the 1000 sits in a row dropped for its blank, so it neither widens
     # nor breaks A's fences
-    table = RecordTable(("A", "B"),
-                        ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0),
-                         (1000.0, None)))
+    table = table_of_rows(("A", "B"),
+                          ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0),
+                           (1000.0, None)))
     cleaned, report = clean(table, CleanPolicy(missing_strategy=DROP_ROW,
                                                outlier_strategy=DROP_ROW))
-    assert cleaned.rows == table.rows[:4]
+    assert rows_of(cleaned) == rows_of(table)[:4]
     assert report.rows_dropped_missing == 1
     assert report.outlier_counts == {"A": 0, "B": 0}
 
@@ -308,6 +328,142 @@ def test_infinite_cell_gives_nan_fences_that_flag_every_value():
         _, report = clean(numeric_table("V", [1, 2, math.inf]))
     assert math.isnan(lo) and math.isnan(hi)
     assert report.outlier_counts["V"] == 3
+
+
+def median_oracle(values):
+    """The middle of the sorted values, or the mean of the middle two."""
+    s = sorted(values)
+    half = len(s) // 2
+    return s[half] if len(s) % 2 else (s[half - 1] + s[half]) / 2
+
+
+def quantile_oracle(values, q):
+    """The linear-interpolation quantile at zero-based position (n - 1) * q,
+    interpolated from the nearer end, as numpy's default does."""
+    s = sorted(values)
+    position = (len(s) - 1) * q
+    i = int(position)
+    t = position - i
+    a, b = s[i], s[min(i + 1, len(s) - 1)]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def clean_oracle(names, rows, missing, outliers, k):
+    """`clean` a row at a time: the rows kept, with their imputed cells, and
+    the report's fields, or the text of the first error."""
+    data = [j for j, name in enumerate(names) if name not in NOT_DATA]
+    report = {
+        "missing_counts": {names[j]: sum(row[j] is None for row in rows)
+                           for j in data},
+        "imputed_counts": {names[j]: 0 for j in data},
+        "outlier_counts": {names[j]: 0 for j in data},
+        "rows_dropped_missing": 0, "rows_dropped_outliers": 0}
+    rows = [list(row) for row in rows]
+    if missing == "drop_row":
+        kept = [row for row in rows if all(row[j] is not None for j in data)]
+        report["rows_dropped_missing"] = len(rows) - len(kept)
+        rows = kept
+    else:
+        for j in data:
+            name, count = names[j], report["missing_counts"][names[j]]
+            if count == 0:
+                continue
+            if kind_of(name) == CATEGORICAL:
+                return f"cannot impute categorical column {name!r}"
+            observed = [row[j] for row in rows if row[j] is not None]
+            if not observed:
+                return (f"column {name!r} is entirely missing; no median "
+                        "to impute")
+            if kind_of(name) == BOOLEAN:
+                fill = 1.0 if 2 * sum(observed) > len(observed) else 0.0
+            else:
+                fill = median_oracle(observed)
+            for row in rows:
+                if row[j] is None:
+                    row[j] = fill
+            report["imputed_counts"][name] = count
+    flagged = set()
+    for j in data:
+        if kind_of(names[j]) != NUMERIC or not rows:
+            continue
+        values = [row[j] for row in rows]
+        q1, q3 = quantile_oracle(values, 0.25), quantile_oracle(values, 0.75)
+        lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
+        out = {i for i, v in enumerate(values) if not lo <= v <= hi}
+        report["outlier_counts"][names[j]] = len(out)
+        flagged |= out
+    if outliers == "drop_row":
+        report["rows_dropped_outliers"] = len(flagged)
+        rows = [row for i, row in enumerate(rows) if i not in flagged]
+    return [tuple(row) for row in rows], report
+
+
+def cell_bits(cell):
+    """A cell's type and value, a float by its bits (so -0.0 is not 0.0)."""
+    return type(cell), struct.pack("<d", cell) if type(cell) is float else cell
+
+
+NUMBERS = (st.sampled_from((1.0, 2.0, 2.5, 3.0, 7.0, 1e3, math.inf, -math.inf))
+           | st.integers(-4000, 4000).map(lambda i: i / 4))  # no -0.0
+#: Cells by column: numeric and boolean data, a categorical data column,
+#: and the not-data answer key and label.
+CLEAN_CELLS = {"A": NUMBERS, "Slump": NUMBERS,
+               "Congestion": st.sampled_from((0.0, 1.0)),
+               "Spreader": st.sampled_from((0.0, 1.0)),
+               "Condition": st.sampled_from(("dry", "wet")),
+               "MuStar": NUMBERS, "Scenario": st.sampled_from(("s1", "s2"))}
+
+
+@st.composite
+def cleanable_tables(draw):
+    """Names and rows; each column is full, holed (most often) or blank."""
+    names = draw(st.lists(st.sampled_from(tuple(CLEAN_CELLS)), unique=True,
+                          max_size=4))
+    n = draw(st.integers(0, 12))
+    columns = []
+    for name in names:
+        fill = draw(st.sampled_from(("full", "holes", "holes", "holes",
+                                     "blank")))
+        cells = {"full": CLEAN_CELLS[name], "blank": st.none(),
+                 "holes": st.none() | CLEAN_CELLS[name]}[fill]
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return tuple(names), [tuple(c[i] for c in columns) for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=cleanable_tables(),
+       missing=st.sampled_from(MISSING_STRATEGIES),
+       outliers=st.sampled_from(OUTLIER_STRATEGIES),
+       k=st.sampled_from((0.5, 1.5, 3.0)))
+# a boolean majority tie, an infinite cell, and a column of blanks
+@example(table=(("Congestion", "MuStar"), [(1.0, None), (0.0, 2.0),
+                                          (None, 1e9)]),
+         missing="impute_median", outliers=DROP_ROW, k=1.5)
+@example(table=(("A", "Scenario"),
+                [(1.0, None), (2.0, "s1"), (math.inf, "s2")]),
+         missing="impute_median", outliers=DROP_ROW, k=1.5)
+@example(table=(("Slump", "A"), [(None, 1.0), (None, 2.0)]),
+         missing="impute_median", outliers="flag_only", k=1.5)
+def test_clean_is_the_per_row_oracle(table, missing, outliers, k):
+    names, rows = table
+    expected = clean_oracle(names, rows, missing, outliers, k)
+    policy = CleanPolicy(missing, outliers, k)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as info:
+            clean(table_of_rows(names, rows), policy)
+        assert str(info.value) == expected
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning
+        cleaned, report = clean(table_of_rows(names, rows), policy)
+    want_rows, want_report = expected
+    assert cleaned.column_names == names
+    assert [list(map(cell_bits, row)) for row in rows_of(cleaned)] == [
+        list(map(cell_bits, row)) for row in want_rows]
+    assert {f: list(v.items()) if isinstance(v, dict) else v
+            for f, v in vars(report).items()} == {
+        f: list(v.items()) if isinstance(v, dict) else v
+        for f, v in want_report.items()}
 
 
 def test_clean_policy_validation():
@@ -347,7 +503,7 @@ def test_clean_drop_row_idempotent_on_generated_data():
 
 
 def test_encode_two_point_column():
-    table = RecordTable(("Y", "X"), ((1.0, 0.0), (2.0, 10.0)))
+    table = table_of_rows(("Y", "X"), ((1.0, 0.0), (2.0, 10.0)))
     ds = encode_and_normalize(table, "Y")
     stats = ds.norm_stats.features[0]
     assert stats.mean == 5.0
@@ -356,15 +512,16 @@ def test_encode_two_point_column():
 
 
 def test_encode_indicator_passes_through():
-    table = RecordTable(("Y", "Spreader"),
-                        ((1.0, 0.0), (2.0, 1.0), (3.0, 1.0)))
+    table = table_of_rows(("Y", "Spreader"),
+                          ((1.0, 0.0), (2.0, 1.0), (3.0, 1.0)))
     ds = encode_and_normalize(table, "Y")
     assert ds.X[:, 0].tolist() == [0.0, 1.0, 1.0]
     assert ds.norm_stats.features[0].kind == BOOLEAN
 
 
 def test_encode_target_z_scores():
-    table = RecordTable(("Y", "X"), ((60.0, 0.0), (80.0, 1.0), (100.0, 2.0)))
+    table = table_of_rows(("Y", "X"),
+                          ((60.0, 0.0), (80.0, 1.0), (100.0, 2.0)))
     ds = encode_and_normalize(table, "Y")
     assert ds.norm_stats.target.mean == 80.0
     # population std of {60, 80, 100} is sqrt(800/3), so the
@@ -400,7 +557,7 @@ def test_generated_truth_columns_are_not_features():
     (((1.0, math.nan), (2.0, 3.0)), "non-finite"),
 ])
 def test_encode_rejects_bad_feature_columns(rows, message):
-    table = RecordTable(("Y", "X"), rows)
+    table = table_of_rows(("Y", "X"), rows)
     with pytest.raises(DataError, match=message):
         encode_and_normalize(table, "Y")
 
@@ -409,11 +566,11 @@ def paving_table(names):
     """A 30-row synth table with the answer key, a numeric ``CrewSize`` and
     the text columns ``Scenario`` and ``Condition``, as the columns `names`."""
     table = generate_paving_dataset(30, 4, include_truth=True)
-    columns = dict(zip(table.column_names, zip(*table.rows)))
+    columns = dict(zip(table.column_names, table.columns))
     columns.update(CrewSize=[float(2 + i % 5) for i in range(30)],
                    Scenario=[f"s{i}" for i in range(30)],
                    Condition=["dry", "wet"] * 15)
-    return RecordTable(tuple(names), tuple(zip(*(columns[n] for n in names))))
+    return RecordTable(tuple(names), [columns[n] for n in names], 30)
 
 
 @pytest.mark.parametrize("names, features", [
@@ -433,12 +590,12 @@ def test_features_are_every_column_but_the_target_and_not_data(names,
 def test_encode_rejects_categorical_feature_and_constant_target():
     # a text column is data, so a feature, and refused as one: beside the
     # nine condition attributes too
-    for table in (RecordTable(("Y", "Condition"), ((1.0, "a"), (2.0, "b"))),
+    for table in (table_of_rows(("Y", "Condition"), ((1.0, "a"), (2.0, "b"))),
                   paving_table(PAVING_COLUMNS + ("Condition",))):
         with pytest.raises(DataError, match="categorical column 'Condition' "
                                             "is not supported as a feature"):
             encode_and_normalize(table, table.column_names[0])
-    flat = RecordTable(("Y", "X"), ((2.0, 1.0), (2.0, 3.0)))
+    flat = table_of_rows(("Y", "X"), ((2.0, 1.0), (2.0, 3.0)))
     with pytest.raises(DataError, match="constant"):
         encode_and_normalize(flat, "Y")
 
@@ -455,13 +612,13 @@ def test_encode_rejects_target_as_feature_and_empty_table():
     with pytest.raises(DataError, match="^target 'Slump' cannot also be a "
                                         "feature$"):
         NormalizationStats(stats.features, slump)
-    empty = RecordTable(("Y", "X"), ())
+    empty = table_of_rows(("Y", "X"), ())
     with pytest.raises(DataError, match="empty"):
         encode_and_normalize(empty, "Y")
 
 
 def test_encode_refuses_an_overflowing_std_without_a_warning():
-    table = RecordTable(("Y", "X"), ((1.0, 1e300), (2.0, -1e300)))
+    table = table_of_rows(("Y", "X"), ((1.0, 1e300), (2.0, -1e300)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="std of column 'X' must be a "
@@ -601,11 +758,12 @@ def test_dataset_with_stats_matches_fresh_encoding():
 def test_dataset_with_stats_rejects_bad_tables():
     table = generate_paving_dataset(5, 6)
     ds = encode_and_normalize(table, "Productivity")
-    empty = table.with_rows(())
+    empty = table_of_rows(table.column_names, ())
     with pytest.raises(DataError, match="no rows"):
         dataset_with_stats(empty, ds.norm_stats)
-    holey = table.with_rows(
-        (table.rows[0][:1] + (None,) + table.rows[0][2:],))
+    first = rows_of(table)[0]
+    holey = table_of_rows(table.column_names,
+                          (first[:1] + (None,) + first[2:],))
     with pytest.raises(DataError, match="missing"):
         dataset_with_stats(holey, ds.norm_stats)
 
@@ -614,13 +772,14 @@ def test_dataset_with_stats_reads_only_the_columns_it_encodes():
     table = generate_paving_dataset(20, 6, include_truth=True)
     ds = encode_and_normalize(table, "Productivity")
     blank = table.column_index("MuStar")
-    holey = table.with_rows(
-        row[:blank] + (None,) + row[blank + 1:] for row in table.rows)
+    holey = table_of_rows(table.column_names, (
+        row[:blank] + (None,) + row[blank + 1:] for row in rows_of(table)))
     again = dataset_with_stats(holey, ds.norm_stats)
     assert np.array_equal(again.X, ds.X)
     assert np.array_equal(again.y, ds.y)
-    slump = table.with_rows(
-        (table.rows[0][:1] + (None,) + table.rows[0][2:],) + table.rows[1:])
+    first, *rest = rows_of(table)
+    slump = table_of_rows(table.column_names,
+                          [first[:1] + (None,) + first[2:], *rest])
     with pytest.raises(DataError, match="column 'Slump' still has missing"):
         dataset_with_stats(slump, ds.norm_stats)
 
@@ -629,8 +788,7 @@ def test_dataset_with_stats_names_an_absent_feature_column():
     table = generate_paving_dataset(5, 6)
     ds = encode_and_normalize(table, "Productivity")
     keep = [i for i, name in enumerate(table.column_names) if name != "Slump"]
-    narrow = RecordTable(
-        tuple(table.column_names[i] for i in keep),
-        tuple(tuple(row[i] for i in keep) for row in table.rows))
+    narrow = RecordTable(tuple(table.column_names[i] for i in keep),
+                         [table.columns[i] for i in keep], table.num_rows)
     with pytest.raises(DataError, match="no column named 'Slump'"):
         dataset_with_stats(narrow, ds.norm_stats)

@@ -97,3 +97,116 @@ def test_main_writes_the_summary_or_says_why_not(tmp_path, monkeypatch,
     assert bench_summary.main(["--seeds", *seeds[:4], "--out", "C.json"]) == 1
     assert capsys.readouterr().err.startswith("error: need at least 5")
     assert not Path("C.json").exists()
+
+
+# ------------------------------------------------ parent against change
+
+PAIR_SEEDS = list(range(41, 51))
+PAIR_BENCHMARK = {**BENCHMARK, "end_to_end": [
+    {"name": "wall_vs_ref", "unit": "x", "better": "lower"},
+    {"name": "ops", "unit": "1/s", "better": "higher"}]}
+
+
+def write_side(results, wall, ops, special=None):
+    """One record per workload and seed of PAIR_SEEDS, the i-th seed's
+    wall_vs_ref being wall[i] and its ops ops[i]; `special` maps
+    (workload, seed) to the changes its record gets, or None for none."""
+    results.mkdir(parents=True, exist_ok=True)
+    for workload in ("alpha", "beta"):
+        for seed, w, o in zip(PAIR_SEEDS, wall, ops):
+            changes = (special or {}).get((workload, seed), {})
+            if changes is None:
+                continue
+            rec = record(seed, workload, **changes)
+            rec["metrics"] = {"wall_vs_ref": {"value": w},
+                              "ops": {"value": o}}
+            path = results / f"{workload}-seed{seed}-trace0.json"
+            path.write_text(json.dumps(rec))
+
+
+#: The parent's runs: median 1.0, quartiles 0.95 and 1.05 (a spread of
+#: 0.1), and ops the same numbers times 100.
+PARENT_WALL = [0.9, 0.95, 0.95, 0.95, 1.0, 1.0, 1.05, 1.05, 1.05, 1.1]
+
+
+@pytest.mark.parametrize("wall, wins, holds", [
+    # lower in every pair, and by more than the parent's spread
+    ([w - 0.2 for w in PARENT_WALL], 10, True),
+    # lower in nine pairs; the tenth a tie, which counts for neither
+    ([w - 0.2 for w in PARENT_WALL[:9]] + [1.1], 9, True),
+    # lower in every pair, but by less than the parent's spread
+    ([w - 0.05 for w in PARENT_WALL], 10, False),
+    # far lower, but in eight pairs only
+    ([w - 0.5 for w in PARENT_WALL[:8]] + [2.0, 2.0], 8, False),
+])
+def test_compare_counts_the_pairs_and_applies_the_claim_rule(
+        tmp_path, wall, wins, holds):
+    write_side(tmp_path / "parent", PARENT_WALL,
+               [100 * w for w in PARENT_WALL])
+    # ops is better higher: the same moves up are gains
+    write_side(tmp_path / "change", wall,
+               [200 * p - 100 * w for p, w in zip(PARENT_WALL, wall)])
+    rows = bench_summary.compare(PAIR_BENCHMARK, tmp_path / "parent",
+                                 tmp_path / "change", PAIR_SEEDS)
+    assert list(rows) == ["alpha", "beta"]
+    wall_row, ops_row = rows["alpha"]["wall_vs_ref"], rows["alpha"]["ops"]
+    assert wall_row["parent"] == pytest.approx([1.0, 0.95, 1.05])
+    assert wall_row["change"][0] == pytest.approx(sorted(wall)[4] / 2
+                                                  + sorted(wall)[5] / 2)
+    assert (wall_row["wins"], wall_row["pairs"]) == (wins, 10)
+    assert wall_row["claim_holds"] is holds
+    assert ops_row["parent"] == pytest.approx([100.0, 95.0, 105.0])
+    assert (ops_row["wins"], ops_row["claim_holds"]) == (wins, holds)
+    lines = bench_summary.comparison_lines(rows, PAIR_BENCHMARK)
+    assert lines[0].startswith("alpha wall_vs_ref (x): 1 [0.95-1.05] -> ")
+    assert lines[0].endswith(f"better in {wins}/10 pairs, claim "
+                             + ("holds" if holds else "does not hold"))
+
+
+@pytest.mark.parametrize("side, changes, message", [
+    ("parent", None, "no result"),
+    ("parent", {"failed": 1}, "records a failed run"),
+    ("change", {"correct": False}, "records a failed run"),
+    ("change", {"environment": {**ENVIRONMENT, "nproc": 4}},
+     "another environment"),
+])
+def test_compare_refuses_a_missing_failed_or_foreign_record(
+        tmp_path, side, changes, message):
+    for name in ("parent", "change"):
+        special = {("beta", 44): changes} if name == side else None
+        write_side(tmp_path / name, PARENT_WALL, PARENT_WALL, special)
+    with pytest.raises(ValueError, match=message):
+        bench_summary.compare(PAIR_BENCHMARK, tmp_path / "parent",
+                              tmp_path / "change", PAIR_SEEDS)
+
+
+def test_compare_refuses_two_sides_from_two_environments(tmp_path):
+    write_side(tmp_path / "parent", PARENT_WALL, PARENT_WALL)
+    other = {(w, s): {"environment": {**ENVIRONMENT, "numpy": "2.0.0"}}
+             for w in ("alpha", "beta") for s in PAIR_SEEDS}
+    write_side(tmp_path / "change", PARENT_WALL, PARENT_WALL, other)
+    with pytest.raises(ValueError, match="the two sides ran in other "
+                                         "environments"):
+        bench_summary.compare(PAIR_BENCHMARK, tmp_path / "parent",
+                              tmp_path / "change", PAIR_SEEDS)
+
+
+def test_main_prints_the_comparison(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("BENCHMARK.json").write_text(json.dumps(PAIR_BENCHMARK))
+    write_side(tmp_path / "parent" / ".perfbench" / "results", PARENT_WALL,
+               PARENT_WALL)
+    write_side(tmp_path / ".perfbench" / "results",
+               [w - 0.2 for w in PARENT_WALL], PARENT_WALL)
+    seeds = [str(s) for s in PAIR_SEEDS]
+    assert bench_summary.main(["--seeds", *seeds, "--parent", "parent"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4 and not Path("B.json").exists()
+    assert out[0].endswith("better in 10/10 pairs, claim holds")
+    assert out[1].endswith("better in 0/10 pairs, claim does not hold")
+    assert bench_summary.main(["--seeds", *seeds, "--parent", "parent",
+                               "--out", "B.json"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote B.json"
+    with pytest.raises(SystemExit):
+        bench_summary.main(["--seeds", *seeds])
+    assert "give --out, --parent or both" in capsys.readouterr().err

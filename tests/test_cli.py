@@ -21,6 +21,7 @@ from pavesim import cli
 from pavesim.modelfile import load_dataset, load_model
 from pavesim.synthetic import generate_paving_dataset
 from pavesim.tables import PAVING_COLUMNS, TARGET_COLUMN, csv_text, load_csv
+from table_helpers import rows_of
 
 FEATURE_NAMES = PAVING_COLUMNS[1:]
 
@@ -371,7 +372,7 @@ def keyed_csv(path, congestion, truth=False, key="{}"):
     table = generate_paving_dataset(len(congestion), 21, include_truth=truth)
     at = table.column_index("Congestion")
     rows = [(key.format(i + 1), *row[:at], flag, *row[at + 1:])
-            for i, (row, flag) in enumerate(zip(table.rows, congestion))]
+            for i, (row, flag) in enumerate(zip(rows_of(table), congestion))]
     path.write_text(csv_text((), ("JobId",) + table.column_names, rows))
     return path
 
@@ -722,7 +723,7 @@ def test_derive_labels_with_csv_syntax_read_back(model_file, tmp_path):
     rc = cli.main(["derive", "--model", str(model_file), "--scenarios",
                    str(scen), "--out", str(out)])
     assert rc == 0
-    assert load_csv(out).column_values("scenario") == ["a,b", 'say "hi"', "#1"]
+    assert load_csv(out).column_values("scenario") == ("a,b", 'say "hi"', "#1")
 
 
 def test_derive_and_evaluate_skip_a_text_column_they_never_read(
@@ -1263,7 +1264,7 @@ def test_every_csv_the_walkthrough_writes_reads_back(
     paths["d.csv"] = raw_csv
     for name, path in paths.items():
         table = load_csv(path)
-        assert table.rows == written_rows(path, TEXT_COLUMNS.get(name, ())), name
+        assert rows_of(table) == written_rows(path, TEXT_COLUMNS.get(name, ())), name
 
 
 # ------------------------------------------------------------- file errors

@@ -27,6 +27,7 @@ from pavesim.inputmodel import (
 from pavesim.network import NetworkConfig, NetworkParams, init_network
 from pavesim.synthetic import generate_paving_dataset
 from pavesim.tables import BOOLEAN, NUMERIC, PAVING_COLUMNS
+from table_helpers import rows_of
 
 EPS = np.finfo(float).eps
 
@@ -338,7 +339,7 @@ class TestCoverage:
         net = init_network(NetworkConfig(input_dim=9, hidden_widths=(8,),
                                          seed=4))
         models = [derive(net, dict(zip(table.column_names, row)), stats)
-                  for row in table.rows]
+                  for row in rows_of(table)]
         for level in Z_VALUES:
             report = coverage(net, stats, dataset_with_stats(table, stats),
                               level)

@@ -43,8 +43,7 @@ def line_table(n=500, seed=8, noise=0.1):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1, 1, n)
     ys = 2.0 * xs + rng.normal(0, noise, n)
-    return RecordTable(("Y", "X"),
-                       tuple((float(a), float(b)) for a, b in zip(ys, xs)))
+    return RecordTable(("Y", "X"), [ys.tolist(), xs.tolist()], n)
 
 
 # -------------------------------------------------------------- configs
@@ -542,9 +541,8 @@ def test_predicted_sigma_recovers_constant_noise():
     a = rng.uniform(-1, 1, n)
     b = rng.uniform(-1, 1, n)
     y = 3.0 * a - 2.0 * b + 5.0 + rng.normal(0, 2.0, n)
-    table = RecordTable(("Y", "A", "B"),
-                        tuple((float(p), float(q), float(r))
-                              for p, q, r in zip(y, a, b)))
+    table = RecordTable(("Y", "A", "B"), [y.tolist(), a.tolist(), b.tolist()],
+                        n)
     ds = encode_and_normalize(table, "Y")
     train_ds, test_ds = split(ds, 0.8, 77)
     params, _ = train(

@@ -23,6 +23,7 @@ from pavesim.tables import (
     load_csv,
     table_to_csv,
 )
+from table_helpers import rows_of
 
 
 def test_true_moments_hand_values():
@@ -132,7 +133,7 @@ def loop_oracle(n_rows, seed, include_truth):
 def test_generate_matches_the_per_row_loop(n_rows, seed, include_truth):
     # (10000, 12345) holds a row whose Productivity differs in the last
     # bit if the temperature term is squared by numpy's ** rather than pow.
-    rows = generate_paving_dataset(n_rows, seed, include_truth).rows
+    rows = rows_of(generate_paving_dataset(n_rows, seed, include_truth))
     assert list(rows) == loop_oracle(n_rows, seed, include_truth)
     assert all(type(cell) is float for row in rows for cell in row)
 
@@ -151,7 +152,7 @@ def test_generate_schema():
     with_truth = generate_paving_dataset(10, 0, include_truth=True)
     assert with_truth.column_names == PAVING_COLUMNS + TRUTH_COLUMNS
     # same seed, so the visible part matches the plain table
-    assert [r[:10] for r in with_truth.rows] == list(table.rows)
+    assert [r[:10] for r in rows_of(with_truth)] == list(rows_of(table))
 
 
 def test_generate_rejects_empty_request():
@@ -246,9 +247,9 @@ def test_weather_mixture_matches_the_per_row_loop(name, n_rows):
     for seed in (0, 5, 2**40 + 5):
         table = (generate_weather_mixture(n_rows, seed) if name == "default"
                  else generate_weather_mixture(n_rows, seed, spec))
-        assert list(table.rows) == mixture_oracle(n_rows, seed, spec)
+        assert list(rows_of(table)) == mixture_oracle(n_rows, seed, spec)
         assert all(type(label) is str and type(duration) is float
-                   for label, duration in table.rows)
+                   for label, duration in rows_of(table))
 
 
 def test_weather_table_shape_and_determinism():

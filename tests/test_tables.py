@@ -31,6 +31,7 @@ from pavesim.tables import (
     table_to_csv,
     write_text,
 )
+from table_helpers import rows_of, table_of_rows
 
 HEADER = ",".join(PAVING_COLUMNS)
 PAVING_KINDS = (NUMERIC, NUMERIC, BOOLEAN, BOOLEAN) + (NUMERIC,) * 6
@@ -47,7 +48,7 @@ def test_read_csv_parses_schema_row():
     table = read_csv(io.StringIO(text))
     assert table.num_rows == 1
     assert table.column_kinds == PAVING_KINDS
-    row = table.rows[0]
+    row = rows_of(table)[0]
     assert row[0] == 66.08
     assert row[1] == 3.0
     assert row[2] == 1.0
@@ -89,7 +90,7 @@ def test_read_csv_skips_comment_lines_anywhere():
 def test_read_csv_empty_cell_becomes_missing():
     text = HEADER + "\n66.0,,1,0,4.6,5.3,59.6,-0.7,0.001,4.0\n"
     table = read_csv(io.StringIO(text))
-    assert table.rows[0][1] is None
+    assert table.column_values("Slump")[0] is None
 
 
 def test_read_csv_unknown_header_is_all_numeric():
@@ -111,7 +112,7 @@ def test_read_csv_kinds_come_from_names_in_any_order():
     table = read_csv(io.StringIO(",".join(names) + "\n"
                                  "7,best,4.0,0.001,-0.7,59.6,5.3,4.6,0,1,3.0,66.0\n"))
     assert table.column_kinds == (NUMERIC, CATEGORICAL) + PAVING_KINDS[::-1]
-    assert table.rows[0][:2] == (7.0, "best")
+    assert rows_of(table)[0][:2] == (7.0, "best")
     with pytest.raises(DataError, match="boolean column 'Spreader' holds 2.0"):
         read_csv(io.StringIO(",".join(names) + "\n"
                              "7,best,4.0,0.001,-0.7,59.6,5.3,4.6,2,1,3.0,66.0\n"))
@@ -122,8 +123,8 @@ def test_read_csv_reads_the_key_column_as_text():
     # keys compare as written: 1 and 1.0 are two keys, and nan one key
     text = "JobId,X\nj0,1\n1,2\n 1.0 ,3\nnan,4\n,5\n"
     table = read_csv(io.StringIO(text), lambda name: name != "JobId")
-    assert table.column_values("JobId") == ["j0", "1", "1.0", "nan", None]
-    assert table.column_values("X") == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert table.column_values("JobId") == ("j0", "1", "1.0", "nan", None)
+    assert table.column_values("X") == (1.0, 2.0, 3.0, 4.0, 5.0)
     with pytest.raises(DataError, match="cell 'j0' in row 0, column 'JobId' "
                                         "is not numeric"):
         read_csv(io.StringIO(text))
@@ -135,7 +136,7 @@ def test_read_csv_reads_the_columns_it_does_not_parse_as_text():
     # columns parsed keep their kinds and their refusals
     text = "Y,Notes,Congestion,X\n1,ok,2,4\n3,,0.5,x\n"
     table = read_csv(io.StringIO(text), {"Y"}.__contains__)
-    assert table.rows == ((1.0, "ok", "2", "4"), (3.0, None, "0.5", "x"))
+    assert rows_of(table) == ((1.0, "ok", "2", "4"), (3.0, None, "0.5", "x"))
     with pytest.raises(DataError, match="cell 'x' in row 1, column 'X' is "
                                         "not numeric"):
         read_csv(io.StringIO(text), {"Y", "X"}.__contains__)
@@ -150,12 +151,12 @@ def test_kind_of_reads_the_name_alone():
 def test_read_csv_skips_a_trailing_blank_line():
     table = read_csv(io.StringIO("Y,X\n1,2\n3,4\n5,6\n7,8\n9,10\n\n"))
     assert table.num_rows == 5
-    assert table.rows[-1] == (9.0, 10.0)
+    assert rows_of(table)[-1] == (9.0, 10.0)
 
 
 def test_read_csv_skips_a_blank_line_mid_file():
     table = read_csv(io.StringIO("Y,X\n1,2\n\n3,4\n"))
-    assert table.rows == ((1.0, 2.0), (3.0, 4.0))
+    assert rows_of(table) == ((1.0, 2.0), (3.0, 4.0))
     # later errors still number the table's rows, not the file's lines
     with pytest.raises(DataError, match="cell 'x' in row 2"):
         read_csv(io.StringIO("Y,X\n1,2\n\n3,4\nx,5\n"))
@@ -192,9 +193,9 @@ def test_read_csv_names_the_file_and_row_that_csv_cannot_read(tmp_path):
 def test_read_csv_skips_blank_lines_before_the_header():
     table = read_csv(io.StringIO("\nY,X\n1,2\n"))
     assert table.column_names == ("Y", "X")
-    assert table.rows == ((1.0, 2.0),)
+    assert rows_of(table) == ((1.0, 2.0),)
     table = read_csv(io.StringIO("\n# note\n\nY,X\n\n1,2\n"))
-    assert table.rows == ((1.0, 2.0),)
+    assert rows_of(table) == ((1.0, 2.0),)
 
 
 def test_read_csv_no_header_is_an_error():
@@ -249,7 +250,7 @@ def test_open_text_reads_utf8_and_keeps_line_ends(tmp_path):
             assert stream.read() == "Scenario,Y\r\nbeté,1\r\n"
         table = load_csv(path)
         assert table.column_names == ("Scenario", "Y")
-        assert table.rows == (("beté", 1.0),)
+        assert rows_of(table) == (("beté", 1.0),)
 
 
 def test_read_json_drops_comment_lines(tmp_path):
@@ -316,12 +317,17 @@ def test_a_failed_write_to_a_staged_file_names_its_path(tmp_path):
 
 def test_record_table_rejects_duplicate_names():
     with pytest.raises(DataError, match="unique"):
-        RecordTable(("A", "A"), ())
+        RecordTable(("A", "A"), ((), ()), 0)
 
 
 def test_record_table_rejects_ragged_rows():
-    with pytest.raises(DataError, match="row 0"):
-        RecordTable(("A", "B"), ((1.0,),))
+    # a table holds columns: one shorter than the rest is refused, and a
+    # short row, which only a CSV can hold, is refused by read_csv
+    with pytest.raises(DataError, match=re.escape(
+            "2 columns of 1 cells expected, got columns of [1, 0] cells")):
+        RecordTable(("A", "B"), ((1.0,), ()), 1)
+    with pytest.raises(DataError, match="^row 0 has 1 cells, expected 2$"):
+        read_csv(io.StringIO("A,B\n1\n"))
 
 
 def test_read_csv_checks_booleans_by_the_kind_a_cell_is_read_as():
@@ -331,20 +337,20 @@ def test_read_csv_checks_booleans_by_the_kind_a_cell_is_read_as():
     # a key is read as text, so a boolean name does not hold it to 0 and 1
     table = read_csv(io.StringIO("Spreader,A\n1,5\n2,6\n"),
                      lambda name: name != "Spreader")
-    assert table.rows == (("1", 5.0), ("2", 6.0))
+    assert rows_of(table) == (("1", 5.0), ("2", 6.0))
 
 
 def test_record_table_boolean_allows_missing():
-    table = RecordTable(("Congestion",), ((None,), (1.0,)))
-    assert table.rows[0][0] is None
+    table = table_of_rows(("Congestion",), ((None,), (1.0,)))
+    assert table.column_values("Congestion")[0] is None
 
 
 def test_column_lookup_and_missing_column():
-    table = RecordTable(("A", "Congestion"), ((1.0, 0.0),))
+    table = table_of_rows(("A", "Congestion"), ((1.0, 0.0),))
     assert table.column_index("Congestion") == 1
     assert table.column_kinds == (NUMERIC, BOOLEAN)
     assert table.column_kind("Congestion") == BOOLEAN
-    assert table.column_values("A") == [1.0]
+    assert table.column_values("A") == (1.0,)
     for lookup in (table.column_index, table.column_kind):
         with pytest.raises(DataError, match="no column named 'C'"):
             lookup("C")
@@ -397,8 +403,8 @@ def test_check_value_states_the_rule_of_the_column(name, value, message):
 
 
 def test_format_cell_conventions():
-    table = RecordTable(("A", "Congestion", "Scenario", "D"),
-                        ((None, 1.0, "rainy", 0.1 + 0.2),))
+    table = table_of_rows(("A", "Congestion", "Scenario", "D"),
+                          ((None, 1.0, "rainy", 0.1 + 0.2),))
     missing, flag, label, number = table_to_csv(table).splitlines()[1].split(",")
     assert missing == ""
     assert flag == "1"
@@ -408,7 +414,7 @@ def test_format_cell_conventions():
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    table = RecordTable(
+    table = table_of_rows(
         ("Scenario", "Slump", "Spreader"),
         (("rainy", 0.1 + 0.2, 1.0), ("sunny", -17.25, 0.0), ("windy", None, 1.0)),
     )
@@ -419,7 +425,7 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 
 def test_table_to_csv_comment_header_lines():
-    table = RecordTable(("A",), ((1.0,),))
+    table = table_of_rows(("A",), ((1.0,),))
     text = table_to_csv(table, header_comments=("one", "two"))
     assert text.startswith("# one\n# two\nA\n")
 
@@ -465,7 +471,7 @@ def tables(draw):
     kinds = tuple(map(kind_of, names))
     cells = draw(st.sampled_from([CELLS, FILLED_CELLS]))
     rows = draw(st.lists(st.tuples(*(cells[k] for k in kinds)), max_size=8))
-    return RecordTable(names, tuple(rows))
+    return table_of_rows(names, rows)
 
 
 def same_cell(written, read):
@@ -482,7 +488,7 @@ def test_written_tables_read_back_bit_for_bit(table):
     back = read_csv(io.StringIO(table_to_csv(table, ("a comment",))))
     assert back.column_names == table.column_names
     assert back.num_rows == table.num_rows
-    for written, read in zip(table.rows, back.rows):
+    for written, read in zip(rows_of(table), rows_of(back)):
         assert all(map(same_cell, written, read)), (written, read)
 
 
@@ -490,7 +496,8 @@ def csv_writer_bytes(table, header_comments):
     """The table through :func:`csv_text`'s ``csv.writer`` path, a boolean
     cell as an int."""
     rows = [[int(v) if v is not None and kind == BOOLEAN else v
-             for v, kind in zip(row, table.column_kinds)] for row in table.rows]
+             for v, kind in zip(row, table.column_kinds)]
+            for row in rows_of(table)]
     return csv_text(header_comments, table.column_names, rows)
 
 
@@ -589,9 +596,10 @@ def test_read_csv_gives_what_a_row_at_a_time_reader_gives(data):
         return
     table = read_csv(io.StringIO(text), parse)
     assert table.column_names == expected[0]
-    assert len(table.rows) == len(expected[1])
-    for read, want in zip(table.rows, expected[1]):
-        assert type(read) is tuple and all(map(same_cell, want, read))
+    assert len(rows_of(table)) == len(expected[1])
+    assert all(type(column) is tuple for column in table.columns)
+    for read, want in zip(rows_of(table), expected[1]):
+        assert all(map(same_cell, want, read))
 
 
 # ------------------------------------------------------- JSON, both ways

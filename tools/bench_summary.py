@@ -1,4 +1,5 @@
-"""Summarize perfbench results into one committed ``BENCH_<n>.json``.
+"""Summarize perfbench results into one committed ``BENCH_<n>.json``, or
+compare them pair by pair with a parent checkout's.
 
 Reads ``.perfbench/results/<workload>-seed<S>-trace0.json`` for every
 workload that ``BENCHMARK.json`` declares and every given seed, and
@@ -13,6 +14,17 @@ every workload at each seed::
 
     for s in 31 32 33 34 35; do python3 perfbench/run.py --seed $s; done
     python3 tools/bench_summary.py --seeds 31 32 33 34 35 --out BENCH_11.json
+
+With ``--parent DIR``, the root of a checkout of the parent commit run at
+the same seeds, it also prints, for each workload and end-to-end metric,
+the parent's median [quartiles] -> this checkout's, the pairs (one per
+seed) this checkout read better (ties count for neither), and whether a
+gain may be claimed: better in at least nine pairs in ten, with the
+medians further apart than the parent's quartiles. Both sides must pass
+the checks above, in one environment. Quartiles interpolate linearly
+between order statistics, as ``numpy.quantile`` does::
+
+    python3 tools/bench_summary.py --seeds 31 32 33 34 35 --parent ../parent
 """
 
 from __future__ import annotations
@@ -26,18 +38,24 @@ from pathlib import Path
 MIN_SEEDS = 5
 RESULTS = Path(".perfbench/results")
 BENCHMARK = Path("BENCHMARK.json")
+#: A gain is claimed only when the change reads better in this share of
+#: the pairs, or more.
+MIN_WIN_SHARE = 0.9
 
 
-def summarize(benchmark: dict, results: Path, seeds: list[int]) -> dict:
+def load_records(benchmark: dict, results: Path,
+                 seeds: list[int]) -> tuple[dict, dict[str, list[dict]]]:
+    """The environment the results share and, per workload, the result
+    record of each seed in ascending order; a missing or failed record, a
+    mixed environment or fewer than :data:`MIN_SEEDS` seeds is refused."""
     if len(set(seeds)) < MIN_SEEDS:
         raise ValueError(f"need at least {MIN_SEEDS} distinct seeds, "
                          f"got {sorted(set(seeds))}")
-    seeds = sorted(set(seeds))
     environment = None
-    summary = {}
+    by_workload = {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         records = []
-        for seed in seeds:
+        for seed in sorted(set(seeds)):
             path = results / f"{workload}-seed{seed}-trace0.json"
             if not path.is_file():
                 raise ValueError(f"no result {path}")
@@ -50,16 +68,28 @@ def summarize(benchmark: dict, results: Path, seeds: list[int]) -> dict:
                 raise ValueError(f"{path} was run in another environment: "
                                  f"{record['environment']} != {environment}")
             records.append(record)
+        by_workload[workload] = records
+    return environment, by_workload
+
+
+def _values(records: list[dict], metric: str) -> list[float]:
+    return [r["metrics"][metric]["value"] for r in records]
+
+
+def summarize(benchmark: dict, results: Path, seeds: list[int]) -> dict:
+    environment, by_workload = load_records(benchmark, results, seeds)
+    summary = {}
+    for workload, records in by_workload.items():
         metrics = {}
         for metric in benchmark["end_to_end"]:
-            values = [r["metrics"][metric["name"]]["value"] for r in records]
+            values = _values(records, metric["name"])
             metrics[metric["name"]] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "median": statistics.median(values),
                 "min": min(values), "max": max(values),
             }
         summary[workload] = {
-            "seeds": seeds,
+            "seeds": sorted(set(seeds)),
             "run_seconds": sorted({r["seconds"] for r in records}),
             "metrics": metrics,
         }
@@ -67,19 +97,80 @@ def summarize(benchmark: dict, results: Path, seeds: list[int]) -> dict:
             "workloads": summary}
 
 
+def compare(benchmark: dict, parent_results: Path, results: Path,
+            seeds: list[int]) -> dict:
+    """Per workload and end-to-end metric, each side's median and
+    quartiles, the pairs the change read better, and whether the claim
+    rule holds. Both sides must share one environment."""
+    parent_env, parent = load_records(benchmark, parent_results, seeds)
+    env, change = load_records(benchmark, results, seeds)
+    if env != parent_env:
+        raise ValueError(f"the two sides ran in other environments: "
+                         f"{parent_env} != {env}")
+    rows = {}
+    for workload in parent:
+        rows[workload] = {}
+        for metric in benchmark["end_to_end"]:
+            before = _values(parent[workload], metric["name"])
+            after = _values(change[workload], metric["name"])
+            sign = 1 if metric["better"] == "lower" else -1
+            wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
+            (median, q1, q3), changed = _spread(before), _spread(after)
+            gap = sign * (median - changed[0])
+            rows[workload][metric["name"]] = {
+                "parent": [median, q1, q3], "change": changed,
+                "wins": wins, "pairs": len(before),
+                "claim_holds": (wins >= MIN_WIN_SHARE * len(before)
+                                and gap > q3 - q1),
+            }
+    return rows
+
+
+def _spread(values: list[float]) -> list[float]:
+    """The median, first quartile and third quartile of `values`."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [statistics.median(values), q1, q3]
+
+
+def comparison_lines(rows: dict, benchmark: dict) -> list[str]:
+    units = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
+    lines = []
+    for workload, metrics in rows.items():
+        for name, row in metrics.items():
+            (pm, p1, p3), (cm, c1, c3) = row["parent"], row["change"]
+            lines.append(
+                f"{workload} {name} ({units[name]}): {pm:.4g} [{p1:.4g}-"
+                f"{p3:.4g}] -> {cm:.4g} [{c1:.4g}-{c3:.4g}], better in "
+                f"{row['wins']}/{row['pairs']} pairs, claim "
+                + ("holds" if row["claim_holds"] else "does not hold"))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--out", required=True, help="summary JSON to write")
+    parser.add_argument("--out", help="summary JSON to write")
+    parser.add_argument("--parent", type=Path,
+                        help="root of a parent checkout run at the same "
+                             "seeds, to compare pair by pair")
     args = parser.parse_args(argv)
+    if args.out is None and args.parent is None:
+        parser.error("give --out, --parent or both")
     benchmark = json.loads(BENCHMARK.read_text())
     try:
-        summary = summarize(benchmark, RESULTS, args.seeds)
+        if args.parent is not None:
+            rows = compare(benchmark, args.parent / RESULTS, RESULTS,
+                           args.seeds)
+        if args.out is not None:
+            summary = summarize(benchmark, RESULTS, args.seeds)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    Path(args.out).write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    if args.parent is not None:
+        print("\n".join(comparison_lines(rows, benchmark)))
+    if args.out is not None:
+        Path(args.out).write_text(json.dumps(summary, indent=2) + "\n")
+        print(f"wrote {args.out}")
     return 0
 
 
