@@ -24,10 +24,13 @@ single first-in, first-out server. Only the rates vary between
 replications, so a run builds and checks its load plan once
 (:attr:`SimConfig.plan`: each load's arrival and amount), and a
 replication only draws its rates and runs the Lindley recursion of
-:func:`run_replication` over that plan. Its per-load work runs in C
-builtins: the sampler draws by array from 112 variates on, and the
-recursion is one conditional and one add per load, with the durations
-divided out before it. :func:`run_monte_carlo` keeps each
+:func:`run_replication` over that plan. From :data:`ARRAY_LOADS` (112)
+loads on, the recursion runs on arrays: the finishes are one sequential
+``np.add.accumulate`` of the durations while the paver is busy, and the
+per-load loop takes over at its first idle. Below that, the loop is one
+conditional and one add per load, with the durations divided out in C
+builtins before it; the sampler also draws by array from 112 variates
+on. Both paths give the same bits. :func:`run_monte_carlo` keeps each
 replication's completion time, busy fraction and clamp count as the
 columns of a :class:`SimResult`. At a constant rate completion time also
 has a closed form: the first time paving at that rate has placed all the
@@ -57,6 +60,13 @@ PER_TRUCKLOAD = "per_truckload"
 RESAMPLE_MODES = (PER_REPLICATION, PER_TRUCKLOAD)
 
 MAX_TRUCKLOADS = 10 ** 6
+
+#: From this many loads on, :func:`run_replication` runs its recursion on
+#: arrays (:attr:`SimConfig.plan_arrays`); below it, one load at a time.
+#: The array path's worst case, a ``per_replication`` paver that idles at
+#: every load, costs the same as the loop here; a busy paver gains from
+#: about 50 loads on.
+ARRAY_LOADS = 112
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,16 @@ class SimConfig:
         cycle, k = first + self.return_time, self.truck_count
         arrivals = tuple((i // k) * cycle + first for i in range(len(amounts)))
         return arrivals, amounts
+
+    @cached_property
+    def plan_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:attr:`plan`'s arrivals and amounts as float64 arrays, and each
+        load's duration at the clamp floor as Python divides it: an int
+        amount over an int floor is their exact quotient, rounded once."""
+        arrivals, amounts = self.plan
+        at_floor = list(map(truediv, amounts, repeat(self.clamp_floor)))
+        return (np.array(arrivals, dtype=float), np.array(amounts, dtype=float),
+                np.array(at_floor, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -209,22 +229,75 @@ def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
     call per load. The durations are divided out in one pass first, and
     busy time is their left-to-right float sum (``sum()`` compensates
     from Python 3.12 on, so it would change the bits).
+
+    A plan of :data:`ARRAY_LOADS` loads or more runs the same arithmetic
+    on arrays, with the same bits. A draw is clamped as ``operator.lt``
+    decides and a clamped load's duration is Python's own quotient, so an
+    int floor or amount above 2^53 moves nothing. While the paver never
+    idles, ``f_i = f_{i-1} + d_i``, so the finishes are one
+    ``np.add.accumulate`` over ``a_0, d_0, d_1, ...``, which adds left to
+    right as the loop does. At the first load that lands after the
+    previous finish, where the paver idles, the loop takes over from that
+    finish. Busy time is the last entry of the durations' own accumulate
+    (``np.sum`` adds pairwise, so it would change the bits). Where a
+    duration or finish overflows to inf, that path warns as numpy does;
+    :func:`run_monte_carlo` silences it, as the loop's floats overflow
+    silently.
     """
     arrivals, amounts = cfg.plan
     per_load = cfg.resample_mode == PER_TRUCKLOAD
     draws = sample(cfg.productivity_source, seed,
                    len(amounts) if per_load else 1)
+    if len(amounts) >= ARRAY_LOADS:
+        return _replication_by_array(cfg, draws)
     floor = cfg.clamp_floor
     # operator.lt, not floor.__gt__: an int floor returns NotImplemented
     clamp_count = sum(map(lt, draws, repeat(floor)))
     rates = list(map(max, draws, repeat(floor))) if clamp_count else draws
     durations = list(map(truediv, amounts,
                          rates if per_load else repeat(rates[0])))
+    now = _last_finish(0.0, arrivals, durations)
+    return now, reduce(add, durations, 0.0) / now, clamp_count
 
-    now = 0.0
+
+def _last_finish(now: float, arrivals: Sequence[float],
+                 durations: Sequence[float]) -> float:
+    """The Lindley recursion, one load at a time, from a paver that is
+    free at ``now``."""
     for arrival, duration in zip(arrivals, durations):
         now = (now if now > arrival else arrival) + duration
-    return now, reduce(add, durations, 0.0) / now, clamp_count
+    return now
+
+
+def _replication_by_array(cfg: SimConfig, draws: list[float]
+                          ) -> tuple[float, float, int]:
+    """:func:`run_replication` over :attr:`SimConfig.plan_arrays`, with
+    the same bits; a ``per_replication`` draw broadcasts."""
+    arrivals, amounts, at_floor = cfg.plan_arrays
+    draws = np.array(draws, dtype=float)
+    floor = cfg.clamp_floor
+    low = float(floor)
+    # draw < floor as operator.lt decides it: no float lies strictly
+    # between an int floor and the float it rounds to
+    below = draws <= low if low < floor else draws < low
+    clamp_count = int(np.count_nonzero(below))
+    steps = np.empty(amounts.size + 1)
+    steps[0] = arrivals[0]
+    durations = steps[1:]
+    np.divide(amounts, np.maximum(draws, low), out=durations)
+    if clamp_count:
+        np.copyto(durations, at_floor, where=below)
+    finish = np.add.accumulate(steps)
+    busy = float(np.add.accumulate(durations)[-1])
+    # finish[j] is f_{j-1}; load j idles when it lands after that finish
+    idle = arrivals[1:] > finish[1:-1]
+    j = int(idle.argmax()) + 1
+    if idle[j - 1]:
+        now = _last_finish(float(finish[j]), cfg.plan[0][j:],
+                           durations[j:].tolist())
+    else:
+        now = float(finish[-1])
+    return now, busy / now, clamp_count
 
 
 def run_monte_carlo(
@@ -238,11 +311,12 @@ def run_monte_carlo(
     their mean and std to be finite raise a :class:`NumericalError`.
     """
     check_number("replications", replications, integer=True, low=1)
-    times, busy, clamps = zip(*(
-        run_replication(cfg, replication_seed(master_seed, i))
-        for i in range(replications)))
-    result = SimResult(times, busy, clamps, cfg.truckloads, master_seed)
+    # the array path overflows to inf as the loop's floats do, silently
     with np.errstate(over="ignore", invalid="ignore"):
+        times, busy, clamps = zip(*(
+            run_replication(cfg, replication_seed(master_seed, i))
+            for i in range(replications)))
+        result = SimResult(times, busy, clamps, cfg.truckloads, master_seed)
         if not np.isfinite([result.mean, result.std]).all():
             raise NumericalError(f"completion times overflow: mean "
                                  f"{result.mean!r}, std {result.std!r}")

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from operator import ge
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from pavesim import simulator
 from pavesim.errors import DataError, NumericalError, check_record
 from pavesim.inputmodel import GaussianInputModel, sample
 from pavesim.simulator import (
+    ARRAY_LOADS,
     MAX_TRUCKLOADS,
     PER_REPLICATION,
     PER_TRUCKLOAD,
@@ -333,6 +336,29 @@ def replication_configs(draw):
 @example(cfg=SimConfig(3 * (2**53 + 1) + 5, 2, 2**53 + 1, 1, 1, 1, 1,
                        GaussianInputModel(5, 30.0), PER_REPLICATION, 20),
          seed=2**64 + 7)
+# the last plan the loop runs, and the first the arrays run
+@example(cfg=SimConfig(12 * (ARRAY_LOADS - 2) + 5, 8, 12, 0.15, 0.4, 0.1, 0.25,
+                       GaussianInputModel(55.0, 30.0), PER_TRUCKLOAD), seed=1)
+@example(cfg=SimConfig(12 * (ARRAY_LOADS - 1) + 5, 8, 12, 0.15, 0.4, 0.1, 0.25,
+                       GaussianInputModel(55.0, 30.0), PER_TRUCKLOAD), seed=1)
+# a paver that idles at the first wave, and one busy up to load 320 of 1,000
+@example(cfg=SimConfig(2400.5, 2, 12, 0.15, 0.4, 0.1, 0.25,
+                       GaussianInputModel(55.0, 30.0), PER_TRUCKLOAD), seed=3)
+@example(cfg=SimConfig(12000, 8, 12, 0.15, 0.4, 0.1, 0.25,
+                       GaussianInputModel(107.0, 100.0), PER_TRUCKLOAD), seed=4)
+@example(cfg=SimConfig(12000.5, 8, 12, 0.15, 0.4, 0.1, 0.25,
+                       GaussianInputModel(55.0, 30.0), PER_REPLICATION), seed=4)
+# 97 of 201 draws clamped to an int floor; then an int capacity above 2^53
+# clamped to one, an exact quotient that float division would round twice
+@example(cfg=SimConfig(2400.5, 3, 12, 0.15, 0.4, 0.1, 0.25,
+                       GaussianInputModel(20.0, 900.0), PER_TRUCKLOAD, 20), seed=5)
+@example(cfg=SimConfig(150 * (2**53 + 3) + 5, 4, 2**53 + 3, 1, 1, 1, 1,
+                       GaussianInputModel(20.0, 900.0), PER_TRUCKLOAD, 20),
+         seed=6)
+# draws of exactly 2^53 lie below a floor of 2^53 + 1, which rounds to 2^53
+@example(cfg=SimConfig(12 * 150, 8, 12, 1, 1, 1, 1,
+                       GaussianInputModel(2**53, 0.0), PER_TRUCKLOAD, 2**53 + 1),
+         seed=7)
 def test_replication_is_the_literal_per_load_loop(cfg, seed):
     arrivals, amounts = cfg.plan
     per_load = cfg.resample_mode == PER_TRUCKLOAD
@@ -347,6 +373,21 @@ def test_replication_is_the_literal_per_load_loop(cfg, seed):
     clamps = sum(p < cfg.clamp_floor
                  for p in sample(cfg.productivity_source, seed, n))
     assert run_replication(cfg, seed) == (now, busy / now, clamps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=replication_configs(), master=st.integers(0, 2**64 - 1))
+@example(cfg=SimConfig(12000, 8, 12, 0.15, 0.4, 0.1, 0.25,
+                       GaussianInputModel(55.0, 30.0), PER_TRUCKLOAD), master=7)
+def test_one_more_truck_never_finishes_later_on_common_random_numbers(
+        cfg, master):
+    # Replication i draws from replication_seed(master, i) whatever the
+    # fleet, so K + 1 trucks pave at the same rates; each load lands no
+    # later, and max and float addition are monotone.
+    more = dataclasses.replace(cfg, truck_count=cfg.truck_count + 1)
+    k, k_plus_1 = (run_monte_carlo(c, 3, master) for c in (cfg, more))
+    assert all(map(ge, k.completion_times, k_plus_1.completion_times))
+    assert k.clamp_counts == k_plus_1.clamp_counts
 
 
 # ------------------------------------------------------------ stochastic
@@ -547,6 +588,17 @@ def test_a_run_plans_its_loads_once(monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_completion_times_whose_mean_overflows_are_a_numerical_error():
     cfg = constrained_config(load_time=1e308)
+    with pytest.raises(NumericalError,
+                       match="completion times overflow: mean inf, std nan"):
+        run_monte_carlo(cfg, 2, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_durations_that_overflow_on_the_array_path_warn_nothing():
+    cfg = constrained_config(
+        total_quantity=1.2e302, truck_capacity=1e300, clamp_floor=1e-10,
+        productivity_source=GaussianInputModel(1e-10, 0.0))
+    assert cfg.truckloads >= ARRAY_LOADS
     with pytest.raises(NumericalError,
                        match="completion times overflow: mean inf, std nan"):
         run_monte_carlo(cfg, 2, 1)
