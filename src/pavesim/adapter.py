@@ -350,10 +350,13 @@ def encode_and_normalize(table: RecordTable, target_column: str) -> Dataset:
     Numeric features and the target are z-scored with population moments;
     boolean features pass through as 0/1. The features are every column
     but the target and :data:`~pavesim.tables.NOT_DATA`, in table order.
-    Raises on an empty table, missing cells, non-finite values, constant
-    numeric columns, categorical features, and moments too large for a
-    float.
+    Raises on a :data:`~pavesim.tables.NOT_DATA` target, an empty table,
+    missing cells, non-finite values, constant numeric columns,
+    categorical features, and moments too large for a float.
     """
+    if target_column in NOT_DATA:
+        raise DataError(f"column {target_column!r} is never data (the answer "
+                        "key or a label), so it cannot be the target")
     feature_columns = [c for c in table.column_names
                        if c != target_column and c not in NOT_DATA]
     columns, target = _read_columns(table, feature_columns, target_column)
@@ -375,20 +378,15 @@ def encode_and_normalize(table: RecordTable, target_column: str) -> Dataset:
     return _encode(stats, columns, target)
 
 
-def split_indices(n: int, train_fraction: float, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Deterministic disjoint-and-exhaustive index partition.
+def split_indices(n: int, train_fraction: float,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic disjoint-and-exhaustive index partition, as two
+    sorted index arrays.
 
     A seeded uniform permutation assigns the first
     ``floor(n * train_fraction)`` indices to the train side; each side is
     then sorted ascending (by ``np.sort``) so row order is stable.
     """
-    train, test = _split_sides(n, train_fraction, seed)
-    return tuple(train.tolist()), tuple(test.tolist())
-
-
-def _split_sides(n: int, train_fraction: float,
-                 seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`split_indices` as two sorted index arrays."""
     check_number("train_fraction", train_fraction, above=0, below=1)
     if n < 2:
         raise DataError(f"need at least 2 rows to split, got {n}")
@@ -403,7 +401,7 @@ def _split_sides(n: int, train_fraction: float,
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded random split into train and test datasets."""
-    train_idx, test_idx = _split_sides(ds.n, train_fraction, seed)
+    train_idx, test_idx = split_indices(ds.n, train_fraction, seed)
     train = Dataset(ds.X[train_idx], ds.y[train_idx], ds.norm_stats)
     test = Dataset(ds.X[test_idx], ds.y[test_idx], ds.norm_stats)
     return train, test

@@ -68,13 +68,14 @@ from .tables import (
     TARGET_COLUMN,
     TRUTH_COLUMNS,
     csv_text,
-    json_text,
+    json_chunks,
     load_csv,
     open_text,
     read_json,
     staged_files,
     table_to_csv,
     without_comments,
+    write_text,
 )
 
 
@@ -170,7 +171,8 @@ def _cmd_adapt(args, run: _Run) -> None:
     train_ds, test_ds = split(ds, args.train_fraction, args.seed)
     save_dataset(run.stage(args.out), train_ds, test_ds, run.header)
     if args.report is not None:
-        run.stage(args.report, json_text(run.header, asdict(report)))
+        write_text(run.stage(args.report),
+                   json_chunks(run.header, asdict(report)))
     run.lines += [f"seed = {args.seed}", f"cleaned: {report.summary()}",
                   "features: " + ", ".join(c.name for c in ds.norm_stats.features),
                   f"split: {train_ds.n} train / {test_ds.n} test rows "

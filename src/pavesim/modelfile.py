@@ -4,8 +4,7 @@ Both artifacts are laid out by :func:`pavesim.tables.json_chunks` (``#``
 audit lines, then a JSON body). ``save_model`` and ``save_dataset`` hand
 their arrays to it as they are and stream its pieces to the file in
 place by ``tables.write_text``, so the file text is never built whole;
-the arrays are written a block of rows at a time. ``model_to_text`` and
-``dataset_to_text`` join the same pieces. A file is read by
+the arrays are written a block of rows at a time. A file is read by
 ``tables.read_json``, which drops the ``#`` lines and refuses a
 missing, unreadable, non-UTF-8 or non-JSON file and a non-object. Floats
 serialize through ``repr`` (Python's shortest round-tripping decimal
@@ -40,7 +39,7 @@ import numpy as np
 from .adapter import ColumnStats, Dataset, NormalizationStats
 from .errors import DataError, check_keys, check_number, check_record
 from .network import NetworkConfig, NetworkParams, TrainConfig
-from .tables import json_chunks, json_text, read_json, write_text
+from .tables import json_chunks, read_json, write_text
 
 MODEL_FORMAT = "pavesim-model"
 DATASET_FORMAT = "pavesim-dataset"
@@ -131,17 +130,6 @@ def _model_payload(params: NetworkParams, stats: NormalizationStats,
     }
 
 
-def model_to_text(
-    params: NetworkParams,
-    stats: NormalizationStats,
-    net_cfg: NetworkConfig,
-    train_cfg: TrainConfig,
-    header_comments=(),
-) -> str:
-    return json_text(header_comments,
-                     _model_payload(params, stats, net_cfg, train_cfg))
-
-
 def save_model(
     path: str | Path,
     params: NetworkParams,
@@ -188,12 +176,6 @@ def _dataset_payload(train: Dataset, test: Dataset) -> dict:
         "train": {"X": train.X, "y": train.y},
         "test": {"X": test.X, "y": test.y},
     }
-
-
-def dataset_to_text(
-    train: Dataset, test: Dataset, header_comments=()
-) -> str:
-    return json_text(header_comments, _dataset_payload(train, test))
 
 
 def save_dataset(

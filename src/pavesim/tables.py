@@ -29,12 +29,12 @@ or 1.
 Reading and writing a CSV run their per-cell steps in C builtins.
 :func:`read_csv` parses a few dozen rows at a time by column
 (``map(float, ...)`` over a column's cells, and one step per blank) onto
-the table's columns; a block with a fault is read again a cell at a
+the table's columns; a block with a fault is checked again a cell at a
 time, so each refusal names its row and column as a row-at-a-time reader
-would, and a row ``csv`` cannot read (a cell over its field size limit)
-is refused by file and row. :func:`table_to_csv` writes a table of
-floats alone, with no text and nothing missing, as one ``%`` format per
-row.
+would. A row ``csv`` cannot read (a cell over its field size limit) and
+a blank column name are refused by file. :func:`table_to_csv` writes a
+table of floats alone, with no text and nothing missing, as one ``%``
+format per row.
 
 Every JSON artifact has one layout, :func:`json_chunks`, the bytes of
 ``json.dumps(..., indent=2, sort_keys=True)`` in pieces. A float64
@@ -42,7 +42,6 @@ array in the payload becomes text a block of rows at a time, and
 :func:`write_text` writes each piece as it comes, so a dataset file,
 the largest artifact, is never held whole: building it whole held about
 4.4 times its size at once, and it set ``adapt``'s peak memory.
-:func:`json_text` joins the same pieces, for a file staged whole.
 
 Every file is opened here: each input as UTF-8 (a leading byte-order
 mark skipped) by :func:`open_text`, each output by :func:`staged_files`,
@@ -175,11 +174,12 @@ def check_value(name: str, kind: str, value) -> float:
     return value
 
 
-def _parse_cell(text: str, kind: str, row: int, column: str) -> Cell:
-    if text == "":
-        return None
-    if kind == CATEGORICAL:
-        return text
+def _check_cell(text: str, kind: str, row: int, column: str) -> None:
+    """Raise the :class:`DataError` of a stripped cell that
+    :func:`_parse_column` cannot read: a cell that is not a number, or a
+    boolean that is not 0 or 1."""
+    if text == "" or kind == CATEGORICAL:
+        return
     try:
         value = float(text)
     except ValueError:
@@ -189,7 +189,6 @@ def _parse_cell(text: str, kind: str, row: int, column: str) -> Cell:
     if kind == BOOLEAN and not _is_boolean_value(value):
         raise DataError(f"boolean column {column!r} holds {value!r} in row "
                         f"{row}; only 0 and 1 are allowed")
-    return value
 
 
 def comment_block(lines: Iterable[str]) -> str:
@@ -321,8 +320,9 @@ def read_csv(stream: io.TextIOBase, parse=lambda name: True) -> RecordTable:
     """Parse an open text stream; ``#`` lines and blank lines are skipped
     anywhere, row numbers count table rows, and a column is of the kind
     :func:`kind_of` its name if `parse` accepts that name, else text. A
-    stream with no header row, or a row ``csv`` cannot read, is refused by
-    the name of its file, if any.
+    stream with no header row, a blank column name (a spreadsheet's
+    unnamed index column), or a row ``csv`` cannot read, is refused by the
+    name of its file, if any.
     Rows are read in blocks of :data:`_BLOCK_ROWS`, and each block's
     columns, parsed by :func:`_parse_block`, appended to the table's."""
     # csv.reader yields [] for a blank line, which is never data: csv_text
@@ -337,6 +337,8 @@ def read_csv(stream: io.TextIOBase, parse=lambda name: True) -> RecordTable:
         raise DataError(f"cannot read the header row of {source}: {exc}"
                         ) from None
     header = tuple(h.strip() for h in header)
+    if "" in header:
+        raise DataError(f"column {header.index('')} of {source} has no name")
     kinds = tuple(kind_of(name) if parse(name) else CATEGORICAL
                   for name in header)
     columns: list[list[Cell]] = [[] for _ in header]
@@ -358,33 +360,31 @@ def read_csv(stream: io.TextIOBase, parse=lambda name: True) -> RecordTable:
 
 
 def _parse_block(block: list[list[str]], header: Sequence[str],
-                 kinds: Sequence[str], first: int) -> Iterable[Sequence[Cell]]:
+                 kinds: Sequence[str], first: int) -> list[list[Cell]]:
     """The columns of `block`, the table's rows from number `first` on,
-    parsed a column at a time by C builtins. A block with a row of the
-    wrong width, a cell that is not a number, or a boolean that is not 0
-    or 1 is parsed again a cell at a time, in row order, which raises the
-    first fault's :class:`DataError`."""
-    if set(map(len, block)) == {len(header)}:
-        try:
+    each parsed by :func:`_parse_column`. A block with a row of the wrong
+    width, a cell that is not a number, or a boolean that is not 0 or 1 is
+    checked again a cell at a time, in row order, by :func:`_check_cell`,
+    which refuses just the cells that :func:`_parse_column` does, so the
+    first fault's :class:`DataError` is raised."""
+    try:
+        if set(map(len, block)) <= {len(header)}:
             return list(map(_parse_column, zip(*block), kinds))
-        except ValueError:
-            pass
-    rows = []
+    except ValueError:
+        pass
     for i, raw in enumerate(block, first):
         if len(raw) != len(header):
             raise DataError(
                 f"row {i} has {len(raw)} cells, expected {len(header)}"
             )
-        rows.append(tuple(
-            _parse_cell(cell.strip(), kind, i, name)
-            for cell, kind, name in zip(raw, kinds, header)
-        ))
-    return zip(*rows)
+        for cell, kind, name in zip(raw, kinds, header):
+            _check_cell(cell.strip(), kind, i, name)
 
 
 def _parse_column(cells: Sequence[str], kind: str) -> list[Cell]:
-    """One column's cells as :func:`_parse_cell` reads them, by C builtins
-    and one step per blank; a ValueError where it would raise a
+    """One column's cells, stripped: ``None`` for a blank, the text of a
+    categorical cell and the float of any other, by C builtins and one
+    step per blank. A ValueError where :func:`_check_cell` raises a
     :class:`DataError`."""
     cells = list(map(str.strip, cells))
     values = list(filter(None, cells)) if "" in cells else cells
@@ -456,11 +456,6 @@ def json_chunks(header_comments: Iterable[str], payload) -> Iterator[str]:
     yield comment_block(header_comments)
     yield from _json(payload, "")
     yield "\n"
-
-
-def json_text(header_comments: Iterable[str], payload) -> str:
-    """:func:`json_chunks` as one string, for a file staged whole."""
-    return "".join(json_chunks(header_comments, payload))
 
 
 def _json(value, indent: str) -> Iterator[str]:

@@ -132,8 +132,8 @@ def test_heldout_interval_coverage_near_nominal(study):
 def test_sigma_correlation_and_rmse_beat_pooled_baseline(study):
     table = study.table
     train_idx, test_idx = split_indices(4000, 0.8, 202)
-    mu_star = np.array(table.column_values("MuStar"))[list(test_idx)]
-    sigma_star = np.array(table.column_values("SigmaStar"))[list(test_idx)]
+    mu_star = np.array(table.column_values("MuStar"))[test_idx]
+    sigma_star = np.array(table.column_values("SigmaStar"))[test_idx]
 
     stats = study.ds.norm_stats
     mu_norm, s = forward_batch(study.params, study.test_ds.X)
@@ -143,7 +143,7 @@ def test_sigma_correlation_and_rmse_beat_pooled_baseline(study):
     corr = float(np.corrcoef(sigma_hat, sigma_star)[0, 1])
 
     pooled = float(np.mean(
-        np.array(table.column_values("Productivity"))[list(train_idx)]))
+        np.array(table.column_values("Productivity"))[train_idx]))
     rmse_net = float(np.sqrt(np.mean((mu_hat - mu_star) ** 2)))
     rmse_pooled = float(np.sqrt(np.mean((pooled - mu_star) ** 2)))
     ratio = rmse_net / rmse_pooled

@@ -284,6 +284,62 @@ def test_adapt_names_the_repeated_column(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_adapt_refuses_a_blank_column_name(tmp_path, capsys):
+    # pandas.to_csv's unnamed index column: adapt printed "features: ,
+    # Slump", trained on the row numbers and exited 0
+    data = tmp_path / "pandas.csv"
+    data.write_text(",Productivity,Slump\n0,60,3.5\n1,70,4.0\n2,65,3.0\n")
+    out = tmp_path / "ds.json"
+    rc = cli.main(["adapt", "--data", str(data), "--seed", "1", "--out",
+                   str(out), "--report", str(tmp_path / "rep.json")])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: column 0 of {data} has no name\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["pandas.csv"]
+
+
+def test_evaluate_and_derive_refuse_a_blank_column_name(tmp_path, raw_csv,
+                                                        model_file, capsys):
+    # both ignored the unnamed column before
+    data = tmp_path / "pandas.csv"
+    table = load_csv(raw_csv)
+    data.write_text(csv_text((), ("", *table.column_names),
+                             enumerate(rows_of(table)[:3])))
+    for argv in (["evaluate", "--data"], ["derive", "--scenarios"]):
+        rc = cli.main([argv[0], "--model", str(model_file), argv[1],
+                       str(data), "--out", str(tmp_path / "out.csv")])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"error: column 0 of {data} has no name\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["pandas.csv"]
+
+
+@pytest.mark.parametrize("blank", [False, True])
+def test_adapt_refuses_the_answer_key_as_target(tmp_path, capsys, blank):
+    # --target MuStar trained a model of the answer key and exited 0; with
+    # a blank MuStar cell it blamed cleaning, which never touches MuStar
+    data = tmp_path / "truth.csv"
+    assert cli.main(["synth", "--n", "30", "--seed", "4", "--truth",
+                     "--out", str(data)]) == 0
+    if blank:
+        lines = data.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines)
+                     if not line.startswith("#")) + 1
+        cells = lines[first].split(",")
+        cells[-2] = ""  # MuStar, before SigmaStar
+        lines[first] = ",".join(cells)
+        data.write_text("".join(lines))
+    capsys.readouterr()
+    out = tmp_path / "ds.json"
+    rc = cli.main(["adapt", "--data", str(data), "--target", "MuStar",
+                   "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: column 'MuStar' is never data (the answer key or a "
+            "label), so it cannot be the target\n")
+    assert not out.exists()
+
+
 def test_adapt_names_a_cell_too_large_for_csv(tmp_path, capsys):
     data = tmp_path / "big.csv"
     data.write_text("Productivity,Slump\n" + "6" * 200_000 + ",3.5\n")

@@ -3,6 +3,7 @@ import re
 import stat
 import threading
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,10 +12,8 @@ from pavesim.adapter import (ColumnStats, Dataset, NormalizationStats,
                              encode_and_normalize, split)
 from pavesim.errors import DataError
 from pavesim.modelfile import (
-    dataset_to_text,
     load_dataset,
     load_model,
-    model_to_text,
     save_dataset,
     save_model,
 )
@@ -53,11 +52,12 @@ def test_model_round_trip_is_bit_exact(tmp_path):
     assert loaded_train == train_cfg
 
 
-def test_model_text_is_reproducible():
+def test_model_text_is_reproducible(tmp_path):
     params, ds, net_cfg, train_cfg = trained_fixture()
-    a = model_to_text(params, ds.norm_stats, net_cfg, train_cfg)
-    b = model_to_text(params, ds.norm_stats, net_cfg, train_cfg)
-    assert a == b
+    a, b = tmp_path / "a.model", tmp_path / "b.model"
+    save_model(a, params, ds.norm_stats, net_cfg, train_cfg)
+    save_model(b, params, ds.norm_stats, net_cfg, train_cfg)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_saved_model_rewrites_identically(tmp_path):
@@ -186,13 +186,15 @@ def test_load_refuses_a_feature_listed_twice(tmp_path, kind):
         "feature 'Slump' is listed more than once")
 
 
-def test_model_to_text_refuses_inconsistent_params():
+def test_save_model_refuses_inconsistent_params(tmp_path):
+    path = tmp_path / "m.model"
     stats = NormalizationStats((ColumnStats("X", NUMERIC, 0.0, 1.0),),
                                ColumnStats("Y", NUMERIC, 0.0, 1.0))
     train_cfg = TrainConfig()
     good = NetworkParams([np.array([[2.0]]), np.array([[1.0, 0.0]])],
                          [np.array([1.0]), np.array([0.0, 0.0])])
-    model_to_text(good, stats, NetworkConfig(1, (1,)), train_cfg)
+    save_model(path, good, stats, NetworkConfig(1, (1,)), train_cfg)
+    path.unlink()
     nan = NetworkParams(good.weights, good.biases)
     nan.weights[0][0, 0] = np.nan
     for params, hidden, message in [
@@ -211,7 +213,9 @@ def test_model_to_text_refuses_inconsistent_params():
          "the network record fixes 2 layers, got 3 weights and 3 biases"),
     ]:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            model_to_text(params, stats, NetworkConfig(1, hidden), train_cfg)
+            save_model(path, params, stats, NetworkConfig(1, hidden),
+                       train_cfg)
+        assert not path.exists()
 
 
 def test_load_model_rejects_missing_section(tmp_path):
@@ -274,12 +278,13 @@ def write_with_literal(path, raw, literal):
 def test_load_model_refuses_an_infinite_integer_field(tmp_path, section, key,
                                                        literal):
     params, ds, net_cfg, train_cfg = trained_fixture()
-    raw = json.loads(model_to_text(params, ds.norm_stats, net_cfg, train_cfg))
+    path = tmp_path / "m.model"
+    save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    raw = json.loads(path.read_text())
     if key == "hidden_widths":
         raw[section][key][0] = "LITERAL"
     else:
         raw[section][key] = "LITERAL"
-    path = tmp_path / "m.model"
     write_with_literal(path, raw, literal)
     with pytest.raises(DataError, match="malformed model file"):
         load_model(path)
@@ -290,16 +295,16 @@ def test_load_model_refuses_an_infinite_integer_field(tmp_path, section, key,
 ])
 def test_load_refuses_an_integer_too_large_for_a_float(tmp_path, kind, field):
     params, ds, net_cfg, train_cfg = trained_fixture()
+    path = tmp_path / f"f.{kind}"
     if kind == "model":
-        raw = json.loads(model_to_text(params, ds.norm_stats, net_cfg,
-                                       train_cfg))
+        save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
     else:
-        raw = json.loads(dataset_to_text(*split(ds, 0.8, 5)))
+        save_dataset(path, *split(ds, 0.8, 5))
+    raw = json.loads(path.read_text())
     if field == "X":
         raw["train"]["X"][0][0] = "LITERAL"
     else:
         raw["normalization"]["features"][0]["mean"] = "LITERAL"
-    path = tmp_path / f"f.{kind}"
     write_with_literal(path, raw, "1" + "0" * 400)
     with pytest.raises(DataError, match=f"malformed {kind} file"):
         (load_model if kind == "model" else load_dataset)(path)
@@ -451,9 +456,10 @@ def test_load_reads_network_training_and_columns_by_their_fields(
 def test_load_model_refuses_adam_fields_out_of_range(tmp_path, key, value,
                                                       rule):
     params, ds, net_cfg, train_cfg = trained_fixture()
-    raw = json.loads(model_to_text(params, ds.norm_stats, net_cfg, train_cfg))
-    raw["training"][key] = value
     path = tmp_path / "m.model"
+    save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    raw = json.loads(path.read_text())
+    raw["training"][key] = value
     path.write_text(json.dumps(raw))
     with pytest.raises(DataError) as info:
         load_model(path)
@@ -463,9 +469,10 @@ def test_load_model_refuses_adam_fields_out_of_range(tmp_path, key, value,
 
 def test_load_refuses_statistics_without_features(tmp_path):
     params, ds, net_cfg, train_cfg = trained_fixture()
-    raw = json.loads(model_to_text(params, ds.norm_stats, net_cfg, train_cfg))
-    raw["normalization"]["features"] = []
     path = tmp_path / "m.model"
+    save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    raw = json.loads(path.read_text())
+    raw["normalization"]["features"] = []
     path.write_text(json.dumps(raw))
     with pytest.raises(DataError, match="malformed normalization statistics: "
                        "there is no feature column besides the target "
@@ -473,11 +480,13 @@ def test_load_refuses_statistics_without_features(tmp_path):
         load_model(path)
 
 
-def test_model_text_validates_params_before_writing():
+def test_model_text_validates_params_before_writing(tmp_path):
     params, ds, net_cfg, train_cfg = trained_fixture()
     params.weights[0][0, 0] = np.inf
+    path = tmp_path / "m.model"
     with pytest.raises(DataError, match="non-finite"):
-        model_to_text(params, ds.norm_stats, net_cfg, train_cfg)
+        save_model(path, params, ds.norm_stats, net_cfg, train_cfg)
+    assert not path.exists()
 
 
 def test_dataset_round_trip_is_bit_exact(tmp_path):
@@ -514,14 +523,21 @@ def test_save_dataset_streams_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 2
-    assert path.read_text() == dataset_to_text(train_ds, test_ds, ("audit",))
+    assert path.read_text() == "# audit\n" + json.dumps({
+        "format": "pavesim-dataset", "version": 1,
+        "normalization": asdict(stats),
+        "train": {"X": train_ds.X.tolist(), "y": train_ds.y.tolist()},
+        "test": {"X": test_ds.X.tolist(), "y": test_ds.y.tolist()},
+    }, indent=2, sort_keys=True) + "\n"
 
 
-def test_dataset_text_rejects_mismatched_stats():
+def test_dataset_text_rejects_mismatched_stats(tmp_path):
     a = encode_and_normalize(generate_paving_dataset(20, 1), "Productivity")
     b = encode_and_normalize(generate_paving_dataset(20, 2), "Productivity")
+    path = tmp_path / "d.json"
     with pytest.raises(DataError, match="different normalization"):
-        dataset_to_text(a, b)
+        save_dataset(path, a, b)
+    assert not path.exists()
 
 
 def test_write_text_atomic_replaces_and_leaves_no_droppings(tmp_path):

@@ -21,7 +21,7 @@ from pavesim.tables import (
     RecordTable,
     check_value,
     csv_text,
-    json_text,
+    json_chunks,
     kind_of,
     load_csv,
     open_text,
@@ -203,6 +203,21 @@ def test_read_csv_no_header_is_an_error():
         read_csv(io.StringIO(""))
     with pytest.raises(DataError, match="header"):
         read_csv(io.StringIO("\n# only a comment\n\n"))
+
+
+@pytest.mark.parametrize("header, column", [
+    (",Productivity,Slump", 0), ("Productivity, ,Slump", 1),
+    ('Productivity,Slump,""', 2), ("", None)])
+def test_read_csv_refuses_a_blank_column_name(header, column):
+    # a spreadsheet's or pandas.to_csv's unnamed index column was read as a
+    # column named "", and adapt trained on it
+    text = f"# audit\n{header}\n1,60,3.5\n"
+    if column is None:  # a header of one quoted blank cell
+        text = '""\n1\n'
+        column = 0
+    with pytest.raises(DataError,
+                       match=f"^column {column} of stream has no name$"):
+        read_csv(io.StringIO(text))
 
 
 def test_load_csv_names_a_file_with_no_header(tmp_path):
@@ -624,10 +639,10 @@ PAYLOADS = st.recursive(
 
 @settings(max_examples=100, deadline=None)
 @given(payload=PAYLOADS)
-def test_json_text_writes_the_bytes_of_json_dumps(payload):
+def test_json_chunks_write_the_bytes_of_json_dumps(payload):
     # text keys hold non-ASCII and control characters; a bool never reads
     # as a float, nor a ragged matrix as a rectangular one
-    assert json_text([], payload) == (
+    assert "".join(json_chunks([], payload)) == (
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -665,18 +680,19 @@ ARRAY_PAYLOADS = st.recursive(
 
 @settings(max_examples=60, deadline=None)
 @given(payload=ARRAY_PAYLOADS)
-def test_json_text_writes_an_array_as_json_dumps_writes_its_tolist(payload):
+def test_json_chunks_write_an_array_as_json_dumps_writes_its_tolist(payload):
     # 1-D and 2-D float64 arrays: empty, one row, one column, NaN and
     # +-inf, and more rows than one block
-    assert json_text(["audit"], payload) == "# audit\n" + (
+    assert "".join(json_chunks(["audit"], payload)) == "# audit\n" + (
         json.dumps(listed(payload), indent=2, sort_keys=True) + "\n")
 
 
 def test_json_chunks_write_a_large_array_a_block_at_a_time():
     array = np.arange(10 * BLOCK, dtype=np.float64).reshape(-1, 2)
-    chunks = list(tables_module.json_chunks([], {"X": array}))
+    chunks = list(json_chunks([], {"X": array}))
     assert max(map(len, chunks)) < len("".join(chunks)) / 4
-    assert "".join(chunks) == json_text([], {"X": array})
+    assert "".join(chunks) == json.dumps({"X": array.tolist()}, indent=2,
+                                         sort_keys=True) + "\n"
 
 
 #: The one-character line breaks of str.splitlines; "\r\n" is the other.
