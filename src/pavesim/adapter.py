@@ -15,7 +15,9 @@ its role is decided here, once. The join key names rows, so the join
 drops it. The features are every other column but the target and
 :data:`pavesim.tables.NOT_DATA` (the generator's answer key and the
 label columns), in table order, so a second source's columns are
-features too. Cleaning, too, leaves the ``NOT_DATA`` columns as they are.
+features too. Cleaning, too, leaves the ``NOT_DATA`` columns as they are,
+and no ``NOT_DATA`` name is a target, in a table or in the
+:class:`NormalizationStats` a dataset or model file loads.
 
 Conventions, pinned so results are exactly reproducible:
 
@@ -124,14 +126,24 @@ class ColumnStats:
         return value * self.std + self.mean
 
 
+def _check_target_is_data(name: str) -> None:
+    """Refuse a :data:`~pavesim.tables.NOT_DATA` name as the target."""
+    if name in NOT_DATA:
+        raise DataError(f"column {name!r} is never data (the answer key or a "
+                        "label), so it cannot be the target")
+
+
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Per-feature and target normalization parameters."""
+    """Per-feature and target normalization parameters. The target is a
+    numeric column that is neither a feature nor a
+    :data:`~pavesim.tables.NOT_DATA` name."""
 
     features: tuple[ColumnStats, ...]
     target: ColumnStats
 
     def __post_init__(self):
+        _check_target_is_data(self.target.name)
         if self.target.kind != NUMERIC:
             raise DataError(f"target column {self.target.name!r} must be numeric")
         if not self.features:
@@ -354,9 +366,8 @@ def encode_and_normalize(table: RecordTable, target_column: str) -> Dataset:
     missing cells, non-finite values, constant numeric columns,
     categorical features, and moments too large for a float.
     """
-    if target_column in NOT_DATA:
-        raise DataError(f"column {target_column!r} is never data (the answer "
-                        "key or a label), so it cannot be the target")
+    # before the column reader, which would blame a blank MuStar cell
+    _check_target_is_data(target_column)
     feature_columns = [c for c in table.column_names
                        if c != target_column and c not in NOT_DATA]
     columns, target = _read_columns(table, feature_columns, target_column)

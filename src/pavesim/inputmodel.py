@@ -109,16 +109,18 @@ def derive(
     return GaussianInputModel(mean=float(mean), variance=float(variance))
 
 
-#: From this many variates on, :func:`_polar_normals` draws by array: the
-#: two paths cost the same here, the loop a third of the array path's at
-#: n = 1, and the array path half the loop's at n = 1000.
+#: From this many variates on, :func:`_polar_normals` draws by array and
+#: :func:`sample` returns one: the two paths cost the same here, the loop
+#: a third of the array path's at n = 1, and the array path half the
+#: loop's at n = 1000. It equals the simulator's ``ARRAY_LOADS``, so its
+#: per-load loop is always handed Python floats.
 BULK_DRAWS = 112
 
 
 def _polar_normals(rng: random.Random, n: int) -> list[float] | np.ndarray:
-    """n standard normals by Marsaglia and Bray's polar method, a list for
-    ``n < BULK_DRAWS`` and a float64 array from there on, with the same
-    bits either way.
+    """n standard normals by Marsaglia and Bray's polar method, a list of
+    Python floats for ``n < BULK_DRAWS`` and a 1-D float64 array from
+    there on, with the same bits either way.
 
     Each pair takes two uniforms ``u, v`` in [-1, 1) from ``rng.random()``
     and is kept when ``0 < w = u*u + v*v < 1``, as ``u * f, v * f`` with
@@ -159,13 +161,17 @@ def _polar_normals(rng: random.Random, n: int) -> list[float] | np.ndarray:
         kept = x.reshape(-1, 2)[keep] * np.sqrt(-2.0 * log_w / w)[:, None]
         parts.append(kept.ravel())
         need -= w.size
-    return np.concatenate(parts)[:n]
+    # one round is the usual case: its block needs no concatenate copy
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts))[:n]
 
 
-def sample(model: GaussianInputModel, seed: int, n: int) -> list[float]:
+def sample(model: GaussianInputModel, seed: int, n: int
+           ) -> list[float] | np.ndarray:
     """Draw ``n`` i.i.d. variates ``mean + std * z`` from the normals of
     :func:`_polar_normals` on ``random.Random(seed)``; deterministic per
-    seed, no truncation."""
+    seed, no truncation. Like the normals, they are a list of Python
+    floats for ``n < BULK_DRAWS`` and a 1-D float64 array from there on,
+    with the same bits either way."""
     check_number("n", n, integer=True, low=1)
     z = _polar_normals(random.Random(seed), n)
     std = model.std
@@ -174,7 +180,7 @@ def sample(model: GaussianInputModel, seed: int, n: int) -> list[float]:
     # the same IEEE multiply and add per element; float() rounds an int
     # mean as Python's int + float does; |z| <= sqrt(208 ln 2) < 12.1, so
     # neither can overflow
-    return (float(model.mean) + std * z).tolist()
+    return float(model.mean) + std * z
 
 
 def confidence_interval(mean, std, level: float):

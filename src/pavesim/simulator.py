@@ -30,7 +30,8 @@ loads on, the recursion runs on arrays: the finishes are one sequential
 per-load loop takes over at its first idle. Below that, the loop is one
 conditional and one add per load, with the durations divided out in C
 builtins before it; the sampler also draws by array from 112 variates
-on. Both paths give the same bits. :func:`run_monte_carlo` keeps each
+on, and the array path takes its float64 array as it is. Both paths
+give the same bits. :func:`run_monte_carlo` keeps each
 replication's completion time, busy fraction and clamp count as the
 columns of a :class:`SimResult`. At a constant rate completion time also
 has a closed form: the first time paving at that rate has placed all the
@@ -269,12 +270,14 @@ def _last_finish(now: float, arrivals: Sequence[float],
     return now
 
 
-def _replication_by_array(cfg: SimConfig, draws: list[float]
+def _replication_by_array(cfg: SimConfig, draws: list[float] | np.ndarray
                           ) -> tuple[float, float, int]:
     """:func:`run_replication` over :attr:`SimConfig.plan_arrays`, with
-    the same bits; a ``per_replication`` draw broadcasts."""
+    the same bits. ``draws`` is :func:`~pavesim.inputmodel.sample`'s
+    float64 array in ``per_truckload`` mode, used as it is, and its
+    one-float list in ``per_replication`` mode, which broadcasts."""
     arrivals, amounts, at_floor = cfg.plan_arrays
-    draws = np.array(draws, dtype=float)
+    draws = np.asarray(draws, dtype=float)
     floor = cfg.clamp_floor
     low = float(floor)
     # draw < floor as operator.lt decides it: no float lies strictly

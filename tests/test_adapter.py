@@ -633,6 +633,19 @@ def test_encode_refuses_a_target_that_is_never_data(target):
             encode_and_normalize(table, target)
 
 
+@pytest.mark.parametrize("target", sorted(NOT_DATA))
+def test_statistics_refuse_a_target_that_is_never_data(target):
+    # the rule covers the statistics a dataset or model file loads, not
+    # only the table adapt encodes
+    stats = encode_and_normalize(generate_paving_dataset(20, 3),
+                                 "Productivity").norm_stats
+    renamed = ColumnStats(target, NUMERIC, stats.target.mean, stats.target.std)
+    with pytest.raises(DataError, match=f"^column {target!r} is never data "
+                       r"\(the answer key or a label\), so it cannot be "
+                       "the target$"):
+        NormalizationStats(stats.features, renamed)
+
+
 def test_encode_refuses_an_overflowing_std_without_a_warning():
     table = table_of_rows(("Y", "X"), ((1.0, 1e300), (2.0, -1e300)))
     with warnings.catch_warnings():

@@ -340,6 +340,50 @@ def test_adapt_refuses_the_answer_key_as_target(tmp_path, capsys, blank):
     assert not out.exists()
 
 
+def with_target(source, path, target):
+    """A copy of a dataset or model file whose target is renamed."""
+    text = source.read_text()
+    assert text.count('"name": "Productivity"') == 1
+    path.write_text(text.replace('"name": "Productivity"',
+                                 f'"name": "{target}"'))
+    return path
+
+
+@pytest.mark.parametrize("target", ["MuStar", "label"])
+def test_train_refuses_a_dataset_whose_target_is_never_data(
+        tmp_path, dataset_file, capsys, target):
+    # such a file, as adapt --target MuStar once wrote, loaded and trained
+    data = with_target(dataset_file, tmp_path / "ds.json", target)
+    out = tmp_path / "m.model"
+    rc = cli.main(["train", "--data", str(data), "--seed", "1", "--epochs",
+                   "2", "--hidden", "3", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: malformed dataset file {data}: malformed normalization "
+            f"statistics: column {target!r} is never data (the answer key or "
+            "a label), so it cannot be the target\n")
+    assert not out.exists()
+
+
+def test_evaluate_refuses_a_model_whose_target_is_never_data(
+        tmp_path, model_file, capsys):
+    # such a file loaded, and evaluate scored against the answer key
+    data = tmp_path / "truth.csv"
+    assert cli.main(["synth", "--n", "30", "--seed", "4", "--truth",
+                     "--out", str(data)]) == 0
+    model = with_target(model_file, tmp_path / "m.model", "MuStar")
+    capsys.readouterr()
+    out = tmp_path / "cov.csv"
+    rc = cli.main(["evaluate", "--model", str(model), "--data", str(data),
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: malformed model file {model}: malformed normalization "
+            "statistics: column 'MuStar' is never data (the answer key or a "
+            "label), so it cannot be the target\n")
+    assert not out.exists()
+
+
 def test_adapt_names_a_cell_too_large_for_csv(tmp_path, capsys):
     data = tmp_path / "big.csv"
     data.write_text("Productivity,Slump\n" + "6" * 200_000 + ",3.5\n")

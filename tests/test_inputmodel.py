@@ -15,6 +15,7 @@ from pavesim.adapter import (
 )
 from pavesim.errors import DataError, NumericalError
 from pavesim.inputmodel import (
+    BULK_DRAWS,
     CoverageReport,
     GaussianInputModel,
     Z_VALUES,
@@ -134,6 +135,18 @@ def polar_loop(seed, n, mean, variance):
     return out[:n]
 
 
+def assert_draws_contract(drawn, n):
+    """``sample``'s return contract: a list of ``n`` Python floats below
+    ``BULK_DRAWS``, and a 1-D float64 array of ``n`` from there on."""
+    if n < BULK_DRAWS:
+        assert type(drawn) is list
+        assert all(type(x) is float for x in drawn)
+    else:
+        assert type(drawn) is np.ndarray
+        assert drawn.dtype == np.float64 and drawn.shape == (n,)
+    assert len(drawn) == n
+
+
 class TestSample:
     def test_deterministic_per_seed(self):
         model = GaussianInputModel(50.0, 25.0)
@@ -158,7 +171,8 @@ class TestSample:
         expected = polar_loop(seed, 4097, mean, variance)
         model = GaussianInputModel(mean, variance)
         for n in [*range(1, 300), 1000, 4097]:
-            assert sample(model, seed, n) == expected[:n], n
+            drawn = np.asarray(sample(model, seed, n)).tolist()
+            assert drawn == expected[:n], n
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**70), n=st.integers(1, 600),
@@ -166,8 +180,19 @@ class TestSample:
            variance=st.sampled_from([0.0, 1e-12, 1.0, 30.0, 1e8]))
     def test_any_seed_draws_the_polar_loop(self, seed, n, mean, variance):
         drawn = sample(GaussianInputModel(mean, variance), seed, n)
-        assert drawn == polar_loop(seed, n, mean, variance)
-        assert all(type(x) is float for x in drawn)
+        expected = polar_loop(seed, n, mean, variance)
+        assert np.asarray(drawn).tolist() == expected
+        assert_draws_contract(drawn, n)
+
+    @pytest.mark.parametrize("seed", [0, 32, 2**64 + 7])
+    def test_the_list_ends_and_the_array_begins_at_bulk_draws(self, seed):
+        model = GaussianInputModel(20, 900)
+        expected = polar_loop(seed, BULK_DRAWS, 20, 900)
+        for n in (BULK_DRAWS - 1, BULK_DRAWS):
+            drawn = sample(model, seed, n)
+            assert_draws_contract(drawn, n)
+            assert np.asarray(drawn).tolist() == expected[:n]
+        assert BULK_DRAWS == 112
 
     def test_large_sample_moments_and_interval_mass(self):
         model = GaussianInputModel(90.0, 25.0)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pavesim import simulator
 from pavesim.errors import DataError, NumericalError, check_record
-from pavesim.inputmodel import GaussianInputModel, sample
+from pavesim.inputmodel import BULK_DRAWS, GaussianInputModel, sample
 from pavesim.simulator import (
     ARRAY_LOADS,
     MAX_TRUCKLOADS,
@@ -69,11 +69,18 @@ def completion_oracle(q10, c10, trucks, legs, rate):
     )
 
 
+def drawn(cfg, seed, n):
+    """The first ``n`` draws of a replication with this seed, as Python
+    floats: ``sample`` gives a float64 array from ``BULK_DRAWS`` draws on,
+    and a numpy scalar would compare with an int floor above 2^53 as a
+    float does, not exactly as the simulator does."""
+    return np.asarray(sample(cfg.productivity_source, seed, n)).tolist()
+
+
 def clamped_rates(cfg, seed, n):
     """The first ``n`` rates a replication with this seed paves at: the
     draws of ``sample``, floored at the clamp floor."""
-    return [max(p, cfg.clamp_floor)
-            for p in sample(cfg.productivity_source, seed, n)]
+    return [max(p, cfg.clamp_floor) for p in drawn(cfg, seed, n)]
 
 
 def tenths_config(q10, c10, trucks, legs, rate, **overrides):
@@ -180,7 +187,7 @@ def test_random_rates_match_the_max_plus_closed_form():
         noisy += math.ceil((q10 / 10) / (c10 / 10)) > len(amounts)
         cycle, first = sum(legs), sum(legs[:3])
         arrivals = [(j // trucks) * cycle + first for j in range(len(amounts))]
-        draws = sample(cfg.productivity_source, trial, len(amounts))
+        draws = drawn(cfg, trial, len(amounts))
         assert clamp_count == sum(p < cfg.clamp_floor for p in draws)
         rates = clamped_rates(cfg, trial, len(amounts))
         times = [a / r for a, r in zip(amounts, rates)]
@@ -370,8 +377,7 @@ def test_replication_is_the_literal_per_load_loop(cfg, seed):
     for arrival, amount, rate in zip(arrivals, amounts, rates):
         now = max(arrival, now) + amount / rate
         busy += amount / rate
-    clamps = sum(p < cfg.clamp_floor
-                 for p in sample(cfg.productivity_source, seed, n))
+    clamps = sum(p < cfg.clamp_floor for p in drawn(cfg, seed, n))
     assert run_replication(cfg, seed) == (now, busy / now, clamps)
 
 
@@ -391,6 +397,13 @@ def test_one_more_truck_never_finishes_later_on_common_random_numbers(
 
 
 # ------------------------------------------------------------ stochastic
+
+
+def test_the_per_load_loop_is_handed_python_floats():
+    # sample returns an array from BULK_DRAWS draws on, and the per-load
+    # loop runs below ARRAY_LOADS loads; a numpy scalar would compare with
+    # an int floor above 2^53 as a float does, not exactly as the loop must
+    assert ARRAY_LOADS <= BULK_DRAWS
 
 
 def test_replication_is_deterministic():
