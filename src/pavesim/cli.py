@@ -180,15 +180,13 @@ def _cmd_adapt(args, run: _Run) -> None:
 
 
 def _parse_hidden(value: str) -> tuple[int, ...]:
+    # an empty item ("6,,6", "6,") is refused, not skipped
     try:
-        widths = tuple(int(w) for w in value.split(",") if w.strip())
+        return tuple(int(w) for w in value.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--hidden must be comma-separated integers, got {value!r}"
         ) from None
-    if not widths:
-        raise argparse.ArgumentTypeError("--hidden must name at least one width")
-    return widths
 
 
 def _cmd_train(args, run: _Run) -> None:

@@ -13,13 +13,17 @@ Per-sample loss (Gaussian negative log-likelihood up to a constant)::
 Batch loss is the arithmetic mean. Gradients are exact analytic
 backpropagation (ReLU derivative at exactly 0 is defined as 0), optimized
 with Adam in place over one flat float64 parameter vector (per-layer
-arrays are views of it). Everything is a pure function of its inputs and
-seeds, so training is bit-for-bit reproducible; forward evaluation over
-frozen parameters is read-only and safe to call concurrently.
+arrays are views of it). A training step reduces with ``np.add.reduce``,
+the call ``np.mean`` and ``np.sum`` make after their argument handling,
+and writes its gradient into one buffer that ``train`` reuses for the
+whole run. Everything is a pure function of its inputs and seeds, so
+training is bit-for-bit reproducible; forward evaluation over frozen
+parameters is read-only and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,14 +193,22 @@ def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def loss_gradients(
-    params: NetworkParams, X: np.ndarray, y: np.ndarray
+    params: NetworkParams, X: np.ndarray, y: np.ndarray, *,
+    out: NetworkParams | None = None,
 ) -> tuple[float, NetworkParams]:
     """Mean batch loss and its exact gradient w.r.t. every parameter.
 
     Head-level derivatives per sample are
     ``dL/dmu = -exp(-s) * (y - mu)`` and
     ``dL/ds = 0.5 * (1 - exp(-s) * (y - mu)**2)``,
-    scaled by 1/batch and backpropagated through the ReLU stack.
+    scaled by 1/batch and backpropagated through the ReLU stack. The loss
+    is ``np.add.reduce`` of the per-sample terms over ``n`` and each bias
+    gradient is ``np.add.reduce`` over the batch axis: the bits of
+    ``np.mean`` and ``np.sum``, without their Python wrappers.
+
+    As with a ufunc's ``out=``, the gradient is written into ``out``, a
+    ``NetworkParams`` of ``params``' layout, which is returned; with
+    ``out=None`` a fresh one is allocated. The bits are the same either way.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -209,23 +221,23 @@ def loss_gradients(
         raise DataError(f"batch of {n} rows needs y of shape ({n},), got {y.shape}")
 
     pre_activations, activations = _forward_cached(params, X)
-    out = activations[-1]
-    mu = out[:, MU_HEAD]
-    s = out[:, S_HEAD]
+    heads = activations[-1]
+    mu = heads[:, MU_HEAD]
+    s = heads[:, S_HEAD]
 
     inv_var = np.exp(-s)
     residual = y - mu
-    loss = float(np.mean(0.5 * inv_var * residual**2 + 0.5 * s))
+    loss = float(np.add.reduce(0.5 * inv_var * residual**2 + 0.5 * s) / n)
 
-    d_out = np.empty_like(out)
+    d_out = np.empty_like(heads)
     d_out[:, MU_HEAD] = -inv_var * residual / n
     d_out[:, S_HEAD] = 0.5 * (1.0 - inv_var * residual**2) / n
 
-    grads = params._like(np.empty_like(params.vector))
+    grads = params._like(np.empty_like(params.vector)) if out is None else out
     delta = d_out
     for i in range(params.num_layers - 1, -1, -1):
         np.matmul(activations[i].T, delta, out=grads.weights[i])
-        np.sum(delta, axis=0, out=grads.biases[i])
+        np.add.reduce(delta, axis=0, out=grads.biases[i])
         if i > 0:
             delta = (delta @ params.weights[i].T) * (pre_activations[i - 1] > 0)
 
@@ -280,7 +292,9 @@ def train(
     """Mini-batch Adam training loop, deterministic given both seeds.
 
     Each epoch reshuffles the sample order with a generator seeded once
-    from ``train_cfg.shuffle_seed``; batches are consumed sequentially.
+    from ``train_cfg.shuffle_seed``, gathers the shuffled rows once, and
+    consumes them in sequential batches sliced from that copy. Every step
+    writes its gradient into one buffer made before the loop.
     Raises :class:`TrainingDivergedError` if any batch loss is non-finite.
     """
     if ds_train.n == 0:
@@ -296,16 +310,21 @@ def train(
     rng = np.random.default_rng(train_cfg.shuffle_seed)
     report = TrainReport()
 
-    n = ds_train.n
+    grads = params._like(np.empty_like(params.vector))
+    n, size = ds_train.n, train_cfg.batch_size
+    # loss_gradients and adam_step are looked up at each call, not bound
+    # to locals, so a wrapper set on the module attribute sees every step
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(n)
+        X, y = ds_train.X[order], ds_train.y[order]
         total = 0.0
-        for batch_index, start in enumerate(range(0, n, train_cfg.batch_size)):
-            idx = order[start:start + train_cfg.batch_size]
-            loss, grads = loss_gradients(params, ds_train.X[idx], ds_train.y[idx])
-            if not np.isfinite(loss):
+        for batch_index, start in enumerate(range(0, n, size)):
+            y_batch = y[start:start + size]
+            loss, _ = loss_gradients(params, X[start:start + size], y_batch,
+                                     out=grads)
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, batch_index, loss)
-            total += loss * len(idx)
+            total += loss * len(y_batch)
             params, state = adam_step(params, grads, state, train_cfg)
         report.epoch_losses.append(total / n)
     # the last step may overflow after the last loss was found finite

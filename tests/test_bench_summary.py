@@ -210,3 +210,109 @@ def test_main_prints_the_comparison(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit):
         bench_summary.main(["--seeds", *seeds])
     assert "give --out, --parent or both" in capsys.readouterr().err
+
+
+# ----------------------------------------------- per-layer, traced runs
+
+LAYER_BENCHMARK = {**BENCHMARK, "per_layer": [
+    {"name": "network.train.s", "unit": "s", "better": "lower"},
+    {"name": "network.loss_gradients.p50_us", "unit": "us",
+     "better": "lower"},
+    {"name": "simulator.run_replication.s", "unit": "s", "better": "lower"}]}
+
+
+def write_traced(results, workload, seed, metrics, **changes):
+    """A trace1 record of `workload` at `seed` holding `metrics` (name to
+    value, None for a null one)."""
+    results.mkdir(parents=True, exist_ok=True)
+    rec = record(seed, workload, trace=1, **changes)
+    rec["metrics"] = {name: {"value": value} for name, value in
+                      metrics.items()}
+    path = results / f"{workload}-seed{seed}-trace1.json"
+    path.write_text(json.dumps(rec))
+
+
+def test_layers_compare_the_medians_of_the_seeds_both_sides_traced(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, train_s in ((7, 1.0), (8, 1.2), (9, 1.4)):
+        write_traced(parent, "alpha", seed, {
+            "network.train.s": train_s,
+            "network.loss_gradients.p50_us": 200.0 + seed,
+            "simulator.run_replication.s": None})
+    # seed 9 has no traced change record, and seed 10 no parent record
+    for seed, train_s in ((7, 0.8), (8, 1.0), (10, 5.0)):
+        write_traced(change, "alpha", seed, {
+            "network.train.s": train_s,
+            "network.loss_gradients.p50_us": None if seed == 8 else 150.0,
+            "simulator.run_replication.s": 0.5})
+    # beta was traced by the parent alone, and its untraced record is no
+    # traced one
+    write_traced(parent, "beta", 7, {"network.train.s": 0.0})
+    write_results(change, seeds=[7])
+    rows = bench_summary.compare_layers(LAYER_BENCHMARK, parent, change,
+                                        [7, 8, 9, 10])
+    assert list(rows) == ["alpha"]
+    # a null value is left out; a metric null on one side is left out
+    assert rows["alpha"] == {
+        "network.train.s": {"parent": pytest.approx(1.1),
+                            "change": pytest.approx(0.9), "seeds": 2},
+        "network.loss_gradients.p50_us": {"parent": 207.5, "change": 150.0,
+                                          "seeds": 2}}
+    lines = bench_summary.layer_lines(rows, LAYER_BENCHMARK)
+    assert lines == [
+        "alpha network.train.s (s): 1.1 -> 0.9 (0.818), median of 2 "
+        "traced seeds",
+        "alpha network.loss_gradients.p50_us (us): 207.5 -> 150 (0.723), "
+        "median of 2 traced seeds"]
+    one = bench_summary.compare_layers(LAYER_BENCHMARK, parent, change, [7])
+    assert one["alpha"]["network.train.s"] == {"parent": 1.0,
+                                               "change": 0.8, "seeds": 1}
+    assert bench_summary.layer_lines(
+        {"alpha": {"network.train.s": {"parent": 0.0, "change": 0.0,
+                                       "seeds": 1}}}, LAYER_BENCHMARK) == [
+        "alpha network.train.s (s): 0 -> 0, median of 1 traced seed"]
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"correct": False}, "records a failed run"),
+    ({"failed": 1}, "records a failed run"),
+    ({"environment": {**ENVIRONMENT, "nproc": 4}}, "another environment"),
+])
+def test_layers_refuse_a_failed_or_foreign_record(tmp_path, changes,
+                                                  message):
+    metrics = {"network.train.s": 1.0}
+    write_traced(tmp_path / "parent", "alpha", 7, metrics)
+    write_traced(tmp_path / "change", "alpha", 7, metrics, **changes)
+    with pytest.raises(ValueError, match=message):
+        bench_summary.compare_layers(LAYER_BENCHMARK, tmp_path / "parent",
+                                     tmp_path / "change", [7])
+
+
+def test_layers_refuse_seeds_that_neither_side_traced(tmp_path):
+    write_traced(tmp_path / "parent", "alpha", 7, {"network.train.s": 1.0})
+    write_traced(tmp_path / "change", "alpha", 8, {"network.train.s": 1.0})
+    with pytest.raises(ValueError, match="no traced result at seeds "
+                                         r"\[7, 8\] on both sides"):
+        bench_summary.compare_layers(LAYER_BENCHMARK, tmp_path / "parent",
+                                     tmp_path / "change", [7, 8])
+
+
+def test_main_prints_the_layers(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("BENCHMARK.json").write_text(json.dumps(LAYER_BENCHMARK))
+    write_traced(tmp_path / "parent" / ".perfbench" / "results", "beta", 7,
+                 {"network.train.s": 2.0})
+    write_traced(tmp_path / ".perfbench" / "results", "beta", 7,
+                 {"network.train.s": 1.5})
+    assert bench_summary.main(["--seeds", "7", "--parent", "parent",
+                               "--layers"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "beta network.train.s (s): 2 -> 1.5 (0.750), median of 1 traced "
+        "seed"]
+    assert bench_summary.main(["--seeds", "8", "--parent", "parent",
+                               "--layers"]) == 1
+    assert capsys.readouterr().err.startswith("error: no traced result")
+    for argv in (["--layers"], ["--layers", "--parent", "p", "--out", "B"]):
+        with pytest.raises(SystemExit):
+            bench_summary.main(["--seeds", "7", *argv])
+        assert "--layers needs --parent" in capsys.readouterr().err

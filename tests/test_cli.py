@@ -161,14 +161,16 @@ def test_outlier_strategy_is_validated(tmp_path, capsys):
 
 
 def test_hidden_widths_are_validated(tmp_path, capsys):
-    rc = cli.main([
-        "train", "--data", str(tmp_path / "d.csv"), "--seed", "1",
-        "--hidden", "6,x", "--out", str(tmp_path / "m.model"),
-    ])
-    assert rc == 1
-    assert "--hidden must be comma-separated integers" in (
-        capsys.readouterr().err
-    )
+    # an empty item is refused, not skipped: "6,,6," is no [6, 6] net
+    for hidden in ("6,x", "6,,6", "6,6,", ",6"):
+        rc = cli.main([
+            "train", "--data", str(tmp_path / "d.csv"), "--seed", "1",
+            "--hidden", hidden, "--out", str(tmp_path / "m.model"),
+        ])
+        assert rc == 1, hidden
+        assert "--hidden must be comma-separated integers" in (
+            capsys.readouterr().err
+        ), hidden
 
 
 def test_level_choices_are_enforced(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pavesim.adapter import encode_and_normalize, split
 from pavesim.errors import DataError, NumericalError, TrainingDivergedError
@@ -324,6 +324,74 @@ def test_loss_gradients_loss_matches_nll_of_forward():
     assert loss == pytest.approx(nll, rel=1e-15)
 
 
+def textbook_loss_gradients(params, X, y):
+    """The batch loss and per-layer gradients by a literal forward and
+    backward pass of fresh arrays: ``np.mean`` for the loss, ``np.sum``
+    for each bias gradient."""
+    pre, acts = [], [X]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(z if i == params.num_layers - 1 else np.maximum(z, 0.0))
+    mu, s = acts[-1][:, 0], acts[-1][:, 1]
+    n = len(y)
+    loss = float(np.mean(0.5 * np.exp(-s) * (y - mu) ** 2 + 0.5 * s))
+    delta = np.stack([-np.exp(-s) * (y - mu) / n,
+                      0.5 * (1.0 - np.exp(-s) * (y - mu) ** 2) / n], axis=1)
+    weights, biases = [], []
+    for i in range(params.num_layers - 1, -1, -1):
+        weights.insert(0, acts[i].T @ delta)
+        biases.insert(0, np.sum(delta, axis=0))
+        if i > 0:
+            delta = (delta @ params.weights[i].T) * (pre[i - 1] > 0)
+    return loss, weights, biases
+
+
+@settings(max_examples=60, deadline=None)
+@given(widths=st.lists(st.integers(1, 8), min_size=2, max_size=4),
+       n=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
+@example(widths=[1, 1], n=1, seed=0)
+@example(widths=[8, 8, 8, 8], n=1, seed=1)
+def test_loss_gradients_match_a_textbook_pass(widths, n, seed):
+    # widths[0] inputs, then one to three hidden layers; the bits must be
+    # those of np.mean, np.sum and fresh arrays
+    rng = np.random.default_rng(seed)
+    dims = list(zip(widths, widths[1:] + [2]))
+    params = NetworkParams([rng.normal(size=d) for d in dims],
+                           [rng.normal(size=d[1]) for d in dims])
+    X = rng.normal(size=(n, widths[0]))
+    y = rng.normal(size=n)
+    loss, grads = loss_gradients(params, X, y)
+    want_loss, want_weights, want_biases = textbook_loss_gradients(
+        params, X, y)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    for got, want in zip(grads.weights + grads.biases,
+                         want_weights + want_biases):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_loss_gradients_write_into_out_and_return_it():
+    net = init_network(NetworkConfig(input_dim=9, hidden_widths=(8, 8),
+                                     seed=1504))
+    rng = np.random.default_rng(1004)
+    batches = [(rng.normal(size=(k, 9)), rng.normal(size=k)) for k in (16, 5)]
+    fresh = [loss_gradients(net, X, y) for X, y in batches]
+    again = loss_gradients(net, *batches[0])
+    # without out, each call returns its own buffer
+    assert not np.shares_memory(fresh[0][1].vector, again[1].vector)
+    assert params_equal(fresh[0][1], again[1])
+    # with out, every entry is written, and a reused buffer keeps nothing
+    # of its last batch
+    out = NetworkParams([np.full_like(w, np.nan) for w in net.weights],
+                        [np.full_like(b, np.nan) for b in net.biases])
+    for (X, y), (want_loss, want) in zip(batches, fresh):
+        loss, got = loss_gradients(net, X, y, out=out)
+        assert got is out
+        assert loss == want_loss
+        assert got.vector.tobytes() == want.vector.tobytes()
+
+
 # ----------------------------------------------------------------- adam
 
 
@@ -460,13 +528,15 @@ def test_train_single_full_batch_epoch_equals_manual_step():
     assert report.epoch_losses == [loss]
 
 
-def test_train_matches_a_per_tensor_adam_loop():
+@pytest.mark.parametrize("batch_size", [1, 32, 100])
+def test_train_matches_a_per_tensor_adam_loop(batch_size):
     # Textbook Adam over per-layer lists, sharing only the initializer,
-    # the gradients and the shuffle stream with the flat trainer. 70 rows
-    # in batches of 32 leave a last batch of 6.
+    # the gradients and the shuffle stream with the flat trainer, and
+    # gathering each batch's rows by itself. 70 rows in batches of 32
+    # leave a last batch of 6; batches of 100 leave one short batch.
     ds = encode_and_normalize(generate_paving_dataset(70, 5), "Productivity")
     net_cfg = NetworkConfig(input_dim=9, hidden_widths=(6, 6), seed=11)
-    cfg = TrainConfig(epochs=3, batch_size=32, shuffle_seed=12)
+    cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=12)
     got, report = train(ds, net_cfg, cfg)
 
     start = init_network(net_cfg)
@@ -496,7 +566,7 @@ def test_train_matches_a_per_tensor_adam_loop():
                     v_hat + cfg.adam_epsilon)
         losses.append(total / ds.n)
 
-    assert ds.n % cfg.batch_size == 6 and t == 9
+    assert ds.n == 70 and t == cfg.epochs * math.ceil(70 / batch_size)
     flat = got.weights + got.biases
     assert [a.shape for a in flat] == [a.shape for a in theta]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(flat, theta))

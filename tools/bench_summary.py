@@ -25,6 +25,15 @@ the checks above, in one environment. Quartiles interpolate linearly
 between order statistics, as ``numpy.quantile`` does::
 
     python3 tools/bench_summary.py --seeds 31 32 33 34 35 --parent ../parent
+
+With ``--layers`` as well, it compares the traced runs instead: for each
+workload and each per-layer metric, the parent's median and this
+checkout's over the ``<workload>-seed<S>-trace1.json`` records that both
+sides have at the given seeds (one seed is enough), skipping null
+values. A traced run shows where the time went, not whether it changed,
+so no claim rule is applied::
+
+    python3 tools/bench_summary.py --seeds 7 --parent ../parent --layers
 """
 
 from __future__ import annotations
@@ -59,17 +68,23 @@ def load_records(benchmark: dict, results: Path,
             path = results / f"{workload}-seed{seed}-trace0.json"
             if not path.is_file():
                 raise ValueError(f"no result {path}")
-            record = json.loads(path.read_text())
-            if not record.get("correct") or record.get("failed"):
-                raise ValueError(f"{path} records a failed run")
-            if environment is None:
-                environment = record["environment"]
-            elif record["environment"] != environment:
-                raise ValueError(f"{path} was run in another environment: "
-                                 f"{record['environment']} != {environment}")
+            record = _read_record(path, environment)
+            environment = record["environment"]
             records.append(record)
         by_workload[workload] = records
     return environment, by_workload
+
+
+def _read_record(path: Path, environment: dict | None) -> dict:
+    """The record at `path`; a failed run, or one run in another
+    environment than `environment` (when that is not None), is refused."""
+    record = json.loads(path.read_text())
+    if not record.get("correct") or record.get("failed"):
+        raise ValueError(f"{path} records a failed run")
+    if environment is not None and record["environment"] != environment:
+        raise ValueError(f"{path} was run in another environment: "
+                         f"{record['environment']} != {environment}")
+    return record
 
 
 def _values(records: list[dict], metric: str) -> list[float]:
@@ -126,6 +141,58 @@ def compare(benchmark: dict, parent_results: Path, results: Path,
     return rows
 
 
+def compare_layers(benchmark: dict, parent_results: Path, results: Path,
+                   seeds: list[int]) -> dict:
+    """Per workload and per-layer metric, the parent's median and this
+    checkout's over the traced records both sides have at `seeds`, and
+    the number of seeds used; a null value is left out, and a metric null
+    on either side at every seed is left out. Every record must come from
+    a passed run, all in one environment."""
+    environment = None
+    rows = {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        pairs = []
+        for seed in sorted(set(seeds)):
+            paths = [side / f"{workload}-seed{seed}-trace1.json"
+                     for side in (parent_results, results)]
+            if not all(path.is_file() for path in paths):
+                continue
+            pair = []
+            for path in paths:
+                pair.append(_read_record(path, environment))
+                environment = pair[-1]["environment"]
+            pairs.append(pair)
+        if not pairs:
+            continue
+        rows[workload] = {}
+        for metric in benchmark["per_layer"]:
+            sides = [[r["metrics"].get(metric["name"], {}).get("value")
+                      for r in side] for side in zip(*pairs)]
+            sides = [[v for v in side if v is not None] for side in sides]
+            if all(sides):
+                rows[workload][metric["name"]] = {
+                    "parent": statistics.median(sides[0]),
+                    "change": statistics.median(sides[1]),
+                    "seeds": len(pairs)}
+    if not rows:
+        raise ValueError(f"no traced result at seeds {sorted(set(seeds))} "
+                         "on both sides")
+    return rows
+
+
+def layer_lines(rows: dict, benchmark: dict) -> list[str]:
+    units = {m["name"]: m["unit"] for m in benchmark["per_layer"]}
+    lines = []
+    for workload, metrics in rows.items():
+        for name, row in metrics.items():
+            before, after = row["parent"], row["change"]
+            ratio = f" ({after / before:.3f})" if before else ""
+            lines.append(f"{workload} {name} ({units[name]}): {before:.4g} "
+                         f"-> {after:.4g}{ratio}, median of {row['seeds']} "
+                         "traced seed" + ("s" if row["seeds"] > 1 else ""))
+    return lines
+
+
 def _spread(values: list[float]) -> list[float]:
     """The median, first quartile and third quartile of `values`."""
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -153,11 +220,21 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path,
                         help="root of a parent checkout run at the same "
                              "seeds, to compare pair by pair")
+    parser.add_argument("--layers", action="store_true",
+                        help="with --parent, compare the per-layer metrics "
+                             "of the traced runs instead")
     args = parser.parse_args(argv)
+    if args.layers and (args.parent is None or args.out is not None):
+        parser.error("--layers needs --parent and takes no --out")
     if args.out is None and args.parent is None:
         parser.error("give --out, --parent or both")
     benchmark = json.loads(BENCHMARK.read_text())
     try:
+        if args.layers:
+            print("\n".join(layer_lines(
+                compare_layers(benchmark, args.parent / RESULTS, RESULTS,
+                               args.seeds), benchmark)))
+            return 0
         if args.parent is not None:
             rows = compare(benchmark, args.parent / RESULTS, RESULTS,
                            args.seeds)
