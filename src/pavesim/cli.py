@@ -341,13 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="join key column, read as text and dropped after the join "
                         "(required for multiple --data)")
     p.add_argument("--target", default=TARGET_COLUMN)
-    p.add_argument("--missing", default=IMPUTE_MEDIAN,
+    p.add_argument("--missing", default=CleanPolicy.missing_strategy,
                    type=_one_of("--missing", DROP_ROW, IMPUTE_MEDIAN),
-                   help=f"{IMPUTE_MEDIAN} (default) or {DROP_ROW}")
-    p.add_argument("--outliers", default=FLAG_ONLY,
+                   help=f"{IMPUTE_MEDIAN} or {DROP_ROW} (default %(default)s)")
+    p.add_argument("--outliers", default=CleanPolicy.outlier_strategy,
                    type=_one_of("--outliers", FLAG_ONLY, DROP_ROW),
-                   help=f"{FLAG_ONLY} (default) or {DROP_ROW}")
-    p.add_argument("--iqr-multiplier", type=float, default=1.5)
+                   help=f"{FLAG_ONLY} or {DROP_ROW} (default %(default)s)")
+    p.add_argument("--iqr-multiplier", type=float,
+                   default=CleanPolicy.iqr_multiplier)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--seed", type=_parse_seed, required=True,
                    help="split seed")
@@ -365,8 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--hidden", type=_parse_hidden, default=(64, 64, 64),
-                   help="comma-separated hidden widths (default 64,64,64)")
+    p.add_argument("--hidden", type=_parse_hidden,
+                   default=NetworkConfig.hidden_widths,
+                   help="comma-separated hidden widths (default " + ",".join(
+                       map(str, NetworkConfig.hidden_widths)) + ")")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate",

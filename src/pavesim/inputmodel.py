@@ -12,15 +12,16 @@ baseline that ignores conditions, one Gaussian over a labelled sample,
 and quantifies what that pooling costs in variance against a Gaussian
 per condition.
 
-Variates are never truncated at zero even though negative productivity
-is unphysical; consumers clamp instead, so the model's moments stay
-exactly what the network predicted.
+Variates come from numpy's own PCG64 generator, one stream per seed, so
+a caller that keys each replication by its own ``SeedSequence`` gets
+common random numbers across configs. They are never truncated at zero
+even though negative productivity is unphysical; consumers clamp
+instead, so the model's moments stay exactly what the network predicted.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -109,78 +110,17 @@ def derive(
     return GaussianInputModel(mean=float(mean), variance=float(variance))
 
 
-#: From this many variates on, :func:`_polar_normals` draws by array and
-#: :func:`sample` returns one: the two paths cost the same here, the loop
-#: a third of the array path's at n = 1, and the array path half the
-#: loop's at n = 1000. It equals the simulator's ``ARRAY_LOADS``, so its
-#: per-load loop is always handed Python floats.
-BULK_DRAWS = 112
-
-
-def _polar_normals(rng: random.Random, n: int) -> list[float] | np.ndarray:
-    """n standard normals by Marsaglia and Bray's polar method, a list of
-    Python floats for ``n < BULK_DRAWS`` and a 1-D float64 array from
-    there on, with the same bits either way.
-
-    Each pair takes two uniforms ``u, v`` in [-1, 1) from ``rng.random()``
-    and is kept when ``0 < w = u*u + v*v < 1``, as ``u * f, v * f`` with
-    ``f = sqrt(-2 log(w) / w)``. The bulk path reads the same stream as
-    64-bit words of ``rng.getrandbits``, whose first word is the least
-    significant on any byte order, and turns each into a uniform by
-    ``random()``'s own formula, ``(a >> 5) * 2**26 + (b >> 6)`` over
-    ``2**53``. It draws about 4/3 of the pairs it needs and draws again
-    if too few are kept, so ``rng`` ends further on than the loop leaves
-    it. ``log`` is ``math.log`` per element in both paths: numpy's ``log``
-    differs from it in the last bit of some values.
-    """
-    if n < BULK_DRAWS:
-        out: list[float] = []
-        while len(out) < n:
-            u = 2.0 * rng.random() - 1.0
-            v = 2.0 * rng.random() - 1.0
-            w = u * u + v * v
-            if w >= 1.0 or w == 0.0:
-                continue
-            factor = math.sqrt(-2.0 * math.log(w) / w)
-            out.append(u * factor)
-            out.append(v * factor)
-        return out[:n]
-    parts, need = [], (n + 1) // 2
-    while need > 0:
-        m = 2 * (need + need // 3 + 8)
-        words = np.frombuffer(
-            rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4")
-        x = 2.0 * (((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6))
-                   * 2.0**-53) - 1.0
-        u, v = x[0::2], x[1::2]
-        w = u * u + v * v
-        keep = ((w < 1.0) & (w != 0.0)).nonzero()[0][:need]
-        w = w[keep]
-        log_w = np.fromiter(map(math.log, w.tolist()), float, w.size)
-        # rows (u, v) times f: raveled, the pairs' variates in draw order
-        kept = x.reshape(-1, 2)[keep] * np.sqrt(-2.0 * log_w / w)[:, None]
-        parts.append(kept.ravel())
-        need -= w.size
-    # one round is the usual case: its block needs no concatenate copy
-    return (parts[0] if len(parts) == 1 else np.concatenate(parts))[:n]
-
-
-def sample(model: GaussianInputModel, seed: int, n: int
-           ) -> list[float] | np.ndarray:
-    """Draw ``n`` i.i.d. variates ``mean + std * z`` from the normals of
-    :func:`_polar_normals` on ``random.Random(seed)``; deterministic per
-    seed, no truncation. Like the normals, they are a list of Python
-    floats for ``n < BULK_DRAWS`` and a 1-D float64 array from there on,
-    with the same bits either way."""
+def sample(model: GaussianInputModel, seed: int | np.random.SeedSequence,
+           n: int) -> np.ndarray:
+    """Draw ``n`` i.i.d. variates ``mean + std * z``, no truncation, as one
+    1-D float64 array; ``z`` is ``standard_normal(n)`` of numpy's
+    ``Generator(PCG64(seed))``, where ``seed`` is an int or a
+    ``SeedSequence``. So the draws are deterministic per seed, and the
+    first ``k`` of ``n`` are the draws for ``n = k``. ``float()`` rounds an
+    int mean as Python's int + float does."""
     check_number("n", n, integer=True, low=1)
-    z = _polar_normals(random.Random(seed), n)
-    std = model.std
-    if n < BULK_DRAWS:
-        return [model.mean + std * x for x in z]
-    # the same IEEE multiply and add per element; float() rounds an int
-    # mean as Python's int + float does; |z| <= sqrt(208 ln 2) < 12.1, so
-    # neither can overflow
-    return float(model.mean) + std * z
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
+    return float(model.mean) + model.std * z
 
 
 def confidence_interval(mean, std, level: float):

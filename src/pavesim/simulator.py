@@ -28,10 +28,12 @@ replication only draws its rates and runs the Lindley recursion of
 loads on, the recursion runs on arrays: the finishes are one sequential
 ``np.add.accumulate`` of the durations while the paver is busy, and the
 per-load loop takes over at its first idle. Below that, the loop is one
-conditional and one add per load, with the durations divided out in C
-builtins before it; the sampler also draws by array from 112 variates
-on, and the array path takes its float64 array as it is. Both paths
-give the same bits. :func:`run_monte_carlo` keeps each
+conditional and one add per load over Python floats, with the durations
+divided out in C builtins before it. Both paths give the same bits.
+Replication ``i`` draws from numpy's PCG64 stream keyed by
+``SeedSequence((master_seed, i))`` (:func:`replication_seed`), so two
+configs run at one master seed pave on common random numbers.
+:func:`run_monte_carlo` keeps each
 replication's completion time, busy fraction and clamp count as the
 columns of a :class:`SimResult`. At a constant rate completion time also
 has a closed form: the first time paving at that rate has placed all the
@@ -207,7 +209,8 @@ def truckload_amounts(cfg: SimConfig) -> list[float]:
     return amounts
 
 
-def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
+def run_replication(cfg: SimConfig, seed: int | np.random.SeedSequence
+                    ) -> tuple[float, float, int]:
     """Simulate one replication of the paving operation; returns its
     ``(completion_time, busy_fraction, clamp_count)``.
 
@@ -251,6 +254,9 @@ def run_replication(cfg: SimConfig, seed: int) -> tuple[float, float, int]:
                    len(amounts) if per_load else 1)
     if len(amounts) >= ARRAY_LOADS:
         return _replication_by_array(cfg, draws)
+    # Python floats: a numpy scalar would compare with an int floor above
+    # 2^53 as a float does, not exactly
+    draws = draws.tolist()
     floor = cfg.clamp_floor
     # operator.lt, not floor.__gt__: an int floor returns NotImplemented
     clamp_count = sum(map(lt, draws, repeat(floor)))
@@ -270,14 +276,13 @@ def _last_finish(now: float, arrivals: Sequence[float],
     return now
 
 
-def _replication_by_array(cfg: SimConfig, draws: list[float] | np.ndarray
+def _replication_by_array(cfg: SimConfig, draws: np.ndarray
                           ) -> tuple[float, float, int]:
     """:func:`run_replication` over :attr:`SimConfig.plan_arrays`, with
     the same bits. ``draws`` is :func:`~pavesim.inputmodel.sample`'s
-    float64 array in ``per_truckload`` mode, used as it is, and its
-    one-float list in ``per_replication`` mode, which broadcasts."""
+    float64 array, one per load or, in ``per_replication`` mode, one
+    draw that broadcasts."""
     arrivals, amounts, at_floor = cfg.plan_arrays
-    draws = np.asarray(draws, dtype=float)
     floor = cfg.clamp_floor
     low = float(floor)
     # draw < floor as operator.lt decides it: no float lies strictly
@@ -326,7 +331,8 @@ def run_monte_carlo(
     return result
 
 
-def replication_seed(master_seed: int, index: int) -> int:
-    """Deterministic child seed for one replication."""
-    ss = np.random.SeedSequence((master_seed, index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
+    """Deterministic child seed for one replication: the ``SeedSequence``
+    of ``(master_seed, index)``, which :func:`~pavesim.inputmodel.sample`
+    hands to PCG64 as it is, so it is hashed once."""
+    return np.random.SeedSequence((master_seed, index))

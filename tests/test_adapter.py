@@ -230,6 +230,16 @@ def test_clean_flags_fence_violation_without_dropping():
     assert report.rows_dropped_outliers == 0
 
 
+def test_a_value_on_a_fence_is_not_an_outlier():
+    # 0..4: Q1 = 1, Q3 = 3, IQR = 2, so multiplier 0.5 fences [0, 4]
+    table = numeric_table("V", [0, 1, 2, 3, 4])
+    assert iqr_fences([0, 1, 2, 3, 4], 0.5) == (0.0, 4.0)
+    cleaned, report = clean(table, CleanPolicy(outlier_strategy=DROP_ROW,
+                                               iqr_multiplier=0.5))
+    assert cleaned == table
+    assert report.outlier_counts["V"] == 0
+
+
 def test_clean_drop_row_removes_outlier():
     table = numeric_table("V", [1, 2, 3, 4, 100])
     cleaned, report = clean(table, CleanPolicy(outlier_strategy=DROP_ROW))
@@ -598,6 +608,19 @@ def test_encode_rejects_categorical_feature_and_constant_target():
     flat = table_of_rows(("Y", "X"), ((2.0, 1.0), (2.0, 3.0)))
     with pytest.raises(DataError, match="constant"):
         encode_and_normalize(flat, "Y")
+
+
+def test_a_constant_column_is_named_by_its_role():
+    flat_target = table_of_rows(("Productivity", "Slump"),
+                                ((2.0, 1.0), (2.0, 3.0)))
+    with pytest.raises(DataError, match="^target column 'Productivity' is "
+                                        "constant$"):
+        encode_and_normalize(flat_target, "Productivity")
+    flat_feature = table_of_rows(("Productivity", "Slump"),
+                                 ((1.0, 3.0), (2.0, 3.0)))
+    with pytest.raises(DataError, match="^" + re.escape(
+            "column 'Slump' is constant (std 0) and cannot be z-scored") + "$"):
+        encode_and_normalize(flat_feature, "Productivity")
 
 
 def test_encode_rejects_target_as_feature_and_empty_table():

@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from pavesim import cli
+from pavesim.adapter import CleanPolicy
 from pavesim.modelfile import load_dataset, load_model
+from pavesim.network import NetworkConfig, TrainConfig
 from pavesim.synthetic import generate_paving_dataset
 from pavesim.tables import PAVING_COLUMNS, TARGET_COLUMN, csv_text, load_csv
 from table_helpers import rows_of
@@ -171,6 +173,20 @@ def test_hidden_widths_are_validated(tmp_path, capsys):
         assert "--hidden must be comma-separated integers" in (
             capsys.readouterr().err
         ), hidden
+
+
+def test_flag_defaults_are_the_config_defaults():
+    # each default has one source: the dataclass the flags fill in
+    parser = cli.build_parser()
+    adapt = parser.parse_args(["adapt", "--data", "d.csv", "--seed", "1",
+                               "--out", "ds.json"])
+    assert CleanPolicy(adapt.missing, adapt.outliers,
+                       adapt.iqr_multiplier) == CleanPolicy()
+    train = parser.parse_args(["train", "--data", "ds.json", "--seed", "1",
+                               "--out", "m.model"])
+    assert train.hidden == NetworkConfig(input_dim=1).hidden_widths
+    assert TrainConfig(train.epochs, train.batch_size,
+                       train.lr) == TrainConfig()
 
 
 def test_level_choices_are_enforced(tmp_path, capsys):

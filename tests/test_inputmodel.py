@@ -1,5 +1,4 @@
 import math
-import random
 import warnings
 
 import numpy as np
@@ -15,7 +14,6 @@ from pavesim.adapter import (
 )
 from pavesim.errors import DataError, NumericalError
 from pavesim.inputmodel import (
-    BULK_DRAWS,
     CoverageReport,
     GaussianInputModel,
     Z_VALUES,
@@ -117,82 +115,73 @@ class TestDerive:
         assert (model.mean, model.variance) == (52.5, 25.0)
 
 
-def polar_loop(seed, n, mean, variance):
-    """``n`` variates written out as Marsaglia and Bray's polar method,
-    one pair at a time on ``random.Random(seed)``, as the oracle for
-    ``sample``'s bits. Its first ``k`` variates are its variates for
-    ``n = k``."""
-    rng = random.Random(seed)
+def pcg64_draws(seed, n, mean, variance):
+    """``n`` variates ``mean + std * z`` as Python floats, with ``z`` read
+    straight from numpy's ``Generator(PCG64(seed)).standard_normal(n)``,
+    as the oracle for ``sample``'s bits."""
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
     std = math.sqrt(variance)
-    out = []
-    while len(out) < n:
-        u = 2.0 * rng.random() - 1.0
-        v = 2.0 * rng.random() - 1.0
-        w = u * u + v * v
-        if 0.0 < w < 1.0:
-            factor = math.sqrt(-2.0 * math.log(w) / w)
-            out += [mean + std * (u * factor), mean + std * (v * factor)]
-    return out[:n]
+    return [mean + std * x for x in z.tolist()]
 
 
 def assert_draws_contract(drawn, n):
-    """``sample``'s return contract: a list of ``n`` Python floats below
-    ``BULK_DRAWS``, and a 1-D float64 array of ``n`` from there on."""
-    if n < BULK_DRAWS:
-        assert type(drawn) is list
-        assert all(type(x) is float for x in drawn)
-    else:
-        assert type(drawn) is np.ndarray
-        assert drawn.dtype == np.float64 and drawn.shape == (n,)
-    assert len(drawn) == n
+    """``sample``'s return contract: one 1-D float64 array of ``n``."""
+    assert type(drawn) is np.ndarray
+    assert drawn.dtype == np.float64 and drawn.shape == (n,)
 
 
 class TestSample:
     def test_deterministic_per_seed(self):
         model = GaussianInputModel(50.0, 25.0)
-        assert sample(model, 5, 10) == sample(model, 5, 10)
-        assert sample(model, 5, 10) != sample(model, 6, 10)
+        assert sample(model, 5, 10).tolist() == sample(model, 5, 10).tolist()
+        assert sample(model, 5, 10).tolist() != sample(model, 6, 10).tolist()
         assert len(sample(model, 5, 7)) == 7
 
     def test_zero_variance_collapses_to_the_mean(self):
-        assert sample(GaussianInputModel(42.0, 0.0), 1, 5) == [42.0] * 5
+        assert sample(GaussianInputModel(42.0, 0.0), 1, 5).tolist() == [42.0] * 5
 
     def test_rejects_empty_request(self):
         with pytest.raises(DataError):
             sample(GaussianInputModel(0.0, 1.0), 1, 0)
 
-    # at n = 112, seed 32 keeps too few pairs from the words it draws
-    # first and draws again
     @pytest.mark.parametrize("seed", [0, 32, 2**32, 2**64 + 7])
     @pytest.mark.parametrize("mean, variance", [(55.0, 30.0), (20, 900),
                                                 (42.0, 0.0)])
-    def test_draws_are_the_pair_at_a_time_polar_loop(self, seed, mean,
-                                                     variance):
-        expected = polar_loop(seed, 4097, mean, variance)
+    def test_draws_are_numpys_pcg64_normals(self, seed, mean, variance):
+        expected = pcg64_draws(seed, 4097, mean, variance)
         model = GaussianInputModel(mean, variance)
         for n in [*range(1, 300), 1000, 4097]:
-            drawn = np.asarray(sample(model, seed, n)).tolist()
-            assert drawn == expected[:n], n
+            drawn = sample(model, seed, n)
+            assert_draws_contract(drawn, n)
+            assert drawn.tolist() == expected[:n], n
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**70), n=st.integers(1, 600),
            mean=st.floats(-1e6, 1e6),
            variance=st.sampled_from([0.0, 1e-12, 1.0, 30.0, 1e8]))
-    def test_any_seed_draws_the_polar_loop(self, seed, n, mean, variance):
+    def test_any_seed_draws_numpys_pcg64_normals(self, seed, n, mean,
+                                                 variance):
         drawn = sample(GaussianInputModel(mean, variance), seed, n)
-        expected = polar_loop(seed, n, mean, variance)
-        assert np.asarray(drawn).tolist() == expected
         assert_draws_contract(drawn, n)
+        assert drawn.tolist() == pcg64_draws(seed, n, mean, variance)
 
-    @pytest.mark.parametrize("seed", [0, 32, 2**64 + 7])
-    def test_the_list_ends_and_the_array_begins_at_bulk_draws(self, seed):
+    def test_a_seed_sequence_keys_the_stream_as_it_is(self):
+        # replication_seed hands sample a SeedSequence, hashed only once
         model = GaussianInputModel(20, 900)
-        expected = polar_loop(seed, BULK_DRAWS, 20, 900)
-        for n in (BULK_DRAWS - 1, BULK_DRAWS):
-            drawn = sample(model, seed, n)
-            assert_draws_contract(drawn, n)
-            assert np.asarray(drawn).tolist() == expected[:n]
-        assert BULK_DRAWS == 112
+        seq = np.random.SeedSequence((7, 3))
+        assert sample(model, seq, 50).tolist() == pcg64_draws(seq, 50, 20, 900)
+        assert sample(model, seq, 50).tolist() != \
+            sample(model, np.random.SeedSequence((7, 4)), 50).tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**70), n=st.integers(1, 600), data=st.data())
+    def test_the_first_k_draws_do_not_depend_on_n(self, seed, n, data):
+        # what keeps common random numbers across configs of other load
+        # counts: a replication's k-th rate is the same however many it draws
+        k = data.draw(st.integers(1, n))
+        model = GaussianInputModel(55.0, 30.0)
+        assert sample(model, seed, n)[:k].tolist() == \
+            sample(model, seed, k).tolist()
 
     def test_large_sample_moments_and_interval_mass(self):
         model = GaussianInputModel(90.0, 25.0)

@@ -51,8 +51,8 @@ INPUTS = {
         "clamp_floor": 2.0,
         "scenario": SCENARIOS,
     }),
-    # 500 loads, each with its own draw: above the sampler's bulk cut, and
-    # the floor binds on about a quarter of the draws
+    # 500 loads, each with its own draw: above the recursion's array cut,
+    # and the floor binds on about a quarter of the draws
     "fleet.cfg": json.dumps({
         "total_quantity": 6000, "truck_count": 4, "truck_capacity": 12,
         "load_time": 0.15, "haul_time": 0.4, "dump_time": 0.1,
@@ -188,12 +188,19 @@ def only_columns_differ(columns):
     return check
 
 
-def plans_loads(ref_loads, new_loads):
+def resampled(ref_loads, new_loads):
+    """A simulate CSV drawn from another generator: the same audit
+    header, column names, replications, ``replications`` and
+    ``master_seed`` lines and statistic names, with every replication
+    hauling `ref_loads` loads in the reference and `new_loads` in src.
+    Only the sampled columns and the six statistics of completion time
+    that close the footer may differ."""
     def check(ref, new, _src):
         ref_rows, new_rows = csv_rows(ref), csv_rows(new)
-        # the audit header, replications and master_seed; not the six
-        # statistics of completion time that close the footer
         assert comments(ref)[:-6] == comments(new)[:-6]
+        assert [c.split(" = ")[0] for c in comments(ref)[-6:]] == \
+            [c.split(" = ")[0] for c in comments(new)[-6:]]
+        assert body(ref)[0] == body(new)[0]
         assert [r["replication"] for r in ref_rows] == \
             [r["replication"] for r in new_rows]
         assert {r["truckloads_delivered"] for r in ref_rows} == {ref_loads}
@@ -272,12 +279,22 @@ DECLARED = {
                            only_columns_differ({"mu", "sigma", "lo", "hi"})))
     for name in ("cov.csv", "cov_raw.csv")
 }
+#: why every sampled simulate artifact differs
+NEW_SAMPLER = ("each replication draws numpy's Generator(PCG64) normals "
+               "where the reference runs the polar method on "
+               "random.Random, so completion times, busy fractions, clamp "
+               "counts and their summary move")
 DECLARED.update({
-    "sim_scenario.csv": ("no phantom load: Q=2.1, C=0.3 plans 7 loads, "
-                         "where the reference plans 8",
-                         plans_loads("8", "7")),
-    "simulate_scenario.log": ("the same phantom load moves the summary "
-                              "line", only_line_differs("20 replications: ")),
+    "sim.csv": (NEW_SAMPLER, resampled("10", "10")),
+    "sim_fleet.csv": (NEW_SAMPLER, resampled("500", "500")),
+    "sim_scenario.csv": (NEW_SAMPLER + "; and no phantom load: Q=2.1, C=0.3 "
+                         "plans 7 loads, where the reference plans 8",
+                         resampled("8", "7")),
+    "simulate.log": (NEW_SAMPLER, only_line_differs("50 replications: ")),
+    "simulate_fleet.log": (NEW_SAMPLER,
+                           only_line_differs("30 replications: ")),
+    "simulate_scenario.log": (NEW_SAMPLER + ", as does the phantom load",
+                              only_line_differs("20 replications: ")),
     "m.model": ("train reads only adapt's dataset file, so its audit header "
                 "loses the three flags of the raw-CSV path",
                 only_comments_removed({"# split_seed = None",
