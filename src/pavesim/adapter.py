@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, check_number
+from .errors import DataError, check_choice, check_number
 from .tables import BOOLEAN, CATEGORICAL, NOT_DATA, NUMERIC, RecordTable
 
 DROP_ROW = "drop_row"
@@ -57,10 +57,10 @@ class CleanPolicy:
     iqr_multiplier: float = 1.5
 
     def __post_init__(self):
-        if self.missing_strategy not in MISSING_STRATEGIES:
-            raise DataError(f"unknown missing strategy {self.missing_strategy!r}")
-        if self.outlier_strategy not in OUTLIER_STRATEGIES:
-            raise DataError(f"unknown outlier strategy {self.outlier_strategy!r}")
+        check_choice("missing_strategy", self.missing_strategy,
+                     MISSING_STRATEGIES)
+        check_choice("outlier_strategy", self.outlier_strategy,
+                     OUTLIER_STRATEGIES)
         check_number("iqr_multiplier", self.iqr_multiplier, above=0)
 
 
@@ -74,23 +74,17 @@ class CleanReport:
     rows_dropped_missing: int = 0
     rows_dropped_outliers: int = 0
 
-    def is_empty(self) -> bool:
-        return (
-            not any(self.missing_counts.values())
-            and not any(self.imputed_counts.values())
-            and not any(self.outlier_counts.values())
-            and self.rows_dropped_missing == 0
-            and self.rows_dropped_outliers == 0
-        )
-
     def summary(self) -> str:
-        if self.is_empty():
+        # a cell is imputed, and a row dropped, only for a counted cell
+        missing = sum(self.missing_counts.values())
+        outliers = sum(self.outlier_counts.values())
+        if not missing and not outliers:
             return "nothing to do"
         return (
-            f"{sum(self.missing_counts.values())} missing cells "
+            f"{missing} missing cells "
             f"({sum(self.imputed_counts.values())} imputed, "
             f"{self.rows_dropped_missing} rows dropped), "
-            f"{sum(self.outlier_counts.values())} outlier values "
+            f"{outliers} outlier values "
             f"({self.rows_dropped_outliers} rows dropped)"
         )
 
@@ -108,8 +102,8 @@ class ColumnStats:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise DataError(f"column name must be a string, got {self.name!r}")
-        if self.kind not in (NUMERIC, BOOLEAN):
-            raise DataError(f"column {self.name!r} has unknown kind {self.kind!r}")
+        check_choice(f"kind of column {self.name!r}", self.kind,
+                     (NUMERIC, BOOLEAN))
         check_number(f"mean of column {self.name!r}", self.mean)
         check_number(f"std of column {self.name!r}", self.std, low=0)
         if self.kind == NUMERIC and self.std == 0:

@@ -138,17 +138,12 @@ def _parse_seed(value: str) -> int:
     return int(value)
 
 
-def _one_of(flag: str, *values: str):
-    """The argparse type of a flag that takes one of `values`."""
-    def parse(value: str) -> str:
-        if value not in values:
-            raise argparse.ArgumentTypeError(
-                f"{flag} must be {' or '.join(values)}, got {value!r}")
-        return value
-    return parse
-
-
 def _cmd_adapt(args, run: _Run) -> None:
+    policy = CleanPolicy(  # before any parse: a bad flag costs no read
+        missing_strategy=args.missing,
+        outlier_strategy=args.outliers,
+        iqr_multiplier=args.iqr_multiplier,
+    )
     tables = [load_csv(p, lambda name: name != args.key) for p in args.data]
     if args.key is not None:
         table, dropped = join_sources(tables, args.key)
@@ -160,12 +155,6 @@ def _cmd_adapt(args, run: _Run) -> None:
         raise DataError("joining multiple files requires --key")
     else:
         table = tables[0]
-
-    policy = CleanPolicy(
-        missing_strategy=args.missing,
-        outlier_strategy=args.outliers,
-        iqr_multiplier=args.iqr_multiplier,
-    )
     cleaned, report = clean(table, policy)
     ds = encode_and_normalize(cleaned, args.target)
     train_ds, test_ds = split(ds, args.train_fraction, args.seed)
@@ -342,10 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(required for multiple --data)")
     p.add_argument("--target", default=TARGET_COLUMN)
     p.add_argument("--missing", default=CleanPolicy.missing_strategy,
-                   type=_one_of("--missing", DROP_ROW, IMPUTE_MEDIAN),
                    help=f"{IMPUTE_MEDIAN} or {DROP_ROW} (default %(default)s)")
     p.add_argument("--outliers", default=CleanPolicy.outlier_strategy,
-                   type=_one_of("--outliers", FLAG_ONLY, DROP_ROW),
                    help=f"{FLAG_ONLY} or {DROP_ROW} (default %(default)s)")
     p.add_argument("--iqr-multiplier", type=float,
                    default=CleanPolicy.iqr_multiplier)
@@ -378,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True,
                    help="dataset file (its test split is used) or a raw CSV")
     p.add_argument("--level", type=float, default=0.95,
-                   choices=tuple(Z_VALUES))
+                   help=" or ".join(map(str, Z_VALUES))
+                   + " (default %(default)s)")
     p.add_argument("--out", default=None, help="coverage CSV path")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -428,6 +416,3 @@ def main(argv=None) -> int:
         print(line)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the one rule for a number
-and the one rule for a JSON object and its keys, a record's too."""
+"""Exception types shared across the package, the one rule for a number,
+the one rule for a value from a fixed set and the one rule for a JSON
+object and its keys, a record's too."""
 
 import math
 import numbers
@@ -57,6 +58,16 @@ def check_number(name: str, value, *, integer: bool = False, low=None,
             if bound is not None)
         rule = f"{kind} {bounds}".rstrip()
         raise DataError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def check_choice(name: str, value, choices):
+    """`value` if it equals one of `choices`; otherwise a :class:`DataError`
+    lists them in order, as :func:`check_number` states its rule:
+    ``resample_mode must be per_replication or per_truckload, got 'x'``."""
+    if value not in choices:
+        raise DataError(f"{name} must be {' or '.join(map(str, choices))}, "
+                        f"got {value!r}")
     return value
 
 

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .adapter import Dataset, NormalizationStats
-from .errors import DataError, NumericalError, check_number
+from .errors import DataError, NumericalError, check_choice, check_number
 from .network import NetworkParams, forward_batch
 from .tables import check_value, csv_text
 
@@ -125,10 +125,7 @@ def sample(model: GaussianInputModel, seed: int | np.random.SeedSequence,
 
 def confidence_interval(mean, std, level: float):
     """``mean -+ z*std``, scalars or columns, at a level of :data:`Z_VALUES`."""
-    if level not in Z_VALUES:
-        supported = ", ".join(str(k) for k in sorted(Z_VALUES))
-        raise DataError(f"unsupported level {level!r}; pick one of {supported}")
-    half_width = Z_VALUES[level] * std
+    half_width = Z_VALUES[check_choice("level", level, tuple(Z_VALUES))] * std
     return mean - half_width, mean + half_width
 
 

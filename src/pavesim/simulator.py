@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, check_number
+from .errors import DataError, NumericalError, check_choice, check_number
 from .inputmodel import GaussianInputModel, sample
 from .tables import csv_text
 
@@ -99,11 +99,7 @@ class SimConfig:
                      "haul_time", "dump_time", "return_time", "clamp_floor"):
             check_number(name, getattr(self, name), above=0)
         check_number("truck_count", self.truck_count, integer=True, low=1)
-        if self.resample_mode not in RESAMPLE_MODES:
-            raise DataError(
-                f"resample_mode must be one of {RESAMPLE_MODES}, "
-                f"got {self.resample_mode!r}"
-            )
+        check_choice("resample_mode", self.resample_mode, RESAMPLE_MODES)
         # Q / C may overflow to inf, which math.ceil cannot take.
         ratio = self.total_quantity / self.truck_capacity
         if ratio > MAX_TRUCKLOADS + 1 or self.truckloads > MAX_TRUCKLOADS:

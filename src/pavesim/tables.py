@@ -69,7 +69,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import DataError, check_number
+from .errors import DataError, check_choice, check_number
 
 Cell = Union[float, str, None]
 
@@ -169,9 +169,7 @@ def check_value(name: str, kind: str, value) -> float:
     bounds for `name` and, for a boolean `kind`, 0 or 1; otherwise a
     :class:`DataError` names `name` and its rule."""
     value = float(check_number(name, value, **BOUNDS_BY_NAME.get(name, {})))
-    if kind == BOOLEAN and not _is_boolean_value(value):
-        raise DataError(f"{name} must be 0 or 1, got {value!r}")
-    return value
+    return check_choice(name, value, (0, 1)) if kind == BOOLEAN else value
 
 
 def _check_cell(text: str, kind: str, row: int, column: str) -> None:

@@ -251,8 +251,23 @@ def test_clean_identity_on_clean_data():
     table = numeric_table("V", [1, 2, 3, 4, 5])
     cleaned, report = clean(table)
     assert cleaned == table
-    assert report.is_empty()
     assert report.summary() == "nothing to do"
+
+
+@pytest.mark.parametrize("missing", MISSING_STRATEGIES)
+@pytest.mark.parametrize("outliers", OUTLIER_STRATEGIES)
+def test_a_report_acts_only_on_the_cells_it_counted(missing, outliers):
+    # why summary() reads "nothing to do" from the two counts alone
+    policy = CleanPolicy(missing, outliers)
+    for values in ([1, 2, 3, 4, 5], [1, 2, None, 4, 5], [1, 2, 3, 4, 100],
+                   [None, 2, 3, 4, 100]):
+        _, report = clean(numeric_table("V", values), policy)
+        counted = report.missing_counts["V"] + report.outlier_counts["V"]
+        done = (report.imputed_counts["V"] + report.rows_dropped_missing
+                + report.rows_dropped_outliers)
+        assert counted == values.count(None) + (100 in values)
+        assert done <= counted  # flag_only counts an outlier, does nothing
+        assert (report.summary() == "nothing to do") == (counted == 0)
 
 
 def test_clean_imputes_median():
@@ -303,7 +318,7 @@ def test_clean_passes_the_answer_key_and_labels_through():
     for missing in ("impute_median", DROP_ROW):
         cleaned, report = clean(table, CleanPolicy(missing, DROP_ROW))
         assert rows_of(cleaned) == rows
-        assert report.is_empty()
+        assert report.summary() == "nothing to do"
         for counts in (report.missing_counts, report.imputed_counts,
                        report.outlier_counts):
             assert list(counts) == ["Slump"]
@@ -496,7 +511,7 @@ def test_clean_drop_row_idempotent_on_small_fixture():
     once, _ = clean(table, policy)
     twice, second_report = clean(once, policy)
     assert twice == once
-    assert second_report.is_empty()
+    assert second_report.summary() == "nothing to do"
 
 
 def test_clean_drop_row_idempotent_on_generated_data():
@@ -690,8 +705,10 @@ def test_column_stats_round_trip_identity():
 
 def test_stats_reject_malformed_columns():
     for kind, mean, std, message in (
-        ("bogus", 0.0, 1.0, "unknown kind"),
-        (CATEGORICAL, 0.0, 1.0, "unknown kind"),
+        ("bogus", 0.0, 1.0,
+         "kind of column 'A' must be numeric or boolean, got 'bogus'"),
+        (CATEGORICAL, 0.0, 1.0,
+         "kind of column 'A' must be numeric or boolean, got 'categorical'"),
         (NUMERIC, math.nan, 1.0,
          "mean of column 'A' must be a finite number, got nan"),
         (NUMERIC, 0.0, math.inf,

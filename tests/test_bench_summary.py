@@ -103,8 +103,8 @@ def test_main_writes_the_summary_or_says_why_not(tmp_path, monkeypatch,
 
 PAIR_SEEDS = list(range(41, 51))
 PAIR_BENCHMARK = {**BENCHMARK, "end_to_end": [
-    {"name": "wall_vs_ref", "unit": "x", "better": "lower"},
-    {"name": "ops", "unit": "1/s", "better": "higher"}]}
+    {"name": "wall_vs_ref", "unit": "x", "better": "lower", "bound": 0.25},
+    {"name": "ops", "unit": "1/s", "better": "higher", "bound": 0.25}]}
 
 
 def write_side(results, wall, ops, special=None):
@@ -157,10 +157,66 @@ def test_compare_counts_the_pairs_and_applies_the_claim_rule(
     assert wall_row["claim_holds"] is holds
     assert ops_row["parent"] == pytest.approx([100.0, 95.0, 105.0])
     assert (ops_row["wins"], ops_row["claim_holds"]) == (wins, holds)
+    # the parent's spread, 10% of its median, is within the 25% bound
+    assert wall_row["verdict"] == ops_row["verdict"] == "within bound"
     lines = bench_summary.comparison_lines(rows, PAIR_BENCHMARK)
     assert lines[0].startswith("alpha wall_vs_ref (x): 1 [0.95-1.05] -> ")
-    assert lines[0].endswith(f"better in {wins}/10 pairs, claim "
+    assert lines[0].endswith(f"], within bound at 25%, better in {wins}/10 "
+                             "pairs, claim "
                              + ("holds" if holds else "does not hold"))
+
+
+WIDE = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+
+
+@pytest.mark.parametrize("before, after, sign, expected", [
+    # a median worse by exactly the bound (1 on 4) is within it
+    ([4.0] * 10, [5.0] * 10, 1, "within bound"),
+    ([4.0] * 10, [5.5] * 10, 1, "worse"),
+    ([4.0] * 10, [3.0] * 10, -1, "within bound"),
+    ([4.0] * 10, [2.5] * 10, -1, "worse"),
+    ([4.0] * 10, [4.0] * 9 + [9.0], 1, "within bound"),
+    # quartiles 3.25 and 7.75 lie 4.5 apart, wider than 25% of 5.5 ...
+    (WIDE, WIDE, 1, "unresolved"),
+    (WIDE, WIDE, -1, "unresolved"),
+    # ... unless every change run beat every parent run; a tie is no win
+    (WIDE, [0.5] * 10, 1, "within bound"),
+    (WIDE, [0.5] * 9 + [1.0], 1, "unresolved"),
+    (WIDE, [10.5] * 10, -1, "within bound"),
+    (WIDE, [10.0] * 10, -1, "unresolved"),
+    # worse beyond the bound is worse, however wide the parent's spread
+    (WIDE, [7.0] * 10, 1, "worse"),
+    (WIDE, [4.0] * 10, -1, "worse"),
+])
+def test_verdict_applies_the_bound_to_the_parent_median(before, after, sign,
+                                                        expected):
+    assert bench_summary.verdict(before, after, sign, 0.25) == expected
+
+
+def test_a_spread_of_exactly_the_bound_is_resolved():
+    # quartiles 3.25 and 4.75, 1.5 apart: 37.5% of the median 4
+    before = [3.0] * 3 + [4.0] * 4 + [5.0] * 3
+    assert bench_summary.verdict(before, before, 1, 0.375) == "within bound"
+    assert bench_summary.verdict(before, before, 1, 0.37) == "unresolved"
+
+
+def test_compare_states_each_metric_against_its_bound(tmp_path):
+    # wall_vs_ref: 1.0 -> 1.3, 30% worse than the parent against a 25%
+    # bound; ops: the parent's quartiles 10% apart against a 5% bound
+    benchmark = {**PAIR_BENCHMARK, "end_to_end": [
+        {**PAIR_BENCHMARK["end_to_end"][0], "bound": 0.25},
+        {**PAIR_BENCHMARK["end_to_end"][1], "bound": 0.05}]}
+    write_side(tmp_path / "parent", PARENT_WALL,
+               [100 * w for w in PARENT_WALL])
+    write_side(tmp_path / "change", [w + 0.3 for w in PARENT_WALL],
+               [100 * w for w in PARENT_WALL])
+    rows = bench_summary.compare(benchmark, tmp_path / "parent",
+                                 tmp_path / "change", PAIR_SEEDS)
+    assert rows["beta"]["wall_vs_ref"]["verdict"] == "worse"
+    assert rows["beta"]["ops"]["verdict"] == "unresolved"
+    lines = bench_summary.comparison_lines(rows, benchmark)
+    assert ", worse at 25%, better in 0/10 pairs" in lines[0]
+    assert ", unresolved at 5%, better in 0/10 pairs" in lines[1]
 
 
 @pytest.mark.parametrize("side, changes, message", [
@@ -202,8 +258,10 @@ def test_main_prints_the_comparison(tmp_path, monkeypatch, capsys):
     assert bench_summary.main(["--seeds", *seeds, "--parent", "parent"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 4 and not Path("B.json").exists()
-    assert out[0].endswith("better in 10/10 pairs, claim holds")
-    assert out[1].endswith("better in 0/10 pairs, claim does not hold")
+    assert out[0].endswith("within bound at 25%, better in 10/10 pairs, "
+                           "claim holds")
+    assert out[1].endswith("within bound at 25%, better in 0/10 pairs, "
+                           "claim does not hold")
     assert bench_summary.main(["--seeds", *seeds, "--parent", "parent",
                                "--out", "B.json"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "wrote B.json"
@@ -253,24 +311,29 @@ def test_layers_compare_the_medians_of_the_seeds_both_sides_traced(tmp_path):
                                         [7, 8, 9, 10])
     assert list(rows) == ["alpha"]
     # a null value is left out; a metric null on one side is left out
+    # each side's median, min and max
     assert rows["alpha"] == {
-        "network.train.s": {"parent": pytest.approx(1.1),
-                            "change": pytest.approx(0.9), "seeds": 2},
-        "network.loss_gradients.p50_us": {"parent": 207.5, "change": 150.0,
+        "network.train.s": {"parent": pytest.approx([1.1, 1.0, 1.2]),
+                            "change": pytest.approx([0.9, 0.8, 1.0]),
+                            "seeds": 2},
+        "network.loss_gradients.p50_us": {"parent": [207.5, 207.0, 208.0],
+                                          "change": [150.0, 150.0, 150.0],
                                           "seeds": 2}}
     lines = bench_summary.layer_lines(rows, LAYER_BENCHMARK)
     assert lines == [
-        "alpha network.train.s (s): 1.1 -> 0.9 (0.818), median of 2 "
-        "traced seeds",
-        "alpha network.loss_gradients.p50_us (us): 207.5 -> 150 (0.723), "
-        "median of 2 traced seeds"]
+        "alpha network.train.s (s): 1.1 [1-1.2] -> 0.9 [0.8-1] (0.818), "
+        "median [min-max] of 2 traced seeds",
+        "alpha network.loss_gradients.p50_us (us): 207.5 [207-208] -> 150 "
+        "[150-150] (0.723), median [min-max] of 2 traced seeds"]
     one = bench_summary.compare_layers(LAYER_BENCHMARK, parent, change, [7])
-    assert one["alpha"]["network.train.s"] == {"parent": 1.0,
-                                               "change": 0.8, "seeds": 1}
+    assert one["alpha"]["network.train.s"] == {
+        "parent": [1.0, 1.0, 1.0], "change": [0.8, 0.8, 0.8], "seeds": 1}
     assert bench_summary.layer_lines(
-        {"alpha": {"network.train.s": {"parent": 0.0, "change": 0.0,
+        {"alpha": {"network.train.s": {"parent": [0.0, 0.0, 0.0],
+                                       "change": [0.0, 0.0, 0.0],
                                        "seeds": 1}}}, LAYER_BENCHMARK) == [
-        "alpha network.train.s (s): 0 -> 0, median of 1 traced seed"]
+        "alpha network.train.s (s): 0 [0-0] -> 0 [0-0], median [min-max] "
+        "of 1 traced seed"]
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -307,8 +370,8 @@ def test_main_prints_the_layers(tmp_path, monkeypatch, capsys):
     assert bench_summary.main(["--seeds", "7", "--parent", "parent",
                                "--layers"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "beta network.train.s (s): 2 -> 1.5 (0.750), median of 1 traced "
-        "seed"]
+        "beta network.train.s (s): 2 [2-2] -> 1.5 [1.5-1.5] (0.750), "
+        "median [min-max] of 1 traced seed"]
     assert bench_summary.main(["--seeds", "8", "--parent", "parent",
                                "--layers"]) == 1
     assert capsys.readouterr().err.startswith("error: no traced result")

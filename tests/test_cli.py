@@ -145,12 +145,16 @@ def test_negative_seed_is_a_usage_error(raw_csv, dataset_file, tmp_path,
 
 
 def test_missing_strategy_is_validated(tmp_path, capsys):
+    # d.csv does not exist: the policy is checked before any file is read
     rc = cli.main([
         "adapt", "--data", str(tmp_path / "d.csv"), "--seed", "1",
         "--missing", "wish_away", "--out", str(tmp_path / "ds.json"),
     ])
     assert rc == 1
-    assert "--missing must be" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: missing_strategy must be "
+                                   "drop_row or impute_median, got "
+                                   "'wish_away'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outlier_strategy_is_validated(tmp_path, capsys):
@@ -159,7 +163,9 @@ def test_outlier_strategy_is_validated(tmp_path, capsys):
         "--outliers", "ignore", "--out", str(tmp_path / "ds.json"),
     ])
     assert rc == 1
-    assert "--outliers must be" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: outlier_strategy must be "
+                                   "flag_only or drop_row, got 'ignore'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_hidden_widths_are_validated(tmp_path, capsys):
@@ -189,13 +195,16 @@ def test_flag_defaults_are_the_config_defaults():
                        train.lr) == TrainConfig()
 
 
-def test_level_choices_are_enforced(tmp_path, capsys):
+def test_level_choices_are_enforced(model_file, dataset_file, tmp_path,
+                                    capsys):
     rc = cli.main([
-        "evaluate", "--model", str(tmp_path / "m.model"),
-        "--data", str(tmp_path / "d.csv"), "--level", "0.5",
+        "evaluate", "--model", str(model_file), "--data", str(dataset_file),
+        "--level", "0.5", "--out", str(tmp_path / "cov.csv"),
     ])
     assert rc == 1
-    assert "invalid choice" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "error: level must be 0.9 or 0.95 or 0.99, got 0.5\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------ synth

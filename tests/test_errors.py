@@ -1,5 +1,6 @@
-"""``check_number``, the one rule for a number from any source, a guard
-that keeps the rule in one place, ``check_record``, the one rule for a
+"""``check_number``, the one rule for a number from any source,
+``check_choice``, the one rule for a value from a fixed set, guards that
+keep each rule in one place, ``check_record``, the one rule for a
 record's keys, and a guard that keeps model files to ``check_keys``."""
 
 import ast
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import pavesim
-from pavesim.errors import DataError, check_number, check_record
+from pavesim.errors import (DataError, check_choice, check_number,
+                            check_record)
 
 
 @pytest.mark.parametrize("value, kw", [
@@ -83,6 +85,83 @@ def test_the_guard_sees_a_bool_check():
     tree = ast.parse("def f(v):\n    return isinstance(v, (int, bool))\n"
                      "def check_number(v):\n    return isinstance(v, bool)\n")
     assert _bool_checks(tree) == [2]
+
+
+@pytest.mark.parametrize("value, choices", [
+    ("per_truckload", ("per_replication", "per_truckload")),
+    (0.95, (0.9, 0.95, 0.99)), (np.float64(0.99), (0.9, 0.95, 0.99)),
+    (1, (0, 1)), (0.0, (0, 1)), (-0.0, (0, 1)),
+])
+def test_a_value_from_its_set_is_returned_as_is(value, choices):
+    assert check_choice("x", value, choices) is value
+
+
+@pytest.mark.parametrize("value, choices, message", [
+    ("per_Truckload", ("per_replication", "per_truckload"),
+     "mode must be per_replication or per_truckload, got 'per_Truckload'"),
+    ("0.95", (0.9, 0.95, 0.99), "mode must be 0.9 or 0.95 or 0.99, got '0.95'"),
+    (0.8, (0.9, 0.95, 0.99), "mode must be 0.9 or 0.95 or 0.99, got 0.8"),
+    (math.nan, (0.9, 0.95, 0.99), "mode must be 0.9 or 0.95 or 0.99, got nan"),
+    (2.0, (0, 1), "mode must be 0 or 1, got 2.0"),
+    (0.5, (0, 1), "mode must be 0 or 1, got 0.5"),
+    (None, (0, 1), "mode must be 0 or 1, got None"),
+    ([0], (0, 1), "mode must be 0 or 1, got [0]"),
+    ({"a": 1}, ("a",), "mode must be a, got {'a': 1}"),
+])
+def test_a_value_outside_its_set_is_refused_with_the_set(value, choices,
+                                                         message):
+    with pytest.raises(DataError) as info:
+        check_choice("mode", value, choices)
+    assert str(info.value) == message
+
+
+def _choice_checks(tree):
+    """Line numbers of the ``if ... not in ...:`` statements in `tree`
+    whose body raises an error of its own (``DataError``, argparse's
+    ``ArgumentTypeError``; a bare re-raise is not one), outside
+    ``check_choice``, and of the ``choices=`` keywords of any call."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef) and node.name == "check_choice":
+            inside = True
+        if (isinstance(node, ast.If) and not inside
+                and any(isinstance(op, ast.NotIn)
+                        for n in ast.walk(node.test)
+                        if isinstance(n, ast.Compare) for op in n.ops)
+                and any(isinstance(stmt, ast.Raise) and stmt.exc is not None
+                        for stmt in node.body)):
+            found.append(node.lineno)
+        if isinstance(node, ast.keyword) and node.arg == "choices":
+            found.append(node.value.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_only_check_choice_refuses_a_value_outside_a_fixed_set():
+    # nor does the CLI keep a copy of a set: the record that owns it refuses
+    src = Path(pavesim.__file__).parent
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := _choice_checks(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def test_the_guard_sees_a_choice_check():
+    tree = ast.parse(
+        "def f(v):\n"
+        "    if v not in (1, 2):\n        raise DataError(v)\n"
+        "    if v.mode not in MODES and v:\n"
+        "        raise DataError(f'{v}')\n"
+        "    if v not in (1, 2):\n        raise ValueError(v)\n"
+        "    if v in (1, 2):\n        raise DataError(v)\n"
+        "    if v not in (1, 2):\n        raise\n"
+        "    p.add_argument('--level', choices=(1, 2))\n"
+        "def check_choice(v):\n"
+        "    if v not in (1, 2):\n        raise DataError(v)\n")
+    assert _choice_checks(tree) == [2, 4, 6, 12]
 
 
 def _key_error_handlers(tree):

@@ -232,7 +232,8 @@ def test_load_model_rejects_missing_section(tmp_path):
 @pytest.mark.parametrize("kind", ["model", "dataset"])
 @pytest.mark.parametrize("key, value, message", [
     ("std", 0.0, "numeric column 'Slump' has std 0"),
-    ("kind", "bogus", "unknown kind 'bogus'"),
+    pytest.param("kind", "bogus", "kind of column 'Slump' must be numeric "
+                 "or boolean, got 'bogus'", id="kind-bogus-unknown kind 'bogus'"),
     pytest.param("mean", float("nan"),
                  "mean of column 'Slump' must be a finite number, got nan",
                  id="mean-nan-non-finite mean"),

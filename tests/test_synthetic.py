@@ -177,7 +177,7 @@ def test_generated_data_needs_no_cleaning():
     from pavesim.adapter import clean
 
     _, report = clean(generate_paving_dataset(50, 3))
-    assert report.is_empty()
+    assert report.summary() == "nothing to do"
 
 
 def test_generated_table_round_trips_through_csv(tmp_path):

@@ -17,21 +17,27 @@ every workload at each seed::
 
 With ``--parent DIR``, the root of a checkout of the parent commit run at
 the same seeds, it also prints, for each workload and end-to-end metric,
-the parent's median [quartiles] -> this checkout's, the pairs (one per
+the parent's median [quartiles] -> this checkout's, whether the change
+keeps to the metric's ``bound`` in ``BENCHMARK.json``, the pairs (one per
 seed) this checkout read better (ties count for neither), and whether a
 gain may be claimed: better in at least nine pairs in ten, with the
-medians further apart than the parent's quartiles. Both sides must pass
-the checks above, in one environment. Quartiles interpolate linearly
-between order statistics, as ``numpy.quantile`` does::
+medians further apart than the parent's quartiles. The bound, a share of
+the parent's median, reads ``worse`` when this checkout's median is worse
+by more than it, else ``unresolved`` when the parent's quartiles lie
+further apart than it (unless every run of this checkout beat every run
+of the parent's), else ``within bound``. Both sides must pass the checks
+above, in one environment. Quartiles interpolate linearly between order
+statistics, as ``numpy.quantile`` does::
 
     python3 tools/bench_summary.py --seeds 31 32 33 34 35 --parent ../parent
 
 With ``--layers`` as well, it compares the traced runs instead: for each
-workload and each per-layer metric, the parent's median and this
-checkout's over the ``<workload>-seed<S>-trace1.json`` records that both
-sides have at the given seeds (one seed is enough), skipping null
+workload and each per-layer metric, the parent's median [min-max] and
+this checkout's over the ``<workload>-seed<S>-trace1.json`` records that
+both sides have at the given seeds (one seed is enough), skipping null
 values. A traced run shows where the time went, not whether it changed,
-so no claim rule is applied::
+so no claim rule is applied; the ranges show how far one layer moves
+between seeds of the same code::
 
     python3 tools/bench_summary.py --seeds 7 --parent ../parent --layers
 """
@@ -115,8 +121,9 @@ def summarize(benchmark: dict, results: Path, seeds: list[int]) -> dict:
 def compare(benchmark: dict, parent_results: Path, results: Path,
             seeds: list[int]) -> dict:
     """Per workload and end-to-end metric, each side's median and
-    quartiles, the pairs the change read better, and whether the claim
-    rule holds. Both sides must share one environment."""
+    quartiles, the pairs the change read better, whether the claim rule
+    holds, and the change's verdict against the metric's bound (see
+    :func:`verdict`). Both sides must share one environment."""
     parent_env, parent = load_records(benchmark, parent_results, seeds)
     env, change = load_records(benchmark, results, seeds)
     if env != parent_env:
@@ -137,17 +144,34 @@ def compare(benchmark: dict, parent_results: Path, results: Path,
                 "wins": wins, "pairs": len(before),
                 "claim_holds": (wins >= MIN_WIN_SHARE * len(before)
                                 and gap > q3 - q1),
+                "verdict": verdict(before, after, sign, metric["bound"]),
             }
     return rows
 
 
+def verdict(before: list[float], after: list[float], sign: int,
+            bound: float) -> str:
+    """``worse`` if the median of `after` is worse than that of `before`
+    by more than `bound`, a share of the latter; else ``unresolved`` if
+    the quartiles of `before` lie further apart than that share, unless
+    every run of `after` beat every run of `before`; else ``within
+    bound``. `sign` is 1 when lower is better, -1 when higher is."""
+    median, q1, q3 = _spread(before)
+    if sign * (statistics.median(after) - median) > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not all(
+            sign * (b - a) > 0 for b in before for a in after):
+        return "unresolved"
+    return "within bound"
+
+
 def compare_layers(benchmark: dict, parent_results: Path, results: Path,
                    seeds: list[int]) -> dict:
-    """Per workload and per-layer metric, the parent's median and this
-    checkout's over the traced records both sides have at `seeds`, and
-    the number of seeds used; a null value is left out, and a metric null
-    on either side at every seed is left out. Every record must come from
-    a passed run, all in one environment."""
+    """Per workload and per-layer metric, the parent's median, min and
+    max and this checkout's over the traced records both sides have at
+    `seeds`, and the number of seeds used; a null value is left out, and
+    a metric null on either side at every seed is left out. Every record
+    must come from a passed run, all in one environment."""
     environment = None
     rows = {}
     for workload in (w["name"] for w in benchmark["workloads"]):
@@ -171,8 +195,7 @@ def compare_layers(benchmark: dict, parent_results: Path, results: Path,
             sides = [[v for v in side if v is not None] for side in sides]
             if all(sides):
                 rows[workload][metric["name"]] = {
-                    "parent": statistics.median(sides[0]),
-                    "change": statistics.median(sides[1]),
+                    "parent": _range(sides[0]), "change": _range(sides[1]),
                     "seeds": len(pairs)}
     if not rows:
         raise ValueError(f"no traced result at seeds {sorted(set(seeds))} "
@@ -185,12 +208,19 @@ def layer_lines(rows: dict, benchmark: dict) -> list[str]:
     lines = []
     for workload, metrics in rows.items():
         for name, row in metrics.items():
-            before, after = row["parent"], row["change"]
+            (before, b0, b1), (after, a0, a1) = row["parent"], row["change"]
             ratio = f" ({after / before:.3f})" if before else ""
             lines.append(f"{workload} {name} ({units[name]}): {before:.4g} "
-                         f"-> {after:.4g}{ratio}, median of {row['seeds']} "
-                         "traced seed" + ("s" if row["seeds"] > 1 else ""))
+                         f"[{b0:.4g}-{b1:.4g}] -> {after:.4g} [{a0:.4g}-"
+                         f"{a1:.4g}]{ratio}, median [min-max] of "
+                         f"{row['seeds']} traced seed"
+                         + ("s" if row["seeds"] > 1 else ""))
     return lines
+
+
+def _range(values: list[float]) -> list[float]:
+    """The median, min and max of `values`."""
+    return [statistics.median(values), min(values), max(values)]
 
 
 def _spread(values: list[float]) -> list[float]:
@@ -201,13 +231,15 @@ def _spread(values: list[float]) -> list[float]:
 
 def comparison_lines(rows: dict, benchmark: dict) -> list[str]:
     units = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     lines = []
     for workload, metrics in rows.items():
         for name, row in metrics.items():
             (pm, p1, p3), (cm, c1, c3) = row["parent"], row["change"]
             lines.append(
                 f"{workload} {name} ({units[name]}): {pm:.4g} [{p1:.4g}-"
-                f"{p3:.4g}] -> {cm:.4g} [{c1:.4g}-{c3:.4g}], better in "
+                f"{p3:.4g}] -> {cm:.4g} [{c1:.4g}-{c3:.4g}], "
+                f"{row['verdict']} at {bounds[name]:.0%}, better in "
                 f"{row['wins']}/{row['pairs']} pairs, claim "
                 + ("holds" if row["claim_holds"] else "does not hold"))
     return lines
