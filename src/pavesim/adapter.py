@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import is_not
-from typing import Mapping, Sequence
+from operator import is_not, itemgetter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -212,14 +212,23 @@ def join_sources(tables: Sequence[RecordTable], key_column: str) -> tuple[Record
     keys = list(key_rows[0])  # first table's key order
     for index in key_rows[1:]:
         keys = list(filter(index.__contains__, keys))
-    rows = [list(map(index.__getitem__, keys)) for index in key_rows]
-    columns = [map(column.__getitem__, picked)  # made a tuple by RecordTable
-               for table, picked in zip(tables, rows)
+    pickers = [_picker(list(map(index.__getitem__, keys)))
+               for index in key_rows]
+    columns = [pick(column) for table, pick in zip(tables, pickers)
                for name, column in zip(table.column_names, table.columns)
                if name != key_column]
 
     dropped = sum(t.num_rows for t in tables) - len(tables) * len(keys)
     return RecordTable(names, columns, len(keys)), dropped
+
+
+def _picker(rows: list[int]) -> Callable[[Sequence], Sequence]:
+    """What gathers a column's cells at `rows`, in order: one prebuilt
+    ``itemgetter``, which returns a bare cell for one row and takes no
+    empty list, so those two get a list."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return lambda column: [column[i] for i in rows]
 
 
 def _key_index(table: RecordTable, t: int, key_column: str) -> dict[object, int]:

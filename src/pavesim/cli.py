@@ -18,7 +18,8 @@ so a rerun with identical flags is byte-identical. A command stages its
 outputs and stdout lines in a :class:`_Run`, whose header :func:`main`
 builds once. Then main renames every output into place and prints, or,
 if anything failed (two outputs naming one file too), writes and prints
-nothing.
+nothing. The argparse parser is built once per process, on the first
+call (:func:`build_parser`), and parsing keeps no state between calls.
 
 Exit codes: 0 success, 1 validation or data error, 2 numerical failure.
 """
@@ -26,6 +27,7 @@ Exit codes: 0 success, 1 validation or data error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -43,8 +45,8 @@ from .adapter import (
     join_sources,
     split,
 )
-from .errors import (DataError, NumericalError, PavesimError, check_object,
-                     check_record)
+from .errors import (DataError, NumericalError, PavesimError, check_choice,
+                     check_object, check_record)
 from .inputmodel import (
     GaussianInputModel,
     Z_VALUES,
@@ -208,6 +210,7 @@ def _cmd_train(args, run: _Run) -> None:
 
 
 def _cmd_evaluate(args, run: _Run) -> None:
+    check_choice("level", args.level, tuple(Z_VALUES))  # a bad flag costs no read
     params, stats, _, _ = load_model(args.model)
     if _is_dataset_file(args.data):
         _, test_ds = load_dataset(args.data)
@@ -302,7 +305,10 @@ def _cmd_mixture_demo(args, run: _Run) -> None:
     run.lines.append(f"wrote {args.out}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use (1 ms), not on
+    import: ``append`` copies its list, so no call's flags reach the next."""
     parser = _Parser(
         prog="pavesim",
         description="Condition-aware Gaussian input models for road-paving "

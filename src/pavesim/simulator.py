@@ -154,7 +154,9 @@ class SimResult:
     replication hauls the same ``truckloads`` loads.
 
     Summaries are exactly recomputable from the columns: population std,
-    percentiles by linear interpolation between order statistics.
+    percentiles by linear interpolation between order statistics. They
+    all read one array of the completion times, built once, and the mean
+    and std are computed once.
     """
 
     completion_times: tuple[float, ...]
@@ -163,24 +165,28 @@ class SimResult:
     truckloads: int
     master_seed: int
 
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.completion_times))
+    @cached_property
+    def _times(self) -> np.ndarray:
+        return np.asarray(self.completion_times)
 
-    @property
+    @cached_property
+    def mean(self) -> float:
+        return float(np.mean(self._times))
+
+    @cached_property
     def std(self) -> float:
-        return float(np.std(self.completion_times))
+        return float(np.std(self._times))
 
     @property
     def min(self) -> float:
-        return float(np.min(self.completion_times))
+        return float(np.min(self._times))
 
     @property
     def max(self) -> float:
-        return float(np.max(self.completion_times))
+        return float(np.max(self._times))
 
     def percentile(self, q: float) -> float:
-        return float(np.percentile(self.completion_times, q))
+        return float(np.percentile(self._times, q))
 
     def to_csv(self, header_comments: Sequence[str] = ()) -> str:
         """Per-replication rows, then a ``#`` summary block."""
@@ -321,7 +327,7 @@ def run_monte_carlo(
             run_replication(cfg, replication_seed(master_seed, i))
             for i in range(replications)))
         result = SimResult(times, busy, clamps, cfg.truckloads, master_seed)
-        if not np.isfinite([result.mean, result.std]).all():
+        if not (math.isfinite(result.mean) and math.isfinite(result.std)):
             raise NumericalError(f"completion times overflow: mean "
                                  f"{result.mean!r}, std {result.std!r}")
     return result

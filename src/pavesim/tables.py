@@ -32,8 +32,8 @@ Reading and writing a CSV run their per-cell steps in C builtins.
 the table's columns; a block with a fault is checked again a cell at a
 time, so each refusal names its row and column as a row-at-a-time reader
 would. A row ``csv`` cannot read (a cell over its field size limit) and
-a blank column name are refused by file. :func:`table_to_csv` writes a
-table of floats alone, with no text and nothing missing, as one ``%``
+a blank column name are refused by file. :func:`csv_text` writes a body
+of floats and ints alone, with no text and nothing missing, as one ``%``
 format per row.
 
 Every JSON artifact has one layout, :func:`json_chunks`, the bytes of
@@ -418,14 +418,28 @@ def csv_text(header_comments: Iterable[str], header: Sequence[str],
     field, a float ``repr(float(v))`` (numpy 2 reprs an ``np.float64`` as
     ``np.float64(...)``) and anything else ``str(v)``, quoted by CSV rules;
     a line whose first cell starts with ``#`` is quoted whole, so that it
-    does not read as a comment."""
+    does not read as a comment.
+
+    A body whose every row has the header's width and whose every cell's
+    type is exactly ``float`` or ``int`` is written as one ``"%r,...,%r"``
+    format per row, without the writer's per-cell steps: for those two
+    types ``repr`` is the text above, which never needs quoting and never
+    starts with ``#``. Anything else, a ``bool`` or an ``np.float64`` too,
+    sends the whole body through ``csv.writer``."""
+    rows = list(map(tuple, rows))  # "%" formats a tuple, not a list
+    width = len(header)
+    every_cell = itertools.chain.from_iterable(rows)
+    fast = (set(map(len, rows)) <= {width}
+            and set(map(type, every_cell)) <= {float, int})
     body = io.StringIO()
     minimal = csv.writer(body, lineterminator="\n")
     quote_all = csv.writer(body, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for row in itertools.chain([header], rows):
+    for row in itertools.chain([header], () if fast else rows):
         cells = list(map(_field, row))
         writer = quote_all if cells and cells[0].startswith("#") else minimal
         writer.writerow(cells)
+    if fast:
+        body.writelines(map((",".join(["%r"] * width) + "\n").__mod__, rows))
     return (comment_block(header_comments) + body.getvalue()
             + comment_block(footer))
 
@@ -505,23 +519,10 @@ def _array(array: np.ndarray, indent: str) -> Iterator[str]:
     yield "\n" + indent + "]"
 
 
-#: How :func:`table_to_csv` writes a cell of each column kind.
-_CELL_TYPES = {NUMERIC: float, BOOLEAN: int, CATEGORICAL: str}
-
-
 def table_to_csv(table: RecordTable, header_comments: Sequence[str] = ()) -> str:
-    """The table as CSV; boolean cells are written as ``0`` and ``1``. A
-    table whose every cell is a ``float`` (no text, nothing missing) is
-    written as one ``fmt % row`` per row, ``%r`` for a numeric cell and
-    ``%d`` for a boolean one: the bytes of :func:`csv_text`, which quotes
-    no float's repr, without its per-cell steps."""
-    kinds = table.column_kinds
-    rows = zip(*table.columns)
-    if set(map(type, itertools.chain.from_iterable(table.columns))) <= {float}:
-        fmt = ",".join("%d" if k == BOOLEAN else "%r" for k in kinds) + "\n"
-        return (csv_text(header_comments, table.column_names, ())
-                + "".join(map(fmt.__mod__, rows)))
-    types = [_CELL_TYPES[kind] for kind in kinds]
-    rows = ([None if v is None else t(v) for v, t in zip(row, types)]
-            for row in rows)
-    return csv_text(header_comments, table.column_names, rows)
+    """The table as CSV by :func:`csv_text`; boolean cells are written as
+    ``0`` and ``1``."""
+    columns = ([None if v is None else int(v) for v in column]
+               if kind == BOOLEAN else column
+               for kind, column in zip(table.column_kinds, table.columns))
+    return csv_text(header_comments, table.column_names, zip(*columns))

@@ -111,6 +111,20 @@ def test_join_partial_overlap_counts_unmatched_rows():
     assert dropped == 2
 
 
+@pytest.mark.parametrize("tables", [1, 2, 3])
+def test_a_join_that_matches_one_key_keeps_its_one_row(tables):
+    # each column is gathered at one row: a cell per column, not a bare cell
+    weather, site = make_weather_and_site()
+    other = table_of_rows(("JobId", "Slump"), ((9.0, 4.5), (2.0, 3.5)))
+    if tables == 1:
+        weather = table_of_rows(weather.column_names, rows_of(weather)[1:2])
+    joined, dropped = join_sources([weather, other, site][:tables], "JobId")
+    width = [2, 3, 5][tables - 1]
+    assert (joined.num_rows, joined.columns) == (
+        1, tuple((v,) for v in (25.0, 60.0, 3.5, 0.0, 1.0)[:width]))
+    assert dropped == [0, 3, 5][tables - 1]
+
+
 def test_join_duplicate_key_rejected():
     dup = table_of_rows(("JobId", "X"), ((1.0, 0.0), (1.0, 1.0)))
     with pytest.raises(DataError, match="duplicate key"):

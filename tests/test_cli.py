@@ -207,6 +207,74 @@ def test_level_choices_are_enforced(model_file, dataset_file, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_bad_level_is_refused_before_any_read(tmp_path, capsys):
+    # neither file exists: the level is checked before either is read
+    rc = cli.main([
+        "evaluate", "--model", str(tmp_path / "m.model"),
+        "--data", str(tmp_path / "ds.json"), "--level", "0.8",
+        "--out", str(tmp_path / "cov.csv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: level must be 0.9 or 0.95 or 0.99, got 0.8\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the first parse builds it, so an import alone does not pay for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import pavesim.cli as cli; "
+         "print(cli.build_parser.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+@pytest.fixture
+def three_sources(tmp_path, monkeypatch):
+    """In `tmp_path`: keyed ``a.csv`` and ``b.csv``, and ``c.csv`` from
+    synth, named relative to it."""
+    monkeypatch.chdir(tmp_path)
+    Path("a.csv").write_text("JobId,Productivity,Slump\n" + "".join(
+        f"{i},{50 + 3 * i},{2 + i % 4}\n" for i in range(10)))
+    Path("b.csv").write_text("JobId,Temperature\n" + "".join(
+        f"{i},{10 + 2 * i}\n" for i in range(10)))
+    assert cli.main(["synth", "--n", "30", "--seed", "3", "--out", "c.csv"]) == 0
+
+
+def adapt_c(capsys):
+    """``adapt --data c.csv``'s dataset file bytes and stdout."""
+    capsys.readouterr()
+    assert cli.main(["adapt", "--data", "c.csv", "--seed", "4",
+                     "--out", "c.json"]) == 0
+    return Path("c.json").read_bytes(), capsys.readouterr().out
+
+
+def test_no_flag_carries_into_the_next_call(three_sources, capsys):
+    assert cli.main(["adapt", "--data", "a.csv", "--data", "b.csv", "--key",
+                     "JobId", "--seed", "4", "--out", "ab.json"]) == 0
+    assert "# data = a.csv,b.csv\n" in Path("ab.json").read_text()
+    text, _ = adapt_c(capsys)
+    header = [line for line in text.decode().splitlines()
+              if line.startswith("#")]
+    assert "# data = c.csv" in header
+    assert "# key = None" in header
+
+
+def test_a_usage_error_does_not_change_the_next_call(three_sources, capsys):
+    before = adapt_c(capsys)
+    # refused after both --data flags were appended
+    assert cli.main(["adapt", "--data", "a.csv", "--data", "b.csv", "--key",
+                     "JobId", "--seed", "-4", "--out", "ab.json"]) == 1
+    assert cli.main(["adapt", "--data", "a.csv", "--bogus"]) == 1
+    assert adapt_c(capsys) == before
+
+
 # ------------------------------------------------------------------ synth
 
 

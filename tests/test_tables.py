@@ -507,22 +507,86 @@ def test_written_tables_read_back_bit_for_bit(table):
         assert all(map(same_cell, written, read)), (written, read)
 
 
-def csv_writer_bytes(table, header_comments):
-    """The table through :func:`csv_text`'s ``csv.writer`` path, a boolean
-    cell as an int."""
-    rows = [[int(v) if v is not None and kind == BOOLEAN else v
-             for v, kind in zip(row, table.column_kinds)]
-            for row in rows_of(table)]
-    return csv_text(header_comments, table.column_names, rows)
+def csv_writer_bytes(header_comments, header, rows, footer=()):
+    """What :func:`csv_text` writes, by ``csv.writer`` a cell at a time:
+    ``None`` an empty field, a float ``repr(float(v))``, anything else
+    ``str(v)``, and a line whose first cell starts with ``#`` quoted
+    whole, between ``# `` comment lines."""
+    body = io.StringIO()
+    for row in [header, *rows]:
+        cells = ["" if v is None else repr(float(v)) if isinstance(v, float)
+                 else str(v) for v in row]
+        quoting = (csv.QUOTE_ALL if cells and cells[0].startswith("#")
+                   else csv.QUOTE_MINIMAL)
+        csv.writer(body, lineterminator="\n", quoting=quoting).writerow(cells)
+    return ("".join(f"# {line}\n" for line in header_comments)
+            + body.getvalue() + "".join(f"# {line}\n" for line in footer))
 
 
 @settings(max_examples=100, deadline=None)
 @given(table=tables())
 def test_table_to_csv_writes_the_bytes_of_the_csv_writer(table):
-    # a table of floats alone takes the "%r" fast path; None, text or a
-    # numpy float sends it through csv.writer
+    # a boolean cell is written as an int
+    rows = [[int(v) if v is not None and kind == BOOLEAN else v
+             for v, kind in zip(row, table.column_kinds)]
+            for row in rows_of(table)]
     assert (table_to_csv(table, ("a comment",))
-            == csv_writer_bytes(table, ("a comment",)))
+            == csv_writer_bytes(("a comment",), table.column_names, rows))
+
+
+#: Cells whose type is exactly float or int, the fast path's.
+EXACT_NUMBERS = st.one_of(
+    st.floats(), st.integers(),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16,
+                     2**63, -2**63 - 1, -1, 0]))
+#: Cells that send a body through the writer.
+OTHER_CELLS = st.one_of(
+    st.sampled_from([True, False, None, "", "x", "a,b", '"q"', "#c", "1.5"]),
+    st.floats().map(np.float64))
+CSV_HEADERS = st.lists(st.sampled_from(["a", "b", "a,b", "#c", "d e"]),
+                       min_size=1, max_size=4)
+
+
+def counted_csv_text(header, rows):
+    """:func:`csv_text`'s text for `rows` under `header`, and how many
+    cells it handed its per-cell ``_field``."""
+    calls, field_of = [], tables_module._field
+
+    def field(value):
+        calls.append(value)
+        return field_of(value)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables_module, "_field", field)
+        text = csv_text(("a comment",), header, rows, ("a = 1",))
+    return text, len(calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), header=CSV_HEADERS)
+def test_a_body_of_exact_floats_and_ints_is_written_by_repr(data, header):
+    rows = data.draw(st.lists(st.tuples(*[EXACT_NUMBERS] * len(header)),
+                              max_size=6))
+    text, fields = counted_csv_text(header, rows)
+    assert text == csv_writer_bytes(("a comment",), header, rows, ("a = 1",))
+    assert fields == len(header)   # the body took the fast path
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), header=CSV_HEADERS)
+def test_any_other_body_is_written_by_the_csv_writer(data, header):
+    rows = data.draw(st.lists(st.lists(EXACT_NUMBERS, min_size=len(header),
+                                       max_size=len(header)),
+                              min_size=1, max_size=6))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if data.draw(st.booleans()):   # one cell of another type
+        j = data.draw(st.integers(0, len(header) - 1))
+        rows[i][j] = data.draw(OTHER_CELLS)
+    else:                          # one row of another width
+        rows[i] = rows[i][:-1] if data.draw(st.booleans()) else rows[i] + [0]
+    text, fields = counted_csv_text(header, rows)
+    assert text == csv_writer_bytes(("a comment",), header, rows, ("a = 1",))
+    assert fields == len(header) + sum(map(len, rows))
 
 
 # -------------------------------------------------- reader against oracle
