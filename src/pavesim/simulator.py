@@ -22,34 +22,31 @@ Model choices that keep a closed-form oracle exact:
 With those choices the trucks move in lockstep waves and the paver is a
 single first-in, first-out server. Only the rates vary between
 replications, so a run builds and checks its load plan once
-(:attr:`SimConfig.plan`: each load's arrival and amount), and a
-replication only draws its rates and runs the Lindley recursion of
-:func:`run_replication` over that plan. From :data:`ARRAY_LOADS` (112)
-loads on, the recursion runs on arrays: the finishes are one sequential
-``np.add.accumulate`` of the durations while the paver is busy, and the
-per-load loop takes over at its first idle. Below that, the loop is one
-conditional and one add per load over Python floats, with the durations
-divided out in C builtins before it. Both paths give the same bits.
+(:attr:`SimConfig.plan`: each load's arrival, amount and duration at the
+clamp floor), and a replication only draws its rates and takes the
+Lindley recursion of :func:`run_replication` over that plan in its
+max-plus closed form: one ``np.add.accumulate`` of the durations and one
+reduction, whatever the plan size.
 Replication ``i`` draws from numpy's PCG64 stream keyed by
 ``SeedSequence((master_seed, i))`` (:func:`replication_seed`), so two
 configs run at one master seed pave on common random numbers.
 :func:`run_monte_carlo` keeps each
 replication's completion time, busy fraction and clamp count as the
-columns of a :class:`SimResult`. At a constant rate completion time also
-has a closed form: the first time paving at that rate has placed all the
-material the waves delivered. The tests hold that oracle
+columns of a :class:`SimResult`. At a constant rate completion time has
+a second closed form: the first time paving at that rate has placed all
+the material the waves delivered. The tests hold that oracle
 (``completion_oracle`` in ``tests/test_simulator.py``); it plans loads
 and waves on integer tenths of m^3 and shares no code with this module,
-and the recursion reproduces it to floating-point accuracy.
+and the closed form reproduces it to floating-point accuracy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
-from operator import add, lt, truediv
+from operator import truediv
 from typing import Sequence
 
 import numpy as np
@@ -63,13 +60,6 @@ PER_TRUCKLOAD = "per_truckload"
 RESAMPLE_MODES = (PER_REPLICATION, PER_TRUCKLOAD)
 
 MAX_TRUCKLOADS = 10 ** 6
-
-#: From this many loads on, :func:`run_replication` runs its recursion on
-#: arrays (:attr:`SimConfig.plan_arrays`); below it, one load at a time.
-#: The array path's worst case, a ``per_replication`` paver that idles at
-#: every load, costs the same as the loop here; a busy paver gains from
-#: about 50 loads on.
-ARRAY_LOADS = 112
 
 
 @dataclass(frozen=True)
@@ -115,14 +105,18 @@ class SimConfig:
         return n - 1 if n > 1 and closing <= 1e-9 * self.truck_capacity else n
 
     @cached_property
-    def plan(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Each load's hopper arrival and amount, built and checked once.
+    def plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each load's hopper arrival, amount and duration at the clamp
+        floor, as float64 arrays, built and checked once.
 
         All trucks start loading at t = 0 and truck ``i % K`` hauls load
         ``i``, so load ``i`` lands at ``(i // K) * cycle + first``, where
         ``first`` is load + haul + dump and ``cycle`` adds the return.
+        A duration at the floor is the amount over the floor as Python
+        divides it: an int amount over an int floor is their exact
+        quotient, rounded once.
         """
-        amounts = tuple(truckload_amounts(self))
+        amounts = truckload_amounts(self)
         placed, total = sum(amounts), self.total_quantity
         # the n additions and the partial load's subtraction each err by
         # about an ulp of the total at most: a lost load above 2n ulps shows
@@ -132,15 +126,7 @@ class SimConfig:
                 f"conservation violated: placed {placed!r} of {total!r}")
         first = self.load_time + self.haul_time + self.dump_time
         cycle, k = first + self.return_time, self.truck_count
-        arrivals = tuple((i // k) * cycle + first for i in range(len(amounts)))
-        return arrivals, amounts
-
-    @cached_property
-    def plan_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:attr:`plan`'s arrivals and amounts as float64 arrays, and each
-        load's duration at the clamp floor as Python divides it: an int
-        amount over an int floor is their exact quotient, rounded once."""
-        arrivals, amounts = self.plan
+        arrivals = [(i // k) * cycle + first for i in range(len(amounts))]
         at_floor = list(map(truediv, amounts, repeat(self.clamp_floor)))
         return (np.array(arrivals, dtype=float), np.array(amounts, dtype=float),
                 np.array(at_floor, dtype=float))
@@ -223,90 +209,48 @@ def run_replication(cfg: SimConfig, seed: int | np.random.SeedSequence
     of arrivals ``a_i`` the paver places loads first in, first out, so
     load ``i`` is finished at::
 
-        f_i = max(a_i, f_{i-1}) + amount_i / rate_i
+        f_i = max(a_i, f_{i-1}) + d_i,    d_i = amount_i / rate_i
 
     (the Lindley recursion), and completion is the last finish. This is
     the event-by-event model of dumps and parcel finishes: dumps land in
     load-index order, simultaneous dumps order by truck index ``i % K``
     and so also by load index, and handling a dump before or after a
     parcel finish at the same instant changes no start time, which is
-    always ``max(arrival, previous finish)``. The loop writes that ``max``
-    as a conditional expression, which keeps its tie rule and saves a
-    call per load. The durations are divided out in one pass first, and
-    busy time is their left-to-right float sum (``sum()`` compensates
-    from Python 3.12 on, so it would change the bits).
+    always ``max(arrival, previous finish)``.
 
-    A plan of :data:`ARRAY_LOADS` loads or more runs the same arithmetic
-    on arrays, with the same bits. A draw is clamped as ``operator.lt``
-    decides and a clamped load's duration is Python's own quotient, so an
-    int floor or amount above 2^53 moves nothing. While the paver never
-    idles, ``f_i = f_{i-1} + d_i``, so the finishes are one
-    ``np.add.accumulate`` over ``a_0, d_0, d_1, ...``, which adds left to
-    right as the loop does. At the first load that lands after the
-    previous finish, where the paver idles, the loop takes over from that
-    finish. Busy time is the last entry of the durations' own accumulate
-    (``np.sum`` adds pairwise, so it would change the bits). Where a
-    duration or finish overflows to inf, that path warns as numpy does;
-    :func:`run_monte_carlo` silences it, as the loop's floats overflow
-    silently.
+    Unrolled, the last finish is ``max_j (a_j + d_j + ... + d_{n-1})``:
+    the paver starts at the latest dump after which it never idles
+    again. With ``S_j = d_0 + ... + d_{j-1}`` and busy time ``S_n`` that
+    is ``S_n + max_j (a_j - S_j)``, which this computes in one pass: the
+    ``S_j`` are one ``np.add.accumulate`` over ``0, d_0, ..., d_{n-1}``,
+    which adds left to right (``np.sum`` adds pairwise). It equals the
+    per-load recursion to within rounding. ``np.fmax`` skips the NaN of
+    an arrival and a sum that both overflow to inf, so an overflowing
+    completion time reads inf. A draw is clamped as ``<`` on Python
+    numbers decides and a clamped load's duration is the plan's Python
+    quotient, so an int floor or amount above 2^53 moves nothing. Where
+    a duration or finish overflows to inf, numpy warns;
+    :func:`run_monte_carlo` silences it.
     """
-    arrivals, amounts = cfg.plan
-    per_load = cfg.resample_mode == PER_TRUCKLOAD
+    arrivals, amounts, at_floor = cfg.plan
     draws = sample(cfg.productivity_source, seed,
-                   len(amounts) if per_load else 1)
-    if len(amounts) >= ARRAY_LOADS:
-        return _replication_by_array(cfg, draws)
-    # Python floats: a numpy scalar would compare with an int floor above
-    # 2^53 as a float does, not exactly
-    draws = draws.tolist()
-    floor = cfg.clamp_floor
-    # operator.lt, not floor.__gt__: an int floor returns NotImplemented
-    clamp_count = sum(map(lt, draws, repeat(floor)))
-    rates = list(map(max, draws, repeat(floor))) if clamp_count else draws
-    durations = list(map(truediv, amounts,
-                         rates if per_load else repeat(rates[0])))
-    now = _last_finish(0.0, arrivals, durations)
-    return now, reduce(add, durations, 0.0) / now, clamp_count
-
-
-def _last_finish(now: float, arrivals: Sequence[float],
-                 durations: Sequence[float]) -> float:
-    """The Lindley recursion, one load at a time, from a paver that is
-    free at ``now``."""
-    for arrival, duration in zip(arrivals, durations):
-        now = (now if now > arrival else arrival) + duration
-    return now
-
-
-def _replication_by_array(cfg: SimConfig, draws: np.ndarray
-                          ) -> tuple[float, float, int]:
-    """:func:`run_replication` over :attr:`SimConfig.plan_arrays`, with
-    the same bits. ``draws`` is :func:`~pavesim.inputmodel.sample`'s
-    float64 array, one per load or, in ``per_replication`` mode, one
-    draw that broadcasts."""
-    arrivals, amounts, at_floor = cfg.plan_arrays
+                   amounts.size if cfg.resample_mode == PER_TRUCKLOAD else 1)
     floor = cfg.clamp_floor
     low = float(floor)
-    # draw < floor as operator.lt decides it: no float lies strictly
-    # between an int floor and the float it rounds to
+    # draw < floor as Python decides it: no float lies strictly between
+    # an int floor and the float it rounds to
     below = draws <= low if low < floor else draws < low
     clamp_count = int(np.count_nonzero(below))
     steps = np.empty(amounts.size + 1)
-    steps[0] = arrivals[0]
+    steps[0] = 0.0
     durations = steps[1:]
+    # floored first, so that no amount is divided by a draw of zero
     np.divide(amounts, np.maximum(draws, low), out=durations)
     if clamp_count:
         np.copyto(durations, at_floor, where=below)
-    finish = np.add.accumulate(steps)
-    busy = float(np.add.accumulate(durations)[-1])
-    # finish[j] is f_{j-1}; load j idles when it lands after that finish
-    idle = arrivals[1:] > finish[1:-1]
-    j = int(idle.argmax()) + 1
-    if idle[j - 1]:
-        now = _last_finish(float(finish[j]), cfg.plan[0][j:],
-                           durations[j:].tolist())
-    else:
-        now = float(finish[-1])
+    done = np.add.accumulate(steps)
+    busy = float(done[-1])
+    now = busy + float(np.fmax.reduce(arrivals - done[:-1]))
     return now, busy / now, clamp_count
 
 
@@ -321,7 +265,7 @@ def run_monte_carlo(
     their mean and std to be finite raise a :class:`NumericalError`.
     """
     check_number("replications", replications, integer=True, low=1)
-    # the array path overflows to inf as the loop's floats do, silently
+    # a replication's arrays overflow to inf as Python floats do, silently
     with np.errstate(over="ignore", invalid="ignore"):
         times, busy, clamps = zip(*(
             run_replication(cfg, replication_seed(master_seed, i))

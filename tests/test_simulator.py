@@ -10,7 +10,6 @@ from pavesim import simulator
 from pavesim.errors import DataError, NumericalError, check_record
 from pavesim.inputmodel import GaussianInputModel, sample
 from pavesim.simulator import (
-    ARRAY_LOADS,
     MAX_TRUCKLOADS,
     PER_REPLICATION,
     PER_TRUCKLOAD,
@@ -363,10 +362,11 @@ def replication_configs(draw):
 @example(cfg=SimConfig(3 * (2**53 + 1) + 5, 2, 2**53 + 1, 1, 1, 1, 1,
                        GaussianInputModel(5, 30.0), PER_REPLICATION, 20),
          seed=2**64 + 7)
-# the last plan the loop runs, and the first the arrays run
-@example(cfg=SimConfig(12 * (ARRAY_LOADS - 2) + 5, 8, 12, 0.15, 0.4, 0.1, 0.25,
+# 111 and 112 loads, on both sides of where a per-load loop once gave way
+# to arrays
+@example(cfg=SimConfig(12 * 110 + 5, 8, 12, 0.15, 0.4, 0.1, 0.25,
                        GaussianInputModel(55.0, 30.0), PER_TRUCKLOAD), seed=1)
-@example(cfg=SimConfig(12 * (ARRAY_LOADS - 1) + 5, 8, 12, 0.15, 0.4, 0.1, 0.25,
+@example(cfg=SimConfig(12 * 111 + 5, 8, 12, 0.15, 0.4, 0.1, 0.25,
                        GaussianInputModel(55.0, 30.0), PER_TRUCKLOAD), seed=1)
 # a paver that idles at the first wave, and one busy up to load 320 of 1,000
 @example(cfg=SimConfig(2400.5, 2, 12, 0.15, 0.4, 0.1, 0.25,
@@ -375,6 +375,11 @@ def replication_configs(draw):
                        GaussianInputModel(107.0, 100.0), PER_TRUCKLOAD), seed=4)
 @example(cfg=SimConfig(12000.5, 8, 12, 0.15, 0.4, 0.1, 0.25,
                        GaussianInputModel(55.0, 30.0), PER_REPLICATION), seed=4)
+# truck-bound: 1,001 loads at one rate, two to a wave, and the paver
+# idles at every wave
+@example(cfg=SimConfig(12000.5, 2, 12, 0.15, 0.4, 0.1, 0.25,
+                       GaussianInputModel(200.0, 900.0), PER_REPLICATION),
+         seed=8)
 # 97 of 201 draws clamped to an int floor; then an int capacity above 2^53
 # clamped to one, an exact quotient that float division would round twice
 @example(cfg=SimConfig(2400.5, 3, 12, 0.15, 0.4, 0.1, 0.25,
@@ -386,19 +391,35 @@ def replication_configs(draw):
 @example(cfg=SimConfig(12 * 150, 8, 12, 1, 1, 1, 1,
                        GaussianInputModel(2**53, 0.0), PER_TRUCKLOAD, 2**53 + 1),
          seed=7)
-def test_replication_is_the_literal_per_load_loop(cfg, seed):
-    arrivals, amounts = cfg.plan
-    per_load = cfg.resample_mode == PER_TRUCKLOAD
-    n = len(amounts) if per_load else 1
-    rates = clamped_rates(cfg, seed, n)
-    if not per_load:
-        rates = rates * len(amounts)
-    now = busy = 0.0
-    for arrival, amount, rate in zip(arrivals, amounts, rates):
-        now = max(arrival, now) + amount / rate
-        busy += amount / rate
-    clamps = sum(p < cfg.clamp_floor for p in drawn(cfg, seed, n))
-    assert run_replication(cfg, seed) == (now, busy / now, clamps)
+def test_replication_is_the_max_plus_closed_form(cfg, seed):
+    # Completion is S_n + max_j (a_j - S_j), with S_j the left-to-right sum
+    # of the first j durations and busy time S_n, all in Python floats
+    # here: the plan is rebuilt from the config's fields, and a clamped
+    # load's duration is the amount over the floor as Python divides it.
+    n = cfg.truckloads
+    first = cfg.load_time + cfg.haul_time + cfg.dump_time
+    cycle = first + cfg.return_time
+    arrivals = [float((j // cfg.truck_count) * cycle + first) for j in range(n)]
+    amounts = [cfg.truck_capacity] * (n - 1) + [
+        cfg.total_quantity - cfg.truck_capacity * (n - 1)]
+    draws = drawn(cfg, seed, n if cfg.resample_mode == PER_TRUCKLOAD else 1)
+    clamps = sum(p < cfg.clamp_floor for p in draws)
+    rates = [max(p, cfg.clamp_floor) for p in draws] * (n // len(draws))
+    durations = [amount / rate for amount, rate in zip(amounts, rates)]
+    sums = [0.0]
+    for duration in durations:
+        sums.append(sums[-1] + duration)
+    busy = sums[-1]
+    now = busy + max(a - s for a, s in zip(arrivals, sums))
+    completion_time, busy_fraction, clamp_count = run_replication(cfg, seed)
+    assert (completion_time, busy_fraction, clamp_count) == (
+        now, busy / now, clamps)
+    # the literal per-load Lindley recursion, to within rounding
+    finish = 0.0
+    for arrival, duration in zip(arrivals, durations):
+        finish = max(arrival, finish) + duration
+    assert completion_time == pytest.approx(finish, rel=1e-12)
+    assert busy_fraction == pytest.approx(busy / finish, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,6 +523,18 @@ def test_clamping_counts_and_floors_draws():
             math.fsum(10.0 / r for r in rates), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", RESAMPLE_MODES)
+def test_draws_of_zero_are_floored_before_any_division(mode):
+    # every draw is 0.0: each load is paved at the floor, and no amount is
+    # divided by zero on the way
+    cfg = constrained_config(productivity_source=GaussianInputModel(0.0, 0.0),
+                             resample_mode=mode, clamp_floor=2.0)
+    completion_time, busy_fraction, clamp_count = run_replication(cfg, 1)
+    assert clamp_count == (cfg.truckloads if mode == PER_TRUCKLOAD else 1)
+    assert busy_fraction * completion_time == pytest.approx(50.0, rel=1e-12)
+
+
 def test_per_replication_mode_reuses_one_draw():
     cfg = constrained_config(
         productivity_source=GaussianInputModel(50.0, 25.0))
@@ -589,10 +622,12 @@ def test_run_monte_carlo_rejects_zero_replications():
         run_monte_carlo(constrained_config(), 0, 1)
 
 
-@pytest.mark.parametrize("q10, c10", [(100000, 1), (300000, 3)])
+@pytest.mark.parametrize("q10, c10", [(100000, 1), (300000, 3), (3601, 3)])
 def test_many_inexact_loads_conserve_the_total(q10, c10):
     # 10^5 loads of 0.1 sum to 10000.000000018847, which an absolute
-    # tolerance of 1e-9 took for a conservation fault
+    # tolerance of 1e-9 took for a conservation fault. Each plan is
+    # truck-bound: two loads a wave, placed in 0.012 h of a 1 h cycle, so
+    # the paver idles at every wave, down to 1,201 loads with a partial one.
     cfg = tenths_config(q10, c10, 2, CONSTRAINED_LEGS, 50.0)
     assert run_replication(cfg, 1)[0] == pytest.approx(
         completion_oracle(q10, c10, 2, CONSTRAINED_LEGS, 50.0), rel=1e-9)
@@ -635,13 +670,16 @@ def test_completion_times_whose_mean_overflows_are_a_numerical_error():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_durations_that_overflow_on_the_array_path_warn_nothing():
-    cfg = constrained_config(
-        total_quantity=1.2e302, truck_capacity=1e300, clamp_floor=1e-10,
-        productivity_source=GaussianInputModel(1e-10, 0.0))
-    assert cfg.truckloads >= ARRAY_LOADS
-    with pytest.raises(NumericalError,
-                       match="completion times overflow: mean inf, std nan"):
-        run_monte_carlo(cfg, 2, 1)
+    # 120 loads and 10; then arrivals that overflow too, where an arrival
+    # less a sum of durations is inf - inf, NaN, and completion still inf
+    for q, legs in ((1.2e302, {}), (1e301, {}),
+                    (1.2e302, {"load_time": 1e308})):
+        cfg = constrained_config(
+            total_quantity=q, truck_capacity=1e300, clamp_floor=1e-10,
+            productivity_source=GaussianInputModel(1e-10, 0.0), **legs)
+        with pytest.raises(NumericalError,
+                           match="completion times overflow: mean inf, std nan"):
+            run_monte_carlo(cfg, 2, 1)
 
 
 # ------------------------------------------------------------ config file
